@@ -13,6 +13,13 @@ penalized lightly and noise coordinates are pushed to exact zeros.  The
 support of the pair-weight block estimates the adjacency matrix, after
 which an unpenalized refit on the selected graph removes the shrinkage
 bias.
+
+The contrast separates by node, so H is block diagonal: node j's block
+couples only alpha_j, its momentum and its own drift weights.
+CurvatureBlocks holds H as the connected components of its nonzero
+pattern.  The PSD repair, lambda_max, the coordinate descent and its KKT
+certificate work on those node blocks, and one numpy step updates the
+same coordinate of every block at once.
 """
 from __future__ import annotations
 
@@ -21,11 +28,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .estimate import (FitResult, InsufficientDataError,
                        fit_adaptive_closed_form, fit_qmle)
 from .graph import DirectedGraph, build_graph
-from .model import LinearDrift, NsdeSpec, ParamVector, diffusion_shape, path_drift_fn
+from .model import (LinearDrift, NsdeSpec, ParamVector, default_bounds,
+                    diffusion_shape, parameter_layout, path_drift_fn)
 from .simulate import SamplePath
 
 logger = logging.getLogger(__name__)
@@ -115,6 +125,55 @@ def adaptive_weights(pilot: ParamVector, delta=(1.0, 1.0, 1.0),
 
 
 # ---------------------------------------------------------------------------
+# curvature blocks
+
+
+@dataclass(frozen=True)
+class CurvatureBlocks:
+    """A p x p curvature matrix split into independent coordinate blocks.
+
+    The blocks are the connected components of the matrix's nonzero
+    pattern; the N-SDE pilot information has one per node (alpha_j, its
+    momentum and its own drift weights).  Components of equal size m form
+    one group (index, blocks): blocks (nb, m, m) stacks their submatrices
+    and index (nb, m) their flat coordinates in ascending order, so a
+    cyclic sweep visits each block in the same order as the dense matrix.
+    """
+
+    p: int
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        out = np.empty(self.p)
+        for idx, blocks in self.groups:
+            out[idx] = (blocks @ v[idx][:, :, None])[:, :, 0]
+        return out
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.p, self.p))
+        for idx, blocks in self.groups:
+            out[idx[:, :, None], idx[:, None, :]] = blocks
+        return out
+
+
+def curvature_blocks(h) -> CurvatureBlocks:
+    """Block form of a dense square matrix (blocks are returned as given)."""
+    if isinstance(h, CurvatureBlocks):
+        return h
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise LassoError(f"curvature matrix must be square, got shape {h.shape}")
+    _, labels = connected_components(csr_matrix(h != 0.0), directed=False)
+    sizes = np.bincount(labels)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    groups = []
+    for m in np.unique(sizes):
+        idx = np.stack([c for c in members if c.shape[0] == m])
+        groups.append((idx, h[idx[:, :, None], idx[:, None, :]]))
+    return CurvatureBlocks(p=h.shape[0], groups=tuple(groups))
+
+
+# ---------------------------------------------------------------------------
 # solver
 
 
@@ -125,96 +184,95 @@ def _split_like(pilot: ParamVector, flat: np.ndarray) -> ParamVector:
     return ParamVector(alpha=flat[:na], beta=flat[na:na + nb], w=w)
 
 
-def _default_box(pilot: ParamVector, signed: float = 1e3):
-    p = pilot.flat().shape[0]
-    na = pilot.alpha.shape[0]
-    lo = np.full(p, -signed)
-    hi = np.full(p, signed)
-    lo[:na] = 0.0
-    return lo, hi
+def _box(pilot: ParamVector, bounds):
+    lo, hi = default_bounds(pilot) if bounds is None else bounds
+    return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
 
-def _soft(value: float, threshold: float) -> float:
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
-
-
-def kkt_residual(h: np.ndarray, pilot: ParamVector, theta: ParamVector,
+def kkt_residual(h, pilot: ParamVector, theta: ParamVector,
                  lam: float, weights: AdaptiveWeights, bounds=None) -> float:
-    """Worst violation of the stationarity conditions of the surrogate problem."""
-    lo, hi = _default_box(pilot) if bounds is None else bounds
+    """Worst violation of the stationarity conditions of the surrogate problem.
+
+    h is a dense matrix or its CurvatureBlocks form.
+    """
+    lo, hi = _box(pilot, bounds)
     x = theta.flat()
-    gamma = weights.flat()
-    z = h @ (x - pilot.flat())
-    worst = 0.0
-    for k in range(x.shape[0]):
-        pen = lam * gamma[k]
-        if lo[k] == hi[k]:
-            continue  # pinned coordinate, nothing to certify
-        if x[k] <= lo[k]:
-            # at the lower bound the most favorable subgradient must still
-            # point into the box; for x != 0 the penalty is differentiable
-            grad = z[k] + (pen * np.sign(x[k]) if x[k] != 0.0 else pen)
-            viol = max(0.0, -grad)
-        elif x[k] >= hi[k]:
-            grad = z[k] + (pen * np.sign(x[k]) if x[k] != 0.0 else -pen)
-            viol = max(0.0, grad)
-        elif x[k] == 0.0:
-            viol = max(0.0, abs(z[k]) - pen)
-        else:
-            viol = abs(z[k] + pen * np.sign(x[k]))
-        worst = max(worst, viol)
-    return worst
+    pen = lam * weights.flat()
+    z = curvature_blocks(h).matvec(x - pilot.flat())
+    # at a bound the most favorable subgradient must still point into the
+    # box; for x != 0 the penalty is differentiable
+    slope = pen * np.sign(x)
+    at_lo = np.maximum(0.0, -(z + np.where(x != 0.0, slope, pen)))
+    at_hi = np.maximum(0.0, z + np.where(x != 0.0, slope, -pen))
+    viol = np.select([lo == hi, x <= lo, x >= hi, x == 0.0],
+                     [0.0, at_lo, at_hi, np.maximum(0.0, np.abs(z) - pen)],
+                     np.abs(z + slope))
+    return float(np.max(viol, initial=0.0))
 
 
-def _cd_solve(h, pilot_flat, lam, gamma, lo, hi, x0, tol, max_sweeps):
-    """Cyclic coordinate descent on the quadratic surrogate; returns (x, sweeps)."""
-    diag = np.diag(h)
-    if np.any(diag < 0.0):
-        raise NonPSDError("surrogate curvature matrix has a negative diagonal")
-    x = x0.copy()
-    z = h @ (x - pilot_flat)
-    p = x.shape[0]
-    cols = h.T.copy()  # row k = column k of h, contiguous
+def _cd_solve(hb: CurvatureBlocks, pilot_flat, lam, gamma, lo, hi, x0, tol,
+              max_sweeps):
+    """Cyclic coordinate descent on the quadratic surrogate; returns (x, sweeps).
+
+    One step updates coordinate k of every block in a group at once.
+    Blocks share no curvature, so each sees the iterates of a cyclic sweep
+    over the dense matrix, and sweeping stops on the largest change over
+    all blocks.  Arrays are held coordinate-major, (m, nb) per group.
+    """
+    z0 = hb.matvec(x0 - pilot_flat)
+    runs = []
+    for idx, blocks in hb.groups:
+        diag = np.diagonal(blocks, axis1=1, axis2=2).T.copy()
+        if np.any(diag < 0.0):
+            raise NonPSDError("surrogate curvature matrix has a negative diagonal")
+        x, pil, z, thr, lo_g, hi_g = (v[idx].T.copy() for v in (
+            x0, pilot_flat, z0, lam * gamma, lo, hi))
+        cols = np.ascontiguousarray(blocks.transpose(2, 1, 0))  # cols[k] = column k
+        # a coordinate without curvature stays where it is: its box is pinned
+        # there and its divisor is a harmless 1
+        dead = diag == 0.0
+        lo_g[dead] = x[dead]
+        hi_g[dead] = x[dead]
+        runs.append((idx, x, pil, z, cols, diag, diag * pil,
+                     np.where(dead, 1.0, diag), -thr, thr, lo_g, hi_g,
+                     np.empty_like(x)))
+    sweeps = max_sweeps
     for sweep in range(1, max_sweeps + 1):
         max_change = 0.0
-        for k in range(p):
-            hkk = diag[k]
-            if hkk == 0.0:
-                continue
-            ck = z[k] - hkk * (x[k] - pilot_flat[k])
-            target = hkk * pilot_flat[k] - ck
-            u = _soft(target, lam * gamma[k]) / hkk
-            if u < lo[k]:
-                u = lo[k]
-            elif u > hi[k]:
-                u = hi[k]
-            du = u - x[k]
-            if du != 0.0:
-                z += cols[k] * du
+        for (_, x, pil, z, cols, diag, hpil, div, neg_thr, thr, lo_g, hi_g,
+             moved) in runs:
+            for k in range(x.shape[0]):
+                target = hpil[k] - (z[k] - diag[k] * (x[k] - pil[k]))
+                # soft threshold: target minus its clip to [-thr, thr]
+                u = (target - np.minimum(np.maximum(target, neg_thr[k]), thr[k])) \
+                    / div[k]
+                u = np.minimum(np.maximum(u, lo_g[k]), hi_g[k])
+                np.subtract(u, x[k], out=moved[k])
+                z += cols[k] * moved[k]
                 x[k] = u
-                adu = abs(du)
-                if adu > max_change:
-                    max_change = adu
+            max_change = max(max_change, float(np.abs(moved).max()))
         if max_change < tol:
-            return x, sweep
-    return x, max_sweeps
+            sweeps = sweep
+            break
+    out = x0.copy()
+    for idx, x, *_ in runs:
+        out[idx] = x.T
+    return out, sweeps
 
 
-def lsa_solve(h: np.ndarray, pilot: ParamVector, lam: float,
+def lsa_solve(h, pilot: ParamVector, lam: float,
               weights: AdaptiveWeights, bounds=None, tol: float | None = None,
               warm: ParamVector | None = None,
               max_sweeps: int = 10000) -> ParamVector:
     """Minimize the penalized quadratic surrogate over the box.
 
-    Coordinate k with positive curvature h_kk gets the exact update
-    soft_threshold(h_kk pilot_k - sum_{m != k} h_km (x_m - pilot_m),
-    lam * gamma_k) / h_kk, clipped to the box.  Sweeping pauses when the
-    largest coordinate change in a sweep falls below tol (default
-    1e-10 * (1 + sup-norm of the pilot)).
+    h is a dense matrix or its CurvatureBlocks form; a dense h is split
+    into node blocks first.  Coordinate k with positive curvature h_kk
+    gets the exact update soft_threshold(h_kk pilot_k - sum_{m != k} h_km
+    (x_m - pilot_m), lam * gamma_k) / h_kk, clipped to the box, and one
+    vector step makes it for every block of a size at once.  Sweeping
+    pauses when the largest coordinate change in a sweep falls below tol
+    (default 1e-10 * (1 + sup-norm of the pilot)).
 
     The returned point is certified: its stationarity residual must be at
     most 1e-8 * (1 + lam), otherwise ConvergenceError is raised.  When the
@@ -227,17 +285,18 @@ def lsa_solve(h: np.ndarray, pilot: ParamVector, lam: float,
         ConvergenceError: if the sweep budget is exhausted before the
             certificate holds.
     """
-    h = np.asarray(h, dtype=float)
+    hb = curvature_blocks(h)
     pilot_flat = pilot.flat()
     p = pilot_flat.shape[0]
-    if h.shape != (p, p):
-        raise LassoError(f"curvature matrix has shape {h.shape}, expected ({p}, {p})")
+    if hb.p != p:
+        raise LassoError(f"curvature matrix has shape ({hb.p}, {hb.p}), "
+                         f"expected ({p}, {p})")
     if lam < 0:
         raise LassoError(f"penalty level must be non-negative, got {lam}")
     gamma = weights.flat()
     if gamma.shape[0] != p:
         raise LassoError("weights do not match the parameter vector")
-    lo, hi = _default_box(pilot) if bounds is None else bounds
+    lo, hi = _box(pilot, bounds)
     if tol is None:
         tol = 1e-10 * (1.0 + np.max(np.abs(pilot_flat)))
     x = np.clip(warm.flat() if warm is not None else pilot_flat, lo, hi)
@@ -245,8 +304,9 @@ def lsa_solve(h: np.ndarray, pilot: ParamVector, lam: float,
     left = max_sweeps
     total = 0
     cur_tol = tol
+    snappable = (gamma > 0) & (lo < 0.0) & (0.0 < hi)
     while True:
-        x, used = _cd_solve(h, pilot_flat, lam, gamma, lo, hi, x, cur_tol, left)
+        x, used = _cd_solve(hb, pilot_flat, lam, gamma, lo, hi, x, cur_tol, left)
         total += used
         left -= used
 
@@ -254,14 +314,10 @@ def lsa_solve(h: np.ndarray, pilot: ParamVector, lam: float,
         # coordinate within a few sweep tolerances of zero is residue of a
         # tight threshold (the boundary case lam = lambda_max leaves debris
         # at the tol scale), and the certificate rejects any snap that mattered
-        snap = 10.0 * cur_tol
-        for k in range(p):
-            if gamma[k] > 0 and x[k] != 0.0 and abs(x[k]) < snap \
-                    and lo[k] < 0.0 < hi[k]:
-                x[k] = 0.0
+        x[snappable & (np.abs(x) < 10.0 * cur_tol)] = 0.0
 
         theta = _split_like(pilot, x)
-        resid = kkt_residual(h, pilot, theta, lam, weights, bounds=(lo, hi))
+        resid = kkt_residual(hb, pilot, theta, lam, weights, bounds=(lo, hi))
         if resid <= cert:
             return theta
         if left <= 0:
@@ -273,34 +329,44 @@ def lsa_solve(h: np.ndarray, pilot: ParamVector, lam: float,
         cur_tol *= 0.1
 
 
-def psd_project(h: np.ndarray, rel_floor: float = 1e-10) -> np.ndarray:
+def psd_project(h, rel_floor: float = 1e-10):
     """Clip eigenvalues from below at rel_floor * largest eigenvalue.
 
-    A matrix already at or above the floor is returned symmetrized but
-    otherwise unchanged; an indefinite or rank-deficient one is repaired
-    with a warning, since downstream solves assume positive curvature.
+    The eigenvalues are those of the node blocks (see CurvatureBlocks),
+    which together are the spectrum of the whole matrix; blocks already at
+    or above the floor are returned symmetrized but otherwise unchanged.
+    An indefinite or rank-deficient matrix is repaired with a warning,
+    since downstream solves assume positive curvature.  A dense h gives a
+    dense result and a CurvatureBlocks h a CurvatureBlocks result.
     """
-    h = np.asarray(h, dtype=float)
-    sym = 0.5 * (h + h.T)
-    vals, vecs = np.linalg.eigh(sym)
-    top = vals[-1]
+    hb = curvature_blocks(h)
+    groups = [(idx, 0.5 * (blocks + blocks.transpose(0, 2, 1)))
+              for idx, blocks in hb.groups]
+    vals = [np.linalg.eigvalsh(blocks) for _, blocks in groups]
+    top = max((v[:, -1].max() for v in vals), default=0.0)
+    bottom = min((v[:, 0].min() for v in vals), default=np.inf)
     floor = rel_floor * max(top, 0.0)
     if floor <= 0.0:
         floor = rel_floor
-    if vals[0] >= floor:
-        return sym
-    warnings.warn(
-        f"curvature matrix is not positive definite (smallest eigenvalue "
-        f"{vals[0]:.3g}); clipping eigenvalues at {floor:.3g}", stacklevel=2)
-    clipped = np.maximum(vals, floor)
-    return (vecs * clipped) @ vecs.T
+    if bottom < floor:
+        warnings.warn(
+            f"curvature matrix is not positive definite (smallest eigenvalue "
+            f"{bottom:.3g}); clipping eigenvalues at {floor:.3g}", stacklevel=2)
+        for (_, blocks), v in zip(groups, vals):
+            low = v[:, 0] < floor
+            if np.any(low):
+                w, vecs = np.linalg.eigh(blocks[low])
+                blocks[low] = ((vecs * np.maximum(w, floor)[:, None, :])
+                               @ vecs.transpose(0, 2, 1))
+    out = CurvatureBlocks(p=hb.p, groups=tuple(groups))
+    return out if isinstance(h, CurvatureBlocks) else out.dense()
 
 
 # ---------------------------------------------------------------------------
 # penalty scale
 
 
-def lambda_max(h: np.ndarray, pilot: ParamVector, weights: AdaptiveWeights,
+def lambda_max(h, pilot: ParamVector, weights: AdaptiveWeights,
                bounds=None, penalized=None) -> float:
     """Smallest penalty level at which every penalized coordinate is zero.
 
@@ -309,9 +375,10 @@ def lambda_max(h: np.ndarray, pilot: ParamVector, weights: AdaptiveWeights,
     is max_k |(H (theta_star - pilot))_k| / gamma_k over penalized k.  The
     restricted solve respects the box, so the certificate is exact: for any
     lam at or above the returned value the solution of lsa_solve has every
-    penalized coordinate at zero.
+    penalized coordinate at zero.  h is a dense matrix or its
+    CurvatureBlocks form.
     """
-    h = np.asarray(h, dtype=float)
+    hb = curvature_blocks(h)
     pilot_flat = pilot.flat()
     gamma = weights.flat()
     p = pilot_flat.shape[0]
@@ -323,17 +390,16 @@ def lambda_max(h: np.ndarray, pilot: ParamVector, weights: AdaptiveWeights,
             raise ZeroWeightError("penalized coordinate has zero weight")
     if pen_idx.size == 0:
         raise ZeroWeightError("no penalized coordinates")
-    lo, hi = _default_box(pilot) if bounds is None else bounds
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
+    lo, hi = _box(pilot, bounds)
+    lo = lo.copy()
+    hi = hi.copy()
     lo[pen_idx] = 0.0
     hi[pen_idx] = 0.0
     tol = 1e-12 * (1.0 + np.max(np.abs(pilot_flat)))
     x0 = np.clip(pilot_flat, lo, hi)
-    star, _ = _cd_solve(h, pilot_flat, 0.0, np.zeros(p), lo, hi, x0, tol, 10000)
-    z = h @ (star - pilot_flat)
+    star, _ = _cd_solve(hb, pilot_flat, 0.0, np.zeros(p), lo, hi, x0, tol, 10000)
+    z = hb.matvec(star - pilot_flat)
     return float(np.max(np.abs(z[pen_idx]) / gamma[pen_idx]))
-
 
 # ---------------------------------------------------------------------------
 # path
@@ -353,7 +419,7 @@ class LassoPath:
     notes: list[str] = field(default_factory=list)
 
 
-def lambda_path(h: np.ndarray, pilot: ParamVector, weights: AdaptiveWeights,
+def lambda_path(h, pilot: ParamVector, weights: AdaptiveWeights,
                 bounds=None, n_points: int = 50, min_fraction: float = 1e-3,
                 lambdas=None, tol: float | None = None) -> LassoPath:
     """Solve along a log-spaced penalty grid with warm starts.
@@ -361,8 +427,10 @@ def lambda_path(h: np.ndarray, pilot: ParamVector, weights: AdaptiveWeights,
     The grid runs from lambda_max down to min_fraction * lambda_max
     (n_points values); every solution seeds the next.  Active counts
     (nonzero penalized coordinates) should grow as the penalty decreases;
-    violations are logged, not raised.
+    violations are logged, not raised.  A dense h is split into its
+    CurvatureBlocks form once, up front.
     """
+    h = curvature_blocks(h)
     lam_top = lambda_max(h, pilot, weights, bounds=bounds)
     if lambdas is None:
         grid = np.geomspace(lam_top, lam_top * min_fraction, n_points)
@@ -409,6 +477,18 @@ def _increment_losses(rows: np.ndarray, delta: float, spec: NsdeSpec,
     return np.sum(r * r / (2.0 * delta * var) + 0.5 * np.log(var), axis=1)
 
 
+def _node_param_count(layout) -> int:
+    """Largest parameter count of one node's contrast: alpha_j, momentum,
+    intercept if any, and the coefficients of node j's drift."""
+    if layout.augmented:
+        coupling = layout.d - 1
+    else:
+        rows = np.bincount(np.array([i for i, _ in layout.edges], dtype=int),
+                           minlength=layout.d)
+        coupling = max(layout.n_levels, 1) * int(rows.max())
+    return 2 + int(layout.with_intercepts) + coupling
+
+
 def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
                     theta_per_lambda, scheme: str = "holdout_tail",
                     fraction: float = 0.3, k: int = 5,
@@ -438,12 +518,17 @@ def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     else:
         raise ValueError(f"unknown validation scheme {scheme!r}")
 
-    pi_total = theta_per_lambda[0].flat().shape[0] if theta_per_lambda else 0
+    # the contrast splits by node, so the size that matters is one node's
+    # parameter count, not the whole vector's
+    per_node = 0
+    if theta_per_lambda:
+        per_node = _node_param_count(parameter_layout(
+            spec, g, augmented=theta_per_lambda[0].w is not None))
     smallest = min(len(b) for b in blocks)
-    if smallest < 10 * pi_total:
+    if smallest < 10 * per_node:
         warnings.warn(
             f"validation blocks hold as few as {smallest} increments for "
-            f"{pi_total} parameters; loss estimates may be unstable",
+            f"{per_node} parameters per node; loss estimates may be unstable",
             stacklevel=2)
 
     n_cand = len(theta_per_lambda)

@@ -137,6 +137,15 @@ class ParamVector:
         if np.any(self.alpha < 0):
             raise NegativeAlphaError("diffusion scales must be non-negative")
 
+    @property
+    def pi_alpha(self) -> int:
+        return self.alpha.shape[0]
+
+    @property
+    def pi_total(self) -> int:
+        n_w = 0 if self.w is None else self.w.shape[0]
+        return self.alpha.shape[0] + self.beta.shape[0] + n_w
+
     def flat(self) -> np.ndarray:
         parts = [self.alpha, self.beta]
         if self.w is not None:
@@ -484,9 +493,14 @@ DEFAULT_SIGNED_BOUND = 1e3
 DEFAULT_ALPHA_BOUND = 1e3
 
 
-def default_bounds(layout: ParamLayout, signed_bound: float = DEFAULT_SIGNED_BOUND,
+def default_bounds(layout: ParamLayout | ParamVector,
+                   signed_bound: float = DEFAULT_SIGNED_BOUND,
                    alpha_bound: float = DEFAULT_ALPHA_BOUND):
-    """(lo, hi) box arrays: [0, alpha_bound] for alpha, symmetric elsewhere."""
+    """(lo, hi) box arrays: [0, alpha_bound] for alpha, symmetric elsewhere.
+
+    Takes a layout or a parameter vector; both give the alpha count and the
+    total length.
+    """
     lo = np.full(layout.pi_total, -signed_bound)
     hi = np.full(layout.pi_total, signed_bound)
     lo[:layout.pi_alpha] = 0.0

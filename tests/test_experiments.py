@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from netsde.lasso import LassoPath, adaptive_weights, lambda_path
 from netsde.model import (LinearDrift, NsdeSpec, ParamVector, TanhClipped,
                           parameter_layout)
 from netsde.simulate import simulate_path
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_reference_graph_is_the_documented_instance():
@@ -275,3 +278,18 @@ def test_study_report_serialization():
     assert lines[0] == "a,b,c,d"
     assert lines[1] == "3,[1; 2],0.25,"
     assert lines[2] == "4,,,True"
+
+
+# each study kind shrunk to a short horizon and one or two replications
+TINY_STUDY = {"error_bound": {"horizons": [4.0], "n_reps": 2},
+              "recovery": {"horizon": 10.0, "n_seeds": 1}}
+
+
+@pytest.mark.filterwarnings("ignore:validation blocks hold")
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in CONFIGS.glob("*.json")
+    if "study" in json.loads(p.read_text(encoding="utf-8"))))
+def test_every_shipped_study_config_runs(name):
+    cfg = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    report = run_study({**cfg, **TINY_STUDY[cfg["study"]]})
+    assert len(report.rows) == 1

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,106 @@ def test_solver_matches_convex_oracle():
 
         assert f(got) <= f(np.asarray(x.value)) + 1e-6 * (1.0 + abs(f(got)))
         assert np.allclose(got, np.asarray(x.value), atol=5e-5)
+
+
+def exact_box_lasso(h, center, lam, gamma, lo, hi):
+    """Minimizer of (x-c)'H(x-c)/2 + lam sum gamma_k |x_k| over the box, by
+    enumeration for small p.
+
+    Every coordinate is at lo, at hi, at zero, or free with a sign; on the
+    free set stationarity is a linear system.  The true minimizer is one of
+    these candidates, so the feasible, sign-consistent candidate with the
+    lowest objective is it.  Candidates sharing a free set share one solve.
+    """
+    p = center.shape[0]
+    levels = np.stack([lo, hi, np.zeros(p)])
+    found = []
+    for mask in itertools.product([False, True], repeat=p):
+        free = np.array(mask)
+        fixed = ~free
+        at = list(itertools.product(*(levels[:, k] for k in np.flatnonzero(fixed))))
+        at = np.array(at, dtype=float).reshape(len(at), int(fixed.sum()))
+        signs = list(itertools.product([1.0, -1.0], repeat=int(free.sum())))
+        signs = np.array(signs).reshape(len(signs), int(free.sum()))
+        x = np.zeros((at.shape[0], signs.shape[0], p))
+        x[:, :, fixed] = at[:, None, :]
+        rhs = ((at - center[fixed]) @ h[np.ix_(free, fixed)].T)[:, None, :] \
+            + lam * gamma[free] * signs[None, :, :]
+        x[:, :, free] = center[free] - np.linalg.solve(
+            h[np.ix_(free, free)], rhs[..., None])[..., 0]
+        consistent = np.all(signs[None, :, :] * x[:, :, free] > 0.0, axis=-1)
+        x = x[consistent]
+        found.append(x[np.all((x >= lo) & (x <= hi), axis=-1)])
+    cand = np.concatenate(found)
+    dev = cand - center
+    f = 0.5 * np.einsum("ci,ij,cj->c", dev, h, dev) + lam * np.abs(cand) @ gamma
+    return cand[np.argmin(f)]
+
+
+def test_solver_matches_exact_oracle():
+    rng = np.random.default_rng(1)
+    for trial in range(10):
+        h, pilot, weights = rand_instance(rng, scale=2.0)
+        lam = 0.5 + float(np.abs(rng.standard_normal()))
+        gamma = weights.flat()
+        p = gamma.shape[0]
+        lo = np.full(p, -1e3)
+        hi = np.full(p, 1e3)
+        lo[:2] = 0.0
+        if trial % 3 == 0:
+            # make the box bind
+            hi = np.full(p, 0.5)
+            lo = np.maximum(lo, -0.5)
+        want = exact_box_lasso(h, pilot.flat(), lam, gamma, lo, hi)
+        got = lsa_solve(h, pilot, lam, weights, bounds=(lo, hi)).flat()
+        assert np.allclose(got, want, atol=5e-5)
+
+
+def random_block_problem(rng, sizes):
+    """Block-diagonal H with the given block sizes under a random
+    permutation; the first block is indefinite."""
+    p = sum(sizes)
+    perm = rng.permutation(p)
+    h = np.zeros((p, p))
+    members = np.split(perm, np.cumsum(sizes)[:-1])
+    for b, idx in enumerate(members):
+        a = rng.standard_normal((len(idx), len(idx)))
+        blk = a.T @ a + 0.1 * np.eye(len(idx))
+        if b == 0:
+            blk -= 2.0 * np.abs(np.linalg.eigvalsh(blk)).max() * np.eye(len(idx))
+        h[np.ix_(idx, idx)] = blk
+    pilot = ParamVector(alpha=np.zeros(0), beta=2.0 * rng.standard_normal(p))
+    weights = adaptive_weights(pilot, penalize_momentum=True)
+    return h, pilot, weights, members
+
+
+def test_block_diagonal_curvature_splits_into_separate_solves():
+    rng = np.random.default_rng(8)
+    h, pilot, weights, members = random_block_problem(rng, [1, 3, 2, 4, 3, 1, 2])
+
+    # the repair equals the dense eigen-decomposition repair
+    vals, vecs = np.linalg.eigh(h)
+    floor = 1e-10 * vals[-1]
+    want = (vecs * np.maximum(vals, floor)) @ vecs.T
+    with pytest.warns(UserWarning, match="not positive definite"):
+        fixed = psd_project(h)
+    assert np.allclose(fixed, want, atol=1e-12)
+    assert np.array_equal(fixed != 0.0, h != 0.0)
+
+    gamma = weights.flat()
+    flat = pilot.flat()
+    lo = np.full(flat.shape[0], -0.8)
+    hi = np.full(flat.shape[0], 1e3)
+    lam = 0.3
+    whole = lsa_solve(fixed, pilot, lam, weights, bounds=(lo, hi)).flat()
+    for idx in members:
+        sub = ParamVector(alpha=np.zeros(0), beta=flat[idx])
+        sub_w = AdaptiveWeights(gamma_alpha=np.zeros(0), gamma_beta=gamma[idx],
+                                gamma_w=None, penalize_alpha=False,
+                                delta=(1.0, 1.0, 1.0), cap=1e12)
+        part = lsa_solve(fixed[np.ix_(idx, idx)], sub, lam, sub_w,
+                         bounds=(lo[idx], hi[idx])).flat()
+        assert np.allclose(whole[idx], part, atol=1e-9)
 
 
 def test_kkt_certificate_holds_on_random_solves():
@@ -291,6 +394,15 @@ def test_validation_loss_kfold_and_errors():
     tiny = SamplePath(delta=0.01, data=path.data[:30])
     with pytest.warns(UserWarning):
         validation_loss(tiny, spec, g, [theta], fraction=0.3)
+
+
+def test_validation_warning_counts_parameters_per_node():
+    # 10 blocks of 40 increments: fewer than 10 per parameter of the whole
+    # vector (5), but not of one node's problem (alpha, momentum, one edge)
+    spec, g, layout, theta, path = small_sim(n=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validation_loss(path, spec, g, [theta], fraction=0.2)
 
 
 def hand_path():

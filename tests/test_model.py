@@ -243,6 +243,10 @@ def test_default_bounds_box():
     lo, hi = default_bounds(layout)
     assert np.all(lo[:3] == 0.0) and np.all(hi[:3] == 1e3)
     assert np.all(lo[3:] == -1e3) and np.all(hi[3:] == 1e3)
+    # a parameter vector of that layout gives the same box
+    theta = layout.pack(alpha=np.ones(3), momentum=np.ones(3), network=[0.5])
+    lo_v, hi_v = default_bounds(theta)
+    assert np.array_equal(lo_v, lo) and np.array_equal(hi_v, hi)
 
 
 def test_spec_config_round_trip():
