@@ -475,6 +475,55 @@ def path_drift_fn(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector):
     return drift
 
 
+def euler_step_fn(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, h: float):
+    """In-place Euler step x -> x + h b(x) + sigma(x) dW for the simulator.
+
+    sigma factors as fold * shape(x): fold is alpha (times the clip level
+    for TanhClipped) and shape is diffusion_shape / clip, 1 for
+    ConstantDiagonal.  Returns (fold, step).  step(x, dw, tmp) overwrites dw,
+    an increment already multiplied by fold, with the next state; x, dw and
+    the scratch array tmp have shape (..., d) and share no memory.  The
+    linear family steps with the matrix P = I + h M' and c = h b0.
+    """
+    alpha = theta.alpha
+    if isinstance(spec.drift, LinearDrift):
+        m, b0 = linear_drift_matrix(spec, g, theta)
+        p = np.eye(spec.d) + h * m.T
+        c = h * b0 if np.any(b0) else None
+
+        def drift_step(x, out):
+            np.matmul(x, p, out=out)
+            if c is not None:
+                out += c
+    else:
+        drift = path_drift_fn(spec, g, theta)
+
+        def drift_step(x, out):
+            np.multiply(drift(x), h, out=out)
+            out += x
+
+    if isinstance(spec.diffusion, ConstantDiagonal):
+        def step(x, dw, tmp):
+            drift_step(x, tmp)
+            dw += tmp
+
+        return alpha, step
+
+    clip = spec.diffusion.clip
+
+    def step(x, dw, tmp):
+        np.multiply(x, x, out=tmp)
+        tmp += 1.0
+        np.sqrt(tmp, out=tmp)
+        tmp /= clip
+        np.tanh(tmp, out=tmp)
+        tmp *= dw
+        drift_step(x, dw)
+        dw += tmp
+
+    return alpha * clip, step
+
+
 def path_diffusion_fn(spec: NsdeSpec, theta: ParamVector):
     """Return a callable evaluating sigma on arrays of shape (..., d)."""
     alpha = theta.alpha

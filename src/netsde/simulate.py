@@ -6,6 +6,17 @@ observation interval.  Noise comes from a counter-based generator (Philox)
 keyed by the seed, consumed in (step, coordinate) order, so a path is a
 pure function of (seed, step, coordinate) and replications with distinct
 seeds are independent and individually reproducible.
+
+simulate_path and simulate_ensemble share one Euler loop.  The linear
+family steps with the matrix P = I + h M' (x -> x P + h b0); the radial
+family evaluates x + h b(x).  sigma's state-free factor (alpha, times the
+clip level for TanhClipped) and sqrt(h) scale each chunk of noise once,
+the tanh shape is evaluated in preallocated buffers, and each substep's
+state overwrites the increment that produced it.  The explosion guard
+checks every substep state of an observation interval once the interval
+is done, so ExplosionError.step is still the first offending substep.  An
+ensemble records into one (reps, n + 1, d) array and each SamplePath holds
+a view of it, with no per-replication copy.
 """
 from __future__ import annotations
 
@@ -15,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph
-from .model import NsdeSpec, ParamVector, path_drift_fn, path_diffusion_fn
+from .model import NsdeSpec, ParamVector, euler_step_fn
 
 EXPLOSION_GUARD = 1e8
 
@@ -84,7 +95,7 @@ def derive_seeds(base_seed: int, count: int) -> list[int]:
     return out
 
 
-def _check_args(spec, g, x0, n, substeps, burn_in_steps):
+def _check_args(spec, g, x0, delta, n, substeps, burn_in_steps):
     if g.d != spec.d:
         raise ValueError(f"graph has {g.d} nodes, model has {spec.d}")
     x0 = np.asarray(x0, dtype=float)
@@ -98,14 +109,80 @@ def _check_args(spec, g, x0, n, substeps, burn_in_steps):
         raise InvalidSubstepsError(f"substeps must be >= 1, got {substeps}")
     if burn_in_steps < 0:
         raise ValueError(f"burn_in_steps must be non-negative, got {burn_in_steps}")
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     return x0
 
 
-def _guard(x, step: int):
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > EXPLOSION_GUARD:
-        raise ExplosionError(
-            f"state left the guard box (sup norm > {EXPLOSION_GUARD:g}) at substep {step}",
-            step=step)
+def _euler(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
+           delta: float, n: int, substeps: int, burn_in_steps: int,
+           seeds: list[int], dW: np.ndarray | None, ensemble: bool) -> np.ndarray:
+    """The Euler loop: rows of shape (reps, n + 1, d), one per replication.
+
+    Noise is one Philox stream per seed, or the given dW for a single
+    replication.  An explosion names the replication and its seed when
+    `ensemble` is set.
+    """
+    d = spec.d
+    h = delta / substeps
+    fold, step = euler_step_fn(spec, g, theta, h)
+    reps = len(seeds)
+    total = burn_in_steps + n
+    # intervals per noise chunk, which bounds each buffer at ~16 MB
+    chunk = max(1, min(total, 2_000_000 // (reps * substeps * d)))
+    z = np.empty((chunk * substeps, reps, d))
+    if dW is None:
+        fold = fold * np.sqrt(h)
+        gens = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
+        raw = np.empty((reps, chunk * substeps, d))
+    tmp = np.empty((reps, d))
+    rows = np.empty((reps, n + 1, d))
+    x = np.tile(x0, (reps, 1))
+    rows[:, 0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, total, chunk):
+            m = min(chunk, total - start)
+            zc = z[:m * substeps]
+            if dW is None:
+                for gen, buf in zip(gens, raw):
+                    gen.standard_normal(out=buf[:m * substeps])
+                np.multiply(raw[:, :m * substeps].transpose(1, 0, 2), fold, out=zc)
+            else:
+                np.multiply(dW[start * substeps:(start + m) * substeps, None],
+                            fold, out=zc)
+            for k in range(m):
+                interval = zc[k * substeps:(k + 1) * substeps]
+                for dw in interval:
+                    step(x, dw, tmp)
+                    x = dw
+                if not (interval.max() <= EXPLOSION_GUARD
+                        and interval.min() >= -EXPLOSION_GUARD):
+                    _explode(interval, (start + k) * substeps,
+                             seeds if ensemble else None)
+            # row j holds the state after interval burn_in_steps + j - 1
+            lo = max(start + 1 - burn_in_steps, 0)
+            hi = start + m + 1 - burn_in_steps
+            if hi > lo:
+                ends = zc[substeps - 1::substeps]
+                first = lo + burn_in_steps - 1 - start
+                rows[:, lo:hi] = ends[first:first + hi - lo].transpose(1, 0, 2)
+            x = x.copy()  # the next chunk refills the buffer x points into
+    return rows
+
+
+def _explode(interval: np.ndarray, step0: int, seeds: list[int] | None):
+    """Raise for the first substep, and replication, outside the guard box."""
+    bad = ~(np.abs(interval) <= EXPLOSION_GUARD)  # NaN counts as outside
+    s = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
+    step = step0 + s + 1
+    if seeds is None:
+        message = (f"state left the guard box (sup norm > {EXPLOSION_GUARD:g}) "
+                   f"at substep {step}")
+    else:
+        r = int(np.flatnonzero(bad[s].any(axis=1))[0])
+        message = (f"replication {r} (seed {seeds[r]}) left the guard box "
+                   f"at substep {step}")
+    raise ExplosionError(message, step=step)
 
 
 def simulate_path(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
@@ -127,45 +204,16 @@ def simulate_path(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
         ExplosionError: if the state leaves the guard box or becomes
             non-finite at any internal step.
     """
-    x0 = _check_args(spec, g, x0, n, substeps, burn_in_steps)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    drift = path_drift_fn(spec, g, theta)
-    diffusion = path_diffusion_fn(spec, theta)
-    h = delta / substeps
-    sqrt_h = np.sqrt(h)
-    total_sub = (burn_in_steps + n) * substeps
+    x0 = _check_args(spec, g, x0, delta, n, substeps, burn_in_steps)
     if dW is not None:
         dW = np.asarray(dW, dtype=float)
+        total_sub = (burn_in_steps + n) * substeps
         if dW.shape != (total_sub, spec.d):
             raise ValueError(
                 f"dW has shape {dW.shape}, expected ({total_sub}, {spec.d})")
-        gen = None
-    else:
-        gen = np.random.Generator(np.random.Philox(key=seed))
-
-    x = x0.copy()
-    rows = np.empty((n + 1, spec.d))
-    step = 0
-
-    def advance(intervals: int, record_from: int | None):
-        nonlocal x, step
-        for k in range(intervals):
-            if dW is not None:
-                incr = dW[step:step + substeps]
-            else:
-                incr = sqrt_h * gen.standard_normal((substeps, spec.d))
-            for s in range(substeps):
-                x = x + drift(x) * h + diffusion(x) * incr[s]
-                step += 1
-                _guard(x, step)
-            if record_from is not None:
-                rows[record_from + k + 1] = x
-
-    advance(burn_in_steps, record_from=None)
-    rows[0] = x
-    advance(n, record_from=0)
-    return SamplePath(delta=delta, data=rows,
+    rows = _euler(spec, g, theta, x0, delta, n, substeps, burn_in_steps,
+                  seeds=[seed], dW=dW, ensemble=False)
+    return SamplePath(delta=delta, data=rows[0],
                       seed=None if dW is not None else int(seed))
 
 
@@ -177,56 +225,16 @@ def simulate_ensemble(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
     Each replication consumes its own noise stream exactly as
     simulate_path(seed=...) would, so ensemble members agree with
     individually simulated paths up to floating-point reduction order.
+    The paths are views of one (reps, n + 1, d) array.
     """
     seeds = [int(s) for s in seeds]
-    x0 = _check_args(spec, g, x0, n, substeps, burn_in_steps)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    n_rep = len(seeds)
-    if n_rep == 0:
+    x0 = _check_args(spec, g, x0, delta, n, substeps, burn_in_steps)
+    if not seeds:
         return []
-    drift = path_drift_fn(spec, g, theta)
-    diffusion = path_diffusion_fn(spec, theta)
-    h = delta / substeps
-    sqrt_h = np.sqrt(h)
-    gens = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
-
-    # chunk the noise generation to bound memory at ~16 MB per buffer
-    chunk = max(1, int(2_000_000 // max(1, n_rep * substeps * spec.d)))
-
-    x = np.tile(x0, (n_rep, 1))
-    rows = np.empty((n + 1, n_rep, spec.d))
-    step = 0
-
-    def advance(intervals: int, record_from: int | None):
-        nonlocal x, step
-        done = 0
-        while done < intervals:
-            m = min(chunk, intervals - done)
-            noise = np.stack([gen.standard_normal((m * substeps, spec.d))
-                              for gen in gens])
-            for k in range(m):
-                for s in range(substeps):
-                    incr = noise[:, k * substeps + s, :]
-                    x = x + drift(x) * h + diffusion(x) * (sqrt_h * incr)
-                    step += 1
-                    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > EXPLOSION_GUARD:
-                        bad = np.where(~np.all(
-                            np.isfinite(x) & (np.abs(x) <= EXPLOSION_GUARD),
-                            axis=1))[0]
-                        r = int(bad[0]) if bad.size else 0
-                        raise ExplosionError(
-                            f"replication {r} (seed {seeds[r]}) left the guard box "
-                            f"at substep {step}", step=step)
-                if record_from is not None:
-                    rows[record_from + done + k + 1] = x
-            done += m
-
-    advance(burn_in_steps, record_from=None)
-    rows[0] = x
-    advance(n, record_from=0)
-    return [SamplePath(delta=delta, data=rows[:, r, :].copy(), seed=seeds[r])
-            for r in range(n_rep)]
+    rows = _euler(spec, g, theta, x0, delta, n, substeps, burn_in_steps,
+                  seeds=seeds, dW=None, ensemble=True)
+    return [SamplePath(delta=delta, data=data, seed=seed)
+            for data, seed in zip(rows, seeds)]
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,16 @@ def test_error_bound_benchmark():
             f"slope {slope:.3f} in [-1.15, -0.85]")
 
 
+def test_error_bound_benchmark_d16():
+    # the paper's claim at both shipped horizons: mean error under K * eps
+    report = error_bound_study(_load("bench_error_bound_d16.json"))
+    bounds = ", ".join(f"T={row['horizon']:g}: {row['mean_error']:.4f} <= "
+                       f"{row['bound']:.4f}" for row in report.rows)
+    ok = (len(report.rows) == 2
+          and all(row["below_bound"] for row in report.rows))
+    assert _verdict(ok, f"d=16 benchmark under K*eps ({bounds})")
+
+
 def test_closed_form_matches_optimizer():
     rng = np.random.default_rng(7)
     worst = 0.0

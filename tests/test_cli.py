@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from netsde.graph import build_graph
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           params_to_config, parameter_layout, spec_to_config)
 from netsde.simulate import read_csv
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_json(tmp_path, name, obj):
@@ -154,6 +157,26 @@ def test_lasso_command(tmp_path):
     assert cli.run("lasso", no_refit, out_dir=str(out2)) == 0
     assert not (out2 / "refit.json").exists()
     assert not (out2 / "communities.json").exists()
+
+
+def test_shipped_pipeline_configs_run(tmp_path):
+    # graph_er, simulate_er and lasso_er in sequence, at a short horizon
+    graph_out, sim_out, sel_out = (tmp_path / name
+                                   for name in ("graph", "simulate", "lasso"))
+    assert cli.run("graph-gen", str(CONFIGS / "graph_er.json"),
+                   out_dir=str(graph_out)) == 0
+    assert cli.run("simulate", str(CONFIGS / "simulate_er.json"),
+                   overrides=["n=2000"], out_dir=str(sim_out)) == 0
+    assert cli.run("lasso", str(CONFIGS / "lasso_er.json"),
+                   overrides=[f"path_csv={sim_out / 'path.csv'}"],
+                   out_dir=str(sel_out)) == 0
+    d = json.loads((graph_out / "graph.json").read_text())["d"]
+    path = read_csv(str(sim_out / "path.csv"))
+    assert path.data.shape == (2001, d)
+    selection = json.loads((sel_out / "selection.json").read_text())
+    assert np.asarray(selection["adjacency"]).shape == (d, d)
+    assert read_manifest(str(sel_out))["outputs"] == [
+        "selection.json", "lasso_path.csv", "refit.json"]
 
 
 def test_bench_command(tmp_path):

@@ -4,10 +4,12 @@ from scipy.linalg import expm
 
 from netsde.graph import build_graph
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
-                          ParamVector, TanhClipped, linear_drift_matrix,
+                          ParamVector, RadialDictionaryDrift, TanhClipped,
+                          diffusion_eval, drift_eval, linear_drift_matrix,
                           parameter_layout)
-from netsde.simulate import (ExplosionError, InvalidSubstepsError, SamplePath,
-                             derive_seeds, from_csv, read_csv, simulate_ensemble,
+from netsde.simulate import (EXPLOSION_GUARD, ExplosionError,
+                             InvalidSubstepsError, SamplePath, derive_seeds,
+                             from_csv, read_csv, simulate_ensemble,
                              simulate_path, to_csv, write_csv)
 
 
@@ -24,7 +26,6 @@ def two_node_model(clip=None, coupling=0.8):
 
 def euler_reference(spec, g, theta, x0, delta, n, substeps, dW):
     # plain scalar re-implementation of the recursion
-    from netsde.model import drift_eval, diffusion_eval
     h = delta / substeps
     x = np.asarray(x0, dtype=float).copy()
     rows = [x.copy()]
@@ -133,6 +134,99 @@ def test_explosion_raises_with_step():
     with pytest.raises(ExplosionError):
         simulate_ensemble(spec, g, bad, [1.0, 1.0], 0.1, 3000,
                           seeds=[0, 1], substeps=2)
+
+
+def naive_first_explosion(spec, g, theta, x0, delta, n, substeps, seeds):
+    # (substep, replication) of the first state outside the guard box,
+    # checked after every substep of a plain per-replication loop
+    h = delta / substeps
+    gens = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
+    xs = [np.asarray(x0, dtype=float) for _ in seeds]
+    step = 0
+    for _ in range(n):
+        incr = [np.sqrt(h) * gen.standard_normal((substeps, spec.d))
+                for gen in gens]
+        for s in range(substeps):
+            step += 1
+            for r in range(len(seeds)):
+                xs[r] = (xs[r] + drift_eval(spec, g, theta, xs[r]) * h
+                         + diffusion_eval(spec, theta.alpha, xs[r]) * incr[r][s])
+            bad = [r for r in range(len(seeds))
+                   if not np.max(np.abs(xs[r])) <= EXPLOSION_GUARD]
+            if bad:
+                return step, bad[0]
+    return None
+
+
+def test_explosion_reports_the_first_offending_substep():
+    # started at rest, the unstable flow is driven out by the noise, so the
+    # exit substep and the first replication out depend on the seeds
+    spec, g, theta = two_node_model(clip=100.0)
+    bad = ParamVector(alpha=theta.alpha, beta=np.array([-9.0, -9.0, 0.8, -0.8]))
+    args = (spec, g, bad, [0.0, 0.0], 0.1, 100)
+    substeps = 4
+
+    want_step, _ = naive_first_explosion(*args, substeps, [0])
+    assert want_step % substeps != 0  # inside an observation interval
+    with pytest.raises(ExplosionError) as err:
+        simulate_path(*args, substeps=substeps, seed=0)
+    assert err.value.step == want_step
+    assert f"at substep {want_step}" in str(err.value)
+
+    seeds = [0, 1, 2, 3]
+    want_step, want_rep = naive_first_explosion(*args, substeps, seeds)
+    assert want_step % substeps != 0 and want_rep != 0
+    with pytest.raises(ExplosionError) as err:
+        simulate_ensemble(*args, seeds=seeds, substeps=substeps)
+    assert err.value.step == want_step
+    assert (f"replication {want_rep} (seed {seeds[want_rep]}) left the guard "
+            f"box at substep {want_step}") == str(err.value)
+
+
+def radial_constant_model():
+    spec = NsdeSpec(d=3, drift=RadialDictionaryDrift(offsets=(1.0, 2.0),
+                                                     exponents=(-0.5, 0.5)),
+                    diffusion=ConstantDiagonal())
+    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    theta = parameter_layout(spec, g).pack(
+        alpha=[0.5, 0.7, 0.3], momentum=[2.0, 3.0, 2.5],
+        network=[0.8, -0.6, 0.4, 0.3, 0.5, -0.2])
+    return spec, g, theta
+
+
+def intercept_model():
+    spec = NsdeSpec(d=2, drift=LinearDrift(with_intercepts=True),
+                    diffusion=TanhClipped(clip=5.0))
+    g = build_graph(2, [(0, 1), (1, 0)])
+    theta = parameter_layout(spec, g).pack(
+        alpha=[0.5, 0.7], momentum=[2.0, 3.0], network=[0.8, -0.8],
+        intercepts=[1.5, -2.0])
+    return spec, g, theta
+
+
+@pytest.mark.parametrize("model, burn_in", [
+    (radial_constant_model, 0),
+    (intercept_model, 0),
+    (lambda: two_node_model(clip=100.0), 3),
+], ids=["radial-constant", "linear-intercepts", "burn-in"])
+def test_kernel_matches_naive_recursion_on_every_family(model, burn_in):
+    spec, g, theta = model()
+    x0 = np.linspace(0.3, -0.2, spec.d)
+    n, substeps, delta = 20, 4, 0.05
+    dW = np.sqrt(delta / substeps) * np.random.default_rng(5).standard_normal(
+        ((burn_in + n) * substeps, spec.d))
+    path = simulate_path(spec, g, theta, x0, delta, n, substeps=substeps,
+                         burn_in_steps=burn_in, dW=dW)
+    want = euler_reference(spec, g, theta, x0, delta, burn_in + n, substeps, dW)
+    assert np.allclose(path.data, want[burn_in:], rtol=0, atol=1e-13)
+
+    seeds = derive_seeds(11, 3)
+    ensemble = simulate_ensemble(spec, g, theta, x0, delta, n, seeds=seeds,
+                                 substeps=substeps, burn_in_steps=burn_in)
+    for seed, member in zip(seeds, ensemble):
+        single = simulate_path(spec, g, theta, x0, delta, n, substeps=substeps,
+                               seed=seed, burn_in_steps=burn_in)
+        assert np.allclose(member.data, single.data, rtol=0, atol=1e-12)
 
 
 def test_argument_validation():
