@@ -7,8 +7,8 @@ which couplings are nonzero recovers the graph.
 """
 from .estimate import (EstimationError, FitResult, fit_adaptive_closed_form,
                        fit_diffusion_scale, fit_linear_closed_form, fit_qmle,
-                       model_hessian, numerical_hessian, quasi_grad,
-                       quasi_loglik, scaled_information)
+                       model_hessian, quasi_grad, quasi_loglik,
+                       scaled_information)
 from .experiments import (StudyError, StudyReport, cluster_lambda_curve,
                           detect_communities, error_bound_study,
                           find_er_graph_with_edges, label_agreement,
@@ -46,7 +46,7 @@ __all__ = [
     "fit_diffusion_scale", "fit_linear_closed_form", "fit_qmle",
     "graph_from_adjacency", "kkt_residual", "label_agreement",
     "lambda_max", "lambda_path", "largest_singular_value", "load_panel_csv",
-    "lsa_solve", "model_hessian", "modularity", "numerical_hessian",
+    "lsa_solve", "model_hessian", "modularity",
     "parameter_layout", "params_from_config", "params_to_config",
     "parse_panel_csv", "polymer", "psd_project", "quasi_grad", "quasi_loglik",
     "read_csv", "recovery_study", "reference_er_graph", "run_study",

@@ -22,10 +22,9 @@ from scipy.optimize import linear_sum_assignment
 from .estimate import FitResult, fit_adaptive_closed_form
 from .graph import (DirectedGraph, block_labels, build_graph, complete_graph,
                     erdos_renyi, ergodicity_margin, polymer, sbm)
-from .lasso import (LassoPath, adaptive_weights, curvature_blocks,
-                    estimate_adjacency, lambda_max, lambda_path, lsa_solve,
-                    psd_project, select_lambda, two_step_refit,
-                    validation_loss)
+from .lasso import (LassoPath, adaptive_weights, estimate_adjacency,
+                    lambda_max, lambda_path, lsa_solve, psd_project,
+                    select_lambda, two_step_refit, validation_loss)
 from .model import (ConstantDiagonal, LinearDrift, NsdeSpec, TanhClipped,
                     parameter_layout)
 from .simulate import SamplePath, derive_seeds, simulate_ensemble
@@ -370,7 +369,7 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
         fit_data = path
 
     pilot = fit_adaptive_closed_form(fit_data, spec, g_full, augmented=True)
-    h = psd_project(curvature_blocks(pilot.info_matrix))
+    h = psd_project(pilot.info_blocks)
     exponent = float(penalty_cfg.get("weight_exponent", 1.0))
     weights = adaptive_weights(
         pilot.theta_hat, delta=(exponent, exponent, exponent),

@@ -15,11 +15,14 @@ which an unpenalized refit on the selected graph removes the shrinkage
 bias.
 
 The contrast separates by node, so H is block diagonal: node j's block
-couples only alpha_j, its momentum and its own drift weights.
-CurvatureBlocks holds H as the connected components of its nonzero
+couples only alpha_j, its momentum and its own drift weights.  The
+pilot fit hands H over as netsde.estimate.CurvatureBlocks, one block per
+node; a dense H is split into the connected components of its nonzero
 pattern.  The PSD repair, lambda_max, the coordinate descent and its KKT
-certificate work on those node blocks, and one numpy step updates the
-same coordinate of every block at once.
+certificate work on those blocks, and one numpy step updates the same
+coordinate of every block at once.  The validation curve builds the
+held-out blocks' per-node moments once and scores each candidate as a
+quadratic form in its coefficients.
 """
 from __future__ import annotations
 
@@ -31,11 +34,12 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .estimate import (FitResult, InsufficientDataError,
+from .estimate import (CurvatureBlocks, FitResult, InsufficientDataError,
+                       _chunk_contrast, _path_moments,
                        fit_adaptive_closed_form, fit_qmle)
 from .graph import DirectedGraph, build_graph
 from .model import (LinearDrift, NsdeSpec, ParamVector, default_bounds,
-                    diffusion_shape, parameter_layout, path_drift_fn)
+                    parameter_layout)
 from .simulate import SamplePath
 
 logger = logging.getLogger(__name__)
@@ -128,49 +132,19 @@ def adaptive_weights(pilot: ParamVector, delta=(1.0, 1.0, 1.0),
 # curvature blocks
 
 
-@dataclass(frozen=True)
-class CurvatureBlocks:
-    """A p x p curvature matrix split into independent coordinate blocks.
-
-    The blocks are the connected components of the matrix's nonzero
-    pattern; the N-SDE pilot information has one per node (alpha_j, its
-    momentum and its own drift weights).  Components of equal size m form
-    one group (index, blocks): blocks (nb, m, m) stacks their submatrices
-    and index (nb, m) their flat coordinates in ascending order, so a
-    cyclic sweep visits each block in the same order as the dense matrix.
-    """
-
-    p: int
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty(self.p)
-        for idx, blocks in self.groups:
-            out[idx] = (blocks @ v[idx][:, :, None])[:, :, 0]
-        return out
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.p, self.p))
-        for idx, blocks in self.groups:
-            out[idx[:, :, None], idx[:, None, :]] = blocks
-        return out
-
-
 def curvature_blocks(h) -> CurvatureBlocks:
-    """Block form of a dense square matrix (blocks are returned as given)."""
+    """Block form of a dense square matrix: the connected components of its
+    nonzero pattern (blocks are returned as given)."""
     if isinstance(h, CurvatureBlocks):
         return h
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise LassoError(f"curvature matrix must be square, got shape {h.shape}")
     _, labels = connected_components(csr_matrix(h != 0.0), directed=False)
-    sizes = np.bincount(labels)
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
-    groups = []
-    for m in np.unique(sizes):
-        idx = np.stack([c for c in members if c.shape[0] == m])
-        groups.append((idx, h[idx[:, :, None], idx[:, None, :]]))
-    return CurvatureBlocks(p=h.shape[0], groups=tuple(groups))
+    members = np.split(np.argsort(labels, kind="stable"),
+                       np.cumsum(np.bincount(labels))[:-1])
+    return CurvatureBlocks.from_blocks(h.shape[0], members,
+                                       [h[np.ix_(c, c)] for c in members])
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +440,6 @@ def lambda_path(h, pilot: ParamVector, weights: AdaptiveWeights,
 # validation and penalty choice
 
 
-def _increment_losses(rows: np.ndarray, delta: float, spec: NsdeSpec,
-                      g: DirectedGraph, theta: ParamVector) -> np.ndarray:
-    x0 = rows[:-1]
-    dx = np.diff(rows, axis=0)
-    drift = path_drift_fn(spec, g, theta)(x0)
-    sig = theta.alpha * diffusion_shape(spec, x0)
-    r = dx - delta * drift
-    var = sig * sig
-    return np.sum(r * r / (2.0 * delta * var) + 0.5 * np.log(var), axis=1)
-
-
 def _node_param_count(layout) -> int:
     """Largest parameter count of one node's contrast: alpha_j, momentum,
     intercept if any, and the coefficients of node j's drift."""
@@ -500,6 +463,10 @@ def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     blocked_kfold evaluates on k contiguous blocks spanning the whole path.
     Returns (loss, se) arrays over the candidate list; se is the standard
     error of a candidate's mean loss across the blocks.
+
+    The held-out blocks' per-node moments are built once (see
+    netsde.estimate.NodeMoments); each candidate's block loss is then a
+    quadratic form in its drift coefficients plus the log terms.
     """
     n = path_data.n
     if n < 2:
@@ -532,18 +499,16 @@ def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
             stacklevel=2)
 
     n_cand = len(theta_per_lambda)
-    losses = np.empty(n_cand)
-    block_means = np.empty((n_cand, len(blocks)))
-    for idx, theta in enumerate(theta_per_lambda):
-        per_inc = _increment_losses(rows, path_data.delta, spec, g, theta)
-        block_means[idx] = [per_inc[b].mean() for b in blocks]
-        losses[idx] = float(per_inc.mean())
-
+    if n_cand == 0:
+        return np.empty(0), np.zeros(0)
+    layout = parameter_layout(spec, g, augmented=theta_per_lambda[0].w is not None)
+    mom = _path_moments(spec, g, layout, rows, [len(b) for b in blocks])
+    flats = np.stack([layout.flatten(theta) for theta in theta_per_lambda])
+    sums = _chunk_contrast(mom, flats, path_data.delta)
+    losses = sums.sum(axis=1) / mom.count.sum()
     ses = np.zeros(n_cand)
     if len(blocks) > 1:
-        scale = np.sqrt(len(blocks))
-        for idx in range(n_cand):
-            ses[idx] = float(block_means[idx].std(ddof=1) / scale)
+        ses = (sums / mom.count).std(axis=1, ddof=1) / np.sqrt(len(blocks))
     return losses, ses
 
 
@@ -593,23 +558,16 @@ def estimate_adjacency(w_hat: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
     if d * (d - 1) != length:
         raise LassoError(f"pair-weight block of length {length} fits no dimension")
     a = np.zeros((d, d), dtype=int)
-    pos = 0
-    for i in range(d):
-        for j in range(d):
-            if j == i:
-                continue
-            if np.abs(w_hat[pos]) > zero_tol:
-                a[i, j] = 1
-            pos += 1
+    # boolean assignment fills the off-diagonal in row-major (pair) order
+    a[~np.eye(d, dtype=bool)] = np.abs(w_hat) > zero_tol
     return a
 
 
 def graph_from_adjacency(a_hat: np.ndarray) -> DirectedGraph:
     a_hat = np.asarray(a_hat)
     d = a_hat.shape[0]
-    edges = [(i, j) for i in range(d) for j in range(d)
-             if i != j and a_hat[i, j]]
-    return build_graph(d, edges)
+    rows, cols = np.nonzero((a_hat != 0) & ~np.eye(d, dtype=bool))
+    return build_graph(d, zip(rows.tolist(), cols.tolist()))
 
 
 def two_step_refit(path_data: SamplePath, spec: NsdeSpec, a_hat: np.ndarray,

@@ -524,16 +524,6 @@ def euler_step_fn(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, h: float
     return alpha * clip, step
 
 
-def path_diffusion_fn(spec: NsdeSpec, theta: ParamVector):
-    """Return a callable evaluating sigma on arrays of shape (..., d)."""
-    alpha = theta.alpha
-
-    def diffusion(x):
-        return alpha * diffusion_shape(spec, x)
-
-    return diffusion
-
-
 # ---------------------------------------------------------------------------
 # box bounds
 

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -16,6 +15,7 @@ from netsde.lasso import (AdaptiveWeights, ConvergenceError, LassoError,
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           ParamVector, TanhClipped, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
+from reference import exact_box_lasso
 
 
 def rand_instance(rng, n_alpha=2, n_beta=4, scale=1.0):
@@ -104,40 +104,6 @@ def test_solver_matches_convex_oracle():
 
         assert f(got) <= f(np.asarray(x.value)) + 1e-6 * (1.0 + abs(f(got)))
         assert np.allclose(got, np.asarray(x.value), atol=5e-5)
-
-
-def exact_box_lasso(h, center, lam, gamma, lo, hi):
-    """Minimizer of (x-c)'H(x-c)/2 + lam sum gamma_k |x_k| over the box, by
-    enumeration for small p.
-
-    Every coordinate is at lo, at hi, at zero, or free with a sign; on the
-    free set stationarity is a linear system.  The true minimizer is one of
-    these candidates, so the feasible, sign-consistent candidate with the
-    lowest objective is it.  Candidates sharing a free set share one solve.
-    """
-    p = center.shape[0]
-    levels = np.stack([lo, hi, np.zeros(p)])
-    found = []
-    for mask in itertools.product([False, True], repeat=p):
-        free = np.array(mask)
-        fixed = ~free
-        at = list(itertools.product(*(levels[:, k] for k in np.flatnonzero(fixed))))
-        at = np.array(at, dtype=float).reshape(len(at), int(fixed.sum()))
-        signs = list(itertools.product([1.0, -1.0], repeat=int(free.sum())))
-        signs = np.array(signs).reshape(len(signs), int(free.sum()))
-        x = np.zeros((at.shape[0], signs.shape[0], p))
-        x[:, :, fixed] = at[:, None, :]
-        rhs = ((at - center[fixed]) @ h[np.ix_(free, fixed)].T)[:, None, :] \
-            + lam * gamma[free] * signs[None, :, :]
-        x[:, :, free] = center[free] - np.linalg.solve(
-            h[np.ix_(free, free)], rhs[..., None])[..., 0]
-        consistent = np.all(signs[None, :, :] * x[:, :, free] > 0.0, axis=-1)
-        x = x[consistent]
-        found.append(x[np.all((x >= lo) & (x <= hi), axis=-1)])
-    cand = np.concatenate(found)
-    dev = cand - center
-    f = 0.5 * np.einsum("ci,ij,cj->c", dev, h, dev) + lam * np.abs(cand) @ gamma
-    return cand[np.argmin(f)]
 
 
 def test_solver_matches_exact_oracle():
@@ -450,6 +416,40 @@ def test_estimate_adjacency_mapping():
     g = graph_from_adjacency(want)
     assert set(g.edges) == {(0, 1), (1, 2), (2, 1)}
     assert np.array_equal(g.adjacency(), want)
+
+
+def loop_adjacency(w_hat, zero_tol=0.0):
+    # the pair-by-pair reading of the pair-weight block
+    d = int(round((1.0 + np.sqrt(1.0 + 4.0 * len(w_hat))) / 2.0))
+    a = np.zeros((d, d), dtype=int)
+    pos = 0
+    for i in range(d):
+        for j in range(d):
+            if j == i:
+                continue
+            if np.abs(w_hat[pos]) > zero_tol:
+                a[i, j] = 1
+            pos += 1
+    return a
+
+
+def test_vectorised_adjacency_matches_the_loop():
+    rng = np.random.default_rng(11)
+    for d in range(1, 8):
+        w = rng.standard_normal(d * (d - 1))
+        w[rng.random(w.shape) < 0.4] = 0.0
+        w[rng.random(w.shape) < 0.3] *= 1e-9
+        for tol in (0.0, 1e-6):
+            got = estimate_adjacency(w, zero_tol=tol)
+            want = loop_adjacency(w, zero_tol=tol)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # a nonzero diagonal is ignored, any nonzero entry is an edge
+        a = rng.integers(0, 2, (d, d)) * rng.choice([1.0, -0.5], (d, d))
+        want_edges = tuple((i, j) for i in range(d) for j in range(d)
+                           if i != j and a[i, j])
+        assert graph_from_adjacency(a).edges == want_edges
+    with pytest.raises(LassoError):
+        estimate_adjacency(np.zeros(7))
 
 
 def test_two_step_refit_routes_agree():
