@@ -103,18 +103,21 @@ def parse_panel_csv(text: str,
                     missing_markers=DEFAULT_MISSING_MARKERS) -> PanelData:
     """Parse panel CSV text: header row, timestamp column first."""
     markers = set(missing_markers)
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
-    if not lines:
+    # blank lines are skipped but still counted, so errors name the file line
+    lines = ((lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip() != "")
+    header_line, first = next(lines, (None, None))
+    if first is None:
         raise EmptyPanelError("no content")
-    header = [cell.strip() for cell in lines[0].split(",")]
+    header = [cell.strip() for cell in first.split(",")]
     if len(header) < 2:
         raise ParseError("header needs a timestamp column and at least one series",
-                         line=1)
+                         line=header_line)
     names = tuple(header[1:])
     n_cols = len(header)
     timestamps = []
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines:
         cells = [cell.strip() for cell in ln.split(",")]
         if len(cells) != n_cols:
             raise ParseError(

@@ -365,38 +365,6 @@ def _check_state(x, d: int) -> np.ndarray:
     return x
 
 
-def drift_eval(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x) -> np.ndarray:
-    """Evaluate the drift vector b(x) at a single state.
-
-    Accumulates own terms and per-edge terms directly; batch evaluation for
-    paths goes through path_drift_fn.
-    """
-    layout = parameter_layout(spec, g, augmented=theta.w is not None)
-    x = _check_state(x, spec.d)
-    mu = layout.momentum(theta)
-    out = -mu * x
-    if layout.with_intercepts:
-        out = out + layout.intercepts(theta)
-    if isinstance(spec.drift, LinearDrift):
-        if layout.augmented:
-            for i in range(spec.d):
-                for j in range(spec.d):
-                    if j != i:
-                        out[i] += theta.w[pair_index(i, j, spec.d)] * x[j]
-        else:
-            net = layout.network(theta)
-            for rank, (i, j) in enumerate(g.edges):
-                out[i] += net[rank] * x[j]
-    else:
-        net = layout.network(theta)
-        nrm = float(np.linalg.norm(x))
-        for lev in range(spec.drift.n_levels):
-            scale = (spec.drift.offsets[lev] + nrm) ** (-(spec.drift.exponents[lev] + 1.0))
-            for rank, (i, j) in enumerate(g.edges):
-                out[i] += net[lev * len(g.edges) + rank] * x[j] * scale
-    return out
-
-
 def diffusion_shape(spec: NsdeSpec, x: np.ndarray) -> np.ndarray:
     """State factor s(x) of the diffusion, so that sigma_i = alpha_i * s(x_i).
 

@@ -17,10 +17,20 @@ checks every substep state of an observation interval once the interval
 is done, so ExplosionError.step is still the first offending substep.  An
 ensemble records into one (reps, n + 1, d) array and each SamplePath holds
 a view of it, with no per-replication copy.
+
+Drawing the Gaussians costs about as much as stepping a wide ensemble, so
+the loop runs in chunks of whole observation intervals (~1M noise values
+each) and one worker thread draws the next chunk's noise while the caller's
+thread steps the current one; numpy's standard_normal releases the GIL.
+Philox streams are independent per key and only the worker draws, chunk
+after chunk, so each stream is still read in (step, coordinate) order and
+the paths are the numbers a serial loop gives.  The worker lives only for
+the call.  Driven (dW) paths draw nothing and start no thread.
 """
 from __future__ import annotations
 
 import io
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,31 +132,48 @@ def _euler(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
     Noise is one Philox stream per seed, or the given dW for a single
     replication.  An explosion names the replication and its seed when
     `ensemble` is set.
+
+    The substeps run in chunks of whole observation intervals, at most
+    ~1M noise values each, so z plus two raw buffers take ~24 MB.  One
+    worker thread draws chunk i + 1 into one raw buffer while this thread
+    steps chunk i from the other; it alone draws, chunk after chunk, so
+    every stream is read in (step, coordinate) order as in a serial loop.
+    Leaving the pool waits for a fill in flight, however the loop ends.
     """
     d = spec.d
     h = delta / substeps
     fold, step = euler_step_fn(spec, g, theta, h)
     reps = len(seeds)
     total = burn_in_steps + n
-    # intervals per noise chunk, which bounds each buffer at ~16 MB
-    chunk = max(1, min(total, 2_000_000 // (reps * substeps * d)))
+    chunk = max(1, min(total, 1_000_000 // (reps * substeps * d)))
+    spans = [(start, min(chunk, total - start))
+             for start in range(0, total, chunk)]
     z = np.empty((chunk * substeps, reps, d))
     if dW is None:
         fold = fold * np.sqrt(h)
         gens = [np.random.Generator(np.random.Philox(key=s)) for s in seeds]
-        raw = np.empty((reps, chunk * substeps, d))
+        raw = np.empty((2, reps, chunk * substeps, d))
+
+        def fill(i):
+            buf = raw[i % 2, :, :spans[i][1] * substeps]
+            for gen, out in zip(gens, buf):
+                gen.standard_normal(out=out)
+            return buf
     tmp = np.empty((reps, d))
     rows = np.empty((reps, n + 1, d))
     x = np.tile(x0, (reps, 1))
     rows[:, 0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, total, chunk):
-            m = min(chunk, total - start)
+    with ThreadPoolExecutor(max_workers=1) as pool, \
+            np.errstate(over="ignore", invalid="ignore"):
+        if dW is None and spans:
+            ahead = pool.submit(fill, 0)
+        for i, (start, m) in enumerate(spans):
             zc = z[:m * substeps]
             if dW is None:
-                for gen, buf in zip(gens, raw):
-                    gen.standard_normal(out=buf[:m * substeps])
-                np.multiply(raw[:, :m * substeps].transpose(1, 0, 2), fold, out=zc)
+                noise = ahead.result()
+                if i + 1 < len(spans):
+                    ahead = pool.submit(fill, i + 1)
+                np.multiply(noise.transpose(1, 0, 2), fold, out=zc)
             else:
                 np.multiply(dW[start * substeps:(start + m) * substeps, None],
                             fold, out=zc)
@@ -258,22 +285,31 @@ def write_csv(path: SamplePath, file_path: str) -> None:
 
 
 def from_csv(text: str) -> SamplePath:
-    """Parse the format written by to_csv; spacing must be uniform."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse the format written by to_csv; spacing must be uniform.
+
+    Errors in a row name its line in the text, blank lines included.
+    """
+    lines = ((lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip())
+    _, first = next(lines, (None, None))
+    if first is None:
         raise ValueError("empty path file")
-    header = lines[0].split(",")
+    header = first.split(",")
     if header[0] != "t":
         raise ValueError(f"expected first column 't', got {header[0]!r}")
     d = len(header) - 1
     times = []
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines:
         parts = ln.split(",")
         if len(parts) != d + 1:
-            raise ValueError(f"row has {len(parts)} fields, expected {d + 1}")
-        times.append(float(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
+            raise ValueError(f"line {lineno}: row has {len(parts)} fields, "
+                             f"expected {d + 1}")
+        try:
+            times.append(float(parts[0]))
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     times = np.asarray(times)
     data = np.asarray(rows)
     if len(times) < 2:

@@ -8,7 +8,10 @@ import itertools
 
 import numpy as np
 
-from netsde.model import NsdeSpec, ParamVector, diffusion_shape, path_drift_fn
+from netsde.graph import DirectedGraph
+from netsde.model import (LinearDrift, NsdeSpec, ParamVector, _check_state,
+                          diffusion_shape, pair_index, parameter_layout,
+                          path_drift_fn)
 
 
 def numerical_hessian(fn, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
@@ -30,6 +33,38 @@ def numerical_hessian(fn, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
             hess[k, m] = val
             hess[m, k] = val
     return hess
+
+
+def drift_eval(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x) -> np.ndarray:
+    """Evaluate the drift vector b(x) at a single state.
+
+    Accumulates own terms and per-edge terms one by one, as a check on the
+    package's batch evaluator path_drift_fn.
+    """
+    layout = parameter_layout(spec, g, augmented=theta.w is not None)
+    x = _check_state(x, spec.d)
+    mu = layout.momentum(theta)
+    out = -mu * x
+    if layout.with_intercepts:
+        out = out + layout.intercepts(theta)
+    if isinstance(spec.drift, LinearDrift):
+        if layout.augmented:
+            for i in range(spec.d):
+                for j in range(spec.d):
+                    if j != i:
+                        out[i] += theta.w[pair_index(i, j, spec.d)] * x[j]
+        else:
+            net = layout.network(theta)
+            for rank, (i, j) in enumerate(g.edges):
+                out[i] += net[rank] * x[j]
+    else:
+        net = layout.network(theta)
+        nrm = float(np.linalg.norm(x))
+        for lev in range(spec.drift.n_levels):
+            scale = (spec.drift.offsets[lev] + nrm) ** (-(spec.drift.exponents[lev] + 1.0))
+            for rank, (i, j) in enumerate(g.edges):
+                out[i] += net[lev * len(g.edges) + rank] * x[j] * scale
+    return out
 
 
 def path_diffusion_fn(spec: NsdeSpec, theta: ParamVector):

@@ -13,9 +13,9 @@ from netsde.estimate import (BoundsViolationError, DegenerateDiffusionError,
 from netsde.graph import build_graph, complete_graph
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           ParamVector, RadialDictionaryDrift, TanhClipped,
-                          diffusion_eval, drift_eval, parameter_layout)
+                          diffusion_eval, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
-from reference import numerical_hessian
+from reference import drift_eval, numerical_hessian
 
 
 def small_model(clip=100.0):

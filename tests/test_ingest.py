@@ -62,6 +62,19 @@ def test_parse_errors_carry_line_numbers():
         parse_panel_csv("justonecolumn\n0\n")
     assert exc.value.line == 1
 
+    # blank lines count, inside the data and before the header
+    with pytest.raises(ParseError) as exc:
+        parse_panel_csv("t,a,b\n0,1,2\n\n1,2,3\n2,x,4\n")
+    assert exc.value.line == 5 and "'x'" in str(exc.value)
+    assert str(exc.value).startswith("line 5:")
+
+    with pytest.raises(ParseError) as exc:
+        parse_panel_csv("\nt,a\n0,1\n1,oops\n")
+    assert exc.value.line == 4
+    with pytest.raises(ParseError) as exc:
+        parse_panel_csv("\n  \njustonecolumn\n0\n")
+    assert exc.value.line == 3
+
     with pytest.raises(EmptyPanelError):
         parse_panel_csv("")
     with pytest.raises(EmptyPanelError):

@@ -330,7 +330,8 @@ def test_validation_loss_matches_direct_computation():
     for i in range(rows.shape[0] - 1):
         x = rows[i]
         dx = rows[i + 1] - x
-        from netsde.model import diffusion_eval, drift_eval
+        from netsde.model import diffusion_eval
+        from reference import drift_eval
         b = drift_eval(spec, g, theta, x)
         s = diffusion_eval(spec, theta.alpha, x)
         per_inc.append(float(np.sum((dx - path.delta * b) ** 2

@@ -6,11 +6,11 @@ from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
                           ModelError, NegativeAlphaError, NonFiniteStateError,
                           NsdeSpec, ParamVector, RadialDictionaryDrift,
                           TanhClipped, default_bounds, diffusion_eval,
-                          diffusion_shape, drift_eval, linear_drift_matrix,
+                          diffusion_shape, linear_drift_matrix,
                           pair_index, parameter_layout, params_from_config,
                           params_to_config, path_drift_fn, spec_from_config,
                           spec_to_config)
-from reference import path_diffusion_fn
+from reference import drift_eval, path_diffusion_fn
 
 
 def linear_spec(d, intercepts=False, clip=None):

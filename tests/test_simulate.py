@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,12 +8,13 @@ from scipy.linalg import expm
 from netsde.graph import build_graph
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           ParamVector, RadialDictionaryDrift, TanhClipped,
-                          diffusion_eval, drift_eval, linear_drift_matrix,
+                          diffusion_eval, linear_drift_matrix,
                           parameter_layout)
 from netsde.simulate import (EXPLOSION_GUARD, ExplosionError,
                              InvalidSubstepsError, SamplePath, derive_seeds,
                              from_csv, read_csv, simulate_ensemble,
                              simulate_path, to_csv, write_csv)
+from reference import drift_eval
 
 
 def two_node_model(clip=None, coupling=0.8):
@@ -183,6 +187,64 @@ def test_explosion_reports_the_first_offending_substep():
             f"box at substep {want_step}") == str(err.value)
 
 
+def wide_model(d, momentum, network, edges):
+    spec = NsdeSpec(d=d, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
+    g = build_graph(d, edges)
+    theta = parameter_layout(spec, g).pack(
+        alpha=np.full(d, 0.5), momentum=np.full(d, momentum), network=network)
+    return spec, g, theta
+
+
+def test_ensemble_spanning_several_noise_chunks():
+    # at ~1M noise values per chunk, 8 reps of d = 50 with 10 substeps take
+    # 250 intervals per chunk: 1600 intervals make 7 chunks, the last one
+    # partial, and the 300-interval burn-in ends inside the second
+    d, n, burn_in = 50, 1300, 300
+    ring = [(i, (i + 1) % d) for i in range(d)]
+    spec, g, theta = wide_model(d, 3.0, np.full(d, 0.5), ring)
+    x0 = np.linspace(-1.0, 1.0, d)
+    seeds = derive_seeds(21, 8)
+    before = threading.active_count()
+    ensemble = simulate_ensemble(spec, g, theta, x0, 0.01, n, seeds=seeds,
+                                 burn_in_steps=burn_in)
+    assert threading.active_count() == before
+    for seed, member in zip(seeds, ensemble):
+        single = simulate_path(spec, g, theta, x0, 0.01, n, seed=seed,
+                               burn_in_steps=burn_in)
+        assert np.allclose(member.data, single.data, rtol=0, atol=1e-12)
+
+    # a short switch interval makes the main thread and the noise worker
+    # trade the interpreter lock often; the rows must not change
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        again = simulate_ensemble(spec, g, theta, x0, 0.01, n, seeds=seeds,
+                                  burn_in_steps=burn_in)
+    finally:
+        sys.setswitchinterval(interval)
+    for first, second in zip(ensemble, again):
+        assert np.array_equal(first.data, second.data)
+
+
+def test_explosion_in_a_later_chunk_leaves_no_worker():
+    # 4 reps of d = 100 take 2500 substeps per noise chunk, so the exit
+    # lands in the second of four chunks while the third is being drawn
+    d = 100
+    spec, g, theta = wide_model(d, -6.5, [0.5, -0.5, 0.3, 0.3],
+                                [(0, 1), (1, 0), (2, 3), (3, 2)])
+    args = (spec, g, theta, np.zeros(d), 0.01, 1000)
+    seeds = [5, 6, 7, 8]
+    want_step, want_rep = naive_first_explosion(*args, 10, seeds)
+    assert want_step % 10 != 0 and want_rep != 0
+    before = threading.active_count()
+    with pytest.raises(ExplosionError) as err:
+        simulate_ensemble(*args, seeds=seeds, substeps=10)
+    assert threading.active_count() == before
+    assert err.value.step == want_step
+    assert (f"replication {want_rep} (seed {seeds[want_rep]}) left the guard "
+            f"box at substep {want_step}") == str(err.value)
+
+
 def radial_constant_model():
     spec = NsdeSpec(d=3, drift=RadialDictionaryDrift(offsets=(1.0, 2.0),
                                                      exponents=(-0.5, 0.5)),
@@ -285,3 +347,8 @@ def test_csv_rejects_malformed_input():
         from_csv("t,x0\n0.0,1.0\n0.1,2.0\n0.3,3.0\n")
     single = from_csv("t,x0\n0.0,1.0\n")
     assert single.n == 0 and single.delta == 1.0
+    # errors name the line in the text, blank lines included
+    with pytest.raises(ValueError, match="^line 4: row has 3 fields"):
+        from_csv("t,x0\n0.0,1.0\n\n0.1,2.0,3.0\n")
+    with pytest.raises(ValueError, match="^line 5: .*'x'"):
+        from_csv("\nt,x0\n0.0,1.0\n0.1,2.0\n0.2,x\n")
