@@ -93,35 +93,6 @@ def quasi_loglik(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
                  0.5 * np.sum(np.log(var)))
 
 
-def diffusion_contrast(path: SamplePath, spec: NsdeSpec, alpha) -> float:
-    """Stage-one contrast: increments against a pure-diffusion model."""
-    x0, dx = _increments(path)
-    alpha = np.asarray(alpha, dtype=float)
-    sig = alpha * diffusion_shape(spec, x0)
-    if np.any(sig <= 0):
-        raise DegenerateDiffusionError("diffusion must be strictly positive")
-    var = sig * sig
-    return float(np.sum(dx * dx / (path.delta * var)) + np.sum(np.log(var)))
-
-
-def drift_contrast(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-                   theta: ParamVector) -> float:
-    """Stage-two contrast: weighted squared drift residuals with sigma frozen."""
-    x0, dx = _increments(path)
-    drift = path_drift_fn(spec, g, theta)(x0)
-    sig = theta.alpha * diffusion_shape(spec, x0)
-    if np.any(sig <= 0):
-        raise DegenerateDiffusionError("diffusion must be strictly positive")
-    r = dx - path.delta * drift
-    return float(np.sum(r * r / (path.delta * sig * sig)))
-
-
-def sigma_path(path: SamplePath, spec: NsdeSpec, alpha) -> np.ndarray:
-    """sigma evaluated at the left endpoint of every increment, shape (n, d)."""
-    alpha = np.asarray(alpha, dtype=float)
-    return alpha * diffusion_shape(spec, path.data[:-1])
-
-
 def fit_diffusion_scale(path: SamplePath, spec: NsdeSpec,
                         lo: float = 0.0, hi: float = 1e3) -> np.ndarray:
     """Exact minimizer of the stage-one contrast for multiplicative diffusions.
@@ -293,8 +264,7 @@ class CurvatureBlocks:
     connected components of its nonzero pattern.  Blocks of equal size m
     form one group (index, blocks): blocks (nb, m, m) stacks their
     submatrices and index (nb, m) their flat coordinates in ascending
-    order, so a cyclic sweep visits each block in the same order as the
-    dense matrix.
+    order, so netsde.lasso solves a whole group in one batched step.
     """
 
     p: int

@@ -356,17 +356,16 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
     """
     g_full = complete_graph(spec.d)
     rule = penalty_cfg.get("rule", "half_se")
-    needs_validation = rule in ("min", "half_se")
+    if rule not in ("min", "half_se", "fixed_fraction"):
+        raise ValueError(f"unknown selection rule {rule!r}")
     holdout = float(penalty_cfg.get("holdout", 0.3))
-    if needs_validation:
+    fit_data = path
+    if rule != "fixed_fraction":
         n_tail = max(1, int(np.floor(path.n * holdout)))
         if n_tail >= path.n:
             raise StudyError("holdout leaves no data for the pilot")
-        head = SamplePath(delta=path.delta,
-                          data=path.data[:path.n - n_tail + 1], seed=None)
-        fit_data = head
-    else:
-        fit_data = path
+        fit_data = SamplePath(delta=path.delta,
+                              data=path.data[:path.n - n_tail + 1], seed=None)
 
     pilot = fit_adaptive_closed_form(fit_data, spec, g_full, augmented=True)
     h = psd_project(pilot.info_blocks)
@@ -393,21 +392,12 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
     lpath = lambda_path(h, pilot.theta_hat, weights,
                         n_points=int(penalty_cfg.get("n_points", 50)),
                         min_fraction=float(penalty_cfg.get("min_fraction", 1e-3)))
-    if needs_validation:
-        loss, se = validation_loss(path, spec, g_full, lpath.coefficients,
-                                   scheme="holdout_tail", fraction=holdout)
-        lpath.validation_loss = loss
-        lpath.validation_se = se
-    lam = select_lambda(lpath, rule=rule, fraction=penalty_cfg.get("fraction"))
-
-    idx = int(np.argmin(np.abs(lpath.lambdas - lam)))
-    if np.isclose(lpath.lambdas[idx], lam, rtol=1e-9, atol=0.0):
-        theta_sel = lpath.coefficients[idx]
-    else:
-        above = np.where(lpath.lambdas >= lam)[0]
-        warm = lpath.coefficients[int(above[-1])] if above.size else None
-        theta_sel = lsa_solve(h, pilot.theta_hat, lam, weights, warm=warm)
-    a_hat = estimate_adjacency(theta_sel.w)
+    lpath.validation_loss, lpath.validation_se = validation_loss(
+        path, spec, g_full, lpath.coefficients, scheme="holdout_tail",
+        fraction=holdout)
+    lam = select_lambda(lpath, rule=rule)
+    # min and half_se both pick a grid point
+    a_hat = lpath.adjacency[int(np.flatnonzero(lpath.lambdas == lam)[0])]
     return a_hat, lam, lpath, pilot
 
 

@@ -6,8 +6,7 @@ expansion around a pilot estimate theta_tilde,
     F(theta) = (theta - theta_tilde)' H (theta - theta_tilde) / 2
                + lam * sum_k gamma_k |theta_k|,
 
-minimized over the box by cyclic coordinate descent with exact
-soft-threshold updates.  Weights gamma_k come from the pilot
+minimized over the box.  Weights gamma_k come from the pilot
 (|pilot_k|^-delta, capped), so coordinates the pilot finds large are
 penalized lightly and noise coordinates are pushed to exact zeros.  The
 support of the pair-weight block estimates the adjacency matrix, after
@@ -15,14 +14,14 @@ which an unpenalized refit on the selected graph removes the shrinkage
 bias.
 
 The contrast separates by node, so H is block diagonal: node j's block
-couples only alpha_j, its momentum and its own drift weights.  The
-pilot fit hands H over as netsde.estimate.CurvatureBlocks, one block per
-node; a dense H is split into the connected components of its nonzero
-pattern.  The PSD repair, lambda_max, the coordinate descent and its KKT
-certificate work on those blocks, and one numpy step updates the same
-coordinate of every block at once.  The validation curve builds the
-held-out blocks' per-node moments once and scores each candidate as a
-quadratic form in its coefficients.
+couples only alpha_j, its momentum and its own drift weights.  The pilot
+fit hands H over as netsde.estimate.CurvatureBlocks; a dense H is split
+into the connected components of its nonzero pattern.  On a block, F is
+piecewise quadratic and its minimizer is exact once the free coordinates
+and their signs are known, so one primal active-set solver, batched over
+the blocks of a size, serves lsa_solve, lambda_max and the cold start.
+The validation curve builds the held-out blocks' per-node moments once
+and scores each candidate as a quadratic form in its coefficients.
 """
 from __future__ import annotations
 
@@ -163,6 +162,15 @@ def _box(pilot: ParamVector, bounds):
     return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
 
+def _descent_rates(z, x, thr, lo, hi):
+    """Rates at which the surrogate falls as each coordinate moves up and
+    down from x (z: gradient of the quadratic part); 0 where the box blocks."""
+    sx = np.sign(x)
+    up = np.where(x < hi, -(z + thr * np.where(x != 0.0, sx, 1.0)), 0.0)
+    down = np.where(x > lo, z + thr * np.where(x != 0.0, sx, -1.0), 0.0)
+    return up, down
+
+
 def kkt_residual(h, pilot: ParamVector, theta: ParamVector,
                  lam: float, weights: AdaptiveWeights, bounds=None) -> float:
     """Worst violation of the stationarity conditions of the surrogate problem.
@@ -171,93 +179,111 @@ def kkt_residual(h, pilot: ParamVector, theta: ParamVector,
     """
     lo, hi = _box(pilot, bounds)
     x = theta.flat()
-    pen = lam * weights.flat()
     z = curvature_blocks(h).matvec(x - pilot.flat())
-    # at a bound the most favorable subgradient must still point into the
-    # box; for x != 0 the penalty is differentiable
-    slope = pen * np.sign(x)
-    at_lo = np.maximum(0.0, -(z + np.where(x != 0.0, slope, pen)))
-    at_hi = np.maximum(0.0, z + np.where(x != 0.0, slope, -pen))
-    viol = np.select([lo == hi, x <= lo, x >= hi, x == 0.0],
-                     [0.0, at_lo, at_hi, np.maximum(0.0, np.abs(z) - pen)],
-                     np.abs(z + slope))
-    return float(np.max(viol, initial=0.0))
+    up, down = _descent_rates(z, x, lam * weights.flat(), lo, hi)
+    return float(np.max(np.maximum(up, down), initial=0.0))
 
 
-def _cd_solve(hb: CurvatureBlocks, pilot_flat, lam, gamma, lo, hi, x0, tol,
-              max_sweeps):
-    """Cyclic coordinate descent on the quadratic surrogate; returns (x, sweeps).
+_MAX_PASSES = 1000  # far above any shipped problem's need
 
-    One step updates coordinate k of every block in a group at once.
-    Blocks share no curvature, so each sees the iterates of a cyclic sweep
-    over the dense matrix, and sweeping stops on the largest change over
-    all blocks.  Arrays are held coordinate-major, (m, nb) per group.
+
+def _solve_group(h, center, thr, lo, hi, x):
+    """Primal active-set solve of one size group of blocks; rows (nb, m).
+
+    Each pass frees the fixed coordinates (at a bound, or penalized at
+    zero) along which the objective falls by more than rounding at their
+    own scale, solves every block's Newton system on its free set with
+    signs held, and steps toward it up to the first bound or kink at zero,
+    fixing what reaches it.  A block is done once a full step frees nothing.
     """
-    z0 = hb.matvec(x0 - pilot_flat)
-    runs = []
-    for idx, blocks in hb.groups:
-        diag = np.diagonal(blocks, axis1=1, axis2=2).T.copy()
-        if np.any(diag < 0.0):
-            raise NonPSDError("surrogate curvature matrix has a negative diagonal")
-        x, pil, z, thr, lo_g, hi_g = (v[idx].T.copy() for v in (
-            x0, pilot_flat, z0, lam * gamma, lo, hi))
-        cols = np.ascontiguousarray(blocks.transpose(2, 1, 0))  # cols[k] = column k
-        # a coordinate without curvature stays where it is: its box is pinned
-        # there and its divisor is a harmless 1
-        dead = diag == 0.0
-        lo_g[dead] = x[dead]
-        hi_g[dead] = x[dead]
-        runs.append((idx, x, pil, z, cols, diag, diag * pil,
-                     np.where(dead, 1.0, diag), -thr, thr, lo_g, hi_g,
-                     np.empty_like(x)))
-    sweeps = max_sweeps
-    for sweep in range(1, max_sweeps + 1):
-        max_change = 0.0
-        for (_, x, pil, z, cols, diag, hpil, div, neg_thr, thr, lo_g, hi_g,
-             moved) in runs:
-            for k in range(x.shape[0]):
-                target = hpil[k] - (z[k] - diag[k] * (x[k] - pil[k]))
-                # soft threshold: target minus its clip to [-thr, thr]
-                u = (target - np.minimum(np.maximum(target, neg_thr[k]), thr[k])) \
-                    / div[k]
-                u = np.minimum(np.maximum(u, lo_g[k]), hi_g[k])
-                np.subtract(u, x[k], out=moved[k])
-                z += cols[k] * moved[k]
-                x[k] = u
-            max_change = max(max_change, float(np.abs(moved).max()))
-        if max_change < tol:
-            sweeps = sweep
-            break
+    diag = np.diagonal(h, axis1=1, axis2=2)
+    if np.any(diag < 0.0):
+        raise NonPSDError("surrogate curvature matrix has a negative diagonal")
+    # a coordinate without curvature stays where it starts
+    lo = np.where(diag == 0.0, x, lo)
+    hi = np.where(diag == 0.0, x, hi)
+    kinked = thr > 0.0
+    fixed = (x <= lo) | (x >= hi) | (kinked & (x == 0.0))
+    sign = np.sign(x)
+    eye = np.eye(h.shape[1])
+    full = np.zeros(h.shape[0], dtype=bool)
+    moved = ~full
+    for _ in range(_MAX_PASSES):
+        z = (h @ (x - center)[..., None])[..., 0]
+        up, down = _descent_rates(z, x, thr, lo, hi)
+        # only a step that moved releases: the objective fell, so no state
+        # repeats; a zero-length step just shrinks the free set
+        rel = (fixed & moved[:, None]
+               & (np.maximum(up, down) > 1e-12 * (1.0 + np.abs(z) + thr)))
+        if not np.any(rel | ~full[:, None]):
+            return x
+        # a released coordinate keeps the sign of its cell: sign(x) off
+        # zero, the release direction at zero
+        sign[rel] = np.where(x != 0.0, np.sign(x), np.where(up >= down, 1.0, -1.0))[rel]
+        free = ~fixed | rel
+        # H_FF x_F = H_FF c_F - H_FN (x_N - c_N) - thr_F s_F, fixed rows
+        # and columns masked to the identity
+        b = (h @ np.where(free, center, center - x)[..., None])[..., 0] - thr * sign
+        try:
+            newton = np.linalg.solve(np.where(free[:, :, None] & free[:, None, :], h, eye),
+                                     np.where(free, b, x)[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise NonPSDError("surrogate curvature is singular on a free set; "
+                              "repair it with psd_project") from None
+        step = np.where(free, newton - x, 0.0)
+        # a free coordinate runs to the edge of its cell: the box, cut at
+        # zero on the far side of a penalized coordinate's sign
+        edge = np.where(step > 0.0,
+                        np.where(kinked & (sign < 0.0), np.minimum(hi, 0.0), hi),
+                        np.where(kinked & (sign > 0.0), np.maximum(lo, 0.0), lo))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.maximum(np.where(step != 0.0, (edge - x) / step, np.inf), 0.0)
+        alpha = room.min(axis=1, initial=np.inf)
+        # an edge within rounding of the Newton point stops the step there;
+        # a full step takes the Newton point itself
+        full = alpha > 1.0 + 1e-9
+        hit = ~full[:, None] & (room <= alpha[:, None] + 1e-9)
+        x = np.where(full[:, None], np.where(free, newton, x),
+                     x + np.minimum(alpha, 1.0)[:, None] * step)
+        x[hit] = edge[hit]
+        fixed = ~free | hit
+        moved = alpha > 1e-9
+    raise ConvergenceError(f"active-set solve hit its pass bound ({_MAX_PASSES})")
+
+
+def _active_set(hb: CurvatureBlocks, center, thr, lo, hi, x0):
+    """Minimize (x - center)' H (x - center) / 2 + sum thr_k |x_k| over the
+    box [lo, hi], from the feasible point x0, one size group at a time."""
     out = x0.copy()
-    for idx, x, *_ in runs:
-        out[idx] = x.T
-    return out, sweeps
+    for idx, blocks in hb.groups:
+        out[idx] = _solve_group(blocks, *(v[idx] for v in (center, thr, lo, hi, x0)))
+    return out
+
+
+def _restricted(hb: CurvatureBlocks, center, gamma, lo, hi):
+    """Minimizer of the unpenalized surrogate with every penalized
+    coordinate pinned at zero."""
+    pen = gamma > 0
+    lo = np.where(pen, 0.0, lo)
+    hi = np.where(pen, 0.0, hi)
+    return _active_set(hb, center, np.zeros_like(center), lo, hi,
+                       np.clip(center, lo, hi))
 
 
 def lsa_solve(h, pilot: ParamVector, lam: float,
-              weights: AdaptiveWeights, bounds=None, tol: float | None = None,
-              warm: ParamVector | None = None,
-              max_sweeps: int = 10000) -> ParamVector:
+              weights: AdaptiveWeights, bounds=None,
+              warm: ParamVector | None = None) -> ParamVector:
     """Minimize the penalized quadratic surrogate over the box.
 
-    h is a dense matrix or its CurvatureBlocks form; a dense h is split
-    into node blocks first.  Coordinate k with positive curvature h_kk
-    gets the exact update soft_threshold(h_kk pilot_k - sum_{m != k} h_km
-    (x_m - pilot_m), lam * gamma_k) / h_kk, clipped to the box, and one
-    vector step makes it for every block of a size at once.  Sweeping
-    pauses when the largest coordinate change in a sweep falls below tol
-    (default 1e-10 * (1 + sup-norm of the pilot)).
-
-    The returned point is certified: its stationarity residual must be at
-    most 1e-8 * (1 + lam), otherwise ConvergenceError is raised.  When the
-    coordinate-change stall is premature (large curvature turns tiny moves
-    into visible gradient residuals) the solver resumes with a tighter tol
-    until the certificate holds or the sweep budget runs out.
-
-    Raises:
-        NonPSDError: if the curvature matrix has a negative diagonal entry.
-        ConvergenceError: if the sweep budget is exhausted before the
-            certificate holds.
+    h is a dense matrix or its CurvatureBlocks form.  A primal active-set
+    method finds each node block's free set and signs, on which the
+    solution is exact: H_FF x_F = H_FF pilot_F - H_FN (x_N - pilot_N) -
+    lam gamma_F s_F, one batched solve per block size and pass.  It starts
+    from warm (clipped to the box) or, cold, from lambda_max's restricted
+    solution.  The result is certified: ConvergenceError is raised unless
+    its stationarity residual is at most 1e-8 * (1 + lam), and also when
+    a fixed bound of passes runs out.  A negative curvature diagonal or a
+    singular free set raises NonPSDError.
     """
     hb = curvature_blocks(h)
     pilot_flat = pilot.flat()
@@ -271,36 +297,16 @@ def lsa_solve(h, pilot: ParamVector, lam: float,
     if gamma.shape[0] != p:
         raise LassoError("weights do not match the parameter vector")
     lo, hi = _box(pilot, bounds)
-    if tol is None:
-        tol = 1e-10 * (1.0 + np.max(np.abs(pilot_flat)))
-    x = np.clip(warm.flat() if warm is not None else pilot_flat, lo, hi)
-    cert = 1e-8 * (1.0 + lam)
-    left = max_sweeps
-    total = 0
-    cur_tol = tol
-    snappable = (gamma > 0) & (lo < 0.0) & (0.0 < hi)
-    while True:
-        x, used = _cd_solve(hb, pilot_flat, lam, gamma, lo, hi, x, cur_tol, left)
-        total += used
-        left -= used
-
-        # snap numerically-dead penalized coordinates to exact zero; a
-        # coordinate within a few sweep tolerances of zero is residue of a
-        # tight threshold (the boundary case lam = lambda_max leaves debris
-        # at the tol scale), and the certificate rejects any snap that mattered
-        x[snappable & (np.abs(x) < 10.0 * cur_tol)] = 0.0
-
-        theta = _split_like(pilot, x)
-        resid = kkt_residual(hb, pilot, theta, lam, weights, bounds=(lo, hi))
-        if resid <= cert:
-            return theta
-        if left <= 0:
-            raise ConvergenceError(
-                f"coordinate descent stalled: stationarity residual {resid:.3g} "
-                f"after {total} sweeps at lam={lam:.6g}")
-        # the coordinate-change stall fired before the gradient certificate;
-        # with large curvature an x-scale stall is premature, so grind on
-        cur_tol *= 0.1
+    start = (warm.flat() if warm is not None
+             else _restricted(hb, pilot_flat, gamma, lo, hi))
+    x = _active_set(hb, pilot_flat, lam * gamma, lo, hi, np.clip(start, lo, hi))
+    theta = _split_like(pilot, x)
+    resid = kkt_residual(hb, pilot, theta, lam, weights, bounds=(lo, hi))
+    if resid > 1e-8 * (1.0 + lam):
+        raise ConvergenceError(
+            f"active-set solve failed its certificate: stationarity residual "
+            f"{resid:.3g} at lam={lam:.6g}")
+    return theta
 
 
 def psd_project(h, rel_floor: float = 1e-10):
@@ -341,39 +347,28 @@ def psd_project(h, rel_floor: float = 1e-10):
 
 
 def lambda_max(h, pilot: ParamVector, weights: AdaptiveWeights,
-               bounds=None, penalized=None) -> float:
+               bounds=None) -> float:
     """Smallest penalty level at which every penalized coordinate is zero.
 
     With theta_star solving the surrogate restricted to penalized
     coordinates fixed at zero (unpenalized block free inside the box), this
-    is max_k |(H (theta_star - pilot))_k| / gamma_k over penalized k.  The
-    restricted solve respects the box, so the certificate is exact: for any
-    lam at or above the returned value the solution of lsa_solve has every
-    penalized coordinate at zero.  h is a dense matrix or its
-    CurvatureBlocks form.
+    is max_k |(H (theta_star - pilot))_k| / gamma_k over penalized k.
+    theta_star comes from lsa_solve's active-set solver run without penalty
+    (same pass bound and errors) and respects the box, so the bound is
+    exact: for any lam at or above it lsa_solve returns every penalized
+    coordinate at exactly zero.  A cold lsa_solve starts from theta_star.
+    h is a dense matrix or its CurvatureBlocks form.
     """
     hb = curvature_blocks(h)
     pilot_flat = pilot.flat()
     gamma = weights.flat()
-    p = pilot_flat.shape[0]
-    if penalized is None:
-        pen_idx = np.where(gamma > 0)[0]
-    else:
-        pen_idx = np.asarray(sorted(penalized), dtype=int)
-        if np.any(gamma[pen_idx] == 0.0):
-            raise ZeroWeightError("penalized coordinate has zero weight")
-    if pen_idx.size == 0:
+    pen = gamma > 0
+    if not np.any(pen):
         raise ZeroWeightError("no penalized coordinates")
-    lo, hi = _box(pilot, bounds)
-    lo = lo.copy()
-    hi = hi.copy()
-    lo[pen_idx] = 0.0
-    hi[pen_idx] = 0.0
-    tol = 1e-12 * (1.0 + np.max(np.abs(pilot_flat)))
-    x0 = np.clip(pilot_flat, lo, hi)
-    star, _ = _cd_solve(hb, pilot_flat, 0.0, np.zeros(p), lo, hi, x0, tol, 10000)
+    star = _restricted(hb, pilot_flat, gamma, *_box(pilot, bounds))
     z = hb.matvec(star - pilot_flat)
-    return float(np.max(np.abs(z[pen_idx]) / gamma[pen_idx]))
+    return float(np.max(np.abs(z[pen]) / gamma[pen]))
+
 
 # ---------------------------------------------------------------------------
 # path
@@ -395,14 +390,16 @@ class LassoPath:
 
 def lambda_path(h, pilot: ParamVector, weights: AdaptiveWeights,
                 bounds=None, n_points: int = 50, min_fraction: float = 1e-3,
-                lambdas=None, tol: float | None = None) -> LassoPath:
+                lambdas=None) -> LassoPath:
     """Solve along a log-spaced penalty grid with warm starts.
 
     The grid runs from lambda_max down to min_fraction * lambda_max
-    (n_points values); every solution seeds the next.  Active counts
-    (nonzero penalized coordinates) should grow as the penalty decreases;
-    violations are logged, not raised.  A dense h is split into its
-    CurvatureBlocks form once, up front.
+    (n_points values).  The first point is a cold lsa_solve and every
+    solution seeds the next one's active set, so each point costs a few
+    batched passes; every point carries lsa_solve's certificate.  Active
+    counts (nonzero penalized coordinates) should grow as the penalty
+    decreases; violations are logged, not raised.  A dense h is split into
+    its CurvatureBlocks form once, up front.
     """
     h = curvature_blocks(h)
     lam_top = lambda_max(h, pilot, weights, bounds=bounds)
@@ -419,7 +416,7 @@ def lambda_path(h, pilot: ParamVector, weights: AdaptiveWeights,
     warm = None
     for idx, lam in enumerate(grid):
         sol = lsa_solve(h, pilot, float(lam), weights, bounds=bounds,
-                        tol=tol, warm=warm)
+                        warm=warm)
         warm = sol
         coefficients.append(sol)
         counts[idx] = int(np.count_nonzero(sol.flat()[pen]))

@@ -67,6 +67,28 @@ def drift_eval(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x) -> np.nd
     return out
 
 
+def diffusion_contrast(path, spec: NsdeSpec, alpha) -> float:
+    """Stage-one contrast: increments against a pure-diffusion model."""
+    dx = np.diff(path.data, axis=0)
+    sig = np.asarray(alpha, dtype=float) * diffusion_shape(spec, path.data[:-1])
+    var = sig * sig
+    return float(np.sum(dx * dx / (path.delta * var)) + np.sum(np.log(var)))
+
+
+def drift_contrast(path, spec: NsdeSpec, g: DirectedGraph,
+                   theta: ParamVector) -> float:
+    """Stage-two contrast: weighted squared drift residuals with sigma frozen."""
+    x0 = path.data[:-1]
+    r = np.diff(path.data, axis=0) - path.delta * path_drift_fn(spec, g, theta)(x0)
+    sig = theta.alpha * diffusion_shape(spec, x0)
+    return float(np.sum(r * r / (path.delta * sig * sig)))
+
+
+def sigma_path(path, spec: NsdeSpec, alpha) -> np.ndarray:
+    """sigma evaluated at the left endpoint of every increment, shape (n, d)."""
+    return np.asarray(alpha, dtype=float) * diffusion_shape(spec, path.data[:-1])
+
+
 def path_diffusion_fn(spec: NsdeSpec, theta: ParamVector):
     """Return a callable evaluating sigma on arrays of shape (..., d)."""
     alpha = theta.alpha

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from netsde.estimate import (fit_diffusion_scale, fit_linear_closed_form,
-                             fit_qmle, sigma_path)
+                             fit_qmle)
 from netsde.experiments import (error_bound_study, recovery_study,
                                 reference_er_graph)
 from netsde.graph import erdos_renyi, ergodicity_margin
@@ -22,6 +22,7 @@ from netsde.lasso import (adaptive_weights, kkt_residual, lambda_max,
 from netsde.model import (LinearDrift, NsdeSpec, ParamVector, TanhClipped,
                           parameter_layout)
 from netsde.simulate import simulate_path
+from reference import sigma_path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -3,19 +3,18 @@ import pytest
 
 from netsde.estimate import (BoundsViolationError, DegenerateDiffusionError,
                              InsufficientDataError, SingularGramError,
-                             diffusion_contrast, drift_contrast,
                              fit_adaptive_closed_form, fit_diffusion_scale,
                              fit_linear_closed_form, fit_qmle,
                              fit_result_to_dict, fit_result_to_json,
                              model_hessian, node_designs, quasi_grad,
-                             quasi_loglik, rate_diagonal, scaled_information,
-                             sigma_path)
+                             quasi_loglik, rate_diagonal, scaled_information)
 from netsde.graph import build_graph, complete_graph
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           ParamVector, RadialDictionaryDrift, TanhClipped,
                           diffusion_eval, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
-from reference import drift_eval, numerical_hessian
+from reference import (diffusion_contrast, drift_contrast, drift_eval,
+                       numerical_hessian, sigma_path)
 
 
 def small_model(clip=100.0):

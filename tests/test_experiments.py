@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netsde import experiments
 from netsde.experiments import (StudyError, StudyReport, cluster_lambda_curve,
                                 detect_communities, error_bound_study,
                                 find_er_graph_with_edges, label_agreement,
@@ -14,7 +15,7 @@ from netsde.graph import block_labels, ergodicity_margin, largest_singular_value
 from netsde.lasso import LassoPath, adaptive_weights, lambda_path
 from netsde.model import (LinearDrift, NsdeSpec, ParamVector, TanhClipped,
                           parameter_layout)
-from netsde.simulate import simulate_path
+from netsde.simulate import SamplePath, simulate_path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -235,6 +236,17 @@ def test_select_graph_with_validation_curve():
     assert pilot.converged
     with pytest.raises(StudyError, match="holdout"):
         select_graph(path, spec, {"rule": "half_se", "holdout": 1.0})
+
+
+def test_select_graph_rejects_an_unknown_rule_before_fitting(monkeypatch):
+    def fit(*args, **kwargs):
+        raise AssertionError("the pilot was fitted")
+
+    monkeypatch.setattr(experiments, "fit_adaptive_closed_form", fit)
+    spec = NsdeSpec(d=2, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
+    path = SamplePath(delta=0.01, data=np.zeros((50, 2)))
+    with pytest.raises(ValueError, match="unknown selection rule 'bogus'"):
+        select_graph(path, spec, {"rule": "bogus"})
 
 
 def test_cluster_lambda_curve_keys():

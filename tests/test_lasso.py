@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from netsde import lasso
 from netsde.estimate import fit_adaptive_closed_form
 from netsde.graph import build_graph
 from netsde.lasso import (AdaptiveWeights, ConvergenceError, LassoError,
@@ -221,8 +222,6 @@ def test_lambda_max_needs_penalized_weight():
                            delta=(1.0, 1.0, 1.0), cap=1e12)
     with pytest.raises(ZeroWeightError):
         lambda_max(h, pilot, free)
-    with pytest.raises(ZeroWeightError):
-        lambda_max(h, pilot, free, penalized=[1])
 
 
 def test_separable_lambda_max_value():
@@ -235,17 +234,112 @@ def test_separable_lambda_max_value():
     assert lambda_max(h, pilot, weights) == pytest.approx(3.0, abs=1e-12)
 
 
-def test_solver_errors():
+def test_solver_errors(monkeypatch):
     pilot = ParamVector(alpha=[1.0], beta=[1.0])
     weights = adaptive_weights(pilot, penalize_momentum=True)
     with pytest.raises(NonPSDError):
         lsa_solve(np.diag([1.0, -1.0]), pilot, 0.1, weights)
+    with pytest.raises(NonPSDError, match="singular"):
+        lsa_solve(np.ones((2, 2)), pilot, 0.0, weights)
     with pytest.raises(LassoError):
         lsa_solve(np.eye(3), pilot, 0.1, weights)
     with pytest.raises(LassoError):
         lsa_solve(np.eye(2), pilot, -0.1, weights)
+    monkeypatch.setattr(lasso, "_MAX_PASSES", 0)
     with pytest.raises(ConvergenceError):
-        lsa_solve(np.eye(2), pilot, 0.5, weights, max_sweeps=0)
+        lsa_solve(np.eye(2), pilot, 0.5, weights)
+
+
+def test_zero_curvature_coordinate_stays_pinned():
+    # coordinate 2 has no curvature at all: it stays where the solve starts
+    # (the pilot, cold; the warm value, warm) and the others solve as if it
+    # were absent
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((4, 4))
+    rest = a.T @ a + 0.1 * np.eye(4)
+    keep = [0, 1, 3, 4]
+    h = np.zeros((5, 5))
+    h[np.ix_(keep, keep)] = rest
+    pilot = ParamVector(alpha=[0.7], beta=[1.5, 0.4, -2.0, 0.8])
+    weights = AdaptiveWeights(gamma_alpha=np.zeros(1),
+                              gamma_beta=np.array([0.5, 0.0, 1.0, 2.0]),
+                              gamma_w=None, penalize_alpha=False,
+                              delta=(1.0, 1.0, 1.0), cap=1e12)
+    sub = ParamVector(alpha=[0.7], beta=[1.5, -2.0, 0.8])
+    sub_w = AdaptiveWeights(gamma_alpha=np.zeros(1),
+                            gamma_beta=np.array([0.5, 1.0, 2.0]), gamma_w=None,
+                            penalize_alpha=False, delta=(1.0, 1.0, 1.0), cap=1e12)
+    lam = 0.6
+    want = lsa_solve(rest, sub, lam, sub_w).flat()
+    cold = lsa_solve(h, pilot, lam, weights).flat()
+    assert cold[2] == 0.4
+    assert np.allclose(cold[keep], want, atol=1e-12)
+    stale = ParamVector(alpha=[0.3], beta=[0.0, -0.25, 1.0, 0.0])
+    warm = lsa_solve(h, pilot, lam, weights, warm=stale).flat()
+    assert warm[2] == -0.25
+    assert np.allclose(warm[keep], want, atol=1e-12)
+
+
+def test_cold_start_with_coordinates_at_their_bounds():
+    # at lam = lambda_max exactly every penalized coordinate must come out
+    # exactly zero.  Here the penalized pilots lie outside their boxes: a
+    # start at the clipped pilot would drive the unpenalized coordinate
+    # onto its bound at -1.6 and leave ~1e-16 in the last one once it is
+    # released; the cold start at the restricted solution avoids that
+    h = np.array([[8.65, 0.14, -3.8], [0.14, 3.16, 0.14], [-3.8, 0.14, 2.24]])
+    box = (np.array([-0.63, -1.6, -0.3]), np.array([0.53, 2.1, 0.05]))
+    pilot = ParamVector(alpha=np.zeros(0), beta=[-1.62, -1.4, -1.3])
+    weights = AdaptiveWeights(gamma_alpha=np.zeros(0),
+                              gamma_beta=np.array([1e12, 0.0, 0.41]),
+                              gamma_w=None, penalize_alpha=False,
+                              delta=(1.0, 1.0, 1.0), cap=1e12)
+    top = lambda_max(h, pilot, weights, bounds=box)
+    at_top = lsa_solve(h, pilot, top, weights, bounds=box).flat()
+    assert at_top[0] == 0.0 and at_top[2] == 0.0
+    assert kkt_residual(h, pilot, ParamVector(alpha=np.zeros(0), beta=at_top),
+                        top, weights, bounds=box) <= 1e-8 * (1.0 + top)
+
+    # the unpenalized coordinate's pilot lies below its box as well
+    rng = np.random.default_rng(14)
+    box = (np.array([0.0, -0.3, -0.3, -0.3, -0.3]), np.full(5, 0.3))
+    for _ in range(50):
+        a = rng.standard_normal((5, 5))
+        h = a.T @ a + 0.1 * np.eye(5)
+        pilot = ParamVector(alpha=np.zeros(0), beta=np.concatenate(
+            [[-1.0], 2.0 * rng.standard_normal(4)]))
+        gamma = np.concatenate([[0.0], rng.uniform(0.2, 3.0, 4)])
+        gamma[rng.random(5) < 0.2] = 1e12
+        weights = AdaptiveWeights(gamma_alpha=np.zeros(0), gamma_beta=gamma,
+                                  gamma_w=None, penalize_alpha=False,
+                                  delta=(1.0, 1.0, 1.0), cap=1e12)
+        top = lambda_max(h, pilot, weights, bounds=box)
+        at_top = lsa_solve(h, pilot, top, weights, bounds=box).flat()
+        assert np.all(at_top[gamma > 0] == 0.0)
+        below = lsa_solve(h, pilot, 0.95 * top, weights, bounds=box).flat()
+        assert np.any(below[gamma > 0] != 0.0)
+
+
+def test_capped_and_ordinary_weights_match_the_oracle():
+    # weights at the 1e12 cap beside ordinary ones in one block: the capped
+    # coordinates stay at zero and the rest match the enumeration oracle
+    rng = np.random.default_rng(15)
+    for trial in range(10):
+        h, pilot, _ = rand_instance(rng, scale=2.0)
+        flat = pilot.flat()
+        flat[[3, 5]] = rng.choice([0.0, 1e-14], 2)
+        pilot = ParamVector(alpha=flat[:2], beta=flat[2:])
+        weights = adaptive_weights(pilot, penalize_momentum=True)
+        gamma = weights.flat()
+        assert np.sum(gamma == 1e12) >= 2 and np.sum((gamma > 0) & (gamma < 1e12)) >= 2
+        lo = np.full(6, -1.0)
+        hi = np.full(6, 1.0 + trial)
+        lo[:2] = 0.0
+        top = lambda_max(h, pilot, weights, bounds=(lo, hi))
+        for lam in (1e-3 * top, 0.3 * top, top):
+            want = exact_box_lasso(h, flat, lam, gamma, lo, hi)
+            got = lsa_solve(h, pilot, lam, weights, bounds=(lo, hi)).flat()
+            assert np.allclose(got, want, atol=5e-5)
+            assert np.all(got[gamma == 1e12] == 0.0)
 
 
 def test_warm_start_agrees_with_cold_start():
