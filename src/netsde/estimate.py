@@ -17,7 +17,9 @@ increments (NodeMoments):
     sum log s_j^2.
 
 One pass over the path builds them, per contiguous chunk of increments
-when asked.  The stage-one scales, the closed-form generalized least
+when asked, or per replication for a batch of paths; the sums are
+additive, so paths that arrive chunk by chunk from the simulator fold
+into them without being stored.  The stage-one scales, the closed-form generalized least
 squares of the linear family, the contrast value, the observed
 information (one CurvatureBlocks block per node) and, in netsde.lasso,
 the held-out loss of every penalty candidate are all read off them.
@@ -172,7 +174,8 @@ class NodeMoments:
         sq[c, j]   = sum dX_j^2 / s_j^2      log_scale[c, j] = sum log s_j^2
 
     alpha_j and c_j enter node j's contrast only through these sums, so one
-    set of moments serves every parameter value.
+    set of moments serves every parameter value.  The sums are additive:
+    a + b holds, chunk by chunk, the moments of the increments of both.
     """
 
     count: np.ndarray
@@ -181,6 +184,22 @@ class NodeMoments:
     slots: tuple[np.ndarray, ...] = ()
     gram: tuple[np.ndarray, ...] = ()
     cross: tuple[np.ndarray, ...] = ()
+
+    def __add__(self, other: "NodeMoments") -> "NodeMoments":
+        return NodeMoments(
+            count=self.count + other.count, sq=self.sq + other.sq,
+            log_scale=self.log_scale + other.log_scale, slots=self.slots,
+            gram=tuple(a + b for a, b in zip(self.gram, other.gram)),
+            cross=tuple(a + b for a, b in zip(self.cross, other.cross)))
+
+    def chunk(self, c: int) -> "NodeMoments":
+        """The moments of chunk c alone."""
+        pick = slice(c, c + 1)
+        return NodeMoments(
+            count=self.count[pick], sq=self.sq[pick],
+            log_scale=self.log_scale[pick], slots=self.slots,
+            gram=tuple(gram[pick] for gram in self.gram),
+            cross=tuple(cross[pick] for cross in self.cross))
 
 
 def _node_moments(dx: np.ndarray, scale: np.ndarray, designs=(),
@@ -194,13 +213,24 @@ def _node_moments(dx: np.ndarray, scale: np.ndarray, designs=(),
     n = dx.shape[0]
     sizes = np.asarray([n] if sizes is None else sizes, dtype=int)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    spans = [slice(a, a + m) for a, m in zip(starts, sizes)]
+    if np.all(sizes == sizes[0]):
+        # chunks of one size: one batched product per node
+        def chunk_sums(z, v):
+            z = z.reshape(sizes.shape[0], sizes[0], z.shape[1])
+            zt = z.transpose(0, 2, 1)
+            return zt @ z, (zt @ v.reshape(z.shape[:2] + (1,)))[:, :, 0]
+    else:
+        spans = [slice(a, a + m) for a, m in zip(starts, sizes)]
+
+        def chunk_sums(z, v):
+            return (np.stack([z[s].T @ z[s] for s in spans]),
+                    np.stack([z[s].T @ v[s] for s in spans]))
     std = dx / scale
     slots, grams, crosses = [], [], []
     for j, (reg, sl) in enumerate(designs):
-        z = reg / scale[:, j, None]
-        grams.append(np.stack([z[s].T @ z[s] for s in spans]))
-        crosses.append(np.stack([z[s].T @ std[s, j] for s in spans]))
+        gram, cross = chunk_sums(reg / scale[:, j, None], std[:, j])
+        grams.append(gram)
+        crosses.append(cross)
         slots.append(sl)
     return NodeMoments(count=sizes,
                        sq=np.add.reduceat(std * std, starts, axis=0),
@@ -212,10 +242,22 @@ def _node_moments(dx: np.ndarray, scale: np.ndarray, designs=(),
 
 def _path_moments(spec: NsdeSpec, g: DirectedGraph, layout: ParamLayout,
                   rows: np.ndarray, sizes=None) -> NodeMoments:
-    """NodeMoments of the increments of rows (n + 1, d), weighted by the
-    diffusion shape, with the model's node designs."""
-    x0 = rows[:-1]
-    return _node_moments(np.diff(rows, axis=0), diffusion_shape(spec, x0),
+    """NodeMoments of the increments of rows, weighted by the diffusion
+    shape, with the model's node designs.
+
+    rows (n + 1, d) is one path, split into chunks by sizes; rows
+    (reps, n + 1, d) holds one path per replication, and replication r's
+    increments make chunk r.
+    """
+    if rows.ndim == 3:
+        reps, n = rows.shape[0], rows.shape[1] - 1
+        x0 = rows[:, :-1].reshape(reps * n, -1)
+        dx = np.diff(rows, axis=1).reshape(reps * n, -1)
+        sizes = np.full(reps, n)
+    else:
+        x0 = rows[:-1]
+        dx = np.diff(rows, axis=0)
+    return _node_moments(dx, diffusion_shape(spec, x0),
                          _designs(spec, g, layout, x0), sizes)
 
 
@@ -704,8 +746,10 @@ def fit_adaptive_closed_form(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     Stage one solves the diffusion contrast exactly; stage two runs the
     per-node generalized least squares with those scales.  alpha_j factors
     out of node j's weighted Gram system, so one pass of NodeMoments gives
-    both stages, the contrast value and the information blocks.  This is
-    the fast pilot used by the sparse-selection pipeline on dense
+    both stages, the contrast value and the information blocks.  This
+    front end builds the path's moments; a moments core reads the fit off
+    them, and error_bound_study runs that core on moments folded straight
+    from the simulator.  This is the fast pilot used by the sparse-selection pipeline on dense
     (pair-weight) layouts, where every node regresses on all other
     coordinates.  intercepts=False leaves a model's intercepts at zero.
     """
@@ -717,29 +761,62 @@ def fit_adaptive_closed_form(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     if intercepts and not layout.with_intercepts:
         raise LayoutMismatchError("layout has no intercepts")
     _increments(path)  # raises on a path without increments
-    mom = _path_moments(spec, g, layout, path.data)
-    alpha_hat = np.clip(_scale_estimate(mom, path.delta, 0.0, 1e3),
+    return _closed_form_fit(_path_moments(spec, g, layout, path.data),
+                            layout, path.delta, intercepts)
+
+
+def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
+                     intercepts: bool) -> FitResult:
+    """The two-stage closed-form fit read off a linear-family path's moments
+    (every chunk of mom counts)."""
+    n = int(mom.count.sum())
+    alpha_hat = np.clip(_scale_estimate(mom, delta, 0.0, 1e3),
                         _ALPHA_FLOOR, None)
     # the intercept is column 1 of a design; an unfitted one stays at zero
     keep = [np.arange(sl.shape[0]) for sl in mom.slots]
     if layout.with_intercepts and not intercepts:
         keep = [np.delete(k, 1) for k in keep]
     coefs, conds, jittered = _solve_grams(
-        [gram[0][np.ix_(k, k)] for gram, k in zip(mom.gram, keep)],
-        [cross[0][k] / path.delta for cross, k in zip(mom.cross, keep)])
+        [gram.sum(axis=0)[np.ix_(k, k)] for gram, k in zip(mom.gram, keep)],
+        [cross.sum(axis=0)[k] / delta for cross, k in zip(mom.cross, keep)])
     flat = np.zeros(layout.pi_total)
     flat[:layout.pi_alpha] = alpha_hat
     for sl, k, coef in zip(mom.slots, keep, coefs):
         flat[sl[k]] = coef
     return FitResult(theta_hat=layout.unflatten(flat),
                      contrast_value=float(_chunk_contrast(
-                         mom, flat[None], path.delta).sum()),
-                     info_blocks=_information(mom, flat, path.delta,
+                         mom, flat[None], delta).sum()),
+                     info_blocks=_information(mom, flat, delta,
                                               layout.pi_total),
-                     rate_diag=rate_diagonal(layout, path.n, path.delta),
+                     rate_diag=rate_diagonal(layout, n, delta),
                      converged=True, iterations=0, layout=layout,
-                     n=path.n, delta=path.delta, gram_cond=conds,
+                     n=n, delta=delta, gram_cond=conds,
                      gram_jittered=jittered)
+
+
+class _MomentFold:
+    """Folds paths handed on chunk by chunk into per-replication moments.
+
+    A consumer for netsde.simulate's Euler loop: each call passes the next
+    rows (reps, k, d) of every replication, and the fold joins them to the
+    previous call's last row.  moments holds, in chunk r, the NodeMoments of
+    replication r's increments so far (None before the first increment).
+    Each call's sums are formed on their own and then added to the running
+    totals, so long paths keep their precision (Chan, Golub & LeVeque 1983).
+    """
+
+    def __init__(self, spec: NsdeSpec, g: DirectedGraph, layout: ParamLayout):
+        self._model = (spec, g, layout)
+        self._last = None
+        self.moments: NodeMoments | None = None
+
+    def __call__(self, lo: int, block: np.ndarray) -> None:
+        rows = block if self._last is None else np.concatenate(
+            [self._last, block], axis=1)
+        self._last = block[:, -1:].copy()
+        if rows.shape[1] > 1:
+            mom = _path_moments(*self._model, rows)
+            self.moments = mom if self.moments is None else self.moments + mom
 
 
 # ---------------------------------------------------------------------------

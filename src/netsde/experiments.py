@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .estimate import FitResult, fit_adaptive_closed_form
+from .estimate import (FitResult, InsufficientDataError, _closed_form_fit,
+                       _MomentFold, fit_adaptive_closed_form)
 from .graph import (DirectedGraph, block_labels, build_graph, complete_graph,
                     erdos_renyi, ergodicity_margin, polymer, sbm)
 from .lasso import (LassoPath, adaptive_weights, estimate_adjacency,
@@ -27,7 +28,8 @@ from .lasso import (LassoPath, adaptive_weights, estimate_adjacency,
                     select_lambda, two_step_refit, validation_loss)
 from .model import (ConstantDiagonal, LinearDrift, NsdeSpec, TanhClipped,
                     parameter_layout)
-from .simulate import SamplePath, derive_seeds, simulate_ensemble
+from .simulate import (SamplePath, _check_args, _euler, derive_seeds,
+                       simulate_ensemble)
 
 DEFAULT_CLIP = 100.0
 
@@ -246,6 +248,14 @@ def error_bound_study(config: dict) -> StudyReport:
     form, and records the squared parameter error, both raw and per
     parameter.  Each cell is compared with the bound K * epsilon where
     K = pi / |E| and epsilon = |E| / (n * delta), so bound = pi / T.
+
+    No path is stored: the Euler loop hands each chunk of rows of all
+    replications to a fold that adds them to per-replication NodeMoments
+    on the known graph, and each fit is read off its replication's
+    moments.  The numbers are those of simulate_ensemble plus
+    fit_adaptive_closed_form on each path, up to the order of the moment
+    sums (about 1e-15 relative), and an explosion raises the same
+    ExplosionError.
     """
     g, graph_info = study_graph(config["graph"])
     spec = _study_spec(config, g.d)
@@ -255,6 +265,8 @@ def error_bound_study(config: dict) -> StudyReport:
     delta = float(config.get("delta", 0.01))
     horizons = [float(t) for t in config["horizons"]]
     n_reps = int(config.get("n_reps", 100))
+    if n_reps < 1:
+        raise StudyError(f"n_reps must be positive, got {n_reps}")
     substeps = int(config.get("substeps", 10))
     burn_in = int(config.get("burn_in", 0))
     base_seed = int(config.get("seed", 0))
@@ -274,12 +286,18 @@ def error_bound_study(config: dict) -> StudyReport:
     for cell, horizon in enumerate(horizons):
         n = int(round(horizon / delta))
         seeds = all_seeds[cell * n_reps:(cell + 1) * n_reps]
-        paths = simulate_ensemble(spec, g, theta_true, x0, delta, n,
-                                  seeds=seeds, substeps=substeps,
-                                  burn_in_steps=burn_in)
+        fold = _MomentFold(spec, g, layout)
+        _euler(spec, g, theta_true,
+               _check_args(spec, g, x0, delta, n, substeps, burn_in),
+               delta, n, substeps, burn_in, seeds=seeds, dW=None,
+               ensemble=True, consume=fold)
+        if fold.moments is None:
+            raise InsufficientDataError(
+                f"horizon {horizon} holds no increment at delta {delta}")
         err2 = np.empty(n_reps)
-        for r, path in enumerate(paths):
-            fit = fit_adaptive_closed_form(path, spec, g)
+        for r in range(n_reps):
+            fit = _closed_form_fit(fold.moments.chunk(r), layout, delta,
+                                   intercepts=False)
             diff = layout.flatten(fit.theta_hat) - flat_true
             err2[r] = float(diff @ diff)
         eps = g.n_edges / (n * delta)
@@ -572,25 +590,27 @@ def _local_moving(w: np.ndarray, resolution: float) -> np.ndarray:
     if two_m <= 0.0:
         return comm
     sigma_tot = k.copy()
-    neighbors = [np.where(w[v] > 0)[0] for v in range(d)]
+    # neighbours other than v itself, with their link weights
+    neighbors = [np.flatnonzero((w[v] > 0) & (np.arange(d) != v))
+                 for v in range(d)]
+    weights = [w[v, nb] for v, nb in enumerate(neighbors)]
     improved = True
     while improved:
         improved = False
         for v in range(d):
             cv = int(comm[v])
-            links: dict[int, float] = {}
-            for u in neighbors[v]:
-                if u != v:
-                    cu = int(comm[u])
-                    links[cu] = links.get(cu, 0.0) + w[v, u]
+            # summed in ascending neighbour order, per community
+            links = np.bincount(comm[neighbors[v]], weights[v], minlength=d)
             sigma_tot[cv] -= k[v]
+            scale = resolution * k[v]
             best_c = cv
-            best_gain = links.get(cv, 0.0) - resolution * k[v] * sigma_tot[cv] / two_m
-            for c in sorted(links):
-                if c == cv:
-                    continue
-                gain = links[c] - resolution * k[v] * sigma_tot[c] / two_m
-                if gain > best_gain + 1e-12:
+            best_gain = links[cv] - scale * sigma_tot[cv] / two_m
+            # every link weight is positive, so a sum is nonzero exactly
+            # where v has a neighbour
+            present = np.flatnonzero(links)
+            gains = links[present] - scale * sigma_tot[present] / two_m
+            for c, gain in zip(present.tolist(), gains.tolist()):
+                if c != cv and gain > best_gain + 1e-12:
                     best_gain = gain
                     best_c = c
             sigma_tot[best_c] += k[v]

@@ -594,6 +594,7 @@ def lasso_path_to_csv(path: LassoPath, coord_names) -> str:
         flat = theta.flat()
         if flat.shape[0] != len(names):
             raise LassoError("coordinate names do not match the path")
-        for name, value in zip(names, flat):
-            lines.append(f"{float(lam)!r},{name},{float(value)!r}")
+        head = f"{float(lam)!r},"
+        lines.extend(f"{head}{name},{value!r}"
+                     for name, value in zip(names, flat.tolist()))
     return "\n".join(lines) + "\n"

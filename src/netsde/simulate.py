@@ -14,9 +14,11 @@ clip level for TanhClipped) and sqrt(h) scale each chunk of noise once,
 the tanh shape is evaluated in preallocated buffers, and each substep's
 state overwrites the increment that produced it.  The explosion guard
 checks every substep state of an observation interval once the interval
-is done, so ExplosionError.step is still the first offending substep.  An
-ensemble records into one (reps, n + 1, d) array and each SamplePath holds
-a view of it, with no per-replication copy.
+is done, so ExplosionError.step is still the first offending substep.  The
+loop hands each chunk of recorded rows to a consumer: an ensemble copies
+them into one (reps, n + 1, d) array and each SamplePath holds a view of
+it, with no per-replication copy, while netsde.experiments'
+error_bound_study folds them into moments and stores no path.
 
 Drawing the Gaussians costs about as much as stepping a wide ensemble, so
 the loop runs in chunks of whole observation intervals (~1M noise values
@@ -30,6 +32,7 @@ the call.  Driven (dW) paths draw nothing and start no thread.
 from __future__ import annotations
 
 import io
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -126,9 +129,14 @@ def _check_args(spec, g, x0, delta, n, substeps, burn_in_steps):
 
 def _euler(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
            delta: float, n: int, substeps: int, burn_in_steps: int,
-           seeds: list[int], dW: np.ndarray | None, ensemble: bool) -> np.ndarray:
-    """The Euler loop: rows of shape (reps, n + 1, d), one per replication.
+           seeds: list[int], dW: np.ndarray | None, ensemble: bool,
+           consume: Callable[[int, np.ndarray], None]) -> None:
+    """The Euler loop: hands the n + 1 recorded rows to consume in order.
 
+    consume(lo, block) receives rows lo, ..., lo + k - 1 of every
+    replication as block (reps, k, d); successive calls continue where the
+    last one stopped.  block is a view of a buffer the loop overwrites
+    after the call returns, so the consumer copies or folds what it keeps.
     Noise is one Philox stream per seed, or the given dW for a single
     replication.  An explosion names the replication and its seed when
     `ensemble` is set.
@@ -136,9 +144,10 @@ def _euler(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
     The substeps run in chunks of whole observation intervals, at most
     ~1M noise values each, so z plus two raw buffers take ~24 MB.  One
     worker thread draws chunk i + 1 into one raw buffer while this thread
-    steps chunk i from the other; it alone draws, chunk after chunk, so
-    every stream is read in (step, coordinate) order as in a serial loop.
-    Leaving the pool waits for a fill in flight, however the loop ends.
+    steps chunk i and hands on its rows; it alone draws, chunk after
+    chunk, so every stream is read in (step, coordinate) order as in a
+    serial loop.  Leaving the pool waits for a fill in flight, however the
+    loop ends.
     """
     d = spec.d
     h = delta / substeps
@@ -160,9 +169,9 @@ def _euler(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
                 gen.standard_normal(out=out)
             return buf
     tmp = np.empty((reps, d))
-    rows = np.empty((reps, n + 1, d))
     x = np.tile(x0, (reps, 1))
-    rows[:, 0] = x
+    if burn_in_steps == 0:
+        consume(0, x[:, None])
     with ThreadPoolExecutor(max_workers=1) as pool, \
             np.errstate(over="ignore", invalid="ignore"):
         if dW is None and spans:
@@ -192,9 +201,18 @@ def _euler(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
             if hi > lo:
                 ends = zc[substeps - 1::substeps]
                 first = lo + burn_in_steps - 1 - start
-                rows[:, lo:hi] = ends[first:first + hi - lo].transpose(1, 0, 2)
+                consume(lo, ends[first:first + hi - lo].transpose(1, 0, 2))
             x = x.copy()  # the next chunk refills the buffer x points into
-    return rows
+
+
+def _stored_rows(reps: int, n: int, d: int):
+    """(rows, consume): a (reps, n + 1, d) array and the consumer that
+    copies the Euler loop's rows into it."""
+    rows = np.empty((reps, n + 1, d))
+
+    def consume(lo, block):
+        rows[:, lo:lo + block.shape[1]] = block
+    return rows, consume
 
 
 def _explode(interval: np.ndarray, step0: int, seeds: list[int] | None):
@@ -238,8 +256,9 @@ def simulate_path(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
         if dW.shape != (total_sub, spec.d):
             raise ValueError(
                 f"dW has shape {dW.shape}, expected ({total_sub}, {spec.d})")
-    rows = _euler(spec, g, theta, x0, delta, n, substeps, burn_in_steps,
-                  seeds=[seed], dW=dW, ensemble=False)
+    rows, consume = _stored_rows(1, n, spec.d)
+    _euler(spec, g, theta, x0, delta, n, substeps, burn_in_steps,
+           seeds=[seed], dW=dW, ensemble=False, consume=consume)
     return SamplePath(delta=delta, data=rows[0],
                       seed=None if dW is not None else int(seed))
 
@@ -258,8 +277,9 @@ def simulate_ensemble(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
     x0 = _check_args(spec, g, x0, delta, n, substeps, burn_in_steps)
     if not seeds:
         return []
-    rows = _euler(spec, g, theta, x0, delta, n, substeps, burn_in_steps,
-                  seeds=seeds, dW=None, ensemble=True)
+    rows, consume = _stored_rows(len(seeds), n, spec.d)
+    _euler(spec, g, theta, x0, delta, n, substeps, burn_in_steps,
+           seeds=seeds, dW=None, ensemble=True, consume=consume)
     return [SamplePath(delta=delta, data=data, seed=seed)
             for data, seed in zip(rows, seeds)]
 

@@ -1,17 +1,21 @@
 """Reference evaluators the tests compare the package against.
 
 They compute the same quantities as netsde by the direct route: central
-differences, row-by-row contrasts and exhaustive enumeration.  They are
+differences, row-by-row contrasts, fits of stored paths and exhaustive
+enumeration.  They are
 slow on purpose and live here, not in the package.
 """
 import itertools
 
 import numpy as np
 
+from netsde.estimate import fit_adaptive_closed_form
+from netsde.experiments import _study_spec, _study_truth, study_graph
 from netsde.graph import DirectedGraph
 from netsde.model import (LinearDrift, NsdeSpec, ParamVector, _check_state,
                           diffusion_shape, pair_index, parameter_layout,
                           path_drift_fn)
+from netsde.simulate import derive_seeds, simulate_ensemble
 
 
 def numerical_hessian(fn, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
@@ -164,3 +168,30 @@ def exact_box_lasso(h, center, lam, gamma, lo, hi):
     dev = cand - center
     f = 0.5 * np.einsum("ci,ij,cj->c", dev, h, dev) + lam * np.abs(cand) @ gamma
     return cand[np.argmin(f)]
+
+
+def error_bound_by_paths(config: dict) -> list[tuple[float, float]]:
+    """(mean_error, sd_error) per horizon of an error-bound config, from
+    stored ensemble paths and one path-based closed-form fit per
+    replication: the study's numbers by the direct route."""
+    g, _info = study_graph(config["graph"])
+    spec = _study_spec(config, g.d)
+    theta, layout, _margin = _study_truth(config, spec, g)
+    delta = float(config.get("delta", 0.01))
+    horizons = [float(t) for t in config["horizons"]]
+    n_reps = int(config.get("n_reps", 100))
+    seeds = derive_seeds(int(config.get("seed", 0)), n_reps * len(horizons))
+    out = []
+    for cell, horizon in enumerate(horizons):
+        paths = simulate_ensemble(
+            spec, g, theta, np.asarray(config.get("x0", np.zeros(g.d)), dtype=float),
+            delta, int(round(horizon / delta)),
+            seeds=seeds[cell * n_reps:(cell + 1) * n_reps],
+            substeps=int(config.get("substeps", 10)),
+            burn_in_steps=int(config.get("burn_in", 0)))
+        err2 = np.array([
+            np.sum((layout.flatten(fit_adaptive_closed_form(p, spec, g).theta_hat)
+                    - layout.flatten(theta)) ** 2) for p in paths])
+        out.append((float(err2.mean() / layout.pi_total),
+                    float(err2.std(ddof=1) / layout.pi_total)))
+    return out
