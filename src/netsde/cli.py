@@ -27,13 +27,12 @@ from .estimate import (EstimationError, fit_adaptive_closed_form, fit_qmle,
 from .experiments import (StudyError, cluster_lambda_curve, detect_communities,
                           label_agreement, modularity, run_study, select_graph,
                           study_graph)
-from .graph import (GraphError, complete_graph, ergodicity_margin, to_dot,
-                    to_edge_list_text, to_json)
+from .graph import (GraphError, ergodicity_margin, to_dot, to_edge_list_text,
+                    to_json)
 from .ingest import (IngestError, complete_cases, load_panel_csv,
                      to_sample_path)
 from .lasso import LassoError, lasso_path_to_csv, two_step_refit
-from .model import (ModelError, parameter_layout, params_from_config,
-                    spec_from_config)
+from .model import ModelError, params_from_config, spec_from_config
 from .simulate import SimulationError, read_csv, simulate_path, write_csv
 
 USAGE_ERROR = 2
@@ -159,7 +158,6 @@ def _cmd_lasso(cfg: dict, out_dir: str) -> list[str]:
     spec = spec_from_config(_require(cfg, "model"))
     penalty = dict(cfg.get("penalty", {"rule": "half_se"}))
     a_hat, lam, lpath, pilot = select_graph(path, spec, penalty)
-    layout = parameter_layout(spec, complete_graph(spec.d), augmented=True)
 
     edges = [[i, j] for i in range(spec.d) for j in range(spec.d)
              if i != j and a_hat[i, j]]
@@ -180,7 +178,7 @@ def _cmd_lasso(cfg: dict, out_dir: str) -> list[str]:
     outputs = [
         _write_text(out_dir, "selection.json", _dump_json(selection)),
         _write_text(out_dir, "lasso_path.csv",
-                    lasso_path_to_csv(lpath, layout.coord_names)),
+                    lasso_path_to_csv(lpath, pilot.layout.coord_names)),
     ]
     if cfg.get("refit", True):
         refit = two_step_refit(path, spec, a_hat)

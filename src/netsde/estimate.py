@@ -19,12 +19,14 @@ increments (NodeMoments):
 One pass over the path builds them, per contiguous chunk of increments
 when asked, or per replication for a batch of paths; the sums are
 additive, so paths that arrive chunk by chunk from the simulator fold
-into them without being stored.  The stage-one scales, the closed-form generalized least
-squares of the linear family, the contrast value, the observed
-information (one CurvatureBlocks block per node) and, in netsde.lasso,
-the held-out loss of every penalty candidate are all read off them.
-quasi_loglik and model_hessian evaluate the contrast and its Hessian
-row by row and serve as the reference evaluators.
+into them without being stored.  Every fit reads the path through them
+alone: the stage-one scales, the closed-form generalized least squares
+of the linear family, the contrast value and gradient that fit_qmle's
+quasi-Newton descent minimizes, the observed information (one
+CurvatureBlocks block per node) and, in netsde.lasso, the held-out loss
+of every penalty candidate.  Only quasi_loglik and model_hessian still
+evaluate the contrast and its Hessian row by row; they are the
+package's reference evaluators.
 """
 from __future__ import annotations
 
@@ -336,12 +338,35 @@ class CurvatureBlocks:
         return out
 
 
+def _node_terms(mom: NodeMoments, j: int, c: np.ndarray, delta: float):
+    """Node j's Gram and cross sums over every chunk, G c and its residual
+    sum of squares Q = sq - 2 delta c'cross + delta^2 c'G c at coefficients c."""
+    gram = mom.gram[j].sum(axis=0)
+    cross = mom.cross[j].sum(axis=0)
+    gc = gram @ c
+    quad = mom.sq[:, j].sum() - delta * (2.0 * (c @ cross) - delta * (c @ gc))
+    return gram, cross, gc, quad
+
+
+def _gradient(mom: NodeMoments, flat: np.ndarray, delta: float) -> np.ndarray:
+    """Gradient of the contrast at flat: -Q / (delta alpha^3) + n / alpha on
+    alpha_j and (delta G c - cross) / alpha^2 on node j's drift slots."""
+    n = mom.count.sum()
+    grad = np.zeros(flat.shape[0])
+    for j, sl in enumerate(mom.slots):
+        _gram, cross, gc, quad = _node_terms(mom, j, flat[sl], delta)
+        alpha = flat[j]
+        grad[j] = -quad / (delta * alpha ** 3) + n / alpha
+        grad[sl] = (delta * gc - cross) / (alpha * alpha)
+    return grad
+
+
 def _information(mom: NodeMoments, flat: np.ndarray, delta: float,
                  p: int) -> CurvatureBlocks:
     """Observed information of the contrast at flat, one block per node.
 
     Node j's block covers alpha_j and its drift slots: with Q the residual
-    sum of squares (see _chunk_contrast), the alpha entry is
+    sum of squares (see _node_terms), the alpha entry is
     3 Q / (delta alpha^4) - n / alpha^2, the cross terms are
     2 (cross - delta gram c) / alpha^3 and the drift part is
     delta gram / alpha^2.
@@ -349,11 +374,7 @@ def _information(mom: NodeMoments, flat: np.ndarray, delta: float,
     n = mom.count.sum()
     members, blocks = [], []
     for j, sl in enumerate(mom.slots):
-        gram = mom.gram[j].sum(axis=0)
-        cross = mom.cross[j].sum(axis=0)
-        c = flat[sl]
-        gc = gram @ c
-        quad = mom.sq[:, j].sum() - delta * (2.0 * (c @ cross) - delta * (c @ gc))
+        gram, cross, gc, quad = _node_terms(mom, j, flat[sl], delta)
         alpha = flat[j]
         a2 = alpha * alpha
         order = np.argsort(sl)
@@ -488,37 +509,7 @@ def fit_linear_closed_form(path: SamplePath, g: DirectedGraph,
 
 
 # ---------------------------------------------------------------------------
-# gradient and observed information
-
-
-def _residual_parts(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-                    layout: ParamLayout, flat: np.ndarray):
-    x0, dx = _increments(path)
-    theta = layout.unflatten(flat)
-    alpha = theta.alpha
-    if np.any(alpha <= 0):
-        raise DegenerateDiffusionError("diffusion scales must be strictly positive")
-    s = diffusion_shape(spec, x0)
-    inv_var = 1.0 / (alpha * alpha * s * s)
-    drift = path_drift_fn(spec, g, theta)(x0)
-    r = dx - path.delta * drift
-    return x0, r, inv_var, alpha
-
-
-def quasi_grad(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-               layout: ParamLayout, flat: np.ndarray,
-               designs=None) -> np.ndarray:
-    """Analytic gradient of quasi_loglik with respect to the flat vector."""
-    x0, r, inv_var, alpha = _residual_parts(path, spec, g, layout, flat)
-    n = x0.shape[0]
-    if designs is None:
-        designs = node_designs(spec, g, layout, x0)
-    grad = np.zeros(layout.pi_total)
-    quad = np.sum(r * r * inv_var, axis=0)  # per node
-    grad[:layout.pi_alpha] = -quad / (path.delta * alpha) + n / alpha
-    for j, (reg, slots) in enumerate(designs):
-        grad[slots] += -(reg.T @ (r[:, j] * inv_var[:, j]))
-    return grad
+# row-by-row Hessian
 
 
 def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
@@ -533,13 +524,18 @@ def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     if augmented is None:
         augmented = theta.w is not None
     layout = parameter_layout(spec, g, augmented=augmented)
-    flat = layout.flatten(theta)
-    x0, r, inv_var, alpha = _residual_parts(path, spec, g, layout, flat)
+    layout.flatten(theta)  # checks the blocks against the layout
+    x0, dx = _increments(path)
+    alpha = theta.alpha
+    if np.any(alpha <= 0):
+        raise DegenerateDiffusionError("diffusion scales must be strictly positive")
+    s = diffusion_shape(spec, x0)
+    inv_var = 1.0 / (alpha * alpha * s * s)
+    r = dx - path.delta * path_drift_fn(spec, g, theta)(x0)
     n = x0.shape[0]
-    designs = node_designs(spec, g, layout, x0)
     hess = np.zeros((layout.pi_total, layout.pi_total))
     quad = np.sum(r * r * inv_var, axis=0)
-    for j, (reg, slots) in enumerate(designs):
+    for j, (reg, slots) in enumerate(_designs(spec, g, layout, x0)):
         a = layout.alpha_slot(j)
         hess[a, a] = 3.0 * quad[j] / (path.delta * alpha[j] ** 2) - n / alpha[j] ** 2
         cross = (2.0 / alpha[j]) * (reg.T @ (r[:, j] * inv_var[:, j]))
@@ -654,9 +650,11 @@ def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
         grad_tol: convergence is certified when the projected gradient
             sup-norm is below grad_tol * (1 + |contrast|).
 
-    The result is returned even when convergence is not certified; check
-    FitResult.converged.  The information is the analytic Hessian at the
-    estimate, read off the path's NodeMoments.
+    The path enters only through its NodeMoments, built once: the
+    contrast, its gradient, the stage-one scales of the adaptive mode and
+    the information (the analytic Hessian at the estimate) are all read
+    off them, so no descent step walks the path.  The result is returned
+    even when convergence is not certified; check FitResult.converged.
     """
     layout = parameter_layout(spec, g, augmented=augmented)
     if bounds is None:
@@ -684,21 +682,21 @@ def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
         if np.any(raw < lo - 1e-12) or np.any(raw > hi + 1e-12):
             raise BoundsViolationError("init lies outside the box bounds")
 
-    x0_rows, dx = _increments(path)
-    designs = node_designs(spec, g, layout, x0_rows)
+    _increments(path)  # raises on a path without increments
+    mom = _path_moments(spec, g, layout, path.data)
 
     def objective(flat):
-        return quasi_loglik(path, spec, g, layout.unflatten(flat))
+        return float(_chunk_contrast(mom, flat[None], path.delta).sum())
 
     def gradient(flat):
-        return quasi_grad(path, spec, g, layout, flat, designs=designs)
+        return _gradient(mom, flat, path.delta)
 
     rng = np.random.default_rng(seed)
     iterations = 0
 
     if mode == "adaptive" and freeze_alpha is None:
-        alpha_hat = fit_diffusion_scale(path, spec, lo=float(lo[0]), hi=float(hi[0]))
-        alpha_hat = np.clip(alpha_hat, lo[a_sl], hi[a_sl])
+        alpha_hat = np.clip(_scale_estimate(mom, path.delta, float(lo[0]),
+                                            float(hi[0])), lo[a_sl], hi[a_sl])
         flat0[a_sl] = alpha_hat
         lo = lo.copy()
         hi = hi.copy()
@@ -727,8 +725,6 @@ def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     contrast = float(best.fun)
     pg = _projected_grad(gradient(flat_hat), flat_hat, lo, hi)
     converged = bool(np.max(np.abs(pg)) < grad_tol * (1.0 + abs(contrast)))
-
-    mom = _node_moments(dx, diffusion_shape(spec, x0_rows), designs)
     return FitResult(theta_hat=layout.unflatten(flat_hat), contrast_value=contrast,
                      info_blocks=_information(mom, flat_hat, path.delta,
                                               layout.pi_total),

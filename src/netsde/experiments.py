@@ -23,9 +23,9 @@ from .estimate import (FitResult, InsufficientDataError, _closed_form_fit,
                        _MomentFold, fit_adaptive_closed_form)
 from .graph import (DirectedGraph, block_labels, build_graph, complete_graph,
                     erdos_renyi, ergodicity_margin, polymer, sbm)
-from .lasso import (LassoPath, adaptive_weights, estimate_adjacency,
-                    lambda_max, lambda_path, lsa_solve, psd_project,
-                    select_lambda, two_step_refit, validation_loss)
+from .lasso import (LassoPath, adaptive_weights, lambda_max, lambda_path,
+                    psd_project, select_lambda, two_step_refit,
+                    validation_loss)
 from .model import (ConstantDiagonal, LinearDrift, NsdeSpec, TanhClipped,
                     parameter_layout)
 from .simulate import (SamplePath, _check_args, _euler, derive_seeds,
@@ -399,12 +399,7 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
             LassoPath(lambdas=np.array([lam_top]), coefficients=[],
                       active_counts=np.array([0]), lambda_max=lam_top),
             rule=rule, fraction=penalty_cfg.get("fraction"))
-        theta_sel = lsa_solve(h, pilot.theta_hat, lam, weights)
-        lpath = LassoPath(lambdas=np.array([lam]), coefficients=[theta_sel],
-                          active_counts=np.array(
-                              [np.count_nonzero(theta_sel.flat()[weights.flat() > 0])]),
-                          lambda_max=lam_top,
-                          adjacency=[estimate_adjacency(theta_sel.w)])
+        lpath = lambda_path(h, pilot.theta_hat, weights, lambdas=[lam])
         return lpath.adjacency[0], lam, lpath, pilot
 
     lpath = lambda_path(h, pilot.theta_hat, weights,

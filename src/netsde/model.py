@@ -224,26 +224,10 @@ class ParamLayout:
         return base + level * len(self.edges) + rank
 
     @property
-    def alpha_indices(self) -> np.ndarray:
-        return np.arange(self.pi_alpha)
-
-    @property
-    def momentum_indices(self) -> np.ndarray:
-        return self.pi_alpha + np.arange(self.d)
-
-    @property
     def intercept_indices(self) -> np.ndarray:
         if not self.with_intercepts:
             return np.arange(0)
         return self.pi_alpha + self.d + np.arange(self.d)
-
-    @property
-    def network_indices(self) -> np.ndarray:
-        """Flat indices of per-edge coefficients (empty in augmented form)."""
-        if self.augmented:
-            return np.arange(0)
-        base = self.pi_alpha + self.d + (self.d if self.with_intercepts else 0)
-        return base + np.arange(max(self.n_levels, 1) * len(self.edges))
 
     @property
     def w_indices(self) -> np.ndarray:
@@ -389,6 +373,12 @@ def diffusion_eval(spec: NsdeSpec, alpha, x) -> np.ndarray:
     return alpha * diffusion_shape(spec, x)
 
 
+def _edge_index(g: DirectedGraph):
+    """(rows, cols) of the graph's edges, in edge order."""
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
+    return edges[:, 0], edges[:, 1]
+
+
 def linear_drift_matrix(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector):
     """(M, b0) with b(x) = M x + b0 for the linear family."""
     if not isinstance(spec.drift, LinearDrift):
@@ -396,14 +386,11 @@ def linear_drift_matrix(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector):
     layout = parameter_layout(spec, g, augmented=theta.w is not None)
     m = -np.diag(layout.momentum(theta))
     if layout.augmented:
-        for i in range(spec.d):
-            for j in range(spec.d):
-                if j != i:
-                    m[i, j] += theta.w[pair_index(i, j, spec.d)]
+        # pair weights run over the off-diagonal entries in row-major order
+        m[~np.eye(spec.d, dtype=bool)] += theta.w
     else:
-        net = layout.network(theta)
-        for rank, (i, j) in enumerate(g.edges):
-            m[i, j] += net[rank]
+        rows, cols = _edge_index(g)
+        m[rows, cols] += layout.network(theta)
     b0 = layout.intercepts(theta) if layout.with_intercepts else np.zeros(spec.d)
     return m, b0
 
@@ -420,15 +407,12 @@ def path_drift_fn(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector):
         return drift
 
     layout = parameter_layout(spec, g, augmented=False)
-    net = layout.network(theta)
     mu = layout.momentum(theta)
-    n_e = len(g.edges)
-    weights = []
-    for lev in range(spec.drift.n_levels):
-        wmat = np.zeros((spec.d, spec.d))
-        for rank, (i, j) in enumerate(g.edges):
-            wmat[i, j] = net[lev * n_e + rank]
-        weights.append(wmat.T.copy())
+    rows, cols = _edge_index(g)
+    # weights[lev] is level lev's coefficient matrix, transposed
+    weights = np.zeros((spec.drift.n_levels, spec.d, spec.d))
+    weights[:, cols, rows] = layout.network(theta).reshape(
+        spec.drift.n_levels, len(g.edges))
     offsets = np.asarray(spec.drift.offsets, dtype=float)
     exponents = np.asarray(spec.drift.exponents, dtype=float)
 

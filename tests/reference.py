@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from netsde.estimate import fit_adaptive_closed_form
+from netsde.estimate import fit_adaptive_closed_form, node_designs
 from netsde.experiments import _study_spec, _study_truth, study_graph
 from netsde.graph import DirectedGraph
 from netsde.model import (LinearDrift, NsdeSpec, ParamVector, _check_state,
@@ -91,6 +91,24 @@ def drift_contrast(path, spec: NsdeSpec, g: DirectedGraph,
 def sigma_path(path, spec: NsdeSpec, alpha) -> np.ndarray:
     """sigma evaluated at the left endpoint of every increment, shape (n, d)."""
     return np.asarray(alpha, dtype=float) * diffusion_shape(spec, path.data[:-1])
+
+
+def quasi_grad(path, spec: NsdeSpec, g: DirectedGraph, layout,
+               flat: np.ndarray) -> np.ndarray:
+    """Analytic gradient of quasi_loglik with respect to the flat vector,
+    summed row by row over the node designs."""
+    x0 = path.data[:-1]
+    theta = layout.unflatten(flat)
+    alpha = theta.alpha
+    s = diffusion_shape(spec, x0)
+    inv_var = 1.0 / (alpha * alpha * s * s)
+    r = np.diff(path.data, axis=0) - path.delta * path_drift_fn(spec, g, theta)(x0)
+    grad = np.zeros(layout.pi_total)
+    quad = np.sum(r * r * inv_var, axis=0)  # per node
+    grad[:layout.pi_alpha] = -quad / (path.delta * alpha) + x0.shape[0] / alpha
+    for j, (reg, slots) in enumerate(node_designs(spec, g, layout, x0)):
+        grad[slots] += -(reg.T @ (r[:, j] * inv_var[:, j]))
+    return grad
 
 
 def path_diffusion_fn(spec: NsdeSpec, theta: ParamVector):

@@ -6,15 +6,15 @@ from netsde.estimate import (BoundsViolationError, DegenerateDiffusionError,
                              fit_adaptive_closed_form, fit_diffusion_scale,
                              fit_linear_closed_form, fit_qmle,
                              fit_result_to_dict, fit_result_to_json,
-                             model_hessian, node_designs, quasi_grad,
-                             quasi_loglik, rate_diagonal, scaled_information)
+                             model_hessian, node_designs, quasi_loglik,
+                             rate_diagonal, scaled_information)
 from netsde.graph import build_graph, complete_graph
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           ParamVector, RadialDictionaryDrift, TanhClipped,
                           diffusion_eval, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
 from reference import (diffusion_contrast, drift_contrast, drift_eval,
-                       numerical_hessian, sigma_path)
+                       numerical_hessian, quasi_grad, sigma_path)
 
 
 def small_model(clip=100.0):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor
 
-from netsde import estimate
-from netsde.estimate import (_chunk_contrast, _information, _path_moments,
-                             fit_adaptive_closed_form, fit_qmle,
+from netsde import estimate, model
+from netsde.estimate import (_chunk_contrast, _gradient, _information,
+                             _path_moments, fit_adaptive_closed_form, fit_qmle,
                              fit_result_to_dict, model_hessian, quasi_loglik)
 from netsde.experiments import select_graph
 from netsde.graph import build_graph, complete_graph
@@ -16,7 +16,7 @@ from netsde.lasso import validation_loss
 from netsde.model import (LinearDrift, NsdeSpec, RadialDictionaryDrift,
                           TanhClipped, parameter_layout)
 from netsde.simulate import simulate_path
-from reference import validation_loss_by_rows
+from reference import quasi_grad, validation_loss_by_rows
 
 # node 0's parents are listed out of order, so its slots are not ascending
 EDGES = [(0, 2), (0, 1), (1, 2), (2, 0)]
@@ -86,6 +86,32 @@ def test_information_blocks_match_model_hessian(name):
         contrast = _chunk_contrast(mom, flat[None], path.delta).sum()
         assert contrast == pytest.approx(quasi_loglik(path, spec, g, theta),
                                          rel=1e-12)
+        want = quasi_grad(path, spec, g, layout, flat)
+        assert np.allclose(_gradient(mom, flat, path.delta), want, rtol=0.0,
+                           atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "joint"])
+def test_fit_qmle_reads_the_path_once_through_its_moments(monkeypatch, mode):
+    spec, g, _aug, path, candidates = model_case("radial")
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return _path_moments(*args, **kwargs)
+
+    def row_by_row(*args, **kwargs):
+        raise AssertionError("a row-by-row evaluator ran during the fit")
+
+    monkeypatch.setattr(estimate, "_path_moments", counted)
+    for name in ("quasi_loglik", "model_hessian", "path_drift_fn"):
+        monkeypatch.setattr(estimate, name, row_by_row)
+    monkeypatch.setattr(model, "path_drift_fn", row_by_row)
+    fit = fit_qmle(path, spec, g, mode=mode, restarts=2, init=candidates[0])
+    monkeypatch.undo()
+    assert len(builds) == 1
+    assert fit.contrast_value == pytest.approx(
+        quasi_loglik(path, spec, g, fit.theta_hat), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -98,9 +124,8 @@ def test_fits_carry_the_reference_contrast_information_and_errors(name):
     want = model_hessian(path, spec, g, fit.theta_hat, augmented=augmented)
     assert np.allclose(fit.info_matrix, want, rtol=0.0,
                        atol=1e-12 * np.abs(want).max())
-    if name != "radial":  # the iterative fit reports the optimizer's value
-        assert fit.contrast_value == pytest.approx(
-            quasi_loglik(path, spec, g, fit.theta_hat), rel=1e-12)
+    assert fit.contrast_value == pytest.approx(
+        quasi_loglik(path, spec, g, fit.theta_hat), rel=1e-12)
     # block-wise standard errors against the dense inverse
     rate = fit.rate_diag
     dense = rate * np.diag(np.linalg.inv(fit.scaled_info)) * rate
