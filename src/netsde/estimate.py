@@ -27,6 +27,11 @@ CurvatureBlocks block per node) and, in netsde.lasso, the held-out loss
 of every penalty candidate.  Only quasi_loglik and model_hessian still
 evaluate the contrast and its Hessian row by row; they are the
 package's reference evaluators.
+
+The closed-form fits factor each node's Gram matrix with numpy's
+Cholesky (np.linalg.cholesky) and solve through the triangular factors,
+so they need numpy alone; only fit_qmle's L-BFGS-B descent imports
+scipy, when it is called.
 """
 from __future__ import annotations
 
@@ -34,8 +39,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from .graph import DirectedGraph
 from .model import (LayoutMismatchError, LinearDrift, NsdeSpec, ParamLayout,
@@ -396,10 +399,13 @@ def _solve_grams(grams, rhs):
     """Cholesky solve of each node's Gram system; returns (coefs, conds,
     jittered).
 
-    A Gram matrix with condition number above 1e14 raises
-    SingularGramError.  One whose factorization breaks down from rounding
-    is retried with a diagonal jitter of 1e-10 times its mean diagonal;
-    the jittered nodes are flagged and named in one warning.
+    Each Gram matrix G is factored as G = L L' by np.linalg.cholesky, and
+    the system is solved through its triangular factors, L y = b and then
+    L' c = y, with np.linalg.solve.  A Gram matrix with condition number
+    above 1e14 raises SingularGramError.  One whose factorization breaks
+    down from rounding (np.linalg.LinAlgError) is retried with a diagonal
+    jitter of 1e-10 times its mean diagonal; the jittered nodes are
+    flagged and named in one warning.
     """
     conds = np.empty(len(grams))
     jittered = np.zeros(len(grams), dtype=bool)
@@ -412,18 +418,18 @@ def _solve_grams(grams, rhs):
                 f"weighted Gram matrix for node {j} is singular "
                 f"(condition number {cond:.3g})", node=j, cond=cond)
         try:
-            factor = cho_factor(gram)
+            chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             # near-PSD breakdown from rounding; stabilize and flag
             gram = gram + np.eye(gram.shape[0]) * (1e-10 * np.trace(gram) / gram.shape[0])
             jittered[j] = True
             try:
-                factor = cho_factor(gram)
+                chol = np.linalg.cholesky(gram)
             except np.linalg.LinAlgError:
                 raise SingularGramError(
                     f"weighted Gram matrix for node {j} is not positive definite",
                     node=j, cond=cond) from None
-        coefs.append(cho_solve(factor, b))
+        coefs.append(np.linalg.solve(chol.T, np.linalg.solve(chol, b)))
     if jittered.any():
         listed = ", ".join(f"{j} (condition number {conds[j]:.3g})"
                            for j in np.flatnonzero(jittered))
@@ -656,6 +662,9 @@ def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     off them, so no descent step walks the path.  The result is returned
     even when convergence is not certified; check FitResult.converged.
     """
+    # imported here so that `import netsde` and the closed-form fits load no scipy
+    from scipy.optimize import minimize
+
     layout = parameter_layout(spec, g, augmented=augmented)
     if bounds is None:
         lo, hi = default_bounds(layout)

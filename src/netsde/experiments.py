@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .estimate import (FitResult, InsufficientDataError, _closed_form_fit,
                        _MomentFold, fit_adaptive_closed_form)
@@ -666,6 +665,9 @@ def modularity(a, labels, resolution: float = 1.0) -> float:
 
 def label_agreement(labels_a, labels_b) -> float:
     """Fraction of nodes matched under the best label permutation."""
+    # imported here so that `import netsde` and the fits load no scipy
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(labels_a, dtype=int)
     b = np.asarray(labels_b, dtype=int)
     if a.shape != b.shape or a.ndim != 1:

@@ -30,8 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .estimate import (CurvatureBlocks, FitResult, InsufficientDataError,
                        _chunk_contrast, _path_moments,
@@ -139,6 +137,10 @@ def curvature_blocks(h) -> CurvatureBlocks:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise LassoError(f"curvature matrix must be square, got shape {h.shape}")
+    # imported here: the pilot hands over CurvatureBlocks, so only a dense h needs scipy
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     _, labels = connected_components(csr_matrix(h != 0.0), directed=False)
     members = np.split(np.argsort(labels, kind="stable"),
                        np.cumsum(np.bincount(labels))[:-1])

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
+from numpy.linalg import cholesky
 
 from netsde import estimate, model
 from netsde.estimate import (_chunk_contrast, _gradient, _information,
@@ -153,9 +153,9 @@ def test_jittered_gram_is_flagged_warned_and_exported(monkeypatch):
         calls.append(gram.shape)
         if len(calls) == 2:  # node 1's first factorization
             raise np.linalg.LinAlgError("not positive definite")
-        return cho_factor(gram, *args, **kwargs)
+        return cholesky(gram, *args, **kwargs)
 
-    monkeypatch.setattr(estimate, "cho_factor", failing_once_for_node_1)
+    monkeypatch.setattr(estimate.np.linalg, "cholesky", failing_once_for_node_1)
     with pytest.warns(UserWarning, match=r"node\(s\) 1 \(condition number") as rec:
         fit = fit_adaptive_closed_form(path, spec, g)
     assert len(rec) == 1
