@@ -145,9 +145,7 @@ def _cmd_fit(cfg: dict, out_dir: str) -> list[str]:
             intercepts=cfg.get("intercepts"))
     elif method in ("adaptive", "joint"):
         fit = fit_qmle(path, spec, g, mode=method,
-                       augmented=bool(cfg.get("augmented", False)),
-                       restarts=int(cfg.get("restarts", 5)),
-                       seed=int(cfg.get("seed", 0)))
+                       augmented=bool(cfg.get("augmented", False)))
     else:
         raise ConfigFieldError("method", f"unknown method {method!r}")
     return [_write_text(out_dir, "fit.json", _dump_json(fit_result_to_dict(fit)))]

@@ -20,18 +20,24 @@ One pass over the path builds them, per contiguous chunk of increments
 when asked, or per replication for a batch of paths; the sums are
 additive, so paths that arrive chunk by chunk from the simulator fold
 into them without being stored.  Every fit reads the path through them
-alone: the stage-one scales, the closed-form generalized least squares
-of the linear family, the contrast value and gradient that fit_qmle's
-quasi-Newton descent minimizes, the observed information (one
+alone: the stage-one scales, the per-node generalized least squares,
+the contrast value and gradient, the observed information (one
 CurvatureBlocks block per node) and, in netsde.lasso, the held-out loss
 of every penalty candidate.  Only quasi_loglik and model_hessian still
 evaluate the contrast and its Hessian row by row; they are the
 package's reference evaluators.
 
-The closed-form fits factor each node's Gram matrix with numpy's
-Cholesky (np.linalg.cholesky) and solve through the triangular factors,
-so they need numpy alone; only fit_qmle's L-BFGS-B descent imports
-scipy, when it is called.
+Node j's contrast is Q_j(c_j) / (2 delta alpha_j^2) + (n/2) log alpha_j^2
+plus a constant, with Q_j the weighted residual sum of squares, a
+quadratic in the drift coefficients c_j.  Its minimizer in c_j therefore
+does not depend on alpha_j, and every fit is exact: fit_qmle and
+fit_adaptive_closed_form share one moments core that solves each node's
+Gram system (over the model box for fit_qmle, with netsde.lasso's
+active-set solver wherever the solution leaves it) and then sets the
+scales, by stage one, at alpha_j^2 = Q_j / (n delta) for the joint fit,
+or at given values.  The Gram systems are factored with numpy's
+Cholesky (np.linalg.cholesky) and solved through the triangular
+factors, so no fit needs scipy.
 """
 from __future__ import annotations
 
@@ -60,10 +66,6 @@ class SingularGramError(EstimationError):
         super().__init__(message)
         self.node = node
         self.cond = cond
-
-
-class BoundsViolationError(ValueError):
-    pass
 
 
 class InsufficientDataError(EstimationError):
@@ -151,15 +153,6 @@ def _designs(spec: NsdeSpec, g: DirectedGraph, layout: ParamLayout,
                 cols.append(x0_rows[:, k] * scales[lev])
                 slots.append(layout.edge_slot(j, k, level=lev))
         yield np.column_stack(cols), np.asarray(slots, dtype=int)
-
-
-def node_designs(spec: NsdeSpec, g: DirectedGraph, layout: ParamLayout,
-                 x0_rows: np.ndarray):
-    """Per-node regressor matrices: b_j(x) = R_j @ theta_flat[slots_j].
-
-    Returns a list of (R_j, slots_j) with R_j of shape (n, q_j).
-    """
-    return list(_designs(spec, g, layout, x0_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +577,8 @@ class FitResult:
     The observed information is kept as node blocks (info_blocks);
     info_matrix and scaled_info build dense p x p copies on each access.
     gram_cond and gram_jittered hold, per node, the condition number of
-    the closed-form fit's weighted Gram matrix and whether its Cholesky
-    factorization needed a jitter (None for iterative fits).
+    its weighted Gram matrix and whether its Cholesky factorization
+    needed a jitter.
     """
 
     theta_hat: ParamVector
@@ -597,9 +590,8 @@ class FitResult:
     layout: ParamLayout
     n: int
     delta: float
-    message: str = ""
-    gram_cond: np.ndarray | None = field(default=None, repr=False)
-    gram_jittered: np.ndarray | None = field(default=None, repr=False)
+    gram_cond: np.ndarray = field(repr=False)
+    gram_jittered: np.ndarray = field(repr=False)
 
     @property
     def info_matrix(self) -> np.ndarray:
@@ -636,111 +628,42 @@ def _projected_grad(grad, x, lo, hi):
 
 
 def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-             mode: str = "adaptive", init: ParamVector | None = None,
-             augmented: bool = False, bounds=None, restarts: int = 5,
-             max_iter: int = 500, grad_tol: float = 1e-8,
-             freeze_alpha=None, seed: int = 0) -> FitResult:
-    """Quasi-likelihood fit by box-constrained quasi-Newton descent.
+             mode: str = "adaptive", augmented: bool = False,
+             freeze_alpha=None) -> FitResult:
+    """Exact quasi-likelihood fit over the model box, node by node.
 
     Args:
         mode: "joint" minimizes the contrast over all parameters at once;
-            "adaptive" first solves the stage-one diffusion contrast exactly,
-            then minimizes the drift contrast with the scales frozen.
-        init: starting point (defaults to unit scales and zero drift).
+            "adaptive" first solves the stage-one diffusion contrast
+            exactly, then minimizes the drift contrast with those scales.
         augmented: use ordered-pair weights instead of per-edge coefficients.
-        bounds: (lo, hi) arrays over the flat vector; defaults to the model box.
-        restarts: number of descent starts (the extra starts are seeded
-            perturbations of init, clipped to the box).
-        freeze_alpha: fix the diffusion scales at the given values by
-            collapsing their box.
-        grad_tol: convergence is certified when the projected gradient
-            sup-norm is below grad_tol * (1 + |contrast|).
+        freeze_alpha: fix the diffusion scales at the given values.
 
-    The path enters only through its NodeMoments, built once: the
-    contrast, its gradient, the stage-one scales of the adaptive mode and
-    the information (the analytic Hessian at the estimate) are all read
-    off them, so no descent step walks the path.  The result is returned
-    even when convergence is not certified; check FitResult.converged.
+    Node j's contrast is Q_j(c_j) / (2 delta alpha_j^2) + (n/2) log alpha_j^2
+    plus a constant, with Q_j a quadratic in its drift coefficients c_j, so
+    the minimizer in c_j does not depend on alpha_j and both modes share it:
+    the generalized least squares point, solved over the box
+    (default_bounds) wherever that point leaves it.  The joint scales are
+    then alpha_j^2 = Q_j / (n delta).  The path enters only through its
+    NodeMoments, built once.  converged certifies the result: the
+    projected gradient over the optimized coordinates is below
+    1e-8 (1 + |contrast|).  A numerically singular Gram matrix raises
+    SingularGramError.
     """
-    # imported here so that `import netsde` and the closed-form fits load no scipy
-    from scipy.optimize import minimize
-
-    layout = parameter_layout(spec, g, augmented=augmented)
-    if bounds is None:
-        lo, hi = default_bounds(layout)
-    else:
-        lo = np.asarray(bounds[0], dtype=float).copy()
-        hi = np.asarray(bounds[1], dtype=float).copy()
-    # keep the likelihood away from the degenerate sigma = 0 boundary
-    a_sl = slice(0, layout.pi_alpha)
-    lo[a_sl] = np.maximum(lo[a_sl], _ALPHA_FLOOR)
-
-    if init is None:
-        flat0 = np.zeros(layout.pi_total)
-        flat0[a_sl] = 1.0
-    else:
-        flat0 = layout.flatten(init).copy()
-    if freeze_alpha is not None:
-        fa = np.clip(np.asarray(freeze_alpha, dtype=float), _ALPHA_FLOOR, None)
-        flat0[a_sl] = fa
-        lo[a_sl] = fa
-        hi[a_sl] = fa
-    flat0 = np.clip(flat0, lo, hi)
-    if init is not None and freeze_alpha is None:
-        raw = layout.flatten(init)
-        if np.any(raw < lo - 1e-12) or np.any(raw > hi + 1e-12):
-            raise BoundsViolationError("init lies outside the box bounds")
-
-    _increments(path)  # raises on a path without increments
-    mom = _path_moments(spec, g, layout, path.data)
-
-    def objective(flat):
-        return float(_chunk_contrast(mom, flat[None], path.delta).sum())
-
-    def gradient(flat):
-        return _gradient(mom, flat, path.delta)
-
-    rng = np.random.default_rng(seed)
-    iterations = 0
-
-    if mode == "adaptive" and freeze_alpha is None:
-        alpha_hat = np.clip(_scale_estimate(mom, path.delta, float(lo[0]),
-                                            float(hi[0])), lo[a_sl], hi[a_sl])
-        flat0[a_sl] = alpha_hat
-        lo = lo.copy()
-        hi = hi.copy()
-        lo[a_sl] = alpha_hat
-        hi[a_sl] = alpha_hat
-    elif mode not in ("joint", "adaptive"):
+    if mode not in ("joint", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    scipy_bounds = list(zip(lo, hi))
-    best = None
-    for start in range(max(1, restarts)):
-        if start == 0:
-            x_start = flat0
-        else:
-            spread = 0.5 * (1.0 + np.abs(flat0))
-            x_start = np.clip(flat0 + spread * rng.standard_normal(flat0.shape), lo, hi)
-        res = minimize(objective, x_start, jac=gradient, method="L-BFGS-B",
-                       bounds=scipy_bounds,
-                       options={"maxiter": max_iter, "ftol": 2.3e-16,
-                                "gtol": 1e-12, "maxfun": 20 * max_iter * (1 + layout.pi_total)})
-        iterations += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-
-    flat_hat = np.clip(best.x, lo, hi)
-    contrast = float(best.fun)
-    pg = _projected_grad(gradient(flat_hat), flat_hat, lo, hi)
-    converged = bool(np.max(np.abs(pg)) < grad_tol * (1.0 + abs(contrast)))
-    return FitResult(theta_hat=layout.unflatten(flat_hat), contrast_value=contrast,
-                     info_blocks=_information(mom, flat_hat, path.delta,
-                                              layout.pi_total),
-                     rate_diag=rate_diagonal(layout, path.n, path.delta),
-                     converged=converged, iterations=iterations, layout=layout,
-                     n=path.n, delta=path.delta,
-                     message=str(best.message))
+    layout = parameter_layout(spec, g, augmented=augmented)
+    _increments(path)  # raises on a path without increments
+    lo, hi = default_bounds(layout)
+    # keep the likelihood away from the degenerate sigma = 0 boundary
+    lo[:layout.pi_alpha] = _ALPHA_FLOOR
+    alpha = None
+    if freeze_alpha is not None:
+        alpha = np.clip(np.asarray(freeze_alpha, dtype=float), _ALPHA_FLOOR, None)
+    return _closed_form_fit(_path_moments(spec, g, layout, path.data), layout,
+                            path.delta, layout.with_intercepts,
+                            joint=mode == "joint" and alpha is None,
+                            alpha=alpha, box=(lo, hi))
 
 
 def fit_adaptive_closed_form(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
@@ -771,30 +694,63 @@ def fit_adaptive_closed_form(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
 
 
 def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
-                     intercepts: bool) -> FitResult:
-    """The two-stage closed-form fit read off a linear-family path's moments
-    (every chunk of mom counts)."""
+                     intercepts: bool, joint: bool = False, alpha=None,
+                     box=None) -> FitResult:
+    """The fit read off a path's moments (every chunk of mom counts).
+
+    Each node's drift coefficients solve its weighted Gram system; with
+    box = (lo, hi), a node whose solution leaves the box is solved over it
+    by netsde.lasso's active-set method at zero penalty, and the result
+    is certified.  The scales are sqrt(Q_j / (n delta)) at the fitted
+    coefficients when joint, else alpha when given, else the stage-one
+    scales.
+    """
     n = int(mom.count.sum())
-    alpha_hat = np.clip(_scale_estimate(mom, delta, 0.0, 1e3),
-                        _ALPHA_FLOOR, None)
     # the intercept is column 1 of a design; an unfitted one stays at zero
     keep = [np.arange(sl.shape[0]) for sl in mom.slots]
     if layout.with_intercepts and not intercepts:
         keep = [np.delete(k, 1) for k in keep]
+    grams = [gram.sum(axis=0)[np.ix_(k, k)] for gram, k in zip(mom.gram, keep)]
     coefs, conds, jittered = _solve_grams(
-        [gram.sum(axis=0)[np.ix_(k, k)] for gram, k in zip(mom.gram, keep)],
-        [cross.sum(axis=0)[k] / delta for cross, k in zip(mom.cross, keep)])
+        grams, [cross.sum(axis=0)[k] / delta for cross, k in zip(mom.cross, keep)])
     flat = np.zeros(layout.pi_total)
-    flat[:layout.pi_alpha] = alpha_hat
-    for sl, k, coef in zip(mom.slots, keep, coefs):
-        flat[sl[k]] = coef
-    return FitResult(theta_hat=layout.unflatten(flat),
-                     contrast_value=float(_chunk_contrast(
-                         mom, flat[None], delta).sum()),
+    members = [sl[k] for sl, k in zip(mom.slots, keep)]
+    for idx, coef in zip(members, coefs):
+        flat[idx] = coef
+    if box is not None:
+        lo, hi = box
+        outside = [j for j, idx in enumerate(members)
+                   if np.any((flat[idx] < lo[idx]) | (flat[idx] > hi[idx]))]
+        if outside:
+            # netsde.lasso imports this module, so its solver is imported here
+            from .lasso import _active_set
+
+            order = [np.argsort(members[j]) for j in outside]
+            hb = CurvatureBlocks.from_blocks(
+                layout.pi_total, [members[j][o] for j, o in zip(outside, order)],
+                [grams[j][np.ix_(o, o)] for j, o in zip(outside, order)])
+            flat = _active_set(hb, flat, np.zeros_like(flat), lo, hi,
+                               np.clip(flat, lo, hi))
+    if joint:
+        quad = [_node_terms(mom, j, flat[sl], delta)[3]
+                for j, sl in enumerate(mom.slots)]
+        alpha = np.clip(np.sqrt(np.array(quad) / (n * delta)), _ALPHA_FLOOR, 1e3)
+    elif alpha is None:
+        alpha = np.clip(_scale_estimate(mom, delta, 0.0, 1e3), _ALPHA_FLOOR, None)
+    flat[:layout.pi_alpha] = alpha
+    contrast = float(_chunk_contrast(mom, flat[None], delta).sum())
+    converged = True
+    if box is not None:
+        grad = _gradient(mom, flat, delta)
+        if not joint:
+            grad[:layout.pi_alpha] = 0.0
+        pg = _projected_grad(grad, flat, *box)
+        converged = bool(np.max(np.abs(pg)) < 1e-8 * (1.0 + abs(contrast)))
+    return FitResult(theta_hat=layout.unflatten(flat), contrast_value=contrast,
                      info_blocks=_information(mom, flat, delta,
                                               layout.pi_total),
                      rate_diag=rate_diagonal(layout, n, delta),
-                     converged=True, iterations=0, layout=layout,
+                     converged=converged, iterations=0, layout=layout,
                      n=n, delta=delta, gram_cond=conds,
                      gram_jittered=jittered)
 
@@ -841,10 +797,8 @@ def fit_result_to_dict(fit: FitResult) -> dict:
         "iterations": fit.iterations,
         "n": fit.n,
         "delta": fit.delta,
-        "gram_cond_max": None if fit.gram_cond is None
-            else float(np.max(fit.gram_cond, initial=0.0)),
-        "gram_jittered": None if fit.gram_jittered is None
-            else int(np.count_nonzero(fit.gram_jittered)),
+        "gram_cond_max": float(np.max(fit.gram_cond, initial=0.0)),
+        "gram_jittered": int(np.count_nonzero(fit.gram_jittered)),
     }
 
 

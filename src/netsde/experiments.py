@@ -409,8 +409,15 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
         fraction=holdout)
     lam = select_lambda(lpath, rule=rule)
     # min and half_se both pick a grid point
-    a_hat = lpath.adjacency[int(np.flatnonzero(lpath.lambdas == lam)[0])]
-    return a_hat, lam, lpath, pilot
+    pick = int(np.flatnonzero(lpath.lambdas == lam)[0])
+    loss, se = lpath.validation_loss, lpath.validation_se
+    best = int(np.argmin(loss))
+    if pick == 0 and best > 0:
+        lpath.notes.append(
+            f"half_se selected lambda_max, the empty graph: its held-out loss "
+            f"{loss[0]:.6g} is within half a standard error ({se[best]:.3g}) "
+            f"of the minimum {loss[best]:.6g} at lam={lpath.lambdas[best]:.6g}")
+    return lpath.adjacency[pick], lam, lpath, pilot
 
 
 def _edge_scores(a_true: np.ndarray, a_hat: np.ndarray) -> dict:

@@ -569,19 +569,18 @@ def graph_from_adjacency(a_hat: np.ndarray) -> DirectedGraph:
     return build_graph(d, zip(rows.tolist(), cols.tolist()))
 
 
-def two_step_refit(path_data: SamplePath, spec: NsdeSpec, a_hat: np.ndarray,
-                   optimizer: bool = False, restarts: int = 1) -> FitResult:
-    """Unpenalized two-stage refit on the selected graph.
+def two_step_refit(path_data: SamplePath, spec: NsdeSpec,
+                   a_hat: np.ndarray) -> FitResult:
+    """Unpenalized two-stage refit on the selected graph: the exact
+    minimizer of the two-stage contrast.
 
-    By default the linear family is refit in closed form (the exact
-    minimizer of the two-stage contrast); optimizer=True, or a non-linear
-    drift family, runs the iterative fit instead.
+    The linear family is refit by fit_adaptive_closed_form, any other
+    drift family by fit_qmle over the model box.
     """
     g_hat = graph_from_adjacency(a_hat)
-    if optimizer or not isinstance(spec.drift, LinearDrift):
-        return fit_qmle(path_data, spec, g_hat, mode="adaptive",
-                        restarts=restarts)
-    return fit_adaptive_closed_form(path_data, spec, g_hat)
+    if isinstance(spec.drift, LinearDrift):
+        return fit_adaptive_closed_form(path_data, spec, g_hat)
+    return fit_qmle(path_data, spec, g_hat, mode="adaptive")
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ enumeration.  They are
 slow on purpose and live here, not in the package.
 """
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
-from netsde.estimate import fit_adaptive_closed_form, node_designs
+from netsde.estimate import _designs, fit_adaptive_closed_form
 from netsde.experiments import _study_spec, _study_truth, study_graph
 from netsde.graph import DirectedGraph
 from netsde.model import (LinearDrift, NsdeSpec, ParamVector, _check_state,
@@ -37,6 +38,24 @@ def numerical_hessian(fn, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
             hess[k, m] = val
             hess[m, k] = val
     return hess
+
+
+def exact_inverse_diagonal(matrix: np.ndarray) -> np.ndarray:
+    """Diagonal of the inverse of a float matrix, by Gauss-Jordan
+    elimination in exact rational arithmetic, rounded to float once."""
+    n = matrix.shape[0]
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == k)) for k in range(n)]
+            for i, row in enumerate(np.asarray(matrix, dtype=float).tolist())]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [v / head for v in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor != 0:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return np.array([float(rows[i][n + i]) for i in range(n)])
 
 
 def drift_eval(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x) -> np.ndarray:
@@ -91,6 +110,14 @@ def drift_contrast(path, spec: NsdeSpec, g: DirectedGraph,
 def sigma_path(path, spec: NsdeSpec, alpha) -> np.ndarray:
     """sigma evaluated at the left endpoint of every increment, shape (n, d)."""
     return np.asarray(alpha, dtype=float) * diffusion_shape(spec, path.data[:-1])
+
+
+def node_designs(spec: NsdeSpec, g: DirectedGraph, layout, x0_rows: np.ndarray):
+    """Per-node regressor matrices: b_j(x) = R_j @ theta_flat[slots_j].
+
+    Returns a list of (R_j, slots_j) with R_j of shape (n, q_j).
+    """
+    return list(_designs(spec, g, layout, x0_rows))
 
 
 def quasi_grad(path, spec: NsdeSpec, g: DirectedGraph, layout,

@@ -234,6 +234,15 @@ def test_select_graph_with_validation_curve():
     assert lpath.validation_loss is not None and lpath.validation_se is not None
     assert lam in lpath.lambdas
     assert pilot.converged
+    # the held-out loss is flat here, so half_se stops at lambda_max, the
+    # empty graph, although the minimum lies further down; a note says so
+    loss, se = lpath.validation_loss, lpath.validation_se
+    best = int(np.argmin(loss))
+    assert lam == lpath.lambdas[0] and best > 0 and not a_hat.any()
+    notes = [note for note in lpath.notes if "lambda_max" in note]
+    assert len(notes) == 1
+    for value in (f"{loss[0]:.6g}", f"{loss[best]:.6g}", f"{se[best]:.3g}"):
+        assert value in notes[0]
     with pytest.raises(StudyError, match="holdout"):
         select_graph(path, spec, {"rule": "half_se", "holdout": 1.0})
 

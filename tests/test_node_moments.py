@@ -14,9 +14,10 @@ from netsde.experiments import select_graph
 from netsde.graph import build_graph, complete_graph
 from netsde.lasso import validation_loss
 from netsde.model import (LinearDrift, NsdeSpec, RadialDictionaryDrift,
-                          TanhClipped, parameter_layout)
+                          TanhClipped, default_bounds, diffusion_shape,
+                          parameter_layout, path_drift_fn)
 from netsde.simulate import simulate_path
-from reference import quasi_grad, validation_loss_by_rows
+from reference import exact_inverse_diagonal, quasi_grad, validation_loss_by_rows
 
 # node 0's parents are listed out of order, so its slots are not ascending
 EDGES = [(0, 2), (0, 1), (1, 2), (2, 0)]
@@ -107,7 +108,7 @@ def test_fit_qmle_reads_the_path_once_through_its_moments(monkeypatch, mode):
     for name in ("quasi_loglik", "model_hessian", "path_drift_fn"):
         monkeypatch.setattr(estimate, name, row_by_row)
     monkeypatch.setattr(model, "path_drift_fn", row_by_row)
-    fit = fit_qmle(path, spec, g, mode=mode, restarts=2, init=candidates[0])
+    fit = fit_qmle(path, spec, g, mode=mode)
     monkeypatch.undo()
     assert len(builds) == 1
     assert fit.contrast_value == pytest.approx(
@@ -118,7 +119,7 @@ def test_fit_qmle_reads_the_path_once_through_its_moments(monkeypatch, mode):
 def test_fits_carry_the_reference_contrast_information_and_errors(name):
     spec, g, augmented, path, _candidates = model_case(name)
     if name == "radial":
-        fit = fit_qmle(path, spec, g, mode="adaptive", restarts=1)
+        fit = fit_qmle(path, spec, g, mode="adaptive")
     else:
         fit = fit_adaptive_closed_form(path, spec, g, augmented=augmented)
     want = model_hessian(path, spec, g, fit.theta_hat, augmented=augmented)
@@ -126,11 +127,42 @@ def test_fits_carry_the_reference_contrast_information_and_errors(name):
                        atol=1e-12 * np.abs(want).max())
     assert fit.contrast_value == pytest.approx(
         quasi_loglik(path, spec, g, fit.theta_hat), rel=1e-12)
-    # block-wise standard errors against the dense inverse
+    # block-wise standard errors against the exact inverse of the whole
+    # matrix (a float inverse of the radial case, condition number 1.6e7,
+    # is itself about 1e-12 off)
     rate = fit.rate_diag
-    dense = rate * np.diag(np.linalg.inv(fit.scaled_info)) * rate
+    dense = rate * exact_inverse_diagonal(fit.scaled_info) * rate
     assert np.allclose(fit.standard_errors(), np.sqrt(dense), rtol=1e-12,
                        atol=0.0)
+
+
+def test_joint_radial_fit_meets_its_kkt_conditions():
+    # the Gram condition number is 3.6e5 and one coefficient sits on the
+    # box at -1000
+    spec, g, _aug, path, _candidates = model_case("radial")
+    fit = fit_qmle(path, spec, g, mode="joint")
+    assert fit.converged
+    layout = fit.layout
+    flat = layout.flatten(fit.theta_hat)
+    grad = quasi_grad(path, spec, g, layout, flat)
+    lo, hi = default_bounds(layout)
+    at_lo = flat == lo
+    assert np.flatnonzero(at_lo).tolist() == [12] and flat[12] == -1000.0
+    assert np.all(flat < hi)
+    assert grad[12] > 0.0  # the bound blocks the descent direction
+    tol = 1e-8 * (1.0 + abs(fit.contrast_value))
+    assert np.max(np.abs(grad[~at_lo])) <= tol
+    # the joint scales are alpha_j^2 = Q_j / (n delta) at the fitted drift
+    x0 = path.data[:-1]
+    resid = np.diff(path.data, axis=0) - path.delta * path_drift_fn(
+        spec, g, fit.theta_hat)(x0)
+    quad = np.sum((resid / diffusion_shape(spec, x0)) ** 2, axis=0)
+    assert np.allclose(fit.theta_hat.alpha,
+                       np.sqrt(quad / (path.n * path.delta)), rtol=1e-12,
+                       atol=0.0)
+    # and no lower than the adaptive fit's contrast
+    adaptive = fit_qmle(path, spec, g, mode="adaptive")
+    assert fit.contrast_value < adaptive.contrast_value
 
 
 def test_unfitted_intercepts_stay_at_zero():
