@@ -22,8 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .estimate import (EstimationError, fit_adaptive_closed_form, fit_qmle,
-                       fit_result_to_dict)
+from .estimate import EstimationError, fit_qmle, fit_result_to_dict
 from .experiments import (StudyError, cluster_lambda_curve, detect_communities,
                           label_agreement, modularity, run_study, select_graph,
                           study_graph)
@@ -139,15 +138,13 @@ def _cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     spec = spec_from_config(_require(cfg, "model"))
     g, _ = study_graph(_require(cfg, "graph"))
     method = cfg.get("method", "closed_form")
-    if method == "closed_form":
-        fit = fit_adaptive_closed_form(
-            path, spec, g, augmented=bool(cfg.get("augmented", False)),
-            intercepts=cfg.get("intercepts"))
-    elif method in ("adaptive", "joint"):
-        fit = fit_qmle(path, spec, g, mode=method,
-                       augmented=bool(cfg.get("augmented", False)))
-    else:
+    # closed_form is the two-stage fit's older name
+    modes = {"closed_form": "adaptive", "adaptive": "adaptive", "joint": "joint"}
+    if method not in modes:
         raise ConfigFieldError("method", f"unknown method {method!r}")
+    fit = fit_qmle(path, spec, g, mode=modes[method],
+                   augmented=bool(cfg.get("augmented", False)),
+                   intercepts=cfg.get("intercepts"))
     return [_write_text(out_dir, "fit.json", _dump_json(fit_result_to_dict(fit)))]
 
 

@@ -30,14 +30,16 @@ package's reference evaluators.
 Node j's contrast is Q_j(c_j) / (2 delta alpha_j^2) + (n/2) log alpha_j^2
 plus a constant, with Q_j the weighted residual sum of squares, a
 quadratic in the drift coefficients c_j.  Its minimizer in c_j therefore
-does not depend on alpha_j, and every fit is exact: fit_qmle and
-fit_adaptive_closed_form share one moments core that solves each node's
-Gram system (over the model box for fit_qmle, with netsde.lasso's
-active-set solver wherever the solution leaves it) and then sets the
-scales, by stage one, at alpha_j^2 = Q_j / (n delta) for the joint fit,
-or at given values.  The Gram systems are factored with numpy's
-Cholesky (np.linalg.cholesky) and solved through the triangular
-factors, so no fit needs scipy.
+does not depend on alpha_j, and every fit is exact.  fit_qmle is the one
+fit front end (fit_adaptive_closed_form is its two-stage call), and one
+moments core serves it and error_bound_study: it solves each node's Gram
+system over the model box (with netsde.lasso's active-set solver
+wherever the solution leaves it), sets the scales by stage one, at
+alpha_j^2 = Q_j / (n delta) for the joint fit, or at given values, and
+certifies the result by its projected gradient.  fit_linear_closed_form
+solves the same per-node Gram systems under caller-given weights.  The
+Gram systems are factored with numpy's Cholesky (np.linalg.cholesky)
+and solved through the triangular factors, so no fit needs scipy.
 """
 from __future__ import annotations
 
@@ -47,9 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import DirectedGraph
-from .model import (LayoutMismatchError, LinearDrift, NsdeSpec, ParamLayout,
-                    ParamVector, default_bounds, diffusion_shape,
-                    parameter_layout, path_drift_fn)
+from .model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
+                    NsdeSpec, ParamLayout, ParamVector, default_bounds,
+                    diffusion_shape, parameter_layout, path_drift_fn)
 from .simulate import SamplePath
 
 
@@ -259,9 +261,9 @@ def _path_moments(spec: NsdeSpec, g: DirectedGraph, layout: ParamLayout,
                          _designs(spec, g, layout, x0), sizes)
 
 
-def _scale_estimate(mom: NodeMoments, delta: float, lo: float,
-                    hi: float) -> np.ndarray:
-    """Stage-one scales alpha_j^2 = sum dX_j^2 / s_j^2 / (n delta), clipped."""
+def _scale_estimate(mom: NodeMoments, delta: float, lo, hi) -> np.ndarray:
+    """Stage-one scales alpha_j^2 = sum dX_j^2 / s_j^2 / (n delta), clipped
+    to [lo, hi] (scalars or one bound per node)."""
     return np.clip(np.sqrt(mom.sq.sum(axis=0) / mom.count.sum() / delta), lo, hi)
 
 
@@ -385,7 +387,7 @@ def _information(mom: NodeMoments, flat: np.ndarray, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# closed-form per-node generalized least squares (linear drift)
+# per-node generalized least squares
 
 
 def _solve_grams(grams, rhs):
@@ -437,44 +439,41 @@ def _solve_grams(grams, rhs):
 class LinearClosedFormFit:
     """Per-node regression output of the closed-form drift estimator.
 
-    Node j regresses its increments on the states of {j} + parents(j)
-    (columns in ascending node order, intercept column last when enabled).
-    The own-column coefficient is the negated momentum, -mu_j.
+    Node j regresses its increments on its linear-family design (see
+    _designs): columns [-x_j, 1 (with intercepts), x_k for the parents k in
+    ascending order], so the own-column coefficient is the momentum mu_j.
+    slots[j] holds the flat layout slots of node j's columns.
     """
 
     delta: float
-    columns: list[list[int]]
+    slots: list[np.ndarray]
     coef: list[np.ndarray]
     gram: list[np.ndarray]
     cond: np.ndarray
     jittered: np.ndarray
-    intercepts: bool
 
     def to_params(self, layout: ParamLayout, alpha) -> ParamVector:
-        """Map the per-node coefficients into a flat parameter vector."""
+        """Map the per-node coefficients into the known-graph layout."""
         flat = np.zeros(layout.pi_total)
         flat[:layout.pi_alpha] = np.asarray(alpha, dtype=float)
-        for j, cols in enumerate(self.columns):
-            coefs = self.coef[j]
-            for pos, k in enumerate(cols):
-                if k == j:
-                    flat[layout.momentum_slot(j)] = -coefs[pos]
-                else:
-                    flat[layout.edge_slot(j, k)] = coefs[pos]
-            if self.intercepts:
-                flat[layout.intercept_slot(j)] = coefs[-1]
+        for slots, coef in zip(self.slots, self.coef):
+            flat[slots] = coef
         return layout.unflatten(flat)
 
 
 def fit_linear_closed_form(path: SamplePath, g: DirectedGraph,
                            sigma_hat, intercepts: bool = False) -> LinearClosedFormFit:
-    """Per-node weighted least squares for the linear drift family.
+    """Per-node weighted least squares for the linear drift family, under
+    caller-given weights.
 
-    For node j with regressor block R (states of j and its parents, plus a
-    constant column when intercepts is set), solves
+    For node j with its linear-family design R (see LinearClosedFormFit),
+    solves
 
         coef_j = (1/delta) * mean(R R' / sigma_hat_j^2)^{-1}
-                           * mean(dX_j R / sigma_hat_j^2).
+                           * mean(dX_j R / sigma_hat_j^2)
+
+    through the same designs, moments and Gram solve as every fit; unlike
+    fit_qmle it neither bounds nor certifies the result.
 
     Args:
         sigma_hat: per-increment diffusion values, shape (n, d); scalars or
@@ -491,20 +490,15 @@ def fit_linear_closed_form(path: SamplePath, g: DirectedGraph,
     sig = np.broadcast_to(np.asarray(sigma_hat, dtype=float), (n, d))
     if np.any(sig <= 0):
         raise DegenerateDiffusionError("sigma_hat must be strictly positive")
-    columns = [sorted(set(g.parents(j)) | {j}) for j in range(d)]
-
-    def designs():
-        for cols in columns:
-            reg = x0[:, cols]
-            yield (np.column_stack([reg, np.ones(n)]) if intercepts else reg), cols
-
-    mom = _node_moments(dx, sig, designs())
+    spec = NsdeSpec(d=d, drift=LinearDrift(with_intercepts=intercepts),
+                    diffusion=ConstantDiagonal())
+    mom = _node_moments(dx, sig, _designs(spec, g, parameter_layout(spec, g), x0))
     grams = [gram[0] / n for gram in mom.gram]
     coefs, conds, jittered = _solve_grams(
         grams, [cross[0] / (n * path.delta) for cross in mom.cross])
-    return LinearClosedFormFit(delta=path.delta, columns=columns, coef=coefs,
-                               gram=grams, cond=conds, jittered=jittered,
-                               intercepts=intercepts)
+    return LinearClosedFormFit(delta=path.delta, slots=list(mom.slots),
+                               coef=coefs, gram=grams, cond=conds,
+                               jittered=jittered)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +580,6 @@ class FitResult:
     info_blocks: CurvatureBlocks
     rate_diag: np.ndarray
     converged: bool
-    iterations: int
     layout: ParamLayout
     n: int
     delta: float
@@ -619,18 +612,23 @@ class FitResult:
 
 
 def _projected_grad(grad, x, lo, hi):
+    """grad with the components that push a coordinate lying on its bound
+    out of the box set to zero.
+
+    The box solve puts a bound coordinate exactly on lo or hi, so only
+    those count as on the bound; a coordinate near one keeps its gradient.
+    """
     g = grad.copy()
-    at_lo = np.isclose(x, lo) & (g > 0)
-    at_hi = np.isclose(x, hi) & (g < 0)
-    g[at_lo] = 0.0
-    g[at_hi] = 0.0
+    g[(x <= lo) & (g > 0)] = 0.0
+    g[(x >= hi) & (g < 0)] = 0.0
     return g
 
 
 def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
              mode: str = "adaptive", augmented: bool = False,
-             freeze_alpha=None) -> FitResult:
-    """Exact quasi-likelihood fit over the model box, node by node.
+             freeze_alpha=None, intercepts: bool | None = None) -> FitResult:
+    """Exact quasi-likelihood fit over the model box, node by node; the one
+    fit front end for both drift families.
 
     Args:
         mode: "joint" minimizes the contrast over all parameters at once;
@@ -638,6 +636,8 @@ def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
             exactly, then minimizes the drift contrast with those scales.
         augmented: use ordered-pair weights instead of per-edge coefficients.
         freeze_alpha: fix the diffusion scales at the given values.
+        intercepts: False leaves a model's intercepts at zero; the default
+            fits them when the model has them.
 
     Node j's contrast is Q_j(c_j) / (2 delta alpha_j^2) + (n/2) log alpha_j^2
     plus a constant, with Q_j a quadratic in its drift coefficients c_j, so
@@ -645,67 +645,60 @@ def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     the generalized least squares point, solved over the box
     (default_bounds) wherever that point leaves it.  The joint scales are
     then alpha_j^2 = Q_j / (n delta).  The path enters only through its
-    NodeMoments, built once.  converged certifies the result: the
-    projected gradient over the optimized coordinates is below
-    1e-8 (1 + |contrast|).  A numerically singular Gram matrix raises
-    SingularGramError.
+    NodeMoments, built once, and _closed_form_fit reads the fit off them.
+    converged certifies the result: the projected gradient over the
+    optimized coordinates is below 1e-8 (1 + |contrast|).  A numerically
+    singular Gram matrix raises SingularGramError.
     """
     if mode not in ("joint", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}")
-    layout = parameter_layout(spec, g, augmented=augmented)
-    _increments(path)  # raises on a path without increments
-    lo, hi = default_bounds(layout)
-    # keep the likelihood away from the degenerate sigma = 0 boundary
-    lo[:layout.pi_alpha] = _ALPHA_FLOOR
-    alpha = None
-    if freeze_alpha is not None:
-        alpha = np.clip(np.asarray(freeze_alpha, dtype=float), _ALPHA_FLOOR, None)
-    return _closed_form_fit(_path_moments(spec, g, layout, path.data), layout,
-                            path.delta, layout.with_intercepts,
-                            joint=mode == "joint" and alpha is None,
-                            alpha=alpha, box=(lo, hi))
-
-
-def fit_adaptive_closed_form(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-                             augmented: bool = False,
-                             intercepts: bool | None = None) -> FitResult:
-    """Two-stage fit with both stages in closed form (linear drift only).
-
-    Stage one solves the diffusion contrast exactly; stage two runs the
-    per-node generalized least squares with those scales.  alpha_j factors
-    out of node j's weighted Gram system, so one pass of NodeMoments gives
-    both stages, the contrast value and the information blocks.  This
-    front end builds the path's moments; a moments core reads the fit off
-    them, and error_bound_study runs that core on moments folded straight
-    from the simulator.  This is the fast pilot used by the sparse-selection pipeline on dense
-    (pair-weight) layouts, where every node regresses on all other
-    coordinates.  intercepts=False leaves a model's intercepts at zero.
-    """
-    if not isinstance(spec.drift, LinearDrift):
-        raise EstimationError("closed-form fit requires the linear drift family")
     layout = parameter_layout(spec, g, augmented=augmented)
     if intercepts is None:
         intercepts = layout.with_intercepts
     if intercepts and not layout.with_intercepts:
         raise LayoutMismatchError("layout has no intercepts")
     _increments(path)  # raises on a path without increments
-    return _closed_form_fit(_path_moments(spec, g, layout, path.data),
-                            layout, path.delta, intercepts)
+    alpha = None
+    if freeze_alpha is not None:
+        alpha = np.clip(np.asarray(freeze_alpha, dtype=float), _ALPHA_FLOOR, None)
+    return _closed_form_fit(_path_moments(spec, g, layout, path.data), layout,
+                            path.delta, intercepts,
+                            joint=mode == "joint" and alpha is None, alpha=alpha)
+
+
+def fit_adaptive_closed_form(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
+                             augmented: bool = False,
+                             intercepts: bool | None = None) -> FitResult:
+    """The two-stage fit, fit_qmle(mode="adaptive"), for either drift family.
+
+    Stage one solves the diffusion contrast exactly; stage two runs the
+    per-node generalized least squares with those scales, over the model
+    box, and the result is certified.  The sparse-selection pipeline runs
+    it as its pilot on dense (pair-weight) layouts (augmented=True), where
+    every node regresses on all other coordinates, and as its refit.
+    """
+    return fit_qmle(path, spec, g, augmented=augmented, intercepts=intercepts)
 
 
 def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
-                     intercepts: bool, joint: bool = False, alpha=None,
-                     box=None) -> FitResult:
-    """The fit read off a path's moments (every chunk of mom counts).
+                     intercepts: bool, joint: bool = False,
+                     alpha=None) -> FitResult:
+    """The certified fit read off a path's moments (every chunk of mom
+    counts).
 
-    Each node's drift coefficients solve its weighted Gram system; with
-    box = (lo, hi), a node whose solution leaves the box is solved over it
-    by netsde.lasso's active-set method at zero penalty, and the result
-    is certified.  The scales are sqrt(Q_j / (n delta)) at the fitted
+    Each node's drift coefficients solve its weighted Gram system; a node
+    whose solution leaves the model box (default_bounds, with the scales
+    floored at 1e-8) is solved over it by netsde.lasso's active-set method
+    at zero penalty.  The scales are sqrt(Q_j / (n delta)) at the fitted
     coefficients when joint, else alpha when given, else the stage-one
-    scales.
+    scales.  converged holds when the projected gradient over the
+    coordinates the fit optimizes (the scales only when joint, the
+    intercepts only when fitted) is below 1e-8 (1 + |contrast|).
     """
     n = int(mom.count.sum())
+    lo, hi = default_bounds(layout)
+    # keep the likelihood away from the degenerate sigma = 0 boundary
+    lo[:layout.pi_alpha] = _ALPHA_FLOOR
     # the intercept is column 1 of a design; an unfitted one stays at zero
     keep = [np.arange(sl.shape[0]) for sl in mom.slots]
     if layout.with_intercepts and not intercepts:
@@ -717,40 +710,37 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
     members = [sl[k] for sl, k in zip(mom.slots, keep)]
     for idx, coef in zip(members, coefs):
         flat[idx] = coef
-    if box is not None:
-        lo, hi = box
-        outside = [j for j, idx in enumerate(members)
-                   if np.any((flat[idx] < lo[idx]) | (flat[idx] > hi[idx]))]
-        if outside:
-            # netsde.lasso imports this module, so its solver is imported here
-            from .lasso import _active_set
+    outside = [j for j, idx in enumerate(members)
+               if np.any((flat[idx] < lo[idx]) | (flat[idx] > hi[idx]))]
+    if outside:
+        # netsde.lasso imports this module, so its solver is imported here
+        from .lasso import _active_set
 
-            order = [np.argsort(members[j]) for j in outside]
-            hb = CurvatureBlocks.from_blocks(
-                layout.pi_total, [members[j][o] for j, o in zip(outside, order)],
-                [grams[j][np.ix_(o, o)] for j, o in zip(outside, order)])
-            flat = _active_set(hb, flat, np.zeros_like(flat), lo, hi,
-                               np.clip(flat, lo, hi))
+        order = [np.argsort(members[j]) for j in outside]
+        hb = CurvatureBlocks.from_blocks(
+            layout.pi_total, [members[j][o] for j, o in zip(outside, order)],
+            [grams[j][np.ix_(o, o)] for j, o in zip(outside, order)])
+        flat = _active_set(hb, flat, np.zeros_like(flat), lo, hi,
+                           np.clip(flat, lo, hi))
+    scales = slice(0, layout.pi_alpha)
     if joint:
         quad = [_node_terms(mom, j, flat[sl], delta)[3]
                 for j, sl in enumerate(mom.slots)]
-        alpha = np.clip(np.sqrt(np.array(quad) / (n * delta)), _ALPHA_FLOOR, 1e3)
+        alpha = np.clip(np.sqrt(np.array(quad) / (n * delta)), lo[scales], hi[scales])
     elif alpha is None:
-        alpha = np.clip(_scale_estimate(mom, delta, 0.0, 1e3), _ALPHA_FLOOR, None)
-    flat[:layout.pi_alpha] = alpha
+        alpha = _scale_estimate(mom, delta, lo[scales], hi[scales])
+    flat[scales] = alpha
     contrast = float(_chunk_contrast(mom, flat[None], delta).sum())
-    converged = True
-    if box is not None:
-        grad = _gradient(mom, flat, delta)
-        if not joint:
-            grad[:layout.pi_alpha] = 0.0
-        pg = _projected_grad(grad, flat, *box)
-        converged = bool(np.max(np.abs(pg)) < 1e-8 * (1.0 + abs(contrast)))
+    optimized = np.zeros(layout.pi_total, dtype=bool)
+    optimized[np.concatenate(members)] = True
+    optimized[scales] = joint
+    pg = _projected_grad(_gradient(mom, flat, delta), flat, lo, hi)
+    converged = bool(np.max(np.abs(pg[optimized])) < 1e-8 * (1.0 + abs(contrast)))
     return FitResult(theta_hat=layout.unflatten(flat), contrast_value=contrast,
                      info_blocks=_information(mom, flat, delta,
                                               layout.pi_total),
                      rate_diag=rate_diagonal(layout, n, delta),
-                     converged=converged, iterations=0, layout=layout,
+                     converged=converged, layout=layout,
                      n=n, delta=delta, gram_cond=conds,
                      gram_jittered=jittered)
 
@@ -794,7 +784,6 @@ def fit_result_to_dict(fit: FitResult) -> dict:
             [None if not np.isfinite(v) else float(v) for v in se],
         "contrast": fit.contrast_value,
         "converged": fit.converged,
-        "iterations": fit.iterations,
         "n": fit.n,
         "delta": fit.delta,
         "gram_cond_max": float(np.max(fit.gram_cond, initial=0.0)),

@@ -245,7 +245,8 @@ def error_bound_study(config: dict) -> StudyReport:
     For each horizon T the study simulates n_reps independent paths on the
     known graph, fits diffusion scales and drift coefficients in closed
     form, and records the squared parameter error, both raw and per
-    parameter.  Each cell is compared with the bound K * epsilon where
+    parameter, and n_converged, the number of replication fits whose
+    certificate passed.  Each cell is compared with the bound K * epsilon where
     K = pi / |E| and epsilon = |E| / (n * delta), so bound = pi / T.
 
     No path is stored: the Euler loop hands each chunk of rows of all
@@ -294,11 +295,13 @@ def error_bound_study(config: dict) -> StudyReport:
             raise InsufficientDataError(
                 f"horizon {horizon} holds no increment at delta {delta}")
         err2 = np.empty(n_reps)
+        n_converged = 0
         for r in range(n_reps):
             fit = _closed_form_fit(fold.moments.chunk(r), layout, delta,
                                    intercepts=False)
             diff = layout.flatten(fit.theta_hat) - flat_true
             err2[r] = float(diff @ diff)
+            n_converged += fit.converged
         eps = g.n_edges / (n * delta)
         bound = k_ratio * eps
         mean_error = float(err2.mean() / layout.pi_total)
@@ -317,6 +320,7 @@ def error_bound_study(config: dict) -> StudyReport:
             "raw_sd": float(err2.std(ddof=1)),
             "n": n,
             "n_reps": n_reps,
+            "n_converged": n_converged,
             "below_bound": bool(mean_error <= bound),
         }
         if ref_means is not None and cell < len(ref_means):

@@ -33,10 +33,9 @@ import numpy as np
 
 from .estimate import (CurvatureBlocks, FitResult, InsufficientDataError,
                        _chunk_contrast, _path_moments,
-                       fit_adaptive_closed_form, fit_qmle)
+                       fit_adaptive_closed_form)
 from .graph import DirectedGraph, build_graph
-from .model import (LinearDrift, NsdeSpec, ParamVector, default_bounds,
-                    parameter_layout)
+from .model import NsdeSpec, ParamVector, default_bounds, parameter_layout
 from .simulate import SamplePath
 
 logger = logging.getLogger(__name__)
@@ -571,16 +570,11 @@ def graph_from_adjacency(a_hat: np.ndarray) -> DirectedGraph:
 
 def two_step_refit(path_data: SamplePath, spec: NsdeSpec,
                    a_hat: np.ndarray) -> FitResult:
-    """Unpenalized two-stage refit on the selected graph: the exact
-    minimizer of the two-stage contrast.
-
-    The linear family is refit by fit_adaptive_closed_form, any other
-    drift family by fit_qmle over the model box.
+    """Unpenalized two-stage refit on the selected graph: the certified
+    minimizer of the two-stage contrast over the model box, for either
+    drift family (fit_adaptive_closed_form).
     """
-    g_hat = graph_from_adjacency(a_hat)
-    if isinstance(spec.drift, LinearDrift):
-        return fit_adaptive_closed_form(path_data, spec, g_hat)
-    return fit_qmle(path_data, spec, g_hat, mode="adaptive")
+    return fit_adaptive_closed_form(path_data, spec, graph_from_adjacency(a_hat))
 
 
 # ---------------------------------------------------------------------------

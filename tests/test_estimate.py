@@ -105,7 +105,7 @@ def test_scalar_ou_closed_form_matches_hand_formula():
     dx = np.diff(path.data[:, 0])
     mu_hand = -float(x @ dx) / (path.delta * float(x @ x))
     fit = fit_linear_closed_form(path, g, sigma_hat=1.0)
-    assert -fit.coef[0][0] == pytest.approx(mu_hand, rel=1e-12)
+    assert fit.coef[0][0] == pytest.approx(mu_hand, rel=1e-12)
     layout = parameter_layout(spec, g)
     theta_hat = fit.to_params(layout, alpha=[1.2])
     assert layout.momentum(theta_hat)[0] == pytest.approx(mu_hand, rel=1e-12)

@@ -8,11 +8,12 @@ from numpy.linalg import cholesky
 
 from netsde import estimate, model
 from netsde.estimate import (_chunk_contrast, _gradient, _information,
-                             _path_moments, fit_adaptive_closed_form, fit_qmle,
+                             _path_moments, _projected_grad,
+                             fit_adaptive_closed_form, fit_qmle,
                              fit_result_to_dict, model_hessian, quasi_loglik)
 from netsde.experiments import select_graph
 from netsde.graph import build_graph, complete_graph
-from netsde.lasso import validation_loss
+from netsde.lasso import graph_from_adjacency, two_step_refit, validation_loss
 from netsde.model import (LinearDrift, NsdeSpec, RadialDictionaryDrift,
                           TanhClipped, default_bounds, diffusion_shape,
                           parameter_layout, path_drift_fn)
@@ -163,6 +164,55 @@ def test_joint_radial_fit_meets_its_kkt_conditions():
     # and no lower than the adaptive fit's contrast
     adaptive = fit_qmle(path, spec, g, mode="adaptive")
     assert fit.contrast_value < adaptive.contrast_value
+
+
+@pytest.mark.parametrize("name", ["linear", "augmented", "radial"])
+def test_every_front_end_runs_the_one_certified_fit(name):
+    spec, g, augmented, path, _candidates = model_case(name)
+    closed = fit_adaptive_closed_form(path, spec, g, augmented=augmented)
+    fit = fit_qmle(path, spec, g, mode="adaptive", augmented=augmented)
+    assert np.array_equal(closed.theta_hat.flat(), fit.theta_hat.flat())
+    assert closed.contrast_value == fit.contrast_value
+    assert closed.converged and fit.converged
+    if not augmented:
+        # the refit is the two-stage fit on the selected graph, whatever
+        # the drift family
+        a_hat = g.adjacency()
+        refit = two_step_refit(path, spec, a_hat)
+        want = fit_qmle(path, spec, graph_from_adjacency(a_hat), mode="adaptive")
+        assert np.array_equal(refit.theta_hat.flat(), want.theta_hat.flat())
+        assert refit.contrast_value == want.contrast_value
+        assert refit.converged
+
+
+def test_certificate_counts_only_coordinates_on_their_bound():
+    lo, hi = np.full(3, -1e3), np.full(3, 1e3)
+    # descent pushes each coordinate up (negative gradient): one sits on
+    # hi, one 0.005 below it, one inside
+    x = np.array([1e3, 1e3 - 0.005, 0.0])
+    grad = np.array([-1.0, -1.0, 0.0])
+    assert _projected_grad(grad, x, lo, hi).tolist() == [0.0, -1.0, 0.0]
+    # and down at lo
+    assert _projected_grad(-grad, -x, lo, hi).tolist() == [0.0, 1.0, 0.0]
+
+
+def test_certificate_checks_only_the_optimized_coordinates(monkeypatch):
+    spec, g, _aug, path, _candidates = model_case("intercepts")
+    # the intercepts are left at zero, off their optimum, and not checked
+    fit = fit_adaptive_closed_form(path, spec, g, intercepts=False)
+    layout = fit.layout
+    grad = quasi_grad(path, spec, g, layout, layout.flatten(fit.theta_hat))
+    assert np.max(np.abs(grad[layout.intercept_indices])) > 1.0
+    assert fit.converged
+    # a solve that misses the Gram solution fails the certificate
+    solve = estimate._solve_grams
+
+    def off_by_a_little(grams, rhs):
+        coefs, conds, jittered = solve(grams, rhs)
+        return [c + 1e-3 for c in coefs], conds, jittered
+
+    monkeypatch.setattr(estimate, "_solve_grams", off_by_a_little)
+    assert not fit_adaptive_closed_form(path, spec, g).converged
 
 
 def test_unfitted_intercepts_stay_at_zero():

@@ -49,6 +49,15 @@ def test_streamed_study_matches_path_fits_with_burn_in_inside_a_chunk():
                                 horizons=[4.0, 7.0], burn_in=500, seed=3))
 
 
+def test_every_replication_fit_is_certified():
+    for name, overrides in (("bench_error_bound_d8.json",
+                             {"n_reps": 6, "horizons": [4.0, 10.0]}),
+                            ("bench_error_bound_d16.json",
+                             {"n_reps": 3, "horizons": [10.0]})):
+        rows = error_bound_study(_load(name, **overrides)).rows
+        assert [row["n_converged"] for row in rows] == [row["n_reps"] for row in rows]
+
+
 def test_streamed_study_rejects_empty_cells():
     with pytest.raises(StudyError, match="n_reps must be positive"):
         error_bound_study(_load("bench_error_bound_d8.json", n_reps=0))
