@@ -18,7 +18,7 @@ from .graph import (DirectedGraph, GraphError, build_graph, complete_graph,
                     polymer, sbm)
 from .ingest import (IngestError, PanelData, complete_cases, load_panel_csv,
                      parse_panel_csv, save_panel_csv, to_sample_path)
-from .lasso import (AdaptiveWeights, LassoError, LassoPath, adaptive_weights,
+from .lasso import (LassoError, LassoPath, adaptive_weights,
                     estimate_adjacency, graph_from_adjacency, kkt_residual,
                     lambda_max, lambda_path, lsa_solve, psd_project,
                     select_lambda, two_step_refit, validation_loss)
@@ -33,8 +33,7 @@ from .simulate import (SamplePath, SimulationError, derive_seeds, read_csv,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveWeights", "ConstantDiagonal", "DirectedGraph", "EstimationError",
-    "FitResult", "GraphError", "IngestError", "LassoError", "LassoPath",
+    "ConstantDiagonal", "DirectedGraph", "EstimationError", "FitResult", "GraphError", "IngestError", "LassoError", "LassoPath",
     "LinearDrift", "ModelError", "NsdeSpec", "PanelData", "ParamLayout",
     "ParamVector", "RadialDictionaryDrift", "SamplePath", "SimulationError",
     "StudyError", "StudyReport", "TanhClipped", "adaptive_weights",

@@ -302,8 +302,8 @@ class CurvatureBlocks:
 
     Coordinates of different blocks share no curvature.  The information
     of a fit has one block per node (alpha_j, its momentum and its own
-    drift parameters); netsde.lasso splits a dense matrix into the
-    connected components of its nonzero pattern.  Blocks of equal size m
+    drift parameters); netsde.lasso takes a dense matrix as one block.
+    Blocks of equal size m
     form one group (index, blocks): blocks (nb, m, m) stacks their
     submatrices and index (nb, m) their flat coordinates in ascending
     order, so netsde.lasso solves a whole group in one batched step.

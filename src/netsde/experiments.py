@@ -63,22 +63,24 @@ def reference_er_graph() -> DirectedGraph:
     return build_graph(10, _REFERENCE_ER_EDGES)
 
 
+_ER_MAX_TRIES = 10000
+
+
 def find_er_graph_with_edges(d: int, n_edges: int, seed: int = 12345,
                              mean_reversion: float = 7.0, coupling: float = 2.0,
-                             min_margin: float = 0.1,
-                             max_tries: int = 10000):
+                             min_margin: float = 0.1):
     """First random graph with exactly n_edges edges and a stable linear part.
 
-    Seeds are tried in sequence from `seed`; each draws n_edges ordered
-    pairs without replacement.  Returns (graph, used_seed, margin) for the
-    first draw whose singular-value margin at the given coefficients
-    exceeds min_margin.
+    Seeds are tried in sequence from `seed`, at most _ER_MAX_TRIES of them;
+    each draws n_edges ordered pairs without replacement.  Returns (graph,
+    used_seed, margin) for the first draw whose singular-value margin at
+    the given coefficients exceeds min_margin.
     """
     pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
     if n_edges > len(pairs):
         raise StudyError(f"{n_edges} edges do not fit in {d} nodes")
     mu = np.full(d, mean_reversion)
-    for s in range(seed, seed + max_tries):
+    for s in range(seed, seed + _ER_MAX_TRIES):
         rng = np.random.default_rng(s)
         idx = rng.choice(len(pairs), size=n_edges, replace=False)
         edges = [pairs[k] for k in sorted(idx)]
@@ -89,7 +91,8 @@ def find_er_graph_with_edges(d: int, n_edges: int, seed: int = 12345,
         if margin > min_margin:
             return build_graph(d, edges), s, margin
     raise StudyError(
-        f"no stable {n_edges}-edge graph found in {max_tries} tries from seed {seed}")
+        f"no stable {n_edges}-edge graph found in {_ER_MAX_TRIES} tries "
+        f"from seed {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +394,25 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
     pilot = fit_adaptive_closed_form(fit_data, spec, g_full, augmented=True)
     h = psd_project(pilot.info_blocks)
     exponent = float(penalty_cfg.get("weight_exponent", 1.0))
-    weights = adaptive_weights(
-        pilot.theta_hat, delta=(exponent, exponent, exponent),
+    gamma = adaptive_weights(
+        pilot.theta_hat, exponent,
         penalize_momentum=bool(penalty_cfg.get("penalize_momentum", False)))
 
     if rule == "fixed_fraction":
         # single solve at the requested fraction of lambda_max
-        lam_top = lambda_max(h, pilot.theta_hat, weights)
+        lam_top = lambda_max(h, pilot.theta_hat, gamma)
         lam = select_lambda(
             LassoPath(lambdas=np.array([lam_top]), coefficients=[],
                       active_counts=np.array([0]), lambda_max=lam_top),
             rule=rule, fraction=penalty_cfg.get("fraction"))
-        lpath = lambda_path(h, pilot.theta_hat, weights, lambdas=[lam])
+        lpath = lambda_path(h, pilot.theta_hat, gamma, lambdas=[lam])
         return lpath.adjacency[0], lam, lpath, pilot
 
-    lpath = lambda_path(h, pilot.theta_hat, weights,
+    lpath = lambda_path(h, pilot.theta_hat, gamma,
                         n_points=int(penalty_cfg.get("n_points", 50)),
                         min_fraction=float(penalty_cfg.get("min_fraction", 1e-3)))
     lpath.validation_loss, lpath.validation_se = validation_loss(
-        path, spec, g_full, lpath.coefficients, scheme="holdout_tail",
-        fraction=holdout)
+        path, spec, g_full, lpath.coefficients, fraction=holdout)
     lam = select_lambda(lpath, rule=rule)
     # min and half_se both pick a grid point
     pick = int(np.flatnonzero(lpath.lambdas == lam)[0])
@@ -636,20 +638,21 @@ def _compact_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def detect_communities(a, resolution: float = 1.0,
-                       max_levels: int = 50) -> np.ndarray:
+def detect_communities(a, resolution: float = 1.0) -> np.ndarray:
     """Greedy modularity clustering of a directed graph's symmetrized weights.
 
     Works on w = a + a', alternating local moves with graph aggregation
-    until no merge happens.  Node visiting order is fixed, so the result is
-    deterministic.  An empty graph yields singleton communities.  Returns a
-    label per node, labels compacted in order of first appearance.
+    until a level merges nothing; each level that merges shrinks the node
+    count, so at most d levels run.  Node visiting order is fixed, so the
+    result is deterministic.  An empty graph yields singleton communities.
+    Returns a label per node, labels compacted in order of first
+    appearance.
     """
     w = _symmetric_weights(a)
     d = w.shape[0]
     labels = np.arange(d)
     cur = w
-    for _ in range(max_levels):
+    while True:
         part = _compact_labels(_local_moving(cur, resolution))
         n_comm = int(part.max()) + 1
         if n_comm == cur.shape[0]:
@@ -674,13 +677,24 @@ def modularity(a, labels, resolution: float = 1.0) -> float:
     return float(np.sum((w - resolution * np.outer(k, k) / two_m) * same) / two_m)
 
 
+def _label_indices(labels) -> np.ndarray:
+    """Labels as non-negative integer indices; StudyError for any other value."""
+    values = np.asarray(labels, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= 0) & (values == np.floor(values))):
+        raise StudyError("labels must be non-negative whole numbers")
+    return values.astype(int)
+
+
 def label_agreement(labels_a, labels_b) -> float:
-    """Fraction of nodes matched under the best label permutation."""
+    """Fraction of nodes matched under the best label permutation.
+
+    Labels must be non-negative whole numbers (StudyError otherwise).
+    """
     # imported here so that `import netsde` and the fits load no scipy
     from scipy.optimize import linear_sum_assignment
 
-    a = np.asarray(labels_a, dtype=int)
-    b = np.asarray(labels_b, dtype=int)
+    a = _label_indices(labels_a)
+    b = _label_indices(labels_b)
     if a.shape != b.shape or a.ndim != 1:
         raise StudyError("label vectors must share one dimension")
     if a.shape[0] == 0:

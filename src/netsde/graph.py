@@ -207,40 +207,12 @@ def generate(kind: str, d: int, seed: int, **params) -> DirectedGraph:
 # stability margin
 
 
-def largest_singular_value(b: np.ndarray, rel_tol: float = 1e-10,
-                           max_iter: int = 10000, seed: int = 0) -> float:
-    """Largest singular value of a square matrix by power iteration on B'B.
-
-    Falls back to a dense decomposition when the iteration has not met
-    rel_tol after max_iter sweeps and the matrix is small (d <= 64).
-    """
+def largest_singular_value(b: np.ndarray) -> float:
+    """Largest singular value of a square matrix (dense SVD)."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {b.shape}")
-    d = b.shape[0]
-    if not np.any(b):
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = b.T @ (b @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            # start vector happened to lie in the null space
-            v = rng.standard_normal(d)
-            v /= np.linalg.norm(v)
-            prev = 0.0
-            continue
-        v = w / nrm
-        est = float(np.sqrt(v @ (b.T @ (b @ v))))
-        if prev > 0.0 and abs(est - prev) <= rel_tol * est:
-            return est
-        prev = est
-    if d <= 64:
-        return float(np.linalg.svd(b, compute_uv=False)[0])
-    return prev
+    return float(np.linalg.svd(b, compute_uv=False)[0])
 
 
 def ergodicity_margin(mu, b, mode: str = "singular") -> float:

@@ -7,7 +7,7 @@ expansion around a pilot estimate theta_tilde,
                + lam * sum_k gamma_k |theta_k|,
 
 minimized over the box.  Weights gamma_k come from the pilot
-(|pilot_k|^-delta, capped), so coordinates the pilot finds large are
+(|pilot_k|^-exponent, capped), so coordinates the pilot finds large are
 penalized lightly and noise coordinates are pushed to exact zeros.  The
 support of the pair-weight block estimates the adjacency matrix, after
 which an unpenalized refit on the selected graph removes the shrinkage
@@ -15,13 +15,13 @@ bias.
 
 The contrast separates by node, so H is block diagonal: node j's block
 couples only alpha_j, its momentum and its own drift weights.  The pilot
-fit hands H over as netsde.estimate.CurvatureBlocks; a dense H is split
-into the connected components of its nonzero pattern.  On a block, F is
-piecewise quadratic and its minimizer is exact once the free coordinates
-and their signs are known, so one primal active-set solver, batched over
-the blocks of a size, serves lsa_solve, lambda_max and the cold start.
-The validation curve builds the held-out blocks' per-node moments once
-and scores each candidate as a quadratic form in its coefficients.
+fit hands H over as netsde.estimate.CurvatureBlocks; a dense H is taken
+as one block.  On a block, F is piecewise quadratic and its minimizer is
+exact once the free coordinates and their signs are known, so one primal
+active-set solver, batched over the blocks of a size, serves lsa_solve,
+lambda_max and the cold start.  The validation curve builds the held-out
+tail's per-node moments once and scores each candidate as a quadratic
+form in its coefficients.
 """
 from __future__ import annotations
 
@@ -69,59 +69,23 @@ PILOT_FLOOR = 1e-12
 # weights
 
 
-@dataclass(frozen=True)
-class AdaptiveWeights:
-    """Per-coordinate penalty weights, stored by parameter block."""
+def adaptive_weights(pilot: ParamVector, exponent: float = 1.0,
+                     penalize_momentum: bool = False) -> np.ndarray:
+    """Adaptive weights gamma_k = min(|pilot_k|^-exponent, DEFAULT_WEIGHT_CAP)
+    over the flat parameter vector.
 
-    gamma_alpha: np.ndarray
-    gamma_beta: np.ndarray
-    gamma_w: np.ndarray | None
-    penalize_alpha: bool
-    delta: tuple[float, ...]
-    cap: float
-
-    def flat(self) -> np.ndarray:
-        parts = [self.gamma_alpha, self.gamma_beta]
-        if self.gamma_w is not None:
-            parts.append(self.gamma_w)
-        return np.concatenate(parts)
-
-
-def _weight_block(values: np.ndarray, exponent: float, cap: float,
-                  floor: float) -> np.ndarray:
-    mag = np.abs(np.asarray(values, dtype=float))
-    out = np.full(mag.shape, cap)
-    ok = mag >= floor
-    out[ok] = np.minimum(mag[ok] ** (-exponent), cap)
-    return out
-
-
-def adaptive_weights(pilot: ParamVector, delta=(1.0, 1.0, 1.0),
-                     cap: float = DEFAULT_WEIGHT_CAP, floor: float = PILOT_FLOOR,
-                     penalize_alpha: bool = False,
-                     penalize_momentum: bool = False) -> AdaptiveWeights:
-    """Adaptive weights gamma_k = min(|pilot_k|^-delta, cap) by block.
-
-    delta holds the exponents for the (alpha, beta, w) blocks.  By default
-    only the coupling coefficients carry penalty: the diffusion scales are
-    exempt unless penalize_alpha is set and the momentum entries (the
-    leading d coordinates of the beta block) unless penalize_momentum is.
-    Pilot magnitudes below floor get the cap weight.
+    The diffusion scales carry no penalty, and neither do the momentum
+    entries (the leading d coordinates of the beta block) unless
+    penalize_momentum is set.  Pilot magnitudes below PILOT_FLOOR get the
+    cap weight.
     """
-    d1, d2, d3 = delta
-    if penalize_alpha:
-        gamma_alpha = _weight_block(pilot.alpha, d1, cap, floor)
-    else:
-        gamma_alpha = np.zeros(pilot.alpha.shape[0])
-    gamma_beta = _weight_block(pilot.beta, d2, cap, floor)
-    if not penalize_momentum:
-        gamma_beta[:pilot.alpha.shape[0]] = 0.0
-    gamma_w = None
-    if pilot.w is not None:
-        gamma_w = _weight_block(pilot.w, d3, cap, floor)
-    return AdaptiveWeights(gamma_alpha=gamma_alpha, gamma_beta=gamma_beta,
-                           gamma_w=gamma_w, penalize_alpha=penalize_alpha,
-                           delta=tuple(delta), cap=cap)
+    mag = np.abs(pilot.flat())
+    gamma = np.full(mag.shape, DEFAULT_WEIGHT_CAP)
+    ok = mag >= PILOT_FLOOR
+    gamma[ok] = np.minimum(mag[ok] ** (-exponent), DEFAULT_WEIGHT_CAP)
+    d = pilot.alpha.shape[0]
+    gamma[:d if penalize_momentum else 2 * d] = 0.0
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -129,22 +93,15 @@ def adaptive_weights(pilot: ParamVector, delta=(1.0, 1.0, 1.0),
 
 
 def curvature_blocks(h) -> CurvatureBlocks:
-    """Block form of a dense square matrix: the connected components of its
-    nonzero pattern (blocks are returned as given)."""
+    """Block form of the curvature: CurvatureBlocks are returned as given and
+    a dense square matrix is one block."""
     if isinstance(h, CurvatureBlocks):
         return h
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise LassoError(f"curvature matrix must be square, got shape {h.shape}")
-    # imported here: the pilot hands over CurvatureBlocks, so only a dense h needs scipy
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(csr_matrix(h != 0.0), directed=False)
-    members = np.split(np.argsort(labels, kind="stable"),
-                       np.cumsum(np.bincount(labels))[:-1])
-    return CurvatureBlocks.from_blocks(h.shape[0], members,
-                                       [h[np.ix_(c, c)] for c in members])
+    p = h.shape[0]
+    return CurvatureBlocks.from_blocks(p, [np.arange(p)], [h])
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +130,15 @@ def _descent_rates(z, x, thr, lo, hi):
 
 
 def kkt_residual(h, pilot: ParamVector, theta: ParamVector,
-                 lam: float, weights: AdaptiveWeights, bounds=None) -> float:
+                 lam: float, gamma: np.ndarray, bounds=None) -> float:
     """Worst violation of the stationarity conditions of the surrogate problem.
 
-    h is a dense matrix or its CurvatureBlocks form.
+    h is CurvatureBlocks or a dense matrix, and gamma the flat weights.
     """
     lo, hi = _box(pilot, bounds)
     x = theta.flat()
     z = curvature_blocks(h).matvec(x - pilot.flat())
-    up, down = _descent_rates(z, x, lam * weights.flat(), lo, hi)
+    up, down = _descent_rates(z, x, lam * gamma, lo, hi)
     return float(np.max(np.maximum(up, down), initial=0.0))
 
 
@@ -271,20 +228,20 @@ def _restricted(hb: CurvatureBlocks, center, gamma, lo, hi):
                        np.clip(center, lo, hi))
 
 
-def lsa_solve(h, pilot: ParamVector, lam: float,
-              weights: AdaptiveWeights, bounds=None,
-              warm: ParamVector | None = None) -> ParamVector:
+def lsa_solve(h, pilot: ParamVector, lam: float, gamma: np.ndarray,
+              bounds=None, warm: ParamVector | None = None) -> ParamVector:
     """Minimize the penalized quadratic surrogate over the box.
 
-    h is a dense matrix or its CurvatureBlocks form.  A primal active-set
-    method finds each node block's free set and signs, on which the
-    solution is exact: H_FF x_F = H_FF pilot_F - H_FN (x_N - pilot_N) -
-    lam gamma_F s_F, one batched solve per block size and pass.  It starts
-    from warm (clipped to the box) or, cold, from lambda_max's restricted
-    solution.  The result is certified: ConvergenceError is raised unless
-    its stationarity residual is at most 1e-8 * (1 + lam), and also when
-    a fixed bound of passes runs out.  A negative curvature diagonal or a
-    singular free set raises NonPSDError.
+    h is CurvatureBlocks or a dense matrix (one block), and gamma the flat
+    weights of adaptive_weights.  A primal active-set method finds each
+    block's free set and signs, on which the solution is exact: H_FF x_F =
+    H_FF pilot_F - H_FN (x_N - pilot_N) - lam gamma_F s_F, one batched
+    solve per block size and pass.  It starts from warm (clipped to the
+    box) or, cold, from lambda_max's restricted solution.  The result is
+    certified: ConvergenceError is raised unless its stationarity residual
+    is at most 1e-8 * (1 + lam), and also when a fixed bound of passes
+    runs out.  A negative curvature diagonal or a singular free set raises
+    NonPSDError.
     """
     hb = curvature_blocks(h)
     pilot_flat = pilot.flat()
@@ -294,15 +251,15 @@ def lsa_solve(h, pilot: ParamVector, lam: float,
                          f"expected ({p}, {p})")
     if lam < 0:
         raise LassoError(f"penalty level must be non-negative, got {lam}")
-    gamma = weights.flat()
-    if gamma.shape[0] != p:
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (p,):
         raise LassoError("weights do not match the parameter vector")
     lo, hi = _box(pilot, bounds)
     start = (warm.flat() if warm is not None
              else _restricted(hb, pilot_flat, gamma, lo, hi))
     x = _active_set(hb, pilot_flat, lam * gamma, lo, hi, np.clip(start, lo, hi))
     theta = _split_like(pilot, x)
-    resid = kkt_residual(hb, pilot, theta, lam, weights, bounds=(lo, hi))
+    resid = kkt_residual(hb, pilot, theta, lam, gamma, bounds=(lo, hi))
     if resid > 1e-8 * (1.0 + lam):
         raise ConvergenceError(
             f"active-set solve failed its certificate: stationarity residual "
@@ -310,15 +267,18 @@ def lsa_solve(h, pilot: ParamVector, lam: float,
     return theta
 
 
-def psd_project(h, rel_floor: float = 1e-10):
-    """Clip eigenvalues from below at rel_floor * largest eigenvalue.
+_PSD_REL_FLOOR = 1e-10
 
-    The eigenvalues are those of the node blocks (see CurvatureBlocks),
-    which together are the spectrum of the whole matrix; blocks already at
-    or above the floor are returned symmetrized but otherwise unchanged.
-    An indefinite or rank-deficient matrix is repaired with a warning,
-    since downstream solves assume positive curvature.  A dense h gives a
-    dense result and a CurvatureBlocks h a CurvatureBlocks result.
+
+def psd_project(h) -> CurvatureBlocks:
+    """Clip eigenvalues from below at 1e-10 * largest eigenvalue.
+
+    The eigenvalues are those of the blocks (see CurvatureBlocks; a dense h
+    is one block), which together are the spectrum of the whole matrix;
+    blocks already at or above the floor are returned symmetrized but
+    otherwise unchanged.  An indefinite or rank-deficient matrix is
+    repaired with a warning, since downstream solves assume positive
+    curvature.  The result is CurvatureBlocks with h's blocks.
     """
     hb = curvature_blocks(h)
     groups = [(idx, 0.5 * (blocks + blocks.transpose(0, 2, 1)))
@@ -326,9 +286,9 @@ def psd_project(h, rel_floor: float = 1e-10):
     vals = [np.linalg.eigvalsh(blocks) for _, blocks in groups]
     top = max((v[:, -1].max() for v in vals), default=0.0)
     bottom = min((v[:, 0].min() for v in vals), default=np.inf)
-    floor = rel_floor * max(top, 0.0)
+    floor = _PSD_REL_FLOOR * max(top, 0.0)
     if floor <= 0.0:
-        floor = rel_floor
+        floor = _PSD_REL_FLOOR
     if bottom < floor:
         warnings.warn(
             f"curvature matrix is not positive definite (smallest eigenvalue "
@@ -339,15 +299,14 @@ def psd_project(h, rel_floor: float = 1e-10):
                 w, vecs = np.linalg.eigh(blocks[low])
                 blocks[low] = ((vecs * np.maximum(w, floor)[:, None, :])
                                @ vecs.transpose(0, 2, 1))
-    out = CurvatureBlocks(p=hb.p, groups=tuple(groups))
-    return out if isinstance(h, CurvatureBlocks) else out.dense()
+    return CurvatureBlocks(p=hb.p, groups=tuple(groups))
 
 
 # ---------------------------------------------------------------------------
 # penalty scale
 
 
-def lambda_max(h, pilot: ParamVector, weights: AdaptiveWeights,
+def lambda_max(h, pilot: ParamVector, gamma: np.ndarray,
                bounds=None) -> float:
     """Smallest penalty level at which every penalized coordinate is zero.
 
@@ -358,11 +317,10 @@ def lambda_max(h, pilot: ParamVector, weights: AdaptiveWeights,
     (same pass bound and errors) and respects the box, so the bound is
     exact: for any lam at or above it lsa_solve returns every penalized
     coordinate at exactly zero.  A cold lsa_solve starts from theta_star.
-    h is a dense matrix or its CurvatureBlocks form.
+    h and gamma are as in lsa_solve.
     """
     hb = curvature_blocks(h)
     pilot_flat = pilot.flat()
-    gamma = weights.flat()
     pen = gamma > 0
     if not np.any(pen):
         raise ZeroWeightError("no penalized coordinates")
@@ -389,7 +347,7 @@ class LassoPath:
     notes: list[str] = field(default_factory=list)
 
 
-def lambda_path(h, pilot: ParamVector, weights: AdaptiveWeights,
+def lambda_path(h, pilot: ParamVector, gamma: np.ndarray,
                 bounds=None, n_points: int = 50, min_fraction: float = 1e-3,
                 lambdas=None) -> LassoPath:
     """Solve along a log-spaced penalty grid with warm starts.
@@ -399,16 +357,15 @@ def lambda_path(h, pilot: ParamVector, weights: AdaptiveWeights,
     solution seeds the next one's active set, so each point costs a few
     batched passes; every point carries lsa_solve's certificate.  Active
     counts (nonzero penalized coordinates) should grow as the penalty
-    decreases; violations are logged, not raised.  A dense h is split into
-    its CurvatureBlocks form once, up front.
+    decreases; violations are logged, not raised.  h and gamma are as in
+    lsa_solve.
     """
     h = curvature_blocks(h)
-    lam_top = lambda_max(h, pilot, weights, bounds=bounds)
+    lam_top = lambda_max(h, pilot, gamma, bounds=bounds)
     if lambdas is None:
         grid = np.geomspace(lam_top, lam_top * min_fraction, n_points)
     else:
         grid = np.sort(np.asarray(lambdas, dtype=float))[::-1]
-    gamma = weights.flat()
     pen = gamma > 0
     coefficients = []
     counts = np.empty(grid.shape[0], dtype=int)
@@ -416,8 +373,7 @@ def lambda_path(h, pilot: ParamVector, weights: AdaptiveWeights,
     notes: list[str] = []
     warm = None
     for idx, lam in enumerate(grid):
-        sol = lsa_solve(h, pilot, float(lam), weights, bounds=bounds,
-                        warm=warm)
+        sol = lsa_solve(h, pilot, float(lam), gamma, bounds=bounds, warm=warm)
         warm = sol
         coefficients.append(sol)
         counts[idx] = int(np.count_nonzero(sol.flat()[pen]))
@@ -450,63 +406,50 @@ def _node_param_count(layout) -> int:
     return 2 + int(layout.with_intercepts) + coupling
 
 
+_SE_BLOCKS = 10  # held-out sub-blocks behind a candidate's standard error
+
+
 def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-                    theta_per_lambda, scheme: str = "holdout_tail",
-                    fraction: float = 0.3, k: int = 5,
-                    n_se_blocks: int = 10):
-    """Per-increment contrast of each candidate on held-out segments.
+                    theta_per_lambda, fraction: float = 0.3):
+    """Per-increment contrast of each candidate on the held-out tail.
 
-    holdout_tail evaluates on the trailing `fraction` of the increments and
-    draws standard errors from n_se_blocks contiguous sub-blocks;
-    blocked_kfold evaluates on k contiguous blocks spanning the whole path.
-    Returns (loss, se) arrays over the candidate list; se is the standard
-    error of a candidate's mean loss across the blocks.
+    The tail is the trailing `fraction` of the increments, cut into 10
+    contiguous sub-blocks.  Returns (loss, se) arrays over the candidate
+    list: loss is the mean over the tail and se the standard error of that
+    mean across the sub-blocks.
 
-    The held-out blocks' per-node moments are built once (see
+    The tail's per-node moments are built once (see
     netsde.estimate.NodeMoments); each candidate's block loss is then a
     quadratic form in its drift coefficients plus the log terms.
     """
     n = path_data.n
     if n < 2:
         raise InsufficientDataError("validation needs at least two increments")
-    if scheme == "holdout_tail":
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-        n_tail = max(1, int(np.floor(n * fraction)))
-        rows = path_data.data[n - n_tail:]
-        blocks = np.array_split(np.arange(n_tail), min(n_se_blocks, n_tail))
-    elif scheme == "blocked_kfold":
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        rows = path_data.data
-        blocks = np.array_split(np.arange(n), min(k, n))
-    else:
-        raise ValueError(f"unknown validation scheme {scheme!r}")
-
-    # the contrast splits by node, so the size that matters is one node's
-    # parameter count, not the whole vector's
-    per_node = 0
-    if theta_per_lambda:
-        per_node = _node_param_count(parameter_layout(
-            spec, g, augmented=theta_per_lambda[0].w is not None))
-    smallest = min(len(b) for b in blocks)
-    if smallest < 10 * per_node:
-        warnings.warn(
-            f"validation blocks hold as few as {smallest} increments for "
-            f"{per_node} parameters per node; loss estimates may be unstable",
-            stacklevel=2)
-
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+    n_tail = max(1, int(np.floor(n * fraction)))
+    sizes = [len(b) for b in np.array_split(np.arange(n_tail),
+                                             min(_SE_BLOCKS, n_tail))]
     n_cand = len(theta_per_lambda)
     if n_cand == 0:
         return np.empty(0), np.zeros(0)
     layout = parameter_layout(spec, g, augmented=theta_per_lambda[0].w is not None)
-    mom = _path_moments(spec, g, layout, rows, [len(b) for b in blocks])
+    # the contrast splits by node, so the size that matters is one node's
+    # parameter count, not the whole vector's
+    per_node = _node_param_count(layout)
+    if min(sizes) < 10 * per_node:
+        warnings.warn(
+            f"validation blocks hold as few as {min(sizes)} increments for "
+            f"{per_node} parameters per node; loss estimates may be unstable",
+            stacklevel=2)
+
+    mom = _path_moments(spec, g, layout, path_data.data[n - n_tail:], sizes)
     flats = np.stack([layout.flatten(theta) for theta in theta_per_lambda])
     sums = _chunk_contrast(mom, flats, path_data.delta)
     losses = sums.sum(axis=1) / mom.count.sum()
     ses = np.zeros(n_cand)
-    if len(blocks) > 1:
-        ses = (sums / mom.count).std(axis=1, ddof=1) / np.sqrt(len(blocks))
+    if len(sizes) > 1:
+        ses = (sums / mom.count).std(axis=1, ddof=1) / np.sqrt(len(sizes))
     return losses, ses
 
 
@@ -547,9 +490,9 @@ def select_lambda(path: LassoPath, rule: str = "half_se",
 # adjacency and refit
 
 
-def estimate_adjacency(w_hat: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
+def estimate_adjacency(w_hat: np.ndarray) -> np.ndarray:
     """0/1 adjacency from the pair-weight block: entry (i, j) is 1 iff
-    |w_ij| > zero_tol."""
+    w_ij is nonzero."""
     w_hat = np.asarray(w_hat, dtype=float)
     length = w_hat.shape[0]
     d = int(round((1.0 + np.sqrt(1.0 + 4.0 * length)) / 2.0))
@@ -557,7 +500,7 @@ def estimate_adjacency(w_hat: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
         raise LassoError(f"pair-weight block of length {length} fits no dimension")
     a = np.zeros((d, d), dtype=int)
     # boolean assignment fills the off-diagonal in row-major (pair) order
-    a[~np.eye(d, dtype=bool)] = np.abs(w_hat) > zero_tol
+    a[~np.eye(d, dtype=bool)] = np.abs(w_hat) > 0.0
     return a
 
 

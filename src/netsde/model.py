@@ -484,18 +484,17 @@ DEFAULT_SIGNED_BOUND = 1e3
 DEFAULT_ALPHA_BOUND = 1e3
 
 
-def default_bounds(layout: ParamLayout | ParamVector,
-                   signed_bound: float = DEFAULT_SIGNED_BOUND,
-                   alpha_bound: float = DEFAULT_ALPHA_BOUND):
-    """(lo, hi) box arrays: [0, alpha_bound] for alpha, symmetric elsewhere.
+def default_bounds(layout: ParamLayout | ParamVector):
+    """(lo, hi) box arrays: [0, DEFAULT_ALPHA_BOUND] for alpha and
+    +-DEFAULT_SIGNED_BOUND elsewhere.
 
     Takes a layout or a parameter vector; both give the alpha count and the
     total length.
     """
-    lo = np.full(layout.pi_total, -signed_bound)
-    hi = np.full(layout.pi_total, signed_bound)
+    lo = np.full(layout.pi_total, -DEFAULT_SIGNED_BOUND)
+    hi = np.full(layout.pi_total, DEFAULT_SIGNED_BOUND)
     lo[:layout.pi_alpha] = 0.0
-    hi[:layout.pi_alpha] = alpha_bound
+    hi[:layout.pi_alpha] = DEFAULT_ALPHA_BOUND
     return lo, hi
 
 

@@ -160,17 +160,14 @@ def increment_losses(rows: np.ndarray, delta: float, spec, g,
     return np.sum(r * r / (2.0 * delta * var) + 0.5 * np.log(var), axis=1)
 
 
-def validation_loss_by_rows(path, spec, g, thetas, scheme="holdout_tail",
-                            fraction=0.3, k=5, n_se_blocks=10):
-    """validation_loss evaluated increment by increment for each candidate."""
+def validation_loss_by_rows(path, spec, g, thetas, fraction=0.3):
+    """validation_loss evaluated increment by increment for each candidate:
+    the trailing fraction of the increments, standard errors over 10
+    contiguous sub-blocks."""
     n = path.n
-    if scheme == "holdout_tail":
-        n_tail = max(1, int(np.floor(n * fraction)))
-        rows = path.data[n - n_tail:]
-        blocks = np.array_split(np.arange(n_tail), min(n_se_blocks, n_tail))
-    else:
-        rows = path.data
-        blocks = np.array_split(np.arange(n), min(k, n))
+    n_tail = max(1, int(np.floor(n * fraction)))
+    rows = path.data[n - n_tail:]
+    blocks = np.array_split(np.arange(n_tail), min(10, n_tail))
     losses, ses = [], []
     for theta in thetas:
         per_inc = increment_losses(rows, path.delta, spec, g, theta)

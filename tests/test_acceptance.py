@@ -156,7 +156,7 @@ def test_lasso_solver_certificates():
             w=rng.normal(size=n_pairs) * rng.binomial(1, 0.5, n_pairs))
         w = adaptive_weights(pilot, penalize_momentum=True)
         lam_top = lambda_max(h, pilot, w)
-        pen = w.flat() > 0
+        pen = w > 0
         assert np.all(lsa_solve(h, pilot, lam_top, w).flat()[pen] == 0.0)
         assert np.any(lsa_solve(h, pilot, 0.95 * lam_top, w).flat()[pen] != 0.0)
         for lam in (lam_top, 0.95 * lam_top, 0.3 * lam_top):
@@ -179,9 +179,8 @@ def test_lasso_solver_certificates():
         lam = float(rng.uniform(0.1, 2.0))
         sol = lsa_solve(h, pilot, lam, w).flat()
         flat = pilot.flat()
-        gamma = w.flat()
         for k in range(p):
-            want = soft(h[k, k] * flat[k], lam * gamma[k]) / h[k, k]
+            want = soft(h[k, k] * flat[k], lam * w[k]) / h[k, k]
             lo = 0.0 if k < d else -1e3
             want = min(max(want, lo), 1e3)
             if sol[k] != want:

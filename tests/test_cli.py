@@ -239,6 +239,18 @@ def test_communities_command(tmp_path):
     assert result["agreement"] == 1.0
 
 
+@pytest.mark.parametrize("labels", [[-1, 0, 1, 2], [0.0, 0.5, 1.0, 1.0]])
+def test_communities_rejects_labels_that_are_not_indices(tmp_path, capsys, labels):
+    cfg = write_json(tmp_path, "comm.json", {
+        "adjacency": [[0, 1, 0, 0], [1, 0, 0, 0],
+                      [0, 0, 0, 1], [0, 0, 1, 0]],
+        "true_labels": labels,
+    })
+    assert cli.run("communities", cfg, out_dir=str(tmp_path / "comm")) \
+        == cli.DOMAIN_ERROR
+    assert "non-negative whole numbers" in capsys.readouterr().err
+
+
 def test_usage_errors(tmp_path, capsys):
     assert cli.run("transmogrify", "nope.json") == cli.USAGE_ERROR
     assert cli.run("graph-gen", str(tmp_path / "missing.json")) \

@@ -107,6 +107,17 @@ def test_label_agreement_matching():
         label_agreement([0, 1], [0, 1, 2])
 
 
+def test_label_agreement_rejects_negative_and_fractional_labels():
+    # a -1 label once wrapped onto the highest label (scored 0.5, not 0.25)
+    # and 0.5 was truncated to 0
+    with pytest.raises(StudyError, match="non-negative whole numbers"):
+        label_agreement([-1, 0, 1, 2], [0, 0, 0, 0])
+    with pytest.raises(StudyError, match="non-negative whole numbers"):
+        label_agreement([0, 0, 1, 1], [0.0, 0.5, 1.0, 1.0])
+    # whole numbers written as floats are labels like any other
+    assert label_agreement([0.0, 0.0, 1.0, 1.0], [1, 1, 0, 0]) == 1.0
+
+
 def test_parallel_map_preserves_order():
     items = list(range(23))
     want = [x * x for x in items]

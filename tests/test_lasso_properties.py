@@ -3,13 +3,18 @@
 Each problem is a positive definite H made of blocks of size 1 to 4 under
 a random permutation of the coordinates (the shape of the pilot
 information), a random pilot, penalty weights (some zero), a box around
-zero and a penalty level in [0, 1.2 lambda_max].
+zero and a penalty level in [0, 1.2 lambda_max].  H is passed dense, which
+the solver takes as one block; the block members come along, so the
+multi-block CurvatureBlocks form can be checked against it.
 """
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsde.lasso import AdaptiveWeights, kkt_residual, lambda_max, lsa_solve
+from netsde.estimate import CurvatureBlocks
+from netsde.lasso import kkt_residual, lambda_max, lsa_solve, psd_project
 from netsde.model import ParamVector
 from reference import exact_box_lasso
 
@@ -33,41 +38,65 @@ def block_problems(draw, max_p=12):
     fraction = draw(st.floats(0.0, 1.2))
     p = sum(sizes)
     h = np.zeros((p, p))
-    for idx in np.split(rng.permutation(p), np.cumsum(sizes)[:-1]):
+    members = [np.sort(idx) for idx in
+               np.split(rng.permutation(p), np.cumsum(sizes)[:-1])]
+    for idx in members:
         a = rng.standard_normal((idx.shape[0], idx.shape[0]))
         h[np.ix_(idx, idx)] = a.T @ a + 0.1 * np.eye(idx.shape[0])
     gamma = np.where(rng.random(p) < 0.25, 0.0, rng.uniform(0.2, 3.0, p))
     gamma[rng.integers(p)] = rng.uniform(0.2, 3.0)  # at least one penalized
     pilot = ParamVector(alpha=np.zeros(0), beta=2.0 * rng.standard_normal(p))
-    weights = AdaptiveWeights(gamma_alpha=np.zeros(0), gamma_beta=gamma,
-                              gamma_w=None, penalize_alpha=False,
-                              delta=(1.0, 1.0, 1.0), cap=1e12)
     box = (-rng.uniform(0.0, 3.0, p), rng.uniform(0.0, 3.0, p))
-    lam_top = lambda_max(h, pilot, weights, bounds=box)
-    return h, pilot, weights, box, fraction * lam_top, lam_top
+    lam_top = lambda_max(h, pilot, gamma, bounds=box)
+    return h, pilot, gamma, box, fraction * lam_top, lam_top, members
 
 
 @PROPERTY
 @given(block_problems())
 def test_solution_meets_its_certificate(problem):
-    h, pilot, weights, box, lam, _top = problem
-    sol = lsa_solve(h, pilot, lam, weights, bounds=box)
-    assert kkt_residual(h, pilot, sol, lam, weights, bounds=box) \
+    h, pilot, gamma, box, lam, _top, _members = problem
+    sol = lsa_solve(h, pilot, lam, gamma, bounds=box)
+    assert kkt_residual(h, pilot, sol, lam, gamma, bounds=box) \
         <= 1e-8 * (1.0 + lam)
 
 
 @PROPERTY
 @given(block_problems(), st.floats(1.0, 1.5))
 def test_lambda_max_zeroes_every_penalized_coordinate(problem, factor):
-    h, pilot, weights, box, _lam, top = problem
-    sol = lsa_solve(h, pilot, factor * top, weights, bounds=box).flat()
-    assert np.all(sol[weights.flat() > 0] == 0.0)
+    h, pilot, gamma, box, _lam, top, _members = problem
+    sol = lsa_solve(h, pilot, factor * top, gamma, bounds=box).flat()
+    assert np.all(sol[gamma > 0] == 0.0)
 
 
 @PROPERTY
 @given(block_problems(max_p=6))
 def test_small_problems_match_the_enumeration_oracle(problem):
-    h, pilot, weights, box, lam, _top = problem
-    want = exact_box_lasso(h, pilot.flat(), lam, weights.flat(), *box)
-    got = lsa_solve(h, pilot, lam, weights, bounds=box).flat()
+    h, pilot, gamma, box, lam, _top, _members = problem
+    want = exact_box_lasso(h, pilot.flat(), lam, gamma, *box)
+    got = lsa_solve(h, pilot, lam, gamma, bounds=box).flat()
     assert np.allclose(got, want, atol=5e-5)
+
+
+def _blocks(h, members):
+    return CurvatureBlocks.from_blocks(h.shape[0], members,
+                                       [h[np.ix_(idx, idx)] for idx in members])
+
+
+@PROPERTY
+@given(block_problems(), st.floats(0.0, 1.0))
+def test_dense_and_block_forms_agree(problem, shift):
+    h, pilot, gamma, box, lam, top, members = problem
+    blocks = _blocks(h, members)
+    assert abs(lambda_max(blocks, pilot, gamma, bounds=box) - top) \
+        <= 1e-9 * (1.0 + top)
+    want = lsa_solve(h, pilot, lam, gamma, bounds=box).flat()
+    got = lsa_solve(blocks, pilot, lam, gamma, bounds=box).flat()
+    assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+    # shifted down by a share of its spectrum, H needs repair
+    vals = np.linalg.eigvalsh(h)
+    bent = h - (vals[0] + shift * (vals[-1] - vals[0])) * np.eye(h.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the repair warns; not the point here
+        want = psd_project(bent).dense()
+        got = psd_project(_blocks(bent, members)).dense()
+    assert np.allclose(got, want, rtol=0.0, atol=1e-9)

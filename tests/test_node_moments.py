@@ -60,16 +60,14 @@ def model_case(name):
 CASES = ("linear", "intercepts", "augmented", "radial")
 
 
-@pytest.mark.parametrize("scheme", ["holdout_tail", "blocked_kfold"])
 @pytest.mark.parametrize("name", CASES)
-def test_validation_loss_matches_the_row_by_row_loop(name, scheme):
+def test_validation_loss_matches_the_row_by_row_loop(name):
     spec, g, _aug, path, candidates = model_case(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small blocks warn; not the point here
-        loss, se = validation_loss(path, spec, g, candidates, scheme=scheme,
-                                   fraction=0.4, k=4)
+        loss, se = validation_loss(path, spec, g, candidates, fraction=0.4)
     want_loss, want_se = validation_loss_by_rows(path, spec, g, candidates,
-                                                 scheme=scheme, fraction=0.4, k=4)
+                                                 fraction=0.4)
     assert np.allclose(loss, want_loss, rtol=1e-12, atol=0.0)
     assert np.allclose(se, want_se, rtol=1e-12, atol=0.0)
 
