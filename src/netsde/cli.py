@@ -207,8 +207,9 @@ def _cmd_ingest(cfg: dict, out_dir: str) -> list[str]:
     cc = cfg.get("complete_cases", "series")
     if cc:
         panel = complete_cases(panel, axis=cc)
+    delta = cfg.get("delta")
     path = to_sample_path(panel, transform=cfg.get("transform", "levels"),
-                          delta=cfg.get("delta"))
+                          delta=None if delta is None else float(delta))
     write_csv(path, os.path.join(out_dir, "path.csv"))
     info = {
         "n_rows": panel.n_rows,

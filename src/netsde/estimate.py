@@ -121,40 +121,39 @@ def fit_diffusion_scale(path: SamplePath, spec: NsdeSpec,
 # per-node designs (drift is linear in its parameters for both families)
 
 
-def _designs(spec: NsdeSpec, g: DirectedGraph, layout: ParamLayout,
-             x0_rows: np.ndarray):
+def _designs(spec: NsdeSpec, layout: ParamLayout, x0_rows: np.ndarray):
     """Yield node j's (R_j, slots_j) for j = 0, ..., d - 1, one at a time.
 
-    A linear-family design has columns [-x_j, 1 (with intercepts), x_k for
-    the partners k in ascending order], so the momentum slot comes first.
+    Node j's partners are the k with a slot in row j of layout.coef_slots,
+    ascending.  R_j has columns [-x_j, 1 (with intercepts), x_k for the
+    partners k], the partner block repeated once per dictionary level and
+    scaled by that level's radial factor for the radial family, so the
+    momentum slot comes first.  R_j is one fancy-indexed copy of the rows
+    (Fortran-ordered), made C-ordered before the radial scale step.  The
+    memory order sets the summation order of the BLAS products
+    downstream, so both orders are part of the result.
     """
-    d = layout.d
-    if isinstance(spec.drift, LinearDrift):
-        for j in range(d):
-            if layout.augmented:
-                partners = [k for k in range(d) if k != j]
-            else:
-                partners = list(g.parents(j))
-            reg = x0_rows[:, [j] + partners]
-            reg[:, 0] *= -1.0
-            slots = [layout.momentum_slot(j)]
-            slots += [layout.edge_slot(j, k) for k in partners]
-            if layout.with_intercepts:
-                reg = np.insert(reg, 1, 1.0, axis=1)
-                slots.insert(1, layout.intercept_slot(j))
-            yield reg, np.asarray(slots, dtype=int)
-        return
-    nrm = np.linalg.norm(x0_rows, axis=1)
-    scales = [(off + nrm) ** (-(q + 1.0))
-              for off, q in zip(spec.drift.offsets, spec.drift.exponents)]
-    for j in range(d):
-        cols = [-x0_rows[:, j]]
-        slots = [layout.momentum_slot(j)]
-        for lev in range(spec.drift.n_levels):
-            for k in g.parents(j):
-                cols.append(x0_rows[:, k] * scales[lev])
-                slots.append(layout.edge_slot(j, k, level=lev))
-        yield np.column_stack(cols), np.asarray(slots, dtype=int)
+    levels = layout.coef_slots.shape[0]
+    scales = []
+    if layout.n_levels:
+        nrm = np.linalg.norm(x0_rows, axis=1)
+        scales = [(off + nrm) ** (-(q + 1.0))
+                  for off, q in zip(spec.drift.offsets, spec.drift.exponents)]
+    for j in range(layout.d):
+        partners = np.flatnonzero(layout.coef_slots[0, j] >= 0)
+        m = len(partners)
+        reg = x0_rows[:, np.r_[j, np.tile(partners, levels)]]
+        reg[:, 0] *= -1.0
+        if scales:
+            reg = np.ascontiguousarray(reg)
+            for lev, scale in enumerate(scales):
+                reg[:, 1 + lev * m:1 + (lev + 1) * m] *= scale[:, None]
+        slots = np.r_[layout.momentum_slot(j),
+                      layout.coef_slots[:, j, partners].ravel()]
+        if layout.with_intercepts:
+            reg = np.insert(reg, 1, 1.0, axis=1)
+            slots = np.insert(slots, 1, layout.intercept_slot(j))
+        yield reg, slots
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +257,7 @@ def _path_moments(spec: NsdeSpec, g: DirectedGraph, layout: ParamLayout,
         x0 = rows[:-1]
         dx = np.diff(rows, axis=0)
     return _node_moments(dx, diffusion_shape(spec, x0),
-                         _designs(spec, g, layout, x0), sizes)
+                         _designs(spec, layout, x0), sizes)
 
 
 def _scale_estimate(mom: NodeMoments, delta: float, lo, hi) -> np.ndarray:
@@ -492,7 +491,7 @@ def fit_linear_closed_form(path: SamplePath, g: DirectedGraph,
         raise DegenerateDiffusionError("sigma_hat must be strictly positive")
     spec = NsdeSpec(d=d, drift=LinearDrift(with_intercepts=intercepts),
                     diffusion=ConstantDiagonal())
-    mom = _node_moments(dx, sig, _designs(spec, g, parameter_layout(spec, g), x0))
+    mom = _node_moments(dx, sig, _designs(spec, parameter_layout(spec, g), x0))
     grams = [gram[0] / n for gram in mom.gram]
     coefs, conds, jittered = _solve_grams(
         grams, [cross[0] / (n * path.delta) for cross in mom.cross])
@@ -528,7 +527,7 @@ def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     n = x0.shape[0]
     hess = np.zeros((layout.pi_total, layout.pi_total))
     quad = np.sum(r * r * inv_var, axis=0)
-    for j, (reg, slots) in enumerate(_designs(spec, g, layout, x0)):
+    for j, (reg, slots) in enumerate(_designs(spec, layout, x0)):
         a = layout.alpha_slot(j)
         hess[a, a] = 3.0 * quad[j] / (path.delta * alpha[j] ** 2) - n / alpha[j] ** 2
         cross = (2.0 / alpha[j]) * (reg.T @ (r[:, j] * inv_var[:, j]))

@@ -8,6 +8,7 @@ into a SamplePath, optionally in logs or log-differences.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,11 +100,27 @@ class PanelData:
         return ~np.isfinite(self.values)
 
 
+def _reads_as_number(marker: str) -> bool:
+    try:
+        return float(marker) == float(marker)
+    except ValueError:
+        return False
+
+
 def parse_panel_csv(text: str,
                     missing_markers=DEFAULT_MISSING_MARKERS) -> PanelData:
-    """Parse panel CSV text: header row, timestamp column first."""
-    markers = set(missing_markers)
-    # blank lines are skipped but still counted, so errors name the file line
+    """Parse panel CSV text: header row, timestamp column first.
+
+    Cells may be padded with whitespace; a cell that strips to one of the
+    missing markers reads as NaN.  Errors name the file line, blank lines
+    included.
+    """
+    markers = frozenset(missing_markers)
+    # A row is first read with float() alone, which ignores padding and
+    # fails on every non-numeric marker; only a row that fails is stripped
+    # and read cell by cell.  A marker that reads as a number (say -999)
+    # would pass float() padded, so with one every row is stripped.
+    strip_all = any(_reads_as_number(m) for m in markers)
     lines = ((lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
              if ln.strip() != "")
     header_line, first = next(lines, (None, None))
@@ -115,35 +132,44 @@ def parse_panel_csv(text: str,
                          line=header_line)
     names = tuple(header[1:])
     n_cols = len(header)
-    timestamps = []
     rows = []
     for lineno, ln in lines:
-        cells = [cell.strip() for cell in ln.split(",")]
+        cells = ln.split(",")
         if len(cells) != n_cols:
-            raise ParseError(
-                f"expected {n_cols} columns, found {len(cells)}", line=lineno)
+            raise ParseError(f"row has {len(cells)} fields, expected {n_cols} "
+                             "columns", line=lineno)
+        if strip_all:
+            rows.append(_parse_stripped_row(cells, markers, names, lineno))
+            continue
         try:
-            timestamps.append(float(cells[0]))
+            rows.append(list(map(float, cells)))
         except ValueError:
-            raise ParseError(
-                f"timestamp {cells[0]!r} is not numeric", line=lineno) from None
-        row = np.empty(n_cols - 1)
-        for k, cell in enumerate(cells[1:]):
-            if cell in markers:
-                row[k] = np.nan
-            else:
-                try:
-                    row[k] = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"value {cell!r} in column {names[k]!r} is not numeric",
-                        line=lineno) from None
-        rows.append(row)
+            rows.append(_parse_stripped_row(cells, markers, names, lineno))
     if not rows:
         raise EmptyPanelError("panel has a header but no data rows")
-    return PanelData(timestamps=np.asarray(timestamps),
-                     series_names=names, values=np.vstack(rows),
+    table = np.array(rows)
+    return PanelData(timestamps=table[:, 0].copy(), series_names=names,
+                     values=np.ascontiguousarray(table[:, 1:]),
                      timestamp_label=header[0])
+
+
+def _parse_stripped_row(cells, markers, names, lineno) -> list[float]:
+    """[timestamp, values...] of a row whose cells are stripped first;
+    markers read as NaN.  Raises ParseError for the first cell that is
+    neither a number nor a marker."""
+    cells = [cell.strip() for cell in cells]
+    try:
+        row = [float(cells[0])]
+    except ValueError:
+        raise ParseError(
+            f"timestamp {cells[0]!r} is not numeric", line=lineno) from None
+    for name, cell in zip(names, cells[1:]):
+        try:
+            row.append(float("nan") if cell in markers else float(cell))
+        except ValueError:
+            raise ParseError(f"value {cell!r} in column {name!r} is not numeric",
+                             line=lineno) from None
+    return row
 
 
 def load_panel_csv(file_path: str,
@@ -153,14 +179,15 @@ def load_panel_csv(file_path: str,
 
 
 def panel_to_csv(panel: PanelData) -> str:
-    """CSV text; floats via repr, so a parse round trip is bit exact."""
-    lines = [",".join([panel.timestamp_label, *panel.series_names])]
-    for i in range(panel.n_rows):
-        cells = [repr(float(panel.timestamps[i]))]
-        for v in panel.values[i]:
-            cells.append("" if not np.isfinite(v) else repr(float(v)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """CSV text, missing values as empty cells; floats via repr, so a parse
+    round trip is bit exact."""
+    rows = np.column_stack([panel.timestamps, panel.values]).tolist()
+    lines = [",".join(map(repr, row)) for row in rows]
+    # rows with gaps are written again, one cell at a time
+    for i in np.flatnonzero(panel.missing_mask().any(axis=1)):
+        lines[i] = ",".join(repr(v) if math.isfinite(v) else "" for v in rows[i])
+    header = ",".join([panel.timestamp_label, *panel.series_names])
+    return "\n".join([header, *lines]) + "\n"
 
 
 def save_panel_csv(panel: PanelData, file_path: str) -> None:
@@ -228,8 +255,8 @@ def to_sample_path(panel: PanelData, transform: str = "levels",
             "resample the panel first")
     if delta is None:
         delta = step
-    if delta <= 0:
-        raise IngestError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise IngestError(f"delta must be positive and finite, got {delta}")
 
     if transform == "levels":
         data = panel.values.copy()

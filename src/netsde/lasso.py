@@ -397,12 +397,7 @@ def lambda_path(h, pilot: ParamVector, gamma: np.ndarray,
 def _node_param_count(layout) -> int:
     """Largest parameter count of one node's contrast: alpha_j, momentum,
     intercept if any, and the coefficients of node j's drift."""
-    if layout.augmented:
-        coupling = layout.d - 1
-    else:
-        rows = np.bincount(np.array([i for i, _ in layout.edges], dtype=int),
-                           minlength=layout.d)
-        coupling = max(layout.n_levels, 1) * int(rows.max())
+    coupling = int((layout.coef_slots >= 0).sum(axis=(0, 2)).max())
     return 2 + int(layout.with_intercepts) + coupling
 
 

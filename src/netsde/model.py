@@ -153,13 +153,6 @@ class ParamVector:
         return np.concatenate(parts)
 
 
-def pair_index(i: int, j: int, d: int) -> int:
-    """Slot of ordered pair (i, j), i != j, in the canonical row-major order."""
-    if i == j:
-        raise LayoutMismatchError("pair weights exclude the diagonal")
-    return i * (d - 1) + (j if j < i else j - 1)
-
-
 @dataclass(frozen=True)
 class ParamLayout:
     """Flat indexing of a model's parameter vector.
@@ -168,6 +161,12 @@ class ParamLayout:
     network block holds per-edge coefficients (one group per dictionary
     level for the radial family) or, in augmented form, one weight per
     ordered node pair.
+
+    coef_slots[level, i, j] is the flat slot of the coefficient of x_j in
+    node i's drift, or -1 where there is none; its shape is
+    (max(n_levels, 1), d, d).  It is the one record of the network
+    packing: pair weights fill the off-diagonal entries in row-major pair
+    order, per-edge coefficients follow edge order, level by level.
     """
 
     d: int
@@ -179,6 +178,7 @@ class ParamLayout:
     pi_beta: int
     pi_total: int
     coord_names: tuple[str, ...] = field(repr=False)
+    coef_slots: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_edges(self) -> int:
@@ -212,16 +212,14 @@ class ParamLayout:
 
     def edge_slot(self, i: int, j: int, level: int = 0) -> int:
         """Flat slot of the network coefficient on edge (i, j)."""
-        if self.augmented:
-            return self.pi_alpha + self.pi_beta + pair_index(i, j, self.d)
-        base = self.pi_alpha + self.d + (self.d if self.with_intercepts else 0)
-        try:
-            rank = self.edges.index((i, j))
-        except ValueError:
-            raise LayoutMismatchError(f"({i}, {j}) is not an edge") from None
-        if not 0 <= level < max(self.n_levels, 1):
-            raise LayoutMismatchError(f"level {level} out of range")
-        return base + level * len(self.edges) + rank
+        levels, d, _ = self.coef_slots.shape
+        if not (0 <= i < d and 0 <= j < d and 0 <= level < levels):
+            raise LayoutMismatchError(
+                f"({i}, {j}) at level {level} is outside the layout")
+        slot = int(self.coef_slots[level, i, j])
+        if slot < 0:
+            raise LayoutMismatchError(f"({i}, {j}) is not an edge")
+        return slot
 
     @property
     def intercept_indices(self) -> np.ndarray:
@@ -312,28 +310,31 @@ def parameter_layout(spec: NsdeSpec, g: DirectedGraph, augmented: bool = False) 
         raise LayoutMismatchError("pair-weight form requires the linear drift family")
     with_intercepts = linear and spec.drift.with_intercepts
     n_levels = 0 if linear else spec.drift.n_levels
-    pi_alpha = d
-    names = [f"alpha_{i}" for i in range(d)]
-    names += [f"mu_{i}" for i in range(d)]
+    names = [f"alpha_{i}" for i in range(d)] + [f"mu_{i}" for i in range(d)]
     if with_intercepts:
         names += [f"intercept_{i}" for i in range(d)]
-    pi_beta = d + (d if with_intercepts else 0)
+    base = len(names)
+    # the network block: one weight per ordered pair in row-major order, or
+    # one coefficient per edge in edge order, level after level
     if augmented:
-        names += [f"w_{i}_{j}" for i in range(d) for j in range(d) if j != i]
-        pi_total = pi_alpha + pi_beta + d * (d - 1)
+        pairs = [(i, j) for i in range(d) for j in range(d) if j != i]
+        prefixes = ["w"]
     else:
-        if linear:
-            names += [f"beta_{i}_{j}" for i, j in g.edges]
-            pi_beta += len(g.edges)
-        else:
-            for lev in range(n_levels):
-                names += [f"beta{lev}_{i}_{j}" for i, j in g.edges]
-            pi_beta += n_levels * len(g.edges)
-        pi_total = pi_alpha + pi_beta
+        pairs = g.edges
+        prefixes = ["beta"] if linear else [f"beta{lev}" for lev in range(n_levels)]
+    for prefix in prefixes:
+        names += [f"{prefix}_{i}_{j}" for i, j in pairs]
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    coef_slots = np.full((len(prefixes), d, d), -1)
+    coef_slots[:, pairs[:, 0], pairs[:, 1]] = base + np.arange(
+        len(names) - base).reshape(len(prefixes), -1)
+    coef_slots.flags.writeable = False
+    pi_w = len(pairs) if augmented else 0
     return ParamLayout(d=d, edges=g.edges, augmented=augmented,
                        with_intercepts=with_intercepts, n_levels=n_levels,
-                       pi_alpha=pi_alpha, pi_beta=pi_beta, pi_total=pi_total,
-                       coord_names=tuple(names))
+                       pi_alpha=d, pi_beta=len(names) - d - pi_w,
+                       pi_total=len(names), coord_names=tuple(names),
+                       coef_slots=coef_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +374,14 @@ def diffusion_eval(spec: NsdeSpec, alpha, x) -> np.ndarray:
     return alpha * diffusion_shape(spec, x)
 
 
-def _edge_index(g: DirectedGraph):
-    """(rows, cols) of the graph's edges, in edge order."""
-    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
-    return edges[:, 0], edges[:, 1]
-
-
 def linear_drift_matrix(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector):
     """(M, b0) with b(x) = M x + b0 for the linear family."""
     if not isinstance(spec.drift, LinearDrift):
         raise ModelError("drift matrix only exists for the linear family")
     layout = parameter_layout(spec, g, augmented=theta.w is not None)
+    slots = layout.coef_slots[0]
     m = -np.diag(layout.momentum(theta))
-    if layout.augmented:
-        # pair weights run over the off-diagonal entries in row-major order
-        m[~np.eye(spec.d, dtype=bool)] += theta.w
-    else:
-        rows, cols = _edge_index(g)
-        m[rows, cols] += layout.network(theta)
+    m[slots >= 0] += layout.flatten(theta)[slots[slots >= 0]]
     b0 = layout.intercepts(theta) if layout.with_intercepts else np.zeros(spec.d)
     return m, b0
 
@@ -408,11 +399,9 @@ def path_drift_fn(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector):
 
     layout = parameter_layout(spec, g, augmented=False)
     mu = layout.momentum(theta)
-    rows, cols = _edge_index(g)
     # weights[lev] is level lev's coefficient matrix, transposed
-    weights = np.zeros((spec.drift.n_levels, spec.d, spec.d))
-    weights[:, cols, rows] = layout.network(theta).reshape(
-        spec.drift.n_levels, len(g.edges))
+    slots = np.ascontiguousarray(layout.coef_slots.transpose(0, 2, 1))
+    weights = np.where(slots >= 0, layout.flatten(theta)[slots], 0.0)
     offsets = np.asarray(spec.drift.offsets, dtype=float)
     exponents = np.asarray(spec.drift.exponents, dtype=float)
 

@@ -28,10 +28,13 @@ Philox streams are independent per key and only the worker draws, chunk
 after chunk, so each stream is still read in (step, coordinate) order and
 the paths are the numbers a serial loop gives.  The worker lives only for
 the call.  Driven (dW) paths draw nothing and start no thread.
+
+CSV round trips (to_csv, from_csv, write_csv, read_csv) go through the
+panel codec of netsde.ingest: a path CSV is a panel with a 't' column
+and no missing values, written via repr so a round trip is bit exact.
 """
 from __future__ import annotations
 
-import io
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -77,8 +80,8 @@ class SamplePath:
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.data.ndim != 2 or self.data.shape[0] < 1:
             raise ValueError("path data must be a 2-D array with at least one row")
         if not np.all(np.isfinite(self.data)):
@@ -122,8 +125,8 @@ def _check_args(spec, g, x0, delta, n, substeps, burn_in_steps):
         raise InvalidSubstepsError(f"substeps must be >= 1, got {substeps}")
     if burn_in_steps < 0:
         raise ValueError(f"burn_in_steps must be non-negative, got {burn_in_steps}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     return x0
 
 
@@ -289,14 +292,12 @@ def simulate_ensemble(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
 
 
 def to_csv(path: SamplePath) -> str:
-    """Header 't,x0,...,x{d-1}', one row per observation; floats via repr."""
-    buf = io.StringIO()
-    buf.write("t," + ",".join(f"x{j}" for j in range(path.d)) + "\n")
-    for k in range(path.data.shape[0]):
-        t = k * path.delta
-        buf.write(repr(float(t)) + "," +
-                  ",".join(repr(float(v)) for v in path.data[k]) + "\n")
-    return buf.getvalue()
+    """Header 't,x0,...,x{d-1}', one row per observation, written by
+    netsde.ingest.panel_to_csv (floats via repr)."""
+    # netsde.ingest imports this module, so its codec is imported here
+    from .ingest import PanelData, panel_to_csv
+    names = [f"x{j}" for j in range(path.d)]
+    return panel_to_csv(PanelData(path.times, names, path.data))
 
 
 def write_csv(path: SamplePath, file_path: str) -> None:
@@ -305,42 +306,27 @@ def write_csv(path: SamplePath, file_path: str) -> None:
 
 
 def from_csv(text: str) -> SamplePath:
-    """Parse the format written by to_csv; spacing must be uniform.
-
-    Errors in a row name its line in the text, blank lines included.
+    """Parse the format written by to_csv with netsde.ingest.parse_panel_csv
+    and no missing markers, so a blank or non-numeric cell is an error
+    naming its line, blank lines included.  delta is the first time
+    difference (1.0 for a single row); spacing must be uniform.
     """
-    lines = ((lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip())
-    _, first = next(lines, (None, None))
-    if first is None:
-        raise ValueError("empty path file")
-    header = first.split(",")
-    if header[0] != "t":
-        raise ValueError(f"expected first column 't', got {header[0]!r}")
-    d = len(header) - 1
-    times = []
-    rows = []
-    for lineno, ln in lines:
-        parts = ln.split(",")
-        if len(parts) != d + 1:
-            raise ValueError(f"line {lineno}: row has {len(parts)} fields, "
-                             f"expected {d + 1}")
-        try:
-            times.append(float(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from None
-    times = np.asarray(times)
-    data = np.asarray(rows)
-    if len(times) < 2:
-        return SamplePath(delta=1.0, data=data, seed=None)
-    diffs = np.diff(times)
+    from .ingest import parse_panel_csv
+    panel = parse_panel_csv(text, missing_markers=())
+    if panel.timestamp_label != "t":
+        raise ValueError(
+            f"expected first column 't', got {panel.timestamp_label!r}")
+    if panel.n_rows < 2:
+        return SamplePath(delta=1.0, data=panel.values, seed=None)
+    diffs = np.diff(panel.timestamps)
     delta = float(diffs[0])
-    if delta <= 0 or np.any(np.abs(diffs - delta) > 1e-9 * max(abs(delta), 1.0)):
+    if np.any(np.abs(diffs - delta) > 1e-9 * max(abs(delta), 1.0)):
         raise ValueError("observation times are not uniformly spaced")
-    return SamplePath(delta=delta, data=data, seed=None)
+    return SamplePath(delta=delta, data=panel.values, seed=None)
 
 
 def read_csv(file_path: str) -> SamplePath:
+    # reads the file itself, not through ingest.load_panel_csv, so that
+    # perfbench's traced spans of a path read and a panel load stay apart
     with open(file_path) as fh:
         return from_csv(fh.read())

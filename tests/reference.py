@@ -13,9 +13,9 @@ import numpy as np
 from netsde.estimate import _designs, fit_adaptive_closed_form
 from netsde.experiments import _study_spec, _study_truth, study_graph
 from netsde.graph import DirectedGraph
-from netsde.model import (LinearDrift, NsdeSpec, ParamVector, _check_state,
-                          diffusion_shape, pair_index, parameter_layout,
-                          path_drift_fn)
+from netsde.model import (LayoutMismatchError, LinearDrift, NsdeSpec,
+                          ParamVector, _check_state, diffusion_shape,
+                          parameter_layout, path_drift_fn)
 from netsde.simulate import derive_seeds, simulate_ensemble
 
 
@@ -56,6 +56,14 @@ def exact_inverse_diagonal(matrix: np.ndarray) -> np.ndarray:
             if r != col and factor != 0:
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return np.array([float(rows[i][n + i]) for i in range(n)])
+
+
+def pair_index(i: int, j: int, d: int) -> int:
+    """Slot of ordered pair (i, j), i != j, among the d * (d - 1) pair
+    weights in row-major order, by arithmetic instead of the layout's index."""
+    if i == j:
+        raise LayoutMismatchError("pair weights exclude the diagonal")
+    return i * (d - 1) + (j if j < i else j - 1)
 
 
 def drift_eval(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x) -> np.ndarray:
@@ -112,12 +120,12 @@ def sigma_path(path, spec: NsdeSpec, alpha) -> np.ndarray:
     return np.asarray(alpha, dtype=float) * diffusion_shape(spec, path.data[:-1])
 
 
-def node_designs(spec: NsdeSpec, g: DirectedGraph, layout, x0_rows: np.ndarray):
+def node_designs(spec: NsdeSpec, layout, x0_rows: np.ndarray):
     """Per-node regressor matrices: b_j(x) = R_j @ theta_flat[slots_j].
 
     Returns a list of (R_j, slots_j) with R_j of shape (n, q_j).
     """
-    return list(_designs(spec, g, layout, x0_rows))
+    return list(_designs(spec, layout, x0_rows))
 
 
 def quasi_grad(path, spec: NsdeSpec, g: DirectedGraph, layout,
@@ -133,7 +141,7 @@ def quasi_grad(path, spec: NsdeSpec, g: DirectedGraph, layout,
     grad = np.zeros(layout.pi_total)
     quad = np.sum(r * r * inv_var, axis=0)  # per node
     grad[:layout.pi_alpha] = -quad / (path.delta * alpha) + x0.shape[0] / alpha
-    for j, (reg, slots) in enumerate(node_designs(spec, g, layout, x0)):
+    for j, (reg, slots) in enumerate(node_designs(spec, layout, x0)):
         grad[slots] += -(reg.T @ (r[:, j] * inv_var[:, j]))
     return grad
 

@@ -225,6 +225,26 @@ def test_ingest_command(tmp_path):
     assert path.d == 2 and path.n == 3 and path.delta == 0.5
 
 
+def test_ingest_takes_delta_as_a_string(tmp_path, capsys):
+    panel = tmp_path / "panel.csv"
+    panel.write_text("t,a,b\n0,1.0,2.0\n1,1.5,2.5\n2,1.2,2.1\n")
+    cfg = write_json(tmp_path, "ingest.json", {"panel_csv": str(panel),
+                                               "delta": "0.5"})
+    out = tmp_path / "ingest"
+    assert cli.run("ingest", cfg, out_dir=str(out)) == 0
+    assert read_csv(str(out / "path.csv")).delta == 0.5
+    capsys.readouterr()
+    assert cli.run("ingest", cfg, overrides=["delta=abc"],
+                   out_dir=str(tmp_path / "bad")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "abc" in err
+    assert len(err.strip().splitlines()) == 1
+    for bad in ("nan", "inf"):
+        assert cli.run("ingest", cfg, overrides=[f"delta={bad}"],
+                       out_dir=str(tmp_path / bad)) == 1
+        assert "finite" in capsys.readouterr().err
+
+
 def test_communities_command(tmp_path):
     cfg = write_json(tmp_path, "comm.json", {
         "adjacency": [[0, 1, 0, 0], [1, 0, 0, 0],

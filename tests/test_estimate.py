@@ -7,7 +7,7 @@ from netsde.estimate import (DegenerateDiffusionError, InsufficientDataError,
                              fit_qmle, fit_result_to_dict, fit_result_to_json,
                              model_hessian, quasi_loglik, rate_diagonal,
                              scaled_information)
-from netsde.graph import build_graph, complete_graph, erdos_renyi
+from netsde.graph import build_graph, complete_graph, erdos_renyi, polymer
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           ParamVector, RadialDictionaryDrift, TanhClipped,
                           diffusion_eval, parameter_layout)
@@ -195,19 +195,50 @@ def test_hessian_matches_for_radial_and_augmented_forms():
     assert np.allclose(analytic2, numeric2, atol=2e-5 * np.abs(analytic2).max())
 
 
+def _designs_match_the_loop_drift(spec, g, theta, x0, augmented=False):
+    layout = parameter_layout(spec, g, augmented=augmented)
+    flat = layout.flatten(theta)
+    want = np.stack([drift_eval(spec, g, theta, row) for row in x0])
+    designs = node_designs(spec, layout, x0)
+    assert len(designs) == spec.d
+    for j, (reg, slots) in enumerate(designs):
+        assert np.allclose(reg @ flat[slots], want[:, j], atol=1e-12)
+    return designs
+
+
 def test_node_designs_reproduce_the_drift():
     spec, g, layout, theta = small_model()
     rng = np.random.default_rng(1)
     x0 = rng.standard_normal((20, 3))
-    flat = layout.flatten(theta)
-    designs = node_designs(spec, g, layout, x0)
-    want = np.stack([drift_eval(spec, g, theta, row) for row in x0])
-    for j, (reg, slots) in enumerate(designs):
-        assert np.allclose(reg @ flat[slots], want[:, j], atol=1e-12)
+    _designs_match_the_loop_drift(spec, g, theta, x0)
     # augmented designs regress on every other coordinate
     aug = parameter_layout(spec, complete_graph(3), augmented=True)
-    designs_aug = node_designs(spec, complete_graph(3), aug, x0)
+    theta_aug = aug.pack(alpha=[1.5, 2.0, 1.0], momentum=[5.0, 6.0, 7.0],
+                         w=rng.standard_normal(6))
+    designs_aug = _designs_match_the_loop_drift(
+        spec, complete_graph(3), theta_aug, x0, augmented=True)
     assert all(reg.shape[1] == 3 for reg, _ in designs_aug)
+
+
+@pytest.mark.parametrize("family", ["intercepts", "radial"])
+def test_node_designs_follow_unsorted_edges(family):
+    # polymer(7) lists (0, 1) and (3, 4) after the chain, out of sorted order
+    g = polymer(7)
+    if family == "intercepts":
+        drift = LinearDrift(with_intercepts=True)
+    else:
+        drift = RadialDictionaryDrift(offsets=(1.0, 2.0), exponents=(-0.5, 0.5))
+    spec = NsdeSpec(d=7, drift=drift, diffusion=ConstantDiagonal())
+    layout = parameter_layout(spec, g)
+    rng = np.random.default_rng(2)
+    theta = layout.unflatten(np.r_[np.ones(7),
+                                   rng.standard_normal(layout.pi_total - 7)])
+    x0 = rng.standard_normal((30, 7))
+    designs = _designs_match_the_loop_drift(spec, g, theta, x0)
+    levels = max(layout.n_levels, 1)
+    for j, (reg, slots) in enumerate(designs):
+        assert slots[0] == layout.momentum_slot(j)
+        assert reg.shape[1] == 1 + layout.with_intercepts + levels * len(g.parents(j))
 
 
 def test_adaptive_closed_form_vs_optimizer():

@@ -45,6 +45,16 @@ def test_missing_markers():
         parse_panel_csv("t,x\n0,NA\n", missing_markers=("-999",))
 
 
+def test_padded_markers_read_as_missing():
+    panel = parse_panel_csv("t,a,b\n0, NA ,1.0\n1,2.0,\tnull\n2, 3.0 ,  \n")
+    assert np.array_equal(panel.missing_mask(),
+                          [[True, False], [False, True], [False, True]])
+    assert panel.values[1, 0] == 2.0 and panel.values[2, 0] == 3.0
+    # a marker that reads as a number is matched after stripping too
+    custom = parse_panel_csv("t,x\n0, -999\n1,2\n", missing_markers=("-999",))
+    assert np.isnan(custom.values[0, 0]) and custom.values[1, 0] == 2.0
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_panel_csv("t,x\n0,1\noops,2\n")

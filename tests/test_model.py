@@ -7,10 +7,10 @@ from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
                           NsdeSpec, ParamVector, RadialDictionaryDrift,
                           TanhClipped, default_bounds, diffusion_eval,
                           diffusion_shape, linear_drift_matrix,
-                          pair_index, parameter_layout, params_from_config,
+                          parameter_layout, params_from_config,
                           params_to_config, path_drift_fn, spec_from_config,
                           spec_to_config)
-from reference import drift_eval, path_diffusion_fn
+from reference import drift_eval, pair_index, path_diffusion_fn
 
 
 def linear_spec(d, intercepts=False, clip=None):
@@ -189,6 +189,69 @@ def test_layout_radial_levels():
         layout.edge_slot(0, 1, level=2)
     with pytest.raises(LayoutMismatchError):
         parameter_layout(spec, g, augmented=True)
+
+
+def _three_layouts():
+    """A linear known graph with unsorted edges and intercepts, an augmented
+    d = 4 layout and a two-level radial layout."""
+    radial = NsdeSpec(d=4, drift=RadialDictionaryDrift(offsets=(1.0, 2.0),
+                                                       exponents=(-0.5, 0.5)),
+                      diffusion=ConstantDiagonal())
+    unsorted = build_graph(5, [(3, 1), (0, 4), (2, 0), (0, 1), (4, 2)])
+    return [
+        ("linear", parameter_layout(linear_spec(5, intercepts=True), unsorted)),
+        ("augmented", parameter_layout(linear_spec(4), complete_graph(4),
+                                       augmented=True)),
+        ("radial", parameter_layout(radial, build_graph(4, [(2, 3), (0, 1), (1, 0)]))),
+    ]
+
+
+@pytest.mark.parametrize("kind, layout", _three_layouts(),
+                         ids=[kind for kind, _ in _three_layouts()])
+def test_coef_slots_name_their_coordinates(kind, layout):
+    d = layout.d
+    assert layout.coef_slots.shape == (max(layout.n_levels, 1), d, d)
+    for (level, i, j), slot in np.ndenumerate(layout.coef_slots):
+        if slot < 0:
+            continue
+        name = {"linear": f"beta_{i}_{j}", "augmented": f"w_{i}_{j}",
+                "radial": f"beta{level}_{i}_{j}"}[kind]
+        assert layout.coord_names[slot] == name
+        assert layout.edge_slot(i, j, level=level) == slot
+    # a bijection onto the network block, the slots after alpha, momentum
+    # and intercepts
+    first = layout.pi_alpha + layout.d * (1 + layout.with_intercepts)
+    taken = np.sort(layout.coef_slots[layout.coef_slots >= 0])
+    assert taken.tolist() == list(range(first, layout.pi_total))
+    assert not np.any(np.diagonal(layout.coef_slots, axis1=1, axis2=2) >= 0)
+
+
+@pytest.mark.parametrize("kind, layout", _three_layouts(),
+                         ids=[kind for kind, _ in _three_layouts()])
+def test_edge_slot_checks_its_indices(kind, layout):
+    d = layout.d
+    levels = max(layout.n_levels, 1)
+    i, j = next((i, j) for i in range(d) for j in range(d)
+                if layout.coef_slots[0, i, j] >= 0)
+    layout.edge_slot(i, j, level=levels - 1)
+    for bad in [(-1, j, 0), (i, -1, 0), (d, j, 0), (i, d, 0), (i, i, 0),
+                (i, j, -1), (i, j, levels)]:
+        with pytest.raises(LayoutMismatchError):
+            layout.edge_slot(*bad[:2], level=bad[2])
+    if kind != "augmented":
+        a, b = next((a, b) for a in range(d) for b in range(d)
+                    if a != b and layout.coef_slots[0, a, b] < 0)
+        with pytest.raises(LayoutMismatchError, match="not an edge"):
+            layout.edge_slot(a, b)
+
+
+def test_edge_slot_rejects_what_the_pair_order_would_wrap():
+    # row-major pair arithmetic alone maps these to mu_0's slot, w_1_0's
+    # slot and past the end of the vector
+    layout = parameter_layout(linear_spec(3), complete_graph(3), augmented=True)
+    for i, j in [(-1, 0), (0, 3), (3, 0)]:
+        with pytest.raises(LayoutMismatchError):
+            layout.edge_slot(i, j)
 
 
 def test_flatten_unflatten_round_trip():

@@ -323,6 +323,15 @@ def test_sample_path_validation_and_properties():
         SamplePath(delta=0.5, data=np.full((2, 2), np.nan))
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+def test_spacing_must_be_finite(delta):
+    spec, g, theta = two_node_model(clip=100.0)
+    with pytest.raises(ValueError, match="finite"):
+        SamplePath(delta=delta, data=np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        simulate_path(spec, g, theta, [0.0, 0.0], delta, 10)
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     spec, g, theta = two_node_model(clip=100.0)
     p = simulate_path(spec, g, theta, [0.0, 0.0], 0.01, 100, seed=9)
@@ -352,3 +361,28 @@ def test_csv_rejects_malformed_input():
         from_csv("t,x0\n0.0,1.0\n\n0.1,2.0,3.0\n")
     with pytest.raises(ValueError, match="^line 5: .*'x'"):
         from_csv("\nt,x0\n0.0,1.0\n0.1,2.0\n0.2,x\n")
+    # no missing markers: a blank cell is an error on its line
+    with pytest.raises(ValueError, match="^line 3: .*''"):
+        from_csv("t,x0,x1\n0.0,1.0,2.0\n0.1,,3.0\n")
+
+
+def test_csv_reads_numbers_padded_with_whitespace():
+    back = from_csv("t, x0,x1 \n 0.0 , 1.5,-2.0\n0.25,\t3.0 ,4.0\n")
+    assert back.delta == 0.25
+    assert np.array_equal(back.data, [[1.5, -2.0], [3.0, 4.0]])
+
+
+def test_read_csv_is_not_a_panel_load(tmp_path, monkeypatch):
+    # the benchmark times ingest.load_panel_csv and simulate.read_csv as
+    # separate spans, so a path read must not go through the panel loader
+    import netsde.ingest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read_csv went through load_panel_csv")
+
+    monkeypatch.setattr(netsde.ingest, "load_panel_csv", refuse)
+    spec, g, theta = two_node_model(clip=100.0)
+    p = simulate_path(spec, g, theta, [0.0, 0.0], 0.01, 20, seed=3)
+    f = tmp_path / "path.csv"
+    write_csv(p, str(f))
+    assert np.array_equal(read_csv(str(f)).data, p.data)
