@@ -7,7 +7,7 @@ which couplings are nonzero recovers the graph.
 """
 from .estimate import (EstimationError, FitResult, fit_adaptive_closed_form,
                        fit_diffusion_scale, fit_linear_closed_form, fit_qmle,
-                       model_hessian, quasi_loglik, scaled_information)
+                       model_hessian, quasi_loglik)
 from .experiments import (StudyError, StudyReport, cluster_lambda_curve,
                           detect_communities, error_bound_study,
                           find_er_graph_with_edges, label_agreement,
@@ -48,7 +48,7 @@ __all__ = [
     "parameter_layout", "params_from_config", "params_to_config",
     "parse_panel_csv", "polymer", "psd_project", "quasi_loglik",
     "read_csv", "recovery_study", "reference_er_graph", "run_study",
-    "save_panel_csv", "sbm", "scaled_information", "select_graph",
+    "save_panel_csv", "sbm", "select_graph",
     "select_lambda", "simulate_ensemble", "simulate_path", "spec_from_config",
     "spec_to_config", "study_graph", "to_sample_path", "two_step_refit",
     "validation_loss", "write_csv",

@@ -22,24 +22,25 @@ additive, so paths that arrive chunk by chunk from the simulator fold
 into them without being stored.  Every fit reads the path through them
 alone: the stage-one scales, the per-node generalized least squares,
 the contrast value and gradient, the observed information (one
-CurvatureBlocks block per node) and, in netsde.lasso, the held-out loss
-of every penalty candidate.  Only quasi_loglik and model_hessian still
-evaluate the contrast and its Hessian row by row; they are the
-package's reference evaluators.
+CurvatureBlocks block per node, which model_hessian lays out dense)
+and, in netsde.lasso, the held-out loss of every penalty candidate.
+Only quasi_loglik still evaluates the contrast row by row: one pass of
+O(n d^2) costs less than a moments build of O(n d^3) when a single
+value is wanted.
 
 Node j's contrast is Q_j(c_j) / (2 delta alpha_j^2) + (n/2) log alpha_j^2
 plus a constant, with Q_j the weighted residual sum of squares, a
 quadratic in the drift coefficients c_j.  Its minimizer in c_j therefore
-does not depend on alpha_j, and every fit is exact.  fit_qmle is the one
-fit front end (fit_adaptive_closed_form is its two-stage call), and one
-moments core serves it and error_bound_study: it solves each node's Gram
-system over the model box (with netsde.lasso's active-set solver
-wherever the solution leaves it), sets the scales by stage one, at
-alpha_j^2 = Q_j / (n delta) for the joint fit, or at given values, and
-certifies the result by its projected gradient.  fit_linear_closed_form
-solves the same per-node Gram systems under caller-given weights.  The
-Gram systems are factored with numpy's Cholesky (np.linalg.cholesky)
-and solved through the triangular factors, so no fit needs scipy.
+does not depend on alpha_j, and every fit is exact.  One moments core,
+_closed_form_fit, serves every fit front end (fit_qmle,
+fit_adaptive_closed_form, fit_linear_closed_form) and
+error_bound_study: it solves each node's Gram system over the model box
+(with netsde.lasso's active-set solver wherever the solution leaves
+it), sets the scales by stage one, at alpha_j^2 = Q_j / (n delta) for
+the joint fit, or at given values, and certifies the result by its
+projected gradient.  The Gram systems are factored with numpy's
+Cholesky (np.linalg.cholesky) and solved through the triangular
+factors, so no fit needs scipy.
 """
 from __future__ import annotations
 
@@ -385,6 +386,23 @@ def _information(mom: NodeMoments, flat: np.ndarray, delta: float,
     return CurvatureBlocks.from_blocks(p, members, blocks)
 
 
+def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
+                  theta: ParamVector, augmented: bool | None = None) -> np.ndarray:
+    """Analytic Hessian of quasi_loglik at theta, as a dense matrix: the
+    path's _information blocks at theta (one per node, over its diffusion
+    scale and drift parameters) laid out dense.  augmented defaults to
+    whether theta has pair weights."""
+    if augmented is None:
+        augmented = theta.w is not None
+    layout = parameter_layout(spec, g, augmented=augmented)
+    flat = layout.flatten(theta)  # checks the blocks against the layout
+    _increments(path)  # raises on a path without increments
+    if np.any(theta.alpha <= 0):
+        raise DegenerateDiffusionError("diffusion scales must be strictly positive")
+    mom = _path_moments(spec, g, layout, path.data)
+    return _information(mom, flat, path.delta, layout.pi_total).dense()
+
+
 # ---------------------------------------------------------------------------
 # per-node generalized least squares
 
@@ -434,112 +452,8 @@ def _solve_grams(grams, rhs):
     return coefs, conds, jittered
 
 
-@dataclass
-class LinearClosedFormFit:
-    """Per-node regression output of the closed-form drift estimator.
-
-    Node j regresses its increments on its linear-family design (see
-    _designs): columns [-x_j, 1 (with intercepts), x_k for the parents k in
-    ascending order], so the own-column coefficient is the momentum mu_j.
-    slots[j] holds the flat layout slots of node j's columns.
-    """
-
-    delta: float
-    slots: list[np.ndarray]
-    coef: list[np.ndarray]
-    gram: list[np.ndarray]
-    cond: np.ndarray
-    jittered: np.ndarray
-
-    def to_params(self, layout: ParamLayout, alpha) -> ParamVector:
-        """Map the per-node coefficients into the known-graph layout."""
-        flat = np.zeros(layout.pi_total)
-        flat[:layout.pi_alpha] = np.asarray(alpha, dtype=float)
-        for slots, coef in zip(self.slots, self.coef):
-            flat[slots] = coef
-        return layout.unflatten(flat)
-
-
-def fit_linear_closed_form(path: SamplePath, g: DirectedGraph,
-                           sigma_hat, intercepts: bool = False) -> LinearClosedFormFit:
-    """Per-node weighted least squares for the linear drift family, under
-    caller-given weights.
-
-    For node j with its linear-family design R (see LinearClosedFormFit),
-    solves
-
-        coef_j = (1/delta) * mean(R R' / sigma_hat_j^2)^{-1}
-                           * mean(dX_j R / sigma_hat_j^2)
-
-    through the same designs, moments and Gram solve as every fit; unlike
-    fit_qmle it neither bounds nor certifies the result.
-
-    Args:
-        sigma_hat: per-increment diffusion values, shape (n, d); scalars or
-            length-d vectors are broadcast.
-
-    Raises:
-        SingularGramError: when a node's weighted Gram matrix is numerically
-            singular (condition number above 1e14).
-    """
-    x0, dx = _increments(path)
-    n, d = x0.shape
-    if g.d != d:
-        raise ValueError(f"graph has {g.d} nodes, path has {d} coordinates")
-    sig = np.broadcast_to(np.asarray(sigma_hat, dtype=float), (n, d))
-    if np.any(sig <= 0):
-        raise DegenerateDiffusionError("sigma_hat must be strictly positive")
-    spec = NsdeSpec(d=d, drift=LinearDrift(with_intercepts=intercepts),
-                    diffusion=ConstantDiagonal())
-    mom = _node_moments(dx, sig, _designs(spec, parameter_layout(spec, g), x0))
-    grams = [gram[0] / n for gram in mom.gram]
-    coefs, conds, jittered = _solve_grams(
-        grams, [cross[0] / (n * path.delta) for cross in mom.cross])
-    return LinearClosedFormFit(delta=path.delta, slots=list(mom.slots),
-                               coef=coefs, gram=grams, cond=conds,
-                               jittered=jittered)
-
-
 # ---------------------------------------------------------------------------
-# row-by-row Hessian
-
-
-def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-                  theta: ParamVector, augmented: bool | None = None) -> np.ndarray:
-    """Analytic Hessian of quasi_loglik at theta, as a dense matrix.
-
-    The contrast separates across nodes, so the Hessian is block diagonal
-    with one (1 + q_j) block per node covering its diffusion scale and
-    drift parameters.  This evaluates it row by row; the fits build the
-    same blocks from NodeMoments.
-    """
-    if augmented is None:
-        augmented = theta.w is not None
-    layout = parameter_layout(spec, g, augmented=augmented)
-    layout.flatten(theta)  # checks the blocks against the layout
-    x0, dx = _increments(path)
-    alpha = theta.alpha
-    if np.any(alpha <= 0):
-        raise DegenerateDiffusionError("diffusion scales must be strictly positive")
-    s = diffusion_shape(spec, x0)
-    inv_var = 1.0 / (alpha * alpha * s * s)
-    r = dx - path.delta * path_drift_fn(spec, g, theta)(x0)
-    n = x0.shape[0]
-    hess = np.zeros((layout.pi_total, layout.pi_total))
-    quad = np.sum(r * r * inv_var, axis=0)
-    for j, (reg, slots) in enumerate(_designs(spec, layout, x0)):
-        a = layout.alpha_slot(j)
-        hess[a, a] = 3.0 * quad[j] / (path.delta * alpha[j] ** 2) - n / alpha[j] ** 2
-        cross = (2.0 / alpha[j]) * (reg.T @ (r[:, j] * inv_var[:, j]))
-        hess[a, slots] = cross
-        hess[slots, a] = cross
-        block = path.delta * ((reg * inv_var[:, j][:, None]).T @ reg)
-        hess[np.ix_(slots, slots)] += block
-    return hess
-
-
-# ---------------------------------------------------------------------------
-# rate normalization
+# fit driver
 
 
 def rate_diagonal(layout: ParamLayout, n: int, delta: float) -> np.ndarray:
@@ -550,28 +464,15 @@ def rate_diagonal(layout: ParamLayout, n: int, delta: float) -> np.ndarray:
     return rate
 
 
-def scaled_information(fit: "FitResult", n: int | None = None,
-                       delta: float | None = None) -> np.ndarray:
-    """Rate-normalized information: diag(rate) @ H @ diag(rate)."""
-    n = fit.n if n is None else n
-    delta = fit.delta if delta is None else delta
-    rate = rate_diagonal(fit.layout, n, delta)
-    return rate[:, None] * fit.info_matrix * rate[None, :]
-
-
-# ---------------------------------------------------------------------------
-# fit driver
-
-
 @dataclass
 class FitResult:
     """Estimate plus diagnostics from a quasi-likelihood fit.
 
-    The observed information is kept as node blocks (info_blocks);
-    info_matrix and scaled_info build dense p x p copies on each access.
-    gram_cond and gram_jittered hold, per node, the condition number of
-    its weighted Gram matrix and whether its Cholesky factorization
-    needed a jitter.
+    The observed information is kept as node blocks (info_blocks;
+    info_blocks.dense() lays it out as a p x p matrix).  converged is the
+    projected-gradient certificate of _closed_form_fit.  gram_cond and
+    gram_jittered hold, per node, the condition number of its weighted
+    Gram matrix and whether its Cholesky factorization needed a jitter.
     """
 
     theta_hat: ParamVector
@@ -585,19 +486,10 @@ class FitResult:
     gram_cond: np.ndarray = field(repr=False)
     gram_jittered: np.ndarray = field(repr=False)
 
-    @property
-    def info_matrix(self) -> np.ndarray:
-        return self.info_blocks.dense()
-
-    @property
-    def scaled_info(self) -> np.ndarray:
-        return scaled_information(self)
-
     def standard_errors(self) -> np.ndarray | None:
-        """sqrt diag of rate @ scaled_info^{-1} @ rate, or None if singular.
-
-        The inverse is taken block by block.
-        """
+        """sqrt of the diagonal of the inverse information, or None if a
+        block is singular; each block H is inverted rate-normalized,
+        diag(rate_diag) H diag(rate_diag), and scaled back."""
         var = np.empty(self.info_blocks.p)
         for idx, blocks in self.info_blocks.groups:
             rate = self.rate_diag[idx]
@@ -677,6 +569,34 @@ def fit_adaptive_closed_form(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     every node regresses on all other coordinates, and as its refit.
     """
     return fit_qmle(path, spec, g, augmented=augmented, intercepts=intercepts)
+
+
+def fit_linear_closed_form(path: SamplePath, g: DirectedGraph,
+                           sigma_hat, intercepts: bool = False) -> FitResult:
+    """The certified fit of the linear drift family under caller-given
+    weights.
+
+    Node j's drift coefficients minimize
+    sum_i (dX_ij - delta R_j c_j)^2 / sigma_hat_ij^2 over the model box,
+    with R_j its design (see _designs): _closed_form_fit with the scales
+    at 1 relative to sigma_hat, so theta_hat.alpha is all ones.
+    sigma_hat has shape (n, d); scalars or length-d vectors are
+    broadcast.  A numerically singular weighted Gram matrix raises
+    SingularGramError.
+    """
+    x0, dx = _increments(path)
+    n, d = x0.shape
+    if g.d != d:
+        raise ValueError(f"graph has {g.d} nodes, path has {d} coordinates")
+    sig = np.broadcast_to(np.asarray(sigma_hat, dtype=float), (n, d))
+    if np.any(sig <= 0):
+        raise DegenerateDiffusionError("sigma_hat must be strictly positive")
+    spec = NsdeSpec(d=d, drift=LinearDrift(with_intercepts=intercepts),
+                    diffusion=ConstantDiagonal())
+    layout = parameter_layout(spec, g)
+    mom = _node_moments(dx, sig, _designs(spec, layout, x0))
+    return _closed_form_fit(mom, layout, path.delta, intercepts,
+                            alpha=np.ones(d))
 
 
 def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,

@@ -22,7 +22,7 @@ from .estimate import (FitResult, InsufficientDataError, _closed_form_fit,
                        _MomentFold, fit_adaptive_closed_form)
 from .graph import (DirectedGraph, block_labels, build_graph, complete_graph,
                     erdos_renyi, ergodicity_margin, polymer, sbm)
-from .lasso import (LassoPath, adaptive_weights, lambda_max, lambda_path,
+from .lasso import (LassoPath, adaptive_weights, lambda_path,
                     psd_project, select_lambda, two_step_refit,
                     validation_loss)
 from .model import (ConstantDiagonal, LinearDrift, NsdeSpec, TanhClipped,
@@ -115,6 +115,16 @@ def _jsonable(obj):
     return obj
 
 
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
 @dataclass
 class StudyReport:
     """Rows (one dict per study cell or replication) plus a summary block."""
@@ -131,7 +141,9 @@ class StudyReport:
                           "notes": self.notes})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """Strict JSON (RFC 8259): non-finite floats are written as null."""
+        return json.dumps(_finite_or_null(self.to_dict()), indent=2,
+                          allow_nan=False)
 
     def rows_csv(self) -> str:
         keys: list[str] = []
@@ -308,7 +320,9 @@ def error_bound_study(config: dict) -> StudyReport:
         eps = g.n_edges / (n * delta)
         bound = k_ratio * eps
         mean_error = float(err2.mean() / layout.pi_total)
-        sd_error = float(err2.std(ddof=1) / layout.pi_total)
+        # one replication has no spread to estimate
+        raw_sd = float(err2.std(ddof=1)) if n_reps > 1 else float("nan")
+        sd_error = raw_sd / layout.pi_total
         row = {
             "d": g.d,
             "n_edges": g.n_edges,
@@ -320,7 +334,7 @@ def error_bound_study(config: dict) -> StudyReport:
             "mean_error": mean_error,
             "sd_error": sd_error,
             "raw_mean": float(err2.mean()),
-            "raw_sd": float(err2.std(ddof=1)),
+            "raw_sd": raw_sd,
             "n": n,
             "n_reps": n_reps,
             "n_converged": n_converged,
@@ -370,21 +384,46 @@ def error_bound_study(config: dict) -> StudyReport:
 # recovery pipeline
 
 
+def _penalty_setting(penalty_cfg: dict, key: str, default, ok, allowed: str) -> float:
+    """penalty_cfg[key] (default when absent) as a float; StudyError naming
+    the key unless ok(value), which a value that is not a number fails."""
+    value = penalty_cfg.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")  # fails every check below
+    if not ok(number):
+        raise StudyError(f"penalty {key!r} must {allowed}, got {value!r}")
+    return number
+
+
 def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
     """Dense pilot, adaptive L1 path, penalty choice and adjacency estimate.
 
     Rules needing a validation curve fit the pilot on the leading 1 - holdout
     share of the increments and score candidates on the trailing share; the
-    fixed_fraction rule uses the whole path for the pilot.  Returns
+    fixed_fraction rule uses the whole path for the pilot and solves the
+    one penalty fraction * lambda_max.  Each setting a rule reads is
+    checked before the pilot runs (StudyError naming the key).  Returns
     (a_hat, selected_lambda, lasso_path, pilot_fit).
     """
     g_full = complete_graph(spec.d)
     rule = penalty_cfg.get("rule", "half_se")
     if rule not in ("min", "half_se", "fixed_fraction"):
         raise ValueError(f"unknown selection rule {rule!r}")
-    holdout = float(penalty_cfg.get("holdout", 0.3))
+    exponent = _penalty_setting(penalty_cfg, "weight_exponent", 1.0,
+                                lambda v: v >= 0.0, "be non-negative")
     fit_data = path
-    if rule != "fixed_fraction":
+    if rule == "fixed_fraction":
+        fraction = _penalty_setting(penalty_cfg, "fraction", None,
+                                    lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+    else:
+        holdout = _penalty_setting(penalty_cfg, "holdout", 0.3,
+                                   lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+        n_points = int(_penalty_setting(penalty_cfg, "n_points", 50,
+                                        lambda v: v >= 1.0, "be at least 1"))
+        min_fraction = _penalty_setting(penalty_cfg, "min_fraction", 1e-3,
+                                        lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
         n_tail = max(1, int(np.floor(path.n * holdout)))
         if n_tail >= path.n:
             raise StudyError("holdout leaves no data for the pilot")
@@ -393,24 +432,16 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
 
     pilot = fit_adaptive_closed_form(fit_data, spec, g_full, augmented=True)
     h = psd_project(pilot.info_blocks)
-    exponent = float(penalty_cfg.get("weight_exponent", 1.0))
     gamma = adaptive_weights(
         pilot.theta_hat, exponent,
         penalize_momentum=bool(penalty_cfg.get("penalize_momentum", False)))
 
     if rule == "fixed_fraction":
-        # single solve at the requested fraction of lambda_max
-        lam_top = lambda_max(h, pilot.theta_hat, gamma)
-        lam = select_lambda(
-            LassoPath(lambdas=np.array([lam_top]), coefficients=[],
-                      active_counts=np.array([0]), lambda_max=lam_top),
-            rule=rule, fraction=penalty_cfg.get("fraction"))
-        lpath = lambda_path(h, pilot.theta_hat, gamma, lambdas=[lam])
-        return lpath.adjacency[0], lam, lpath, pilot
+        lpath = lambda_path(h, pilot.theta_hat, gamma, fractions=[fraction])
+        return lpath.adjacency[0], float(lpath.lambdas[0]), lpath, pilot
 
-    lpath = lambda_path(h, pilot.theta_hat, gamma,
-                        n_points=int(penalty_cfg.get("n_points", 50)),
-                        min_fraction=float(penalty_cfg.get("min_fraction", 1e-3)))
+    lpath = lambda_path(h, pilot.theta_hat, gamma, n_points=n_points,
+                        min_fraction=min_fraction)
     lpath.validation_loss, lpath.validation_se = validation_loss(
         path, spec, g_full, lpath.coefficients, fraction=holdout)
     lam = select_lambda(lpath, rule=rule)

@@ -241,7 +241,7 @@ def lsa_solve(h, pilot: ParamVector, lam: float, gamma: np.ndarray,
     certified: ConvergenceError is raised unless its stationarity residual
     is at most 1e-8 * (1 + lam), and also when a fixed bound of passes
     runs out.  A negative curvature diagonal or a singular free set raises
-    NonPSDError.
+    NonPSDError, and a negative or non-finite lam raises LassoError.
     """
     hb = curvature_blocks(h)
     pilot_flat = pilot.flat()
@@ -249,8 +249,8 @@ def lsa_solve(h, pilot: ParamVector, lam: float, gamma: np.ndarray,
     if hb.p != p:
         raise LassoError(f"curvature matrix has shape ({hb.p}, {hb.p}), "
                          f"expected ({p}, {p})")
-    if lam < 0:
-        raise LassoError(f"penalty level must be non-negative, got {lam}")
+    if not 0.0 <= lam < np.inf:  # NaN fails every comparison
+        raise LassoError(f"penalty level must be finite and non-negative, got {lam}")
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (p,):
         raise LassoError("weights do not match the parameter vector")
@@ -349,11 +349,13 @@ class LassoPath:
 
 def lambda_path(h, pilot: ParamVector, gamma: np.ndarray,
                 bounds=None, n_points: int = 50, min_fraction: float = 1e-3,
-                lambdas=None) -> LassoPath:
-    """Solve along a log-spaced penalty grid with warm starts.
+                fractions=None) -> LassoPath:
+    """Solve along a decreasing penalty grid with warm starts.
 
-    The grid runs from lambda_max down to min_fraction * lambda_max
-    (n_points values).  The first point is a cold lsa_solve and every
+    The grid runs log-spaced from lambda_max down to
+    min_fraction * lambda_max (n_points values), or, when fractions is
+    given, is lambda_max * fractions in descending order; lambda_max is
+    solved once either way.  The first point is a cold lsa_solve and every
     solution seeds the next one's active set, so each point costs a few
     batched passes; every point carries lsa_solve's certificate.  Active
     counts (nonzero penalized coordinates) should grow as the penalty
@@ -362,10 +364,10 @@ def lambda_path(h, pilot: ParamVector, gamma: np.ndarray,
     """
     h = curvature_blocks(h)
     lam_top = lambda_max(h, pilot, gamma, bounds=bounds)
-    if lambdas is None:
+    if fractions is None:
         grid = np.geomspace(lam_top, lam_top * min_fraction, n_points)
     else:
-        grid = np.sort(np.asarray(lambdas, dtype=float))[::-1]
+        grid = lam_top * np.sort(np.asarray(fractions, dtype=float))[::-1]
     pen = gamma > 0
     coefficients = []
     counts = np.empty(grid.shape[0], dtype=int)
@@ -448,22 +450,15 @@ def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     return losses, ses
 
 
-def select_lambda(path: LassoPath, rule: str = "half_se",
-                  fraction: float | None = None) -> float:
-    """Pick a penalty level from a solved path.
+def select_lambda(path: LassoPath, rule: str = "half_se") -> float:
+    """Pick a penalty level from a solved path's validation curve.
 
     Rules: "min" takes the validation-loss minimizer; "half_se" takes the
     largest penalty whose loss stays within half a standard error of the
     minimum, where the standard error is the minimizer's (its block-level
-    se from validation_loss); "fixed_fraction" returns
-    fraction * lambda_max and needs no validation curve.
+    se from validation_loss).  A fixed fraction of lambda_max needs no
+    curve: lambda_path(fractions=[fraction]) solves it directly.
     """
-    if rule == "fixed_fraction":
-        if fraction is None:
-            raise ValueError("fixed_fraction rule needs a fraction")
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-        return float(fraction * path.lambda_max)
     if path.validation_loss is None:
         raise MissingValidationLossError(
             f"rule {rule!r} needs a validation curve on the path")

@@ -188,15 +188,6 @@ class ParamLayout:
     def pi_w(self) -> int:
         return self.d * (self.d - 1) if self.augmented else 0
 
-    @property
-    def K_ratio(self) -> float:
-        """Parameter count relative to graph size d + |E|."""
-        return self.pi_total / (self.d + len(self.edges))
-
-    def epsilon_ratio(self, n: int, delta: float) -> float:
-        """Graph size d + |E| relative to the observation horizon n * delta."""
-        return (self.d + len(self.edges)) / (n * delta)
-
     # --- slot maps ---
 
     def alpha_slot(self, i: int) -> int:

@@ -146,6 +146,30 @@ def quasi_grad(path, spec: NsdeSpec, g: DirectedGraph, layout,
     return grad
 
 
+def hessian_by_rows(path, spec: NsdeSpec, g: DirectedGraph, layout,
+                    flat: np.ndarray) -> np.ndarray:
+    """Analytic Hessian of quasi_loglik with respect to the flat vector,
+    as a dense matrix summed row by row over the node designs: one block
+    per node over its diffusion scale and drift parameters."""
+    x0 = path.data[:-1]
+    theta = layout.unflatten(flat)
+    alpha = theta.alpha
+    s = diffusion_shape(spec, x0)
+    inv_var = 1.0 / (alpha * alpha * s * s)
+    r = np.diff(path.data, axis=0) - path.delta * path_drift_fn(spec, g, theta)(x0)
+    n = x0.shape[0]
+    hess = np.zeros((layout.pi_total, layout.pi_total))
+    quad = np.sum(r * r * inv_var, axis=0)
+    for j, (reg, slots) in enumerate(node_designs(spec, layout, x0)):
+        a = layout.alpha_slot(j)
+        hess[a, a] = 3.0 * quad[j] / (path.delta * alpha[j] ** 2) - n / alpha[j] ** 2
+        cross = (2.0 / alpha[j]) * (reg.T @ (r[:, j] * inv_var[:, j]))
+        hess[a, slots] = cross
+        hess[slots, a] = cross
+        hess[np.ix_(slots, slots)] += path.delta * ((reg * inv_var[:, j][:, None]).T @ reg)
+    return hess
+
+
 def path_diffusion_fn(spec: NsdeSpec, theta: ParamVector):
     """Return a callable evaluating sigma on arrays of shape (..., d)."""
     alpha = theta.alpha

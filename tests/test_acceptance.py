@@ -85,9 +85,10 @@ def test_closed_form_matches_optimizer():
         path = simulate_path(spec, g, theta, np.zeros(d), 0.01, 5000,
                              substeps=10, seed=trial)
         alpha_hat = fit_diffusion_scale(path, spec)
-        closed = fit_linear_closed_form(
-            path, g, sigma_path(path, spec, alpha_hat)).to_params(
-                layout, alpha_hat)
+        closed = ParamVector(
+            alpha=alpha_hat,
+            beta=fit_linear_closed_form(
+                path, g, sigma_path(path, spec, alpha_hat)).theta_hat.beta)
         opt = fit_qmle(path, spec, g, mode="adaptive",
                        freeze_alpha=alpha_hat)
         gap = float(np.max(np.abs(layout.flatten(closed)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netsde import cli
+from netsde import cli, experiments
 from netsde.graph import build_graph
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           params_to_config, parameter_layout, spec_to_config)
@@ -333,3 +333,38 @@ def test_main_overrides_and_version(tmp_path, capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+@pytest.fixture(scope="module")
+def short_er_path(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim_er")
+    assert cli.run("simulate", str(CONFIGS / "simulate_er.json"),
+                   overrides=["n=300"], out_dir=str(out)) == 0
+    return str(out / "path.csv")
+
+
+HALF_SE = 'penalty.rule="half_se"'
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ([HALF_SE, "penalty.n_points=0"], "n_points"),
+    ([HALF_SE, "penalty.min_fraction=0"], "min_fraction"),
+    ([HALF_SE, "penalty.min_fraction=-1"], "min_fraction"),
+    ([HALF_SE, "penalty.min_fraction=2"], "min_fraction"),
+    ([HALF_SE, "penalty.holdout=0"], "holdout"),
+    ([HALF_SE, "penalty.weight_exponent=-1"], "weight_exponent"),
+    (["penalty.fraction=0"], "fraction"),
+    (["penalty.fraction=1.5"], "fraction"),
+])
+def test_lasso_rejects_bad_penalty_settings_before_the_pilot(
+        tmp_path, capsys, monkeypatch, short_er_path, overrides, key):
+    def fit(*args, **kwargs):
+        raise AssertionError("the pilot was fitted")
+
+    monkeypatch.setattr(experiments, "fit_adaptive_closed_form", fit)
+    overrides = [f"path_csv={json.dumps(short_er_path)}", *overrides]
+    assert cli.run("lasso", str(CONFIGS / "lasso_er.json"), overrides=overrides,
+                   out_dir=str(tmp_path / "sel")) == cli.DOMAIN_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"penalty {key!r}" in err[0]

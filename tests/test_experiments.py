@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -325,3 +326,23 @@ def test_every_shipped_study_config_runs(name):
     cfg = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
     report = run_study({**cfg, **TINY_STUDY[cfg["study"]]})
     assert len(report.rows) == 1
+
+
+def test_report_json_is_strict_with_one_replication_and_one_horizon():
+    # one replication has no sd and one horizon no slope: both are written
+    # as null, without numpy's degrees-of-freedom warning
+    cfg = {**small_error_bound_config(), "horizons": [5.0], "n_reps": 1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = error_bound_study(cfg)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(report.to_json(), parse_constant=reject)
+    row = payload["rows"][0]
+    assert row["sd_error"] is None and row["raw_sd"] is None
+    assert np.isfinite(row["mean_error"])
+    assert payload["summary"]["slope_log_error_vs_log_horizon"] is None
+    # to_dict keeps the floats as they are
+    assert np.isnan(report.to_dict()["rows"][0]["sd_error"])

@@ -228,8 +228,9 @@ def test_solver_errors(monkeypatch):
         lsa_solve(np.ones((2, 2)), pilot, 0.0, gamma)
     with pytest.raises(LassoError):
         lsa_solve(np.eye(3), pilot, 0.1, gamma)
-    with pytest.raises(LassoError):
-        lsa_solve(np.eye(2), pilot, -0.1, gamma)
+    for lam in (-0.1, np.nan, np.inf):
+        with pytest.raises(LassoError, match="finite and non-negative"):
+            lsa_solve(np.eye(2), pilot, lam, gamma)
     monkeypatch.setattr(lasso, "_MAX_PASSES", 0)
     with pytest.raises(ConvergenceError):
         lsa_solve(np.eye(2), pilot, 0.5, gamma)
@@ -354,8 +355,10 @@ def test_lambda_path_grid_and_counts():
     assert path.active_counts[-1] > 0
     assert path.adjacency is None  # no pair-weight block on this pilot
 
-    explicit = lambda_path(h, pilot, gamma, lambdas=[0.5, 2.0, 1.0])
-    assert np.array_equal(explicit.lambdas, [2.0, 1.0, 0.5])
+    explicit = lambda_path(h, pilot, gamma, fractions=[0.25, 1.0, 0.5])
+    assert explicit.lambda_max == path.lambda_max
+    assert np.array_equal(explicit.lambdas,
+                          [path.lambda_max * f for f in (1.0, 0.5, 0.25)])
 
 
 def test_lambda_path_tracks_pair_weights():
@@ -450,12 +453,6 @@ def test_select_lambda_rules():
     # widen the minimizer's se and the candidate at lambda=4 comes in reach
     path.validation_se = np.array([0.1, 0.1, 4.0, 0.1, 0.1])
     assert select_lambda(path, rule="half_se") == 4.0
-    assert select_lambda(path, rule="fixed_fraction", fraction=0.1) \
-        == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        select_lambda(path, rule="fixed_fraction")
-    with pytest.raises(ValueError):
-        select_lambda(path, rule="fixed_fraction", fraction=1.5)
     with pytest.raises(ValueError):
         select_lambda(path, rule="aic")
     bare = LassoPath(lambdas=path.lambdas, coefficients=path.coefficients,

@@ -9,7 +9,8 @@ from numpy.linalg import cholesky
 from netsde import estimate, model
 from netsde.estimate import (_chunk_contrast, _gradient, _information,
                              _path_moments, _projected_grad,
-                             fit_adaptive_closed_form, fit_qmle,
+                             fit_adaptive_closed_form, fit_diffusion_scale,
+                             fit_linear_closed_form, fit_qmle,
                              fit_result_to_dict, model_hessian, quasi_loglik)
 from netsde.experiments import select_graph
 from netsde.graph import build_graph, complete_graph
@@ -18,7 +19,8 @@ from netsde.model import (LinearDrift, NsdeSpec, RadialDictionaryDrift,
                           TanhClipped, default_bounds, diffusion_shape,
                           parameter_layout, path_drift_fn)
 from netsde.simulate import simulate_path
-from reference import exact_inverse_diagonal, quasi_grad, validation_loss_by_rows
+from reference import (exact_inverse_diagonal, hessian_by_rows, quasi_grad,
+                       sigma_path, validation_loss_by_rows)
 
 # node 0's parents are listed out of order, so its slots are not ascending
 EDGES = [(0, 2), (0, 1), (1, 2), (2, 0)]
@@ -81,8 +83,9 @@ def test_information_blocks_match_model_hessian(name):
         flat = layout.flatten(theta)
         mom = _path_moments(spec, g, layout, path.data)
         got = _information(mom, flat, path.delta, layout.pi_total).dense()
-        want = model_hessian(path, spec, g, theta, augmented=augmented)
+        want = hessian_by_rows(path, spec, g, layout, flat)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        assert np.array_equal(model_hessian(path, spec, g, theta), got)
         contrast = _chunk_contrast(mom, flat[None], path.delta).sum()
         assert contrast == pytest.approx(quasi_loglik(path, spec, g, theta),
                                          rel=1e-12)
@@ -121,16 +124,18 @@ def test_fits_carry_the_reference_contrast_information_and_errors(name):
         fit = fit_qmle(path, spec, g, mode="adaptive")
     else:
         fit = fit_adaptive_closed_form(path, spec, g, augmented=augmented)
-    want = model_hessian(path, spec, g, fit.theta_hat, augmented=augmented)
-    assert np.allclose(fit.info_matrix, want, rtol=0.0,
-                       atol=1e-12 * np.abs(want).max())
+    info = fit.info_blocks.dense()
+    want = hessian_by_rows(path, spec, g, fit.layout,
+                           fit.layout.flatten(fit.theta_hat))
+    assert np.allclose(info, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
     assert fit.contrast_value == pytest.approx(
         quasi_loglik(path, spec, g, fit.theta_hat), rel=1e-12)
     # block-wise standard errors against the exact inverse of the whole
     # matrix (a float inverse of the radial case, condition number 1.6e7,
     # is itself about 1e-12 off)
     rate = fit.rate_diag
-    dense = rate * exact_inverse_diagonal(fit.scaled_info) * rate
+    scaled = rate[:, None] * info * rate[None, :]
+    dense = rate * exact_inverse_diagonal(scaled) * rate
     assert np.allclose(fit.standard_errors(), np.sqrt(dense), rtol=1e-12,
                        atol=0.0)
 
@@ -181,6 +186,24 @@ def test_every_front_end_runs_the_one_certified_fit(name):
         assert np.array_equal(refit.theta_hat.flat(), want.theta_hat.flat())
         assert refit.contrast_value == want.contrast_value
         assert refit.converged
+
+
+@pytest.mark.parametrize("name", ["linear", "intercepts"])
+def test_linear_closed_form_is_the_certified_frozen_scale_fit(name):
+    # weights sigma_hat = alpha_hat s(x) give the drift of fit_qmle with the
+    # scales frozen at alpha_hat; the scales themselves read 1
+    spec, g, _aug, path, _candidates = model_case(name)
+    alpha_hat = fit_diffusion_scale(path, spec)
+    closed = fit_linear_closed_form(path, g, sigma_path(path, spec, alpha_hat),
+                                    intercepts=name == "intercepts")
+    want = fit_qmle(path, spec, g, freeze_alpha=alpha_hat)
+    assert closed.converged and want.converged
+    assert np.array_equal(closed.theta_hat.alpha, np.ones(3))
+    assert closed.layout == want.layout
+    assert np.allclose(closed.theta_hat.beta, want.theta_hat.beta, rtol=1e-12,
+                       atol=0.0)
+    assert closed.info_blocks.p == closed.layout.pi_total
+    assert closed.gram_cond.shape == (3,) and not closed.gram_jittered.any()
 
 
 def test_certificate_counts_only_coordinates_on_their_bound():
