@@ -387,14 +387,12 @@ def _information(mom: NodeMoments, flat: np.ndarray, delta: float,
 
 
 def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-                  theta: ParamVector, augmented: bool | None = None) -> np.ndarray:
+                  theta: ParamVector) -> np.ndarray:
     """Analytic Hessian of quasi_loglik at theta, as a dense matrix: the
     path's _information blocks at theta (one per node, over its diffusion
-    scale and drift parameters) laid out dense.  augmented defaults to
-    whether theta has pair weights."""
-    if augmented is None:
-        augmented = theta.w is not None
-    layout = parameter_layout(spec, g, augmented=augmented)
+    scale and drift parameters) laid out dense.  theta follows the layout
+    of g; a pilot fitted with augmented=True is on complete_graph(d)."""
+    layout = parameter_layout(spec, g)
     flat = layout.flatten(theta)  # checks the blocks against the layout
     _increments(path)  # raises on a path without increments
     if np.any(theta.alpha <= 0):
@@ -525,7 +523,8 @@ def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
         mode: "joint" minimizes the contrast over all parameters at once;
             "adaptive" first solves the stage-one diffusion contrast
             exactly, then minimizes the drift contrast with those scales.
-        augmented: use ordered-pair weights instead of per-edge coefficients.
+        augmented: fit on the complete graph, whatever g's edges (the
+            unknown-graph pilot; see parameter_layout).
         freeze_alpha: fix the diffusion scales at the given values.
         intercepts: False leaves a model's intercepts at zero; the default
             fits them when the model has them.
@@ -535,7 +534,9 @@ def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     the minimizer in c_j does not depend on alpha_j and both modes share it:
     the generalized least squares point, solved over the box
     (default_bounds) wherever that point leaves it.  The joint scales are
-    then alpha_j^2 = Q_j / (n delta).  The path enters only through its
+    then alpha_j^2 = Q_j / (n delta), which needs more increments than
+    node j has drift coefficients (else InsufficientDataError: with no
+    more, Q_j is rounding noise).  The path enters only through its
     NodeMoments, built once, and _closed_form_fit reads the fit off them.
     converged certifies the result: the projected gradient over the
     optimized coordinates is below 1e-8 (1 + |contrast|).  A numerically
@@ -565,8 +566,8 @@ def fit_adaptive_closed_form(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     Stage one solves the diffusion contrast exactly; stage two runs the
     per-node generalized least squares with those scales, over the model
     box, and the result is certified.  The sparse-selection pipeline runs
-    it as its pilot on dense (pair-weight) layouts (augmented=True), where
-    every node regresses on all other coordinates, and as its refit.
+    it as its pilot on the complete graph (augmented=True), where every
+    node regresses on all other coordinates, and as its refit.
     """
     return fit_qmle(path, spec, g, augmented=augmented, intercepts=intercepts)
 
@@ -609,8 +610,9 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
     whose solution leaves the model box (default_bounds, with the scales
     floored at 1e-8) is solved over it by netsde.lasso's active-set method
     at zero penalty.  The scales are sqrt(Q_j / (n delta)) at the fitted
-    coefficients when joint, else alpha when given, else the stage-one
-    scales.  converged holds when the projected gradient over the
+    coefficients when joint (InsufficientDataError when a node has no more
+    increments than drift coefficients), else alpha when given, else the
+    stage-one scales.  converged holds when the projected gradient over the
     coordinates the fit optimizes (the scales only when joint, the
     intercepts only when fitted) is below 1e-8 (1 + |contrast|).
     """
@@ -622,6 +624,14 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
     keep = [np.arange(sl.shape[0]) for sl in mom.slots]
     if layout.with_intercepts and not intercepts:
         keep = [np.delete(k, 1) for k in keep]
+    if joint:
+        # a node that interpolates its increments leaves Q_j at rounding
+        # noise, and no scale can be read off it
+        for j, k in enumerate(keep):
+            if n <= k.shape[0]:
+                raise InsufficientDataError(
+                    f"joint fit of node {j} needs more increments than its "
+                    f"{k.shape[0]} drift coefficients, got {n}")
     grams = [gram.sum(axis=0)[np.ix_(k, k)] for gram, k in zip(mom.gram, keep)]
     coefs, conds, jittered = _solve_grams(
         grams, [cross.sum(axis=0)[k] / delta for cross, k in zip(mom.cross, keep)])
@@ -645,7 +655,9 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
     if joint:
         quad = [_node_terms(mom, j, flat[sl], delta)[3]
                 for j, sl in enumerate(mom.slots)]
-        alpha = np.clip(np.sqrt(np.array(quad) / (n * delta)), lo[scales], hi[scales])
+        # Q_j >= 0, but rounding takes it below zero on a noiseless path
+        alpha = np.clip(np.sqrt(np.maximum(quad, 0.0) / (n * delta)),
+                        lo[scales], hi[scales])
     elif alpha is None:
         alpha = _scale_estimate(mom, delta, lo[scales], hi[scales])
     flat[scales] = alpha

@@ -22,8 +22,8 @@ from .estimate import (FitResult, InsufficientDataError, _closed_form_fit,
                        _MomentFold, fit_adaptive_closed_form)
 from .graph import (DirectedGraph, block_labels, build_graph, complete_graph,
                     erdos_renyi, ergodicity_margin, polymer, sbm)
-from .lasso import (LassoPath, adaptive_weights, lambda_path,
-                    psd_project, select_lambda, two_step_refit,
+from .lasso import (LassoPath, adaptive_weights, estimate_adjacency,
+                    lambda_path, psd_project, select_lambda, two_step_refit,
                     validation_loss)
 from .model import (ConstantDiagonal, LinearDrift, NsdeSpec, TanhClipped,
                     parameter_layout)
@@ -384,6 +384,10 @@ def error_bound_study(config: dict) -> StudyReport:
 # recovery pipeline
 
 
+_PENALTY_KEYS = {"rule", "weight_exponent", "fraction", "holdout", "n_points",
+                 "min_fraction", "penalize_momentum"}
+
+
 def _penalty_setting(penalty_cfg: dict, key: str, default, ok, allowed: str) -> float:
     """penalty_cfg[key] (default when absent) as a float; StudyError naming
     the key unless ok(value), which a value that is not a number fails."""
@@ -403,10 +407,15 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
     Rules needing a validation curve fit the pilot on the leading 1 - holdout
     share of the increments and score candidates on the trailing share; the
     fixed_fraction rule uses the whole path for the pilot and solves the
-    one penalty fraction * lambda_max.  Each setting a rule reads is
-    checked before the pilot runs (StudyError naming the key).  Returns
-    (a_hat, selected_lambda, lasso_path, pilot_fit).
+    one penalty fraction * lambda_max.  An unknown penalty key, and each
+    setting a rule reads, is checked before the pilot runs (StudyError
+    naming the key).  The path's adjacency holds the estimate at every
+    penalty level.  Returns (a_hat, selected_lambda, lasso_path, pilot_fit).
     """
+    unknown = sorted(set(penalty_cfg) - _PENALTY_KEYS)
+    if unknown:
+        raise StudyError("unknown setting " + ", ".join(
+            f"penalty.{key}" for key in unknown))
     g_full = complete_graph(spec.d)
     rule = penalty_cfg.get("rule", "half_se")
     if rule not in ("min", "half_se", "fixed_fraction"):
@@ -438,22 +447,24 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
 
     if rule == "fixed_fraction":
         lpath = lambda_path(h, pilot.theta_hat, gamma, fractions=[fraction])
-        return lpath.adjacency[0], float(lpath.lambdas[0]), lpath, pilot
-
-    lpath = lambda_path(h, pilot.theta_hat, gamma, n_points=n_points,
-                        min_fraction=min_fraction)
-    lpath.validation_loss, lpath.validation_se = validation_loss(
-        path, spec, g_full, lpath.coefficients, fraction=holdout)
-    lam = select_lambda(lpath, rule=rule)
-    # min and half_se both pick a grid point
-    pick = int(np.flatnonzero(lpath.lambdas == lam)[0])
-    loss, se = lpath.validation_loss, lpath.validation_se
-    best = int(np.argmin(loss))
-    if pick == 0 and best > 0:
-        lpath.notes.append(
-            f"half_se selected lambda_max, the empty graph: its held-out loss "
-            f"{loss[0]:.6g} is within half a standard error ({se[best]:.3g}) "
-            f"of the minimum {loss[best]:.6g} at lam={lpath.lambdas[best]:.6g}")
+        pick, lam = 0, float(lpath.lambdas[0])
+    else:
+        lpath = lambda_path(h, pilot.theta_hat, gamma, n_points=n_points,
+                            min_fraction=min_fraction)
+        lpath.validation_loss, lpath.validation_se = validation_loss(
+            path, spec, g_full, lpath.coefficients, fraction=holdout)
+        lam = select_lambda(lpath, rule=rule)
+        # min and half_se both pick a grid point
+        pick = int(np.flatnonzero(lpath.lambdas == lam)[0])
+        loss, se = lpath.validation_loss, lpath.validation_se
+        best = int(np.argmin(loss))
+        if pick == 0 and best > 0:
+            lpath.notes.append(
+                f"half_se selected lambda_max, the empty graph: its held-out loss "
+                f"{loss[0]:.6g} is within half a standard error ({se[best]:.3g}) "
+                f"of the minimum {loss[best]:.6g} at lam={lpath.lambdas[best]:.6g}")
+    lpath.adjacency = [estimate_adjacency(pilot.layout, theta)
+                       for theta in lpath.coefficients]
     return lpath.adjacency[pick], lam, lpath, pilot
 
 

@@ -183,26 +183,6 @@ def block_labels(block_sizes) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
-def generate(kind: str, d: int, seed: int, **params) -> DirectedGraph:
-    """Dispatch to a named generator; deterministic given seed.
-
-    kind is one of "erdos_renyi" (param p), "polymer" (param
-    double_link_positions) or "sbm" (params block_sizes, p_in, p_ex).
-    """
-    if kind == "erdos_renyi":
-        return erdos_renyi(d, seed=seed, **params)
-    if kind == "polymer":
-        g = polymer(d, **params)
-        return g
-    if kind == "sbm":
-        g = sbm(seed=seed, **params)
-        if g.d != d:
-            raise BlockSizeMismatchError(
-                f"block sizes sum to {g.d}, expected d={d}")
-        return g
-    raise GraphError(f"unknown generator kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # stability margin
 

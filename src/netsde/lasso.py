@@ -9,9 +9,9 @@ expansion around a pilot estimate theta_tilde,
 minimized over the box.  Weights gamma_k come from the pilot
 (|pilot_k|^-exponent, capped), so coordinates the pilot finds large are
 penalized lightly and noise coordinates are pushed to exact zeros.  The
-support of the pair-weight block estimates the adjacency matrix, after
-which an unpenalized refit on the selected graph removes the shrinkage
-bias.
+pilot is fitted on the complete graph, so the support of its network
+block estimates the adjacency matrix, after which an unpenalized refit on
+the selected graph removes the shrinkage bias.
 
 The contrast separates by node, so H is block diagonal: node j's block
 couples only alpha_j, its momentum and its own drift weights.  The pilot
@@ -35,7 +35,8 @@ from .estimate import (CurvatureBlocks, FitResult, InsufficientDataError,
                        _chunk_contrast, _path_moments,
                        fit_adaptive_closed_form)
 from .graph import DirectedGraph, build_graph
-from .model import NsdeSpec, ParamVector, default_bounds, parameter_layout
+from .model import (NsdeSpec, ParamLayout, ParamVector, default_bounds,
+                    parameter_layout)
 from .simulate import SamplePath
 
 logger = logging.getLogger(__name__)
@@ -110,9 +111,7 @@ def curvature_blocks(h) -> CurvatureBlocks:
 
 def _split_like(pilot: ParamVector, flat: np.ndarray) -> ParamVector:
     na = pilot.alpha.shape[0]
-    nb = pilot.beta.shape[0]
-    w = flat[na + nb:] if pilot.w is not None else None
-    return ParamVector(alpha=flat[:na], beta=flat[na:na + nb], w=w)
+    return ParamVector(alpha=flat[:na], beta=flat[na:])
 
 
 def _box(pilot: ParamVector, bounds):
@@ -341,7 +340,7 @@ class LassoPath:
     coefficients: list[ParamVector]
     active_counts: np.ndarray
     lambda_max: float
-    adjacency: list[np.ndarray] | None = None
+    adjacency: list[np.ndarray] | None = None  # filled by select_graph
     validation_loss: np.ndarray | None = None
     validation_se: np.ndarray | None = None
     notes: list[str] = field(default_factory=list)
@@ -371,7 +370,6 @@ def lambda_path(h, pilot: ParamVector, gamma: np.ndarray,
     pen = gamma > 0
     coefficients = []
     counts = np.empty(grid.shape[0], dtype=int)
-    adjacency = None if pilot.w is None else []
     notes: list[str] = []
     warm = None
     for idx, lam in enumerate(grid):
@@ -379,8 +377,6 @@ def lambda_path(h, pilot: ParamVector, gamma: np.ndarray,
         warm = sol
         coefficients.append(sol)
         counts[idx] = int(np.count_nonzero(sol.flat()[pen]))
-        if adjacency is not None:
-            adjacency.append(estimate_adjacency(sol.w))
     for idx in range(1, grid.shape[0]):
         if counts[idx] < counts[idx - 1]:
             msg = (f"active count dropped from {counts[idx - 1]} to {counts[idx]} "
@@ -389,7 +385,7 @@ def lambda_path(h, pilot: ParamVector, gamma: np.ndarray,
             notes.append(msg)
     return LassoPath(lambdas=grid, coefficients=coefficients,
                      active_counts=counts, lambda_max=float(lam_top),
-                     adjacency=adjacency, notes=notes)
+                     notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +426,7 @@ def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     n_cand = len(theta_per_lambda)
     if n_cand == 0:
         return np.empty(0), np.zeros(0)
-    layout = parameter_layout(spec, g, augmented=theta_per_lambda[0].w is not None)
+    layout = parameter_layout(spec, g)
     # the contrast splits by node, so the size that matters is one node's
     # parameter count, not the whole vector's
     per_node = _node_param_count(layout)
@@ -480,18 +476,13 @@ def select_lambda(path: LassoPath, rule: str = "half_se") -> float:
 # adjacency and refit
 
 
-def estimate_adjacency(w_hat: np.ndarray) -> np.ndarray:
-    """0/1 adjacency from the pair-weight block: entry (i, j) is 1 iff
-    w_ij is nonzero."""
-    w_hat = np.asarray(w_hat, dtype=float)
-    length = w_hat.shape[0]
-    d = int(round((1.0 + np.sqrt(1.0 + 4.0 * length)) / 2.0))
-    if d * (d - 1) != length:
-        raise LassoError(f"pair-weight block of length {length} fits no dimension")
-    a = np.zeros((d, d), dtype=int)
-    # boolean assignment fills the off-diagonal in row-major (pair) order
-    a[~np.eye(d, dtype=bool)] = np.abs(w_hat) > 0.0
-    return a
+def estimate_adjacency(layout: ParamLayout, theta: ParamVector) -> np.ndarray:
+    """0/1 adjacency of theta's network block: entry (i, j) is 1 iff the
+    coefficient of x_j in node i's drift is nonzero at some dictionary
+    level."""
+    slots = layout.coef_slots
+    flat = layout.flatten(theta)
+    return ((slots >= 0) & (np.abs(flat[slots]) > 0.0)).any(axis=0).astype(int)
 
 
 def graph_from_adjacency(a_hat: np.ndarray) -> DirectedGraph:

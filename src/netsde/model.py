@@ -8,9 +8,10 @@ directed graph.  Coordinate i of the drift is
 and the diffusion is diagonal, sigma_i(x_i).  Two drift families are
 provided: Linear (mean reversion plus linear network effects) and
 RadialDictionary (network effects modulated by radial basis functions of
-the state norm).  In augmented form the Linear family replaces per-edge
-coefficients by a dense set of pair weights w_ij, one per ordered pair,
-so that the graph itself becomes an unknown.
+the state norm).  An unknown graph is fitted as the complete one: the
+augmented layout of the linear family is the per-edge layout of
+complete_graph(d), whose coefficients w_ij on every ordered pair the
+adaptive Lasso then thins out.
 """
 from __future__ import annotations
 
@@ -118,22 +119,19 @@ class NsdeSpec:
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Parameter blocks: diffusion scales alpha, drift block beta, pair weights w.
+    """Parameter blocks: diffusion scales alpha and drift block beta.
 
     beta stacks the momentum coefficients (one per node), intercepts when
-    enabled, and per-edge network coefficients.  w is only present in
-    augmented form and holds one weight per ordered node pair.
+    enabled, and the network coefficients, one per edge and dictionary
+    level (see ParamLayout).
     """
 
     alpha: np.ndarray
     beta: np.ndarray
-    w: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if self.w is not None:
-            object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
         if np.any(self.alpha < 0):
             raise NegativeAlphaError("diffusion scales must be non-negative")
 
@@ -143,14 +141,10 @@ class ParamVector:
 
     @property
     def pi_total(self) -> int:
-        n_w = 0 if self.w is None else self.w.shape[0]
-        return self.alpha.shape[0] + self.beta.shape[0] + n_w
+        return self.alpha.shape[0] + self.beta.shape[0]
 
     def flat(self) -> np.ndarray:
-        parts = [self.alpha, self.beta]
-        if self.w is not None:
-            parts.append(self.w)
-        return np.concatenate(parts)
+        return np.concatenate([self.alpha, self.beta])
 
 
 @dataclass(frozen=True)
@@ -158,24 +152,20 @@ class ParamLayout:
     """Flat indexing of a model's parameter vector.
 
     Flat order is [alpha | momentum | intercepts? | network], where the
-    network block holds per-edge coefficients (one group per dictionary
-    level for the radial family) or, in augmented form, one weight per
-    ordered node pair.
+    network block holds per-edge coefficients, one group per dictionary
+    level for the radial family.
 
     coef_slots[level, i, j] is the flat slot of the coefficient of x_j in
     node i's drift, or -1 where there is none; its shape is
     (max(n_levels, 1), d, d).  It is the one record of the network
-    packing: pair weights fill the off-diagonal entries in row-major pair
-    order, per-edge coefficients follow edge order, level by level.
+    packing: per-edge coefficients follow edge order, level by level.
     """
 
     d: int
     edges: tuple[tuple[int, int], ...]
-    augmented: bool
     with_intercepts: bool
     n_levels: int  # 0 for the linear family
     pi_alpha: int
-    pi_beta: int
     pi_total: int
     coord_names: tuple[str, ...] = field(repr=False)
     coef_slots: np.ndarray = field(repr=False, compare=False)
@@ -183,10 +173,6 @@ class ParamLayout:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def pi_w(self) -> int:
-        return self.d * (self.d - 1) if self.augmented else 0
 
     # --- slot maps ---
 
@@ -218,12 +204,6 @@ class ParamLayout:
             return np.arange(0)
         return self.pi_alpha + self.d + np.arange(self.d)
 
-    @property
-    def w_indices(self) -> np.ndarray:
-        if not self.augmented:
-            return np.arange(0)
-        return self.pi_alpha + self.pi_beta + np.arange(self.pi_w)
-
     # --- conversions ---
 
     def flatten(self, theta: ParamVector) -> np.ndarray:
@@ -231,8 +211,10 @@ class ParamLayout:
         if flat.shape[0] != self.pi_total:
             raise LayoutMismatchError(
                 f"parameter vector has {flat.shape[0]} entries, layout expects {self.pi_total}")
-        if (theta.w is None) == self.augmented:
-            raise LayoutMismatchError("pair-weight block does not match layout")
+        if theta.pi_alpha != self.pi_alpha:
+            raise LayoutMismatchError(
+                f"parameter vector has {theta.pi_alpha} diffusion scales, "
+                f"layout expects {self.pi_alpha}")
         return flat
 
     def unflatten(self, flat: np.ndarray) -> ParamVector:
@@ -240,12 +222,9 @@ class ParamLayout:
         if flat.shape != (self.pi_total,):
             raise LayoutMismatchError(
                 f"flat vector has shape {flat.shape}, layout expects ({self.pi_total},)")
-        alpha = flat[:self.pi_alpha]
-        beta = flat[self.pi_alpha:self.pi_alpha + self.pi_beta]
-        w = flat[self.pi_alpha + self.pi_beta:] if self.augmented else None
-        return ParamVector(alpha=alpha, beta=beta, w=w)
+        return ParamVector(alpha=flat[:self.pi_alpha], beta=flat[self.pi_alpha:])
 
-    def pack(self, alpha, momentum, network=None, intercepts=None, w=None) -> ParamVector:
+    def pack(self, alpha, momentum, network=None, intercepts=None) -> ParamVector:
         """Assemble a ParamVector from named blocks."""
         alpha = np.asarray(alpha, dtype=float)
         momentum = np.asarray(momentum, dtype=float)
@@ -256,19 +235,10 @@ class ParamLayout:
             parts.append(np.asarray(intercepts, dtype=float))
         elif intercepts is not None:
             raise LayoutMismatchError("layout has no intercepts")
-        if self.augmented:
-            if network is not None:
-                raise LayoutMismatchError("augmented layout takes w, not network")
-            w_arr = np.zeros(self.pi_w) if w is None else np.asarray(w, dtype=float)
-            beta = np.concatenate(parts)
-            theta = ParamVector(alpha=alpha, beta=beta, w=w_arr)
-        else:
-            if w is not None:
-                raise LayoutMismatchError("layout has no pair-weight block")
-            n_net = max(self.n_levels, 1) * len(self.edges)
-            net = np.zeros(n_net) if network is None else np.asarray(network, dtype=float)
-            parts.append(net)
-            theta = ParamVector(alpha=alpha, beta=np.concatenate(parts), w=None)
+        n_net = max(self.n_levels, 1) * len(self.edges)
+        parts.append(np.zeros(n_net) if network is None
+                     else np.asarray(network, dtype=float))
+        theta = ParamVector(alpha=alpha, beta=np.concatenate(parts))
         self.flatten(theta)  # length check
         return theta
 
@@ -281,8 +251,6 @@ class ParamLayout:
         return theta.beta[self.d:2 * self.d]
 
     def network(self, theta: ParamVector) -> np.ndarray:
-        if self.augmented:
-            return theta.w
         off = self.d + (self.d if self.with_intercepts else 0)
         return theta.beta[off:]
 
@@ -290,42 +258,41 @@ class ParamLayout:
 def parameter_layout(spec: NsdeSpec, g: DirectedGraph, augmented: bool = False) -> ParamLayout:
     """Build the flat parameter layout for a model on a given graph.
 
-    In augmented form the per-edge coefficients are replaced by d*(d-1)
-    ordered-pair weights; only the linear family supports this.
+    augmented fits the unknown graph as the complete one: the layout is
+    the one of complete_graph(spec.d), whatever g's edges, with its network
+    coefficients named w_i_j; only the linear family supports this.
     """
     if g.d != spec.d:
         raise LayoutMismatchError(f"graph has {g.d} nodes, model has {spec.d}")
     d = spec.d
     linear = isinstance(spec.drift, LinearDrift)
-    if augmented and not linear:
-        raise LayoutMismatchError("pair-weight form requires the linear drift family")
+    if augmented:
+        if not linear:
+            raise LayoutMismatchError(
+                "the augmented (complete-graph) layout requires the linear drift family")
+        g = complete_graph(d)
     with_intercepts = linear and spec.drift.with_intercepts
     n_levels = 0 if linear else spec.drift.n_levels
     names = [f"alpha_{i}" for i in range(d)] + [f"mu_{i}" for i in range(d)]
     if with_intercepts:
         names += [f"intercept_{i}" for i in range(d)]
     base = len(names)
-    # the network block: one weight per ordered pair in row-major order, or
-    # one coefficient per edge in edge order, level after level
+    # the network block: one coefficient per edge in edge order, level
+    # after level
     if augmented:
-        pairs = [(i, j) for i in range(d) for j in range(d) if j != i]
         prefixes = ["w"]
     else:
-        pairs = g.edges
         prefixes = ["beta"] if linear else [f"beta{lev}" for lev in range(n_levels)]
     for prefix in prefixes:
-        names += [f"{prefix}_{i}_{j}" for i, j in pairs]
-    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+        names += [f"{prefix}_{i}_{j}" for i, j in g.edges]
+    pairs = np.asarray(g.edges, dtype=int).reshape(-1, 2)
     coef_slots = np.full((len(prefixes), d, d), -1)
     coef_slots[:, pairs[:, 0], pairs[:, 1]] = base + np.arange(
         len(names) - base).reshape(len(prefixes), -1)
     coef_slots.flags.writeable = False
-    pi_w = len(pairs) if augmented else 0
-    return ParamLayout(d=d, edges=g.edges, augmented=augmented,
-                       with_intercepts=with_intercepts, n_levels=n_levels,
-                       pi_alpha=d, pi_beta=len(names) - d - pi_w,
-                       pi_total=len(names), coord_names=tuple(names),
-                       coef_slots=coef_slots)
+    return ParamLayout(d=d, edges=g.edges, with_intercepts=with_intercepts,
+                       n_levels=n_levels, pi_alpha=d, pi_total=len(names),
+                       coord_names=tuple(names), coef_slots=coef_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +336,7 @@ def linear_drift_matrix(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector):
     """(M, b0) with b(x) = M x + b0 for the linear family."""
     if not isinstance(spec.drift, LinearDrift):
         raise ModelError("drift matrix only exists for the linear family")
-    layout = parameter_layout(spec, g, augmented=theta.w is not None)
+    layout = parameter_layout(spec, g)
     slots = layout.coef_slots[0]
     m = -np.diag(layout.momentum(theta))
     m[slots >= 0] += layout.flatten(theta)[slots[slots >= 0]]
@@ -388,7 +355,7 @@ def path_drift_fn(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector):
 
         return drift
 
-    layout = parameter_layout(spec, g, augmented=False)
+    layout = parameter_layout(spec, g)
     mu = layout.momentum(theta)
     # weights[lev] is level lev's coefficient matrix, transposed
     slots = np.ascontiguousarray(layout.coef_slots.transpose(0, 2, 1))
@@ -518,16 +485,12 @@ def spec_from_config(cfg: dict) -> NsdeSpec:
 
 
 def params_to_config(theta: ParamVector) -> dict:
-    cfg = {"alpha": theta.alpha.tolist(), "beta": theta.beta.tolist()}
-    if theta.w is not None:
-        cfg["w"] = theta.w.tolist()
-    return cfg
+    return {"alpha": theta.alpha.tolist(), "beta": theta.beta.tolist()}
 
 
 def params_from_config(cfg: dict, layout: ParamLayout | None = None) -> ParamVector:
     theta = ParamVector(alpha=np.asarray(cfg["alpha"], dtype=float),
-                        beta=np.asarray(cfg["beta"], dtype=float),
-                        w=np.asarray(cfg["w"], dtype=float) if "w" in cfg else None)
+                        beta=np.asarray(cfg["beta"], dtype=float))
     if layout is not None:
         layout.flatten(theta)  # validates block sizes
     return theta

@@ -59,8 +59,8 @@ def exact_inverse_diagonal(matrix: np.ndarray) -> np.ndarray:
 
 
 def pair_index(i: int, j: int, d: int) -> int:
-    """Slot of ordered pair (i, j), i != j, among the d * (d - 1) pair
-    weights in row-major order, by arithmetic instead of the layout's index."""
+    """Rank of ordered pair (i, j), i != j, among the d * (d - 1) pairs in
+    row-major order, by arithmetic instead of the layout's index."""
     if i == j:
         raise LayoutMismatchError("pair weights exclude the diagonal")
     return i * (d - 1) + (j if j < i else j - 1)
@@ -70,26 +70,21 @@ def drift_eval(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x) -> np.nd
     """Evaluate the drift vector b(x) at a single state.
 
     Accumulates own terms and per-edge terms one by one, as a check on the
-    package's batch evaluator path_drift_fn.
+    package's batch evaluator path_drift_fn.  On the complete graph the
+    linear family's network block is read by pair_index, not by edge rank.
     """
-    layout = parameter_layout(spec, g, augmented=theta.w is not None)
+    layout = parameter_layout(spec, g)
     x = _check_state(x, spec.d)
     mu = layout.momentum(theta)
     out = -mu * x
     if layout.with_intercepts:
         out = out + layout.intercepts(theta)
+    net = layout.network(theta)
     if isinstance(spec.drift, LinearDrift):
-        if layout.augmented:
-            for i in range(spec.d):
-                for j in range(spec.d):
-                    if j != i:
-                        out[i] += theta.w[pair_index(i, j, spec.d)] * x[j]
-        else:
-            net = layout.network(theta)
-            for rank, (i, j) in enumerate(g.edges):
-                out[i] += net[rank] * x[j]
+        complete = g.n_edges == spec.d * (spec.d - 1)
+        for rank, (i, j) in enumerate(g.edges):
+            out[i] += net[pair_index(i, j, spec.d) if complete else rank] * x[j]
     else:
-        net = layout.network(theta)
         nrm = float(np.linalg.norm(x))
         for lev in range(spec.drift.n_levels):
             scale = (spec.drift.offsets[lev] + nrm) ** (-(spec.drift.exponents[lev] + 1.0))

@@ -153,8 +153,9 @@ def test_lasso_solver_certificates():
         h = a.T @ a + 0.1 * np.eye(p)
         pilot = ParamVector(
             alpha=np.abs(rng.normal(size=d)) + 0.1,
-            beta=rng.uniform(2.0, 6.0, d),
-            w=rng.normal(size=n_pairs) * rng.binomial(1, 0.5, n_pairs))
+            beta=np.concatenate([
+                rng.uniform(2.0, 6.0, d),
+                rng.normal(size=n_pairs) * rng.binomial(1, 0.5, n_pairs)]))
         w = adaptive_weights(pilot, penalize_momentum=True)
         lam_top = lambda_max(h, pilot, w)
         pen = w > 0
@@ -174,8 +175,8 @@ def test_lasso_solver_certificates():
         p = 2 * d + n_pairs
         h = np.diag(rng.uniform(0.5, 4.0, p))
         pilot = ParamVector(alpha=np.abs(rng.normal(size=d)) + 0.5,
-                            beta=rng.normal(size=d),
-                            w=rng.normal(size=n_pairs))
+                            beta=np.concatenate([rng.normal(size=d),
+                                                 rng.normal(size=n_pairs)]))
         w = adaptive_weights(pilot, penalize_momentum=True)
         lam = float(rng.uniform(0.1, 2.0))
         sol = lsa_solve(h, pilot, lam, w).flat()

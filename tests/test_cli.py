@@ -144,8 +144,14 @@ def test_lasso_command(tmp_path):
     assert (out / "refit.json").exists()
     assert (out / "communities.json").exists()
     assert (out / "cluster_curve.json").exists()
-    header = (out / "lasso_path.csv").read_text().splitlines()[0]
-    assert header == "lambda,coef_name,value"
+    rows = (out / "lasso_path.csv").read_text().splitlines()
+    assert rows[0] == "lambda,coef_name,value"
+    # the pilot's network coordinates are named w_i_j, row-major by pair
+    names = [row.split(",")[1] for row in rows[1:]]
+    assert names[:12] == ([f"alpha_{i}" for i in range(3)]
+                          + [f"mu_{i}" for i in range(3)]
+                          + ["w_0_1", "w_0_2", "w_1_0", "w_1_2", "w_2_0", "w_2_1"])
+    assert len(names) == 12 * len(selection["lambdas"])
 
     no_refit = write_json(tmp_path, "lasso2.json", {
         "path_csv": str(sim_out / "path.csv"),
@@ -368,3 +374,18 @@ def test_lasso_rejects_bad_penalty_settings_before_the_pilot(
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert f"penalty {key!r}" in err[0]
+
+
+def test_lasso_rejects_an_unknown_penalty_key(tmp_path, capsys, monkeypatch,
+                                               short_er_path):
+    def fit(*args, **kwargs):
+        raise AssertionError("the pilot was fitted")
+
+    monkeypatch.setattr(experiments, "fit_adaptive_closed_form", fit)
+    argv = ["lasso", "--config", str(CONFIGS / "lasso_er.json"),
+            "--out-dir", str(tmp_path / "sel"),
+            "--set", f"path_csv={json.dumps(short_er_path)}",
+            "--set", "penalty.fractoin=0.9", "--set", "penalty.rul=min"]
+    assert cli.main(argv) == cli.DOMAIN_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: unknown setting penalty.fractoin, penalty.rul"]

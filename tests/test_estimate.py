@@ -180,7 +180,7 @@ def test_hessian_matches_for_radial_and_augmented_forms():
     numeric = numerical_hessian(obj, layout.flatten(theta))
     assert np.allclose(analytic, numeric, atol=2e-5 * np.abs(analytic).max())
 
-    # pair-weight form on a complete design
+    # the augmented (complete-graph) layout
     spec2 = NsdeSpec(d=2, drift=LinearDrift(), diffusion=ConstantDiagonal())
     layout2 = parameter_layout(spec2, g, augmented=True)
     flat2 = np.concatenate([[1.0, 2.0], [3.0, 4.0], rng.standard_normal(2)])
@@ -213,7 +213,7 @@ def test_node_designs_reproduce_the_drift():
     # augmented designs regress on every other coordinate
     aug = parameter_layout(spec, complete_graph(3), augmented=True)
     theta_aug = aug.pack(alpha=[1.5, 2.0, 1.0], momentum=[5.0, 6.0, 7.0],
-                         w=rng.standard_normal(6))
+                         network=rng.standard_normal(6))
     designs_aug = _designs_match_the_loop_drift(
         spec, complete_graph(3), theta_aug, x0, augmented=True)
     assert all(reg.shape[1] == 3 for reg, _ in designs_aug)
@@ -294,6 +294,31 @@ def test_freeze_alpha_is_respected():
     frozen = np.array([1.1, 2.2, 3.3])
     fit = fit_qmle(path, spec, g, mode="joint", freeze_alpha=frozen)
     assert np.array_equal(fit.theta_hat.alpha, frozen)
+
+
+def test_joint_scale_needs_more_increments_than_coefficients():
+    # one increment and one drift coefficient (the momentum) per node: the
+    # fit interpolates the increment, and Q_j is left at rounding noise
+    spec = NsdeSpec(d=3, drift=LinearDrift(), diffusion=ConstantDiagonal())
+    g = build_graph(3, [])
+    theta = parameter_layout(spec, g).pack(alpha=np.ones(3), momentum=np.ones(3))
+    rng = np.random.default_rng(0)
+    for seed in range(20):
+        x0 = rng.standard_normal(3)
+        short = simulate_path(spec, g, theta, x0, 0.01, 1, seed=seed)
+        with pytest.raises(InsufficientDataError,
+                           match="node 0 .* its 1 drift coefficients, got 1"):
+            fit_qmle(short, spec, g, mode="joint")
+        longer = simulate_path(spec, g, theta, x0, 0.01, 2, seed=seed)
+        alpha = fit_qmle(longer, spec, g, mode="joint").theta_hat.alpha
+        assert np.all(np.isfinite(alpha)) and np.all(alpha > 0.0)
+    # a noiseless path with spare increments leaves Q_j at rounding noise
+    # as well, below zero for some rates; the scale stops at its floor
+    one = NsdeSpec(d=1, drift=LinearDrift(), diffusion=ConstantDiagonal())
+    for rate in np.linspace(0.5, 0.99, 20):
+        noiseless = SamplePath(delta=0.01, data=(2.0 * rate ** np.arange(4))[:, None])
+        alpha = fit_qmle(noiseless, one, build_graph(1, []), mode="joint").theta_hat.alpha
+        assert np.isfinite(alpha[0]) and alpha[0] >= 1e-8
 
 
 def test_fit_argument_errors():

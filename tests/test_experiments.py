@@ -12,10 +12,11 @@ from netsde.experiments import (StudyError, StudyReport, cluster_lambda_curve,
                                 modularity, parallel_map, recovery_study,
                                 reference_er_graph, run_study, select_graph,
                                 study_graph)
-from netsde.graph import block_labels, ergodicity_margin, largest_singular_value, sbm
-from netsde.lasso import LassoPath, adaptive_weights, lambda_path
-from netsde.model import (LinearDrift, NsdeSpec, ParamVector, TanhClipped,
-                          parameter_layout)
+from netsde.graph import (block_labels, complete_graph, ergodicity_margin,
+                          largest_singular_value, sbm)
+from netsde.lasso import (LassoPath, adaptive_weights, estimate_adjacency,
+                          lambda_path)
+from netsde.model import LinearDrift, NsdeSpec, TanhClipped, parameter_layout
 from netsde.simulate import SamplePath, simulate_path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -257,6 +258,17 @@ def test_select_graph_with_validation_curve():
         assert value in notes[0]
     with pytest.raises(StudyError, match="holdout"):
         select_graph(path, spec, {"rule": "half_se", "holdout": 1.0})
+    # one adjacency estimate per penalty level, read off each solution
+    # through the pilot's layout
+    assert len(lpath.adjacency) == len(lpath.lambdas) == 8
+    assert np.array_equal(lpath.adjacency[0], a_hat)
+    for theta, a in zip(lpath.coefficients, lpath.adjacency):
+        assert np.array_equal(a, estimate_adjacency(pilot.layout, theta))
+    assert lpath.adjacency[-1].any()
+    a_fixed, _lam, fixed, _pilot = select_graph(
+        path, spec, {"rule": "fixed_fraction", "fraction": 0.1})
+    assert len(fixed.adjacency) == len(fixed.lambdas) == 1
+    assert a_fixed is fixed.adjacency[0]
 
 
 def test_select_graph_rejects_an_unknown_rule_before_fitting(monkeypatch):
@@ -277,9 +289,12 @@ def test_cluster_lambda_curve_keys():
     p = 2 * d + n_w
     a = rng.standard_normal((p, p))
     h = a.T @ a + 0.5 * np.eye(p)
-    pilot = ParamVector(alpha=np.ones(d), beta=np.zeros(d),
-                        w=rng.standard_normal(n_w) * 2.0)
+    spec = NsdeSpec(d=d, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
+    layout = parameter_layout(spec, complete_graph(d), augmented=True)
+    pilot = layout.pack(alpha=np.ones(d), momentum=np.zeros(d),
+                        network=rng.standard_normal(n_w) * 2.0)
     lpath = lambda_path(h, pilot, adaptive_weights(pilot), n_points=6)
+    lpath.adjacency = [estimate_adjacency(layout, t) for t in lpath.coefficients]
     curve = cluster_lambda_curve(lpath)
     assert len(curve) == 6
     for pt in curve:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from netsde.experiments import StudyError, study_graph
 from netsde.graph import (BlockSizeMismatchError, DirectedGraph,
                           DuplicateEdgeError, GraphError,
                           IndexOutOfRangeError, InvalidProbabilityError,
                           NonSquareError, SelfLoopError, block_labels,
                           build_graph, complete_graph, degree_distribution,
                           erdos_renyi, ergodicity_margin, from_edge_list_text,
-                          from_json, generate, largest_singular_value,
+                          from_json, largest_singular_value,
                           polymer, sbm, to_dot, to_edge_list_text, to_json)
 
 
@@ -97,14 +98,17 @@ def test_sbm_block_probabilities():
 
 
 def test_generate_dispatch():
-    assert generate("erdos_renyi", 6, seed=1, p=0.4) == erdos_renyi(6, 0.4, 1)
-    assert generate("polymer", 6, seed=0) == polymer(6)
-    g = generate("sbm", 7, seed=2, block_sizes=[3, 4], p_in=0.8, p_ex=0.1)
+    # graph kinds are dispatched by experiments.study_graph; each seeded kind
+    # is exactly its generator
+    g, _ = study_graph({"kind": "erdos_renyi", "d": 6, "p": 0.4, "seed": 1})
+    assert g == erdos_renyi(6, 0.4, 1)
+    g, _ = study_graph({"kind": "polymer", "d": 6})
+    assert g == polymer(6)
+    g, _ = study_graph({"kind": "sbm", "block_sizes": [3, 4], "p_in": 0.8,
+                        "p_ex": 0.1, "seed": 2})
     assert g == sbm([3, 4], 0.8, 0.1, seed=2)
-    with pytest.raises(BlockSizeMismatchError):
-        generate("sbm", 8, seed=2, block_sizes=[3, 4], p_in=0.8, p_ex=0.1)
-    with pytest.raises(GraphError):
-        generate("ring", 6, seed=0)
+    with pytest.raises(StudyError):
+        study_graph({"kind": "ring", "d": 6})
 
 
 def test_largest_singular_value_against_dense_svd():

@@ -5,7 +5,7 @@ import pytest
 
 from netsde import lasso
 from netsde.estimate import CurvatureBlocks, fit_adaptive_closed_form
-from netsde.graph import build_graph
+from netsde.graph import build_graph, complete_graph
 from netsde.lasso import (ConvergenceError, LassoError,
                           LassoPath, MissingValidationLossError, NonPSDError,
                           ZeroWeightError, adaptive_weights,
@@ -13,8 +13,9 @@ from netsde.lasso import (ConvergenceError, LassoError,
                           kkt_residual, lambda_max, lambda_path,
                           lasso_path_to_csv, lsa_solve, psd_project,
                           select_lambda, two_step_refit, validation_loss)
-from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
-                          ParamVector, TanhClipped, parameter_layout)
+from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
+                          NsdeSpec, ParamVector, RadialDictionaryDrift,
+                          TanhClipped, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
 from reference import exact_box_lasso
 
@@ -30,8 +31,7 @@ def rand_instance(rng, n_alpha=2, n_beta=4, scale=1.0):
 
 
 def test_adaptive_weights_blocks_and_flags():
-    pilot = ParamVector(alpha=[2.0, 4.0], beta=[0.5, -0.25, 0.0],
-                        w=[8.0, -2.0])
+    pilot = ParamVector(alpha=[2.0, 4.0], beta=[0.5, -0.25, 0.0, 8.0, -2.0])
     w = adaptive_weights(pilot, 2.0)
     # alpha never penalized, momentum (first len(alpha) beta slots) off too
     assert w.shape == (7,)
@@ -353,7 +353,7 @@ def test_lambda_path_grid_and_counts():
     assert path.active_counts[0] == 0
     assert np.count_nonzero(path.coefficients[0].flat()[pen]) == 0
     assert path.active_counts[-1] > 0
-    assert path.adjacency is None  # no pair-weight block on this pilot
+    assert path.adjacency is None  # select_graph fills it, from its layout
 
     explicit = lambda_path(h, pilot, gamma, fractions=[0.25, 1.0, 0.5])
     assert explicit.lambda_max == path.lambda_max
@@ -368,13 +368,14 @@ def test_lambda_path_tracks_pair_weights():
     p = 2 * d + n_w
     a = rng.standard_normal((p, p))
     h = a.T @ a + 0.5 * np.eye(p)
-    pilot = ParamVector(alpha=np.ones(d), beta=np.zeros(d),
-                        w=rng.standard_normal(n_w) * 2.0)
+    layout = pilot_layout(d)
+    pilot = layout.pack(alpha=np.ones(d), momentum=np.zeros(d),
+                        network=rng.standard_normal(n_w) * 2.0)
     gamma = adaptive_weights(pilot)
     path = lambda_path(h, pilot, gamma, n_points=8)
-    assert path.adjacency is not None and len(path.adjacency) == 8
-    assert path.adjacency[0].sum() == 0
-    assert path.adjacency[-1].sum() > 0
+    adjacency = [estimate_adjacency(layout, theta) for theta in path.coefficients]
+    assert adjacency[0].sum() == 0
+    assert adjacency[-1].sum() > 0
 
 
 def small_sim(seed=0, n=400):
@@ -461,22 +462,32 @@ def test_select_lambda_rules():
         select_lambda(bare, rule="min")
 
 
+def pilot_layout(d):
+    spec = NsdeSpec(d=d, drift=LinearDrift(), diffusion=ConstantDiagonal())
+    return parameter_layout(spec, complete_graph(d), augmented=True)
+
+
+def network_theta(layout, network):
+    return layout.pack(alpha=np.ones(layout.d), momentum=np.ones(layout.d),
+                       network=network)
+
+
 def test_estimate_adjacency_mapping():
     # row-major pair order for d=3: (0,1),(0,2),(1,0),(1,2),(2,0),(2,1)
     w = np.array([0.5, 0.0, 0.0, -0.3, 0.0, 1e-9])
-    a = estimate_adjacency(w)
+    layout = pilot_layout(3)
+    a = estimate_adjacency(layout, network_theta(layout, w))
     want = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]])
     assert np.array_equal(a, want)
-    with pytest.raises(LassoError):
-        estimate_adjacency(np.zeros(5))
+    with pytest.raises(LayoutMismatchError):
+        estimate_adjacency(layout, ParamVector(alpha=np.ones(3), beta=np.zeros(5)))
     g = graph_from_adjacency(want)
     assert set(g.edges) == {(0, 1), (1, 2), (2, 1)}
     assert np.array_equal(g.adjacency(), want)
 
 
-def loop_adjacency(w_hat):
-    # the pair-by-pair reading of the pair-weight block
-    d = int(round((1.0 + np.sqrt(1.0 + 4.0 * len(w_hat))) / 2.0))
+def loop_adjacency(w_hat, d):
+    # the pair-by-pair reading of the complete graph's network block
     a = np.zeros((d, d), dtype=int)
     pos = 0
     for i in range(d):
@@ -495,16 +506,41 @@ def test_vectorised_adjacency_matches_the_loop():
         w = rng.standard_normal(d * (d - 1))
         w[rng.random(w.shape) < 0.4] = 0.0
         w[rng.random(w.shape) < 0.3] *= 1e-9
-        got = estimate_adjacency(w)
-        want = loop_adjacency(w)
+        layout = pilot_layout(d)
+        got = estimate_adjacency(layout, network_theta(layout, w))
+        want = loop_adjacency(w, d)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         # a nonzero diagonal is ignored, any nonzero entry is an edge
         a = rng.integers(0, 2, (d, d)) * rng.choice([1.0, -0.5], (d, d))
         want_edges = tuple((i, j) for i in range(d) for j in range(d)
                            if i != j and a[i, j])
         assert graph_from_adjacency(a).edges == want_edges
-    with pytest.raises(LassoError):
-        estimate_adjacency(np.zeros(7))
+
+
+@pytest.mark.parametrize("family", ["linear", "radial"])
+def test_estimate_adjacency_reads_any_layout(family):
+    # a sparse known graph with unsorted edges, and the pilot's layout
+    g = build_graph(5, [(3, 1), (0, 4), (2, 0), (0, 1), (4, 2)])
+    drift = (LinearDrift() if family == "linear" else
+             RadialDictionaryDrift(offsets=(1.0, 2.0), exponents=(-0.5, 0.5)))
+    layout = parameter_layout(NsdeSpec(d=5, drift=drift,
+                                       diffusion=ConstantDiagonal()), g)
+    n_net = layout.pi_total - 2 * layout.d
+    theta = network_theta(layout, np.arange(1.0, 1.0 + n_net))
+    assert np.array_equal(estimate_adjacency(layout, theta), g.adjacency())
+    if family == "radial":
+        # an edge is kept while any dictionary level carries it
+        net = np.arange(1.0, 1.0 + n_net)
+        net[layout.edge_slot(3, 1, level=0) - 2 * layout.d] = 0.0
+        theta = network_theta(layout, net)
+        assert np.array_equal(estimate_adjacency(layout, theta), g.adjacency())
+        return
+    pilot = pilot_layout(5)
+    net = np.zeros(pilot.pi_total - 10)
+    for i, j in g.edges:
+        net[pilot.edge_slot(i, j) - 10] = -0.5
+    got = estimate_adjacency(pilot, network_theta(pilot, net))
+    assert np.array_equal(got, g.adjacency())
 
 
 def test_two_step_refit_routes_agree():

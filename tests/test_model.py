@@ -63,15 +63,15 @@ def test_augmented_drift_uses_pair_weights():
     g = complete_graph(d)
     layout = parameter_layout(spec, g, augmented=True)
     w = np.arange(1.0, 1.0 + d * (d - 1))
-    theta = layout.pack(alpha=np.ones(d), momentum=np.zeros(d), w=w)
+    theta = layout.pack(alpha=np.ones(d), momentum=np.zeros(d), network=w)
     x = np.array([1.0, 2.0, 3.0])
     want = np.zeros(d)
     for i in range(d):
         for j in range(d):
             if i != j:
                 want[i] += w[pair_index(i, j, d)] * x[j]
-    got = drift_eval(spec, complete_graph(d), theta, x)
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(drift_eval(spec, g, theta, x), want, atol=1e-12)
+    assert np.allclose(path_drift_fn(spec, g, theta)(x), want, atol=1e-12)
 
 
 def test_radial_drift_hand_value():
@@ -169,9 +169,14 @@ def test_layout_slots_augmented():
     names = layout.coord_names
     assert names[layout.edge_slot(0, 2)] == "w_0_2"
     assert names[layout.edge_slot(2, 0)] == "w_2_0"
-    assert layout.pi_w == 6
     assert layout.pi_total == 3 + 3 + 6
-    assert list(layout.w_indices) == list(range(6, 12))
+    # the per-edge layout of the complete graph, whatever graph is passed,
+    # with its network coordinates named w_i_j
+    plain = parameter_layout(spec, complete_graph(3))
+    assert parameter_layout(spec, build_graph(3, []), augmented=True) == layout
+    assert layout.edges == plain.edges
+    assert np.array_equal(layout.coef_slots, plain.coef_slots)
+    assert [n.replace("w_", "beta_") for n in names] == list(plain.coord_names)
 
 
 def test_layout_radial_levels():
@@ -263,7 +268,7 @@ def test_flatten_unflatten_round_trip():
         flat[:4] = np.abs(flat[:4])
         theta = layout.unflatten(flat)
         assert np.array_equal(layout.flatten(theta), flat)
-        assert (theta.w is not None) == augmented
+        assert np.array_equal(layout.network(theta), flat[8:])
     with pytest.raises(LayoutMismatchError):
         layout.unflatten(np.zeros(3))
 
@@ -277,12 +282,15 @@ def test_pack_round_trip_and_errors():
     assert np.array_equal(layout.network(theta), [7])
     assert np.array_equal(layout.intercepts(theta), np.zeros(3))
     with pytest.raises(LayoutMismatchError):
-        layout.pack(alpha=[1, 2, 3], momentum=[4, 5, 6], w=np.zeros(6))
-    with pytest.raises(LayoutMismatchError):
         layout.pack(alpha=[1, 2, 3], momentum=[4, 5, 6], intercepts=[0, 0, 0])
     aug = parameter_layout(spec, complete_graph(3), augmented=True)
+    theta = aug.pack(alpha=[1, 2, 3], momentum=[4, 5, 6], network=np.arange(6.0))
+    assert np.array_equal(aug.network(theta), np.arange(6.0))
     with pytest.raises(LayoutMismatchError):
         aug.pack(alpha=[1, 2, 3], momentum=[4, 5, 6], network=[7])
+    # the block split is checked too, not only the total length
+    with pytest.raises(LayoutMismatchError):
+        layout.flatten(ParamVector(alpha=[1, 2], beta=[3, 4, 5, 6, 7]))
 
 
 def test_param_vector_guards():
@@ -333,10 +341,11 @@ def test_spec_config_round_trip():
 
 
 def test_params_config_round_trip():
-    theta = ParamVector(alpha=[1.0, 2.0], beta=[3.0, 4.0], w=np.arange(2.0))
+    theta = ParamVector(alpha=[1.0, 2.0], beta=[3.0, 4.0, 5.0, 6.0])
     back = params_from_config(params_to_config(theta))
     assert np.array_equal(back.alpha, theta.alpha)
     assert np.array_equal(back.beta, theta.beta)
-    assert np.array_equal(back.w, theta.w)
-    plain = params_from_config({"alpha": [1.0], "beta": [2.0]})
-    assert plain.w is None
+    layout = parameter_layout(linear_spec(2), complete_graph(2), augmented=True)
+    assert params_from_config(params_to_config(theta), layout).pi_total == 6
+    with pytest.raises(LayoutMismatchError):
+        params_from_config({"alpha": [1.0, 2.0], "beta": [3.0]}, layout)
