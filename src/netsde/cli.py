@@ -61,6 +61,15 @@ def _require(cfg: dict, path: str):
     return node
 
 
+def _switch(cfg: dict, key: str, default: bool) -> bool:
+    """cfg[key] (default when absent), which must be a JSON true or false:
+    bool("false") is True, so a string would flip the switch on."""
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigFieldError(key, f"must be true or false, got {value!r}")
+    return value
+
+
 def _config_digest(cfg: dict) -> str:
     # threads never changes numeric outputs and defaults to the machine's
     # core count, so it stays out of the digest
@@ -142,13 +151,14 @@ def _cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     modes = {"closed_form": "adaptive", "adaptive": "adaptive", "joint": "joint"}
     if method not in modes:
         raise ConfigFieldError("method", f"unknown method {method!r}")
-    fit = fit_qmle(path, spec, g, mode=modes[method],
-                   augmented=bool(cfg.get("augmented", False)),
+    augmented = _switch(cfg, "augmented", False)
+    fit = fit_qmle(path, spec, g, mode=modes[method], augmented=augmented,
                    intercepts=cfg.get("intercepts"))
     return [_write_text(out_dir, "fit.json", _dump_json(fit_result_to_dict(fit)))]
 
 
 def _cmd_lasso(cfg: dict, out_dir: str) -> list[str]:
+    refit, cluster = _switch(cfg, "refit", True), _switch(cfg, "cluster", False)
     path = read_csv(str(_require(cfg, "path_csv")))
     spec = spec_from_config(_require(cfg, "model"))
     penalty = dict(cfg.get("penalty", {"rule": "half_se"}))
@@ -175,11 +185,10 @@ def _cmd_lasso(cfg: dict, out_dir: str) -> list[str]:
         _write_text(out_dir, "lasso_path.csv",
                     lasso_path_to_csv(lpath, pilot.layout.coord_names)),
     ]
-    if cfg.get("refit", True):
-        refit = two_step_refit(path, spec, a_hat)
-        outputs.append(_write_text(out_dir, "refit.json",
-                                   _dump_json(fit_result_to_dict(refit))))
-    if cfg.get("cluster", False):
+    if refit:
+        outputs.append(_write_text(out_dir, "refit.json", _dump_json(
+            fit_result_to_dict(two_step_refit(path, spec, a_hat)))))
+    if cluster:
         labels = detect_communities(a_hat)
         outputs.append(_write_text(out_dir, "communities.json", _dump_json({
             "labels": labels.tolist(),

@@ -17,16 +17,17 @@ increments (NodeMoments):
     sum log s_j^2.
 
 One pass over the path builds them, per contiguous chunk of increments
-when asked, or per replication for a batch of paths; the sums are
-additive, so paths that arrive chunk by chunk from the simulator fold
-into them without being stored.  Every fit reads the path through them
-alone: the stage-one scales, the per-node generalized least squares,
-the contrast value and gradient, the observed information (one
-CurvatureBlocks block per node, which model_hessian lays out dense)
-and, in netsde.lasso, the held-out loss of every penalty candidate.
-Only quasi_loglik still evaluates the contrast row by row: one pass of
-O(n d^2) costs less than a moments build of O(n d^3) when a single
-value is wanted.
+when asked.  The sums are additive, so the error-bound study's
+ensembles, which arrive chunk by chunk from the simulator, fold into
+per-replication moments (_MomentFold, in batched products over all
+nodes and a group of replications) without being stored.  Every fit
+reads the path through them alone: the stage-one scales, the per-node
+generalized least squares, the contrast value and gradient, the
+observed information (one CurvatureBlocks block per node, which
+model_hessian lays out dense) and, in netsde.lasso, the held-out loss
+of every penalty candidate.  Only quasi_loglik still evaluates the
+contrast row by row: one pass of O(n d^2) costs less than a moments
+build of O(n d^3) when a single value is wanted.
 
 Node j's contrast is Q_j(c_j) / (2 delta alpha_j^2) + (n/2) log alpha_j^2
 plus a constant, with Q_j the weighted residual sum of squares, a
@@ -174,8 +175,7 @@ class NodeMoments:
         sq[c, j]   = sum dX_j^2 / s_j^2      log_scale[c, j] = sum log s_j^2
 
     alpha_j and c_j enter node j's contrast only through these sums, so one
-    set of moments serves every parameter value.  The sums are additive:
-    a + b holds, chunk by chunk, the moments of the increments of both.
+    set of moments serves every parameter value.
     """
 
     count: np.ndarray
@@ -184,13 +184,6 @@ class NodeMoments:
     slots: tuple[np.ndarray, ...] = ()
     gram: tuple[np.ndarray, ...] = ()
     cross: tuple[np.ndarray, ...] = ()
-
-    def __add__(self, other: "NodeMoments") -> "NodeMoments":
-        return NodeMoments(
-            count=self.count + other.count, sq=self.sq + other.sq,
-            log_scale=self.log_scale + other.log_scale, slots=self.slots,
-            gram=tuple(a + b for a, b in zip(self.gram, other.gram)),
-            cross=tuple(a + b for a, b in zip(self.cross, other.cross)))
 
     def chunk(self, c: int) -> "NodeMoments":
         """The moments of chunk c alone."""
@@ -242,21 +235,11 @@ def _node_moments(dx: np.ndarray, scale: np.ndarray, designs=(),
 
 def _path_moments(spec: NsdeSpec, g: DirectedGraph, layout: ParamLayout,
                   rows: np.ndarray, sizes=None) -> NodeMoments:
-    """NodeMoments of the increments of rows, weighted by the diffusion
-    shape, with the model's node designs.
-
-    rows (n + 1, d) is one path, split into chunks by sizes; rows
-    (reps, n + 1, d) holds one path per replication, and replication r's
-    increments make chunk r.
-    """
-    if rows.ndim == 3:
-        reps, n = rows.shape[0], rows.shape[1] - 1
-        x0 = rows[:, :-1].reshape(reps * n, -1)
-        dx = np.diff(rows, axis=1).reshape(reps * n, -1)
-        sizes = np.full(reps, n)
-    else:
-        x0 = rows[:-1]
-        dx = np.diff(rows, axis=0)
+    """NodeMoments of the increments of one path's rows (n + 1, d), split
+    into chunks by sizes, weighted by the diffusion shape, with the model's
+    node designs."""
+    x0 = rows[:-1]
+    dx = np.diff(rows, axis=0)
     return _node_moments(dx, diffusion_shape(spec, x0),
                          _designs(spec, layout, x0), sizes)
 
@@ -677,28 +660,125 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
 
 
 class _MomentFold:
-    """Folds paths handed on chunk by chunk into per-replication moments.
+    """Folds the Euler loop's rows into per-replication moments of a linear
+    drift without intercepts, with batched products.
 
     A consumer for netsde.simulate's Euler loop: each call passes the next
-    rows (reps, k, d) of every replication, and the fold joins them to the
-    previous call's last row.  moments holds, in chunk r, the NodeMoments of
-    replication r's increments so far (None before the first increment).
-    Each call's sums are formed on their own and then added to the running
-    totals, so long paths keep their precision (Chan, Golub & LeVeque 1983).
+    rows (reps, k, d) of every replication and the shape factors the loop
+    evaluated at the row before each (see simulate._euler), so no shape is
+    recomputed here.  Node j's design [-x_j, x_partners] is padded to the
+    largest in-degree plus one (m rows) with copies of x_j, whose Gram
+    rows and columns are dropped, and its increment dX_j is appended as row
+    m.  Laid out node-major as (reps, d, m + 1, k), every row of a node is
+    divided by that node's scale along contiguous memory, and one product
+    of rows 0..m - 1 with all m + 1 rows gives the Gram and cross sums of
+    every replication and node in a piece of the call (about 1 MB of
+    padded design at a time).  The sign of -x_j is applied to the totals: negation
+    is exact, so they are the sums of the signed designs.  Each call's sums
+    are formed on their own and then added to the running totals, so long
+    paths keep their precision (Chan, Golub & LeVeque 1983).  moments()
+    slices the totals into NodeMoments whose chunk r is replication r.
     """
 
-    def __init__(self, spec: NsdeSpec, g: DirectedGraph, layout: ParamLayout):
-        self._model = (spec, g, layout)
-        self._last = None
-        self.moments: NodeMoments | None = None
+    _GROUP_BYTES = 1 << 20
 
-    def __call__(self, lo: int, block: np.ndarray) -> None:
-        rows = block if self._last is None else np.concatenate(
-            [self._last, block], axis=1)
-        self._last = block[:, -1:].copy()
-        if rows.shape[1] > 1:
-            mom = _path_moments(*self._model, rows)
-            self.moments = mom if self.moments is None else self.moments + mom
+    def __init__(self, spec: NsdeSpec, layout: ParamLayout):
+        if layout.n_levels or layout.with_intercepts:
+            raise LayoutMismatchError(
+                "the batched fold takes a linear drift without intercepts")
+        d = layout.d
+        self._clip = (None if isinstance(spec.diffusion, ConstantDiagonal)
+                      else spec.diffusion.clip)
+        partners = [np.flatnonzero(row >= 0) for row in layout.coef_slots[0]]
+        self._m = 1 + max(len(p) for p in partners)
+        # rows of the gathered [x | dX] block for node j: x_j, its partners,
+        # padding copies of x_j, dX_j
+        self._rows = np.concatenate([
+            np.r_[j, p, np.full(self._m - 1 - len(p), j), d + j]
+            for j, p in enumerate(partners)])
+        self._slots = tuple(np.r_[layout.momentum_slot(j), layout.coef_slots[0, j, p]]
+                            for j, p in enumerate(partners))
+        self._last = None
+        self._count = 0
+        self._sums = self._sq = self._log_scale = None
+
+    def __call__(self, lo: int, block: np.ndarray, shape: np.ndarray | None) -> None:
+        if self._last is None:
+            # no increment ends at the first row
+            self._last = block[:, 0].copy()
+            block = block[:, 1:]
+            shape = None if shape is None else shape[:, 1:]
+        reps, k, d = block.shape
+        if k == 0:
+            return
+        m = self._m
+        if self._sums is None:
+            self._sums = np.zeros((reps, d, m, m + 1))
+            self._sq = np.zeros((reps, d))
+            self._log_scale = np.zeros((reps, d))
+        # pieces of at most _GROUP_BYTES of padded design: span rows of size
+        # replications at a time
+        budget = max(1, self._GROUP_BYTES // (8 * d * (m + 1)))
+        span = min(k, budget)
+        size = max(1, budget // span)
+        for a in range(0, k, span):
+            for r in range(0, reps, size):
+                pick = slice(r, r + size)
+                self._fold(block[pick, a:a + span],
+                           None if shape is None else shape[pick, a:a + span],
+                           self._last[pick] if a == 0 else block[pick, a - 1],
+                           self._sums[pick], self._sq[pick],
+                           self._log_scale[pick])
+        self._last[...] = block[:, -1]
+        self._count += k
+
+    def _fold(self, block, shape, last, sums, sq, log_scale):
+        """Add the sums of the increments from last (reps, d) through the
+        rows of block to the totals sums, sq and log_scale (views of the
+        running totals)."""
+        reps, k, d = block.shape
+        m = self._m
+        # [x | dX] node-major: x_t in column t of the first d rows and
+        # dX_t = x_{t+1} - x_t in column t of the last d (their column k
+        # is never read)
+        xdx = np.empty((reps, 2 * d, k + 1))
+        x = xdx[:, :d]
+        x[:, :, 0] = last
+        x[:, :, 1:] = block.transpose(0, 2, 1)
+        np.subtract(x[:, :, 1:], x[:, :, :-1], out=xdx[:, d:, :k])
+        # mode="clip" writes straight into out; "raise" would buffer a copy
+        z = np.take(xdx, self._rows, axis=1, mode="clip",
+                    out=np.empty((reps, d * (m + 1), k + 1)))
+        z = z.reshape(reps, d, m + 1, k + 1)[..., :k]
+        if shape is not None:
+            scale = np.multiply(shape.transpose(0, 2, 1), self._clip,
+                                out=np.empty((reps, d, k)))
+            z /= scale[:, :, None]
+            np.multiply(scale, scale, out=scale)
+            log_scale += np.log(scale, out=scale).sum(axis=2)
+        # m rows by m + 1 columns: a general product, which numpy hands to
+        # BLAS gemm (a square Z Z' goes to syrk, three times slower at this
+        # size); the corner it leaves out is sq
+        sums += z[:, :, :m] @ z.transpose(0, 1, 3, 2)
+        std = z[:, :, m]
+        sq += np.einsum("rjt,rjt->rj", std, std)
+
+    def moments(self) -> NodeMoments | None:
+        """Each replication's NodeMoments as one chunk, or None before the
+        first increment."""
+        if self._sums is None:
+            return None
+        m = self._m
+        sign = np.ones(m + 1)
+        sign[0] = -1.0
+        sums = self._sums * sign[:m, None] * sign
+        return NodeMoments(
+            count=np.full(sums.shape[0], self._count), sq=self._sq,
+            log_scale=self._log_scale, slots=self._slots,
+            gram=tuple(sums[:, j, :len(sl), :len(sl)]
+                       for j, sl in enumerate(self._slots)),
+            cross=tuple(sums[:, j, :len(sl), m]
+                        for j, sl in enumerate(self._slots)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ block models.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -260,17 +261,21 @@ def error_bound_study(config: dict) -> StudyReport:
     For each horizon T the study simulates n_reps independent paths on the
     known graph, fits diffusion scales and drift coefficients in closed
     form, and records the squared parameter error, both raw and per
-    parameter, and n_converged, the number of replication fits whose
-    certificate passed.  Each cell is compared with the bound K * epsilon where
+    parameter, n_converged, the number of replication fits whose
+    certificate passed, and mean_error_se = sd_error / sqrt(n_reps), the
+    Monte Carlo standard error of mean_error (null in to_json for a single
+    replication).  Each cell is compared with the bound K * epsilon where
     K = pi / |E| and epsilon = |E| / (n * delta), so bound = pi / T.
 
     No path is stored: the Euler loop hands each chunk of rows of all
-    replications to a fold that adds them to per-replication NodeMoments
-    on the known graph, and each fit is read off its replication's
-    moments.  The numbers are those of simulate_ensemble plus
-    fit_adaptive_closed_form on each path, up to the order of the moment
-    sums (about 1e-15 relative), and an explosion raises the same
-    ExplosionError.
+    replications, with the diffusion shapes its steps evaluated at them,
+    to estimate._MomentFold, which adds every node's and replication's
+    moment sums on the known graph in batched products, and each fit is
+    read off its replication's moments.  The numbers are those of
+    simulate_ensemble plus fit_adaptive_closed_form on each path, up to
+    the order of the moment sums (below 1e-14 relative: 7.3e-15 at most
+    on the cells of tests/test_streamed_study.py and a constant-diffusion
+    d = 8 cell), and an explosion raises the same ExplosionError.
     """
     g, graph_info = study_graph(config["graph"])
     spec = _study_spec(config, g.d)
@@ -301,18 +306,19 @@ def error_bound_study(config: dict) -> StudyReport:
     for cell, horizon in enumerate(horizons):
         n = int(round(horizon / delta))
         seeds = all_seeds[cell * n_reps:(cell + 1) * n_reps]
-        fold = _MomentFold(spec, g, layout)
+        fold = _MomentFold(spec, layout)
         _euler(spec, g, theta_true,
                _check_args(spec, g, x0, delta, n, substeps, burn_in),
                delta, n, substeps, burn_in, seeds=seeds, dW=None,
                ensemble=True, consume=fold)
-        if fold.moments is None:
+        moments = fold.moments()
+        if moments is None:
             raise InsufficientDataError(
                 f"horizon {horizon} holds no increment at delta {delta}")
         err2 = np.empty(n_reps)
         n_converged = 0
         for r in range(n_reps):
-            fit = _closed_form_fit(fold.moments.chunk(r), layout, delta,
+            fit = _closed_form_fit(moments.chunk(r), layout, delta,
                                    intercepts=False)
             diff = layout.flatten(fit.theta_hat) - flat_true
             err2[r] = float(diff @ diff)
@@ -333,6 +339,9 @@ def error_bound_study(config: dict) -> StudyReport:
             "bound": bound,
             "mean_error": mean_error,
             "sd_error": sd_error,
+            # Monte Carlo standard error of mean_error (NaN, so null in
+            # to_json, for one replication)
+            "mean_error_se": sd_error / math.sqrt(n_reps),
             "raw_mean": float(err2.mean()),
             "raw_sd": raw_sd,
             "n": n,
@@ -388,6 +397,17 @@ _PENALTY_KEYS = {"rule", "weight_exponent", "fraction", "holdout", "n_points",
                  "min_fraction", "penalize_momentum"}
 
 
+def _switch(cfg: dict, key: str, default: bool, name: str | None = None) -> bool:
+    """cfg[key] (default when absent), which must be a bool: bool("false")
+    is True, so a string would flip the switch on.  StudyError names the
+    setting as name (default key)."""
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise StudyError(
+            f"{name or key} must be true or false, got {value!r}")
+    return value
+
+
 def _penalty_setting(penalty_cfg: dict, key: str, default, ok, allowed: str) -> float:
     """penalty_cfg[key] (default when absent) as a float; StudyError naming
     the key unless ok(value), which a value that is not a number fails."""
@@ -422,6 +442,8 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
         raise ValueError(f"unknown selection rule {rule!r}")
     exponent = _penalty_setting(penalty_cfg, "weight_exponent", 1.0,
                                 lambda v: v >= 0.0, "be non-negative")
+    penalize_momentum = _switch(penalty_cfg, "penalize_momentum", False,
+                                "penalty.penalize_momentum")
     fit_data = path
     if rule == "fixed_fraction":
         fraction = _penalty_setting(penalty_cfg, "fraction", None,
@@ -441,9 +463,8 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
 
     pilot = fit_adaptive_closed_form(fit_data, spec, g_full, augmented=True)
     h = psd_project(pilot.info_blocks)
-    gamma = adaptive_weights(
-        pilot.theta_hat, exponent,
-        penalize_momentum=bool(penalty_cfg.get("penalize_momentum", False)))
+    gamma = adaptive_weights(pilot.theta_hat, exponent,
+                             penalize_momentum=penalize_momentum)
 
     if rule == "fixed_fraction":
         lpath = lambda_path(h, pilot.theta_hat, gamma, fractions=[fraction])
@@ -526,7 +547,7 @@ def recovery_study(config: dict) -> StudyReport:
     n_seeds = int(config.get("n_seeds", 50))
     base_seed = int(config.get("seed", 0))
     threads = int(config.get("threads", 1))
-    do_refit = bool(config.get("refit", True))
+    do_refit = _switch(config, "refit", True)
     penalty_cfg = dict(config.get("penalty", {"rule": "half_se"}))
     agreement_threshold = float(config.get("agreement_threshold", 0.9))
     x0 = np.asarray(config.get("x0", np.zeros(g_true.d)), dtype=float)

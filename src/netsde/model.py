@@ -379,10 +379,13 @@ def euler_step_fn(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, h: float
 
     sigma factors as fold * shape(x): fold is alpha (times the clip level
     for TanhClipped) and shape is diffusion_shape / clip, 1 for
-    ConstantDiagonal.  Returns (fold, step).  step(x, dw, tmp) overwrites dw,
-    an increment already multiplied by fold, with the next state; x, dw and
-    the scratch array tmp have shape (..., d) and share no memory.  The
-    linear family steps with the matrix P = I + h M' and c = h b0.
+    ConstantDiagonal.  Returns (fold, step).  step(x, dw, tmp, shape)
+    overwrites dw, an increment already multiplied by fold, with the next
+    state, and leaves the factor shape(x) in the array shape, which may be
+    the scratch array tmp itself (ConstantDiagonal computes none and leaves
+    it alone); clip times it is diffusion_shape(x), bit for bit.  x, dw and tmp
+    have shape (..., d) and share no memory.  The linear family steps with
+    the matrix P = I + h M' and c = h b0.
     """
     alpha = theta.alpha
     if isinstance(spec.drift, LinearDrift):
@@ -402,7 +405,7 @@ def euler_step_fn(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, h: float
             out += x
 
     if isinstance(spec.diffusion, ConstantDiagonal):
-        def step(x, dw, tmp):
+        def step(x, dw, tmp, shape):
             drift_step(x, tmp)
             dw += tmp
 
@@ -410,13 +413,13 @@ def euler_step_fn(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, h: float
 
     clip = spec.diffusion.clip
 
-    def step(x, dw, tmp):
-        np.multiply(x, x, out=tmp)
-        tmp += 1.0
-        np.sqrt(tmp, out=tmp)
-        tmp /= clip
-        np.tanh(tmp, out=tmp)
-        tmp *= dw
+    def step(x, dw, tmp, shape):
+        np.multiply(x, x, out=shape)
+        shape += 1.0
+        np.sqrt(shape, out=shape)
+        shape /= clip
+        np.tanh(shape, out=shape)
+        np.multiply(shape, dw, out=tmp)
         drift_step(x, dw)
         dw += tmp
 

@@ -15,10 +15,14 @@ the tanh shape is evaluated in preallocated buffers, and each substep's
 state overwrites the increment that produced it.  The explosion guard
 checks every substep state of an observation interval once the interval
 is done, so ExplosionError.step is still the first offending substep.  The
-loop hands each chunk of recorded rows to a consumer: an ensemble copies
-them into one (reps, n + 1, d) array and each SamplePath holds a view of
-it, with no per-replication copy, while netsde.experiments'
-error_bound_study folds them into moments and stores no path.
+loop hands each chunk of recorded rows to a consumer, together with the
+tanh shape factor that the first substep of each row's interval
+evaluated at the state the interval started from (clip times it is
+diffusion_shape there, bit for bit; None for ConstantDiagonal): an
+ensemble copies the rows into one (reps, n + 1, d) array and each
+SamplePath holds a view of it, with no per-replication copy, and ignores
+the shapes, while netsde.experiments' error_bound_study folds rows and
+shapes into moments, stores no path and evaluates no diffusion.
 
 Drawing the Gaussians costs about as much as stepping a wide ensemble, so
 the loop runs in chunks of whole observation intervals (~1M noise values
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph
-from .model import NsdeSpec, ParamVector, euler_step_fn
+from .model import ConstantDiagonal, NsdeSpec, ParamVector, euler_step_fn
 
 EXPLOSION_GUARD = 1e8
 
@@ -133,16 +137,22 @@ def _check_args(spec, g, x0, delta, n, substeps, burn_in_steps):
 def _euler(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
            delta: float, n: int, substeps: int, burn_in_steps: int,
            seeds: list[int], dW: np.ndarray | None, ensemble: bool,
-           consume: Callable[[int, np.ndarray], None]) -> None:
+           consume: Callable[[int, np.ndarray, np.ndarray | None], None]
+           ) -> None:
     """The Euler loop: hands the n + 1 recorded rows to consume in order.
 
-    consume(lo, block) receives rows lo, ..., lo + k - 1 of every
+    consume(lo, block, shape) receives rows lo, ..., lo + k - 1 of every
     replication as block (reps, k, d); successive calls continue where the
-    last one stopped.  block is a view of a buffer the loop overwrites
-    after the call returns, so the consumer copies or folds what it keeps.
-    Noise is one Philox stream per seed, or the given dW for a single
-    replication.  An explosion names the replication and its seed when
-    `ensemble` is set.
+    last one stopped.  shape (reps, k, d) holds, for each of those rows,
+    the diffusion shape factor (diffusion_shape / clip) that the first
+    substep of its interval evaluated at the interval's start, so clip
+    times shape[:, t] is diffusion_shape of row lo + t - 1, bit for bit.
+    It is None for ConstantDiagonal, whose shape is 1, and for the initial
+    row of a run without burn-in, which no interval precedes.  block and
+    shape are views of buffers the loop overwrites after the call returns,
+    so the consumer copies or folds what it keeps.  Noise is one Philox
+    stream per seed, or the given dW for a single replication.  An
+    explosion names the replication and its seed when `ensemble` is set.
 
     The substeps run in chunks of whole observation intervals, at most
     ~1M noise values each, so z plus two raw buffers take ~24 MB.  One
@@ -172,9 +182,12 @@ def _euler(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
                 gen.standard_normal(out=out)
             return buf
     tmp = np.empty((reps, d))
+    # the shape factor at each interval's start, from its first substep
+    shapes = (None if isinstance(spec.diffusion, ConstantDiagonal)
+              else np.empty((chunk, reps, d)))
     x = np.tile(x0, (reps, 1))
     if burn_in_steps == 0:
-        consume(0, x[:, None])
+        consume(0, x[:, None], None)
     with ThreadPoolExecutor(max_workers=1) as pool, \
             np.errstate(over="ignore", invalid="ignore"):
         if dW is None and spans:
@@ -191,8 +204,10 @@ def _euler(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
                             fold, out=zc)
             for k in range(m):
                 interval = zc[k * substeps:(k + 1) * substeps]
+                shape = tmp if shapes is None else shapes[k]
                 for dw in interval:
-                    step(x, dw, tmp)
+                    step(x, dw, tmp, shape)
+                    shape = tmp
                     x = dw
                 if not (interval.max() <= EXPLOSION_GUARD
                         and interval.min() >= -EXPLOSION_GUARD):
@@ -202,9 +217,11 @@ def _euler(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x0,
             lo = max(start + 1 - burn_in_steps, 0)
             hi = start + m + 1 - burn_in_steps
             if hi > lo:
-                ends = zc[substeps - 1::substeps]
                 first = lo + burn_in_steps - 1 - start
-                consume(lo, ends[first:first + hi - lo].transpose(1, 0, 2))
+                pick = slice(first, first + hi - lo)
+                consume(lo, zc[substeps - 1::substeps][pick].transpose(1, 0, 2),
+                        None if shapes is None
+                        else shapes[pick].transpose(1, 0, 2))
             x = x.copy()  # the next chunk refills the buffer x points into
 
 
@@ -213,7 +230,7 @@ def _stored_rows(reps: int, n: int, d: int):
     copies the Euler loop's rows into it."""
     rows = np.empty((reps, n + 1, d))
 
-    def consume(lo, block):
+    def consume(lo, block, _shape):
         rows[:, lo:lo + block.shape[1]] = block
     return rows, consume
 

@@ -389,3 +389,41 @@ def test_lasso_rejects_an_unknown_penalty_key(tmp_path, capsys, monkeypatch,
     assert cli.main(argv) == cli.DOMAIN_ERROR
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: unknown setting penalty.fractoin, penalty.rul"]
+
+
+def test_fit_rejects_a_string_switch(tmp_path, capsys, monkeypatch):
+    # bool("false") is True, so this used to fit the complete graph
+    sim_cfg = simulate_config(n=50)
+    sim_out = tmp_path / "sim"
+    assert cli.run("simulate", write_json(tmp_path, "sim.json", sim_cfg),
+                   out_dir=str(sim_out)) == 0
+
+    def fit(*args, **kwargs):
+        raise AssertionError("the model was fitted")
+
+    monkeypatch.setattr(cli, "fit_qmle", fit)
+    fit_cfg = write_json(tmp_path, "fit.json", {
+        "path_csv": str(sim_out / "path.csv"), "model": sim_cfg["model"],
+        "graph": sim_cfg["graph"], "augmented": "false"})
+    assert cli.run("fit", fit_cfg, out_dir=str(tmp_path / "fit")) \
+        == cli.USAGE_ERROR
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: config field 'augmented': must be true or false, got 'false'"]
+
+
+@pytest.mark.parametrize("override,key,value", [
+    ("refit=False", "refit", "'False'"),  # not JSON, so the string 'False'
+    ("cluster=1", "cluster", "1"),
+])
+def test_lasso_rejects_a_switch_that_is_not_a_boolean(
+        tmp_path, capsys, monkeypatch, short_er_path, override, key, value):
+    def fit(*args, **kwargs):
+        raise AssertionError("the pilot was fitted")
+
+    monkeypatch.setattr(experiments, "fit_adaptive_closed_form", fit)
+    argv = ["lasso", "--config", str(CONFIGS / "lasso_er.json"),
+            "--out-dir", str(tmp_path / "sel"),
+            "--set", f"path_csv={json.dumps(short_er_path)}", "--set", override]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: config field {key!r}: must be true or false, got {value}"]

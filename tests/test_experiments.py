@@ -150,6 +150,7 @@ def test_error_bound_study_normalization_and_rows():
         assert row["epsilon"] == pytest.approx(2 / horizon)
         assert row["bound"] == pytest.approx(pi / horizon)
         assert row["mean_error"] == pytest.approx(row["raw_mean"] / pi)
+        assert row["mean_error_se"] == row["sd_error"] / 2.0  # sqrt(4 reps)
         assert isinstance(row["below_bound"], bool)
     assert report.summary["pi_total"] == pi
     assert np.isfinite(report.summary["slope_log_error_vs_log_horizon"])
@@ -282,6 +283,23 @@ def test_select_graph_rejects_an_unknown_rule_before_fitting(monkeypatch):
         select_graph(path, spec, {"rule": "bogus"})
 
 
+def test_switches_must_be_booleans(monkeypatch):
+    # bool("false") is True: a string switch is an error naming its key
+    def fit(*args, **kwargs):
+        raise AssertionError("the pilot was fitted")
+
+    monkeypatch.setattr(experiments, "fit_adaptive_closed_form", fit)
+    spec = NsdeSpec(d=2, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
+    path = SamplePath(delta=0.01, data=np.zeros((50, 2)))
+    with pytest.raises(StudyError, match="penalty.penalize_momentum must be "
+                                         "true or false, got 'false'"):
+        select_graph(path, spec, {"rule": "fixed_fraction", "fraction": 0.5,
+                                  "penalize_momentum": "false"})
+    monkeypatch.setattr(experiments, "simulate_ensemble", fit)
+    with pytest.raises(StudyError, match="refit must be true or false, got 0"):
+        recovery_study({"graph": {"kind": "polymer", "d": 4}, "refit": 0})
+
+
 def test_cluster_lambda_curve_keys():
     rng = np.random.default_rng(9)
     d = 3
@@ -357,6 +375,7 @@ def test_report_json_is_strict_with_one_replication_and_one_horizon():
     payload = json.loads(report.to_json(), parse_constant=reject)
     row = payload["rows"][0]
     assert row["sd_error"] is None and row["raw_sd"] is None
+    assert row["mean_error_se"] is None
     assert np.isfinite(row["mean_error"])
     assert payload["summary"]["slope_log_error_vs_log_horizon"] is None
     # to_dict keeps the floats as they are

@@ -9,12 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netsde.estimate import InsufficientDataError
+from netsde import estimate, model
+from netsde.estimate import InsufficientDataError, _MomentFold, _path_moments
 from netsde.experiments import (StudyError, _study_spec, _study_truth,
                                 error_bound_study, study_graph)
-from netsde.simulate import (ExplosionError, derive_seeds, simulate_ensemble,
-                             simulate_path)
+from netsde.graph import build_graph
+from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec, TanhClipped,
+                          diffusion_shape, parameter_layout)
+from netsde.simulate import (ExplosionError, _euler, derive_seeds,
+                             simulate_ensemble, simulate_path)
 from reference import error_bound_by_paths
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -47,6 +53,117 @@ def test_streamed_study_matches_path_fits_with_burn_in_inside_a_chunk():
     # so a 500-interval burn-in ends inside the second chunk
     _assert_matches_paths(_load("bench_error_bound_d8.json", n_reps=40,
                                 horizons=[4.0, 7.0], burn_in=500, seed=3))
+
+
+def test_streamed_study_matches_path_fits_with_constant_diffusion():
+    # ConstantDiagonal hands the fold no shape factors
+    _assert_matches_paths(_load("bench_error_bound_d8.json", n_reps=4,
+                                diffusion="constant", horizons=[10.0, 20.0]))
+
+
+def test_the_fold_evaluates_no_diffusion_shape_and_no_path_moments(monkeypatch):
+    def recompute(*args, **kwargs):
+        raise AssertionError("the fold recomputed what the Euler loop handed on")
+
+    for module, name in ((estimate, "_path_moments"), (estimate, "diffusion_shape"),
+                         (model, "diffusion_shape")):
+        monkeypatch.setattr(module, name, recompute)
+    rows = error_bound_study(_load("bench_error_bound_d8.json", n_reps=3,
+                                   horizons=[5.0], burn_in=7)).rows
+    assert rows[0]["n_converged"] == 3
+
+
+def test_the_euler_loop_hands_on_the_diffusion_shape_bit_for_bit():
+    # 40 reps of d = 8 take 312 intervals per chunk: the burn-in ends
+    # inside the first chunk and the rows span three
+    spec, g, theta = _study_model("bench_error_bound_d8.json")
+    seeds = derive_seeds(4, 40)
+    paths = simulate_ensemble(spec, g, theta, np.zeros(g.d), 0.01, 600,
+                              seeds=seeds, burn_in_steps=100)
+    rows = np.stack([p.data for p in paths])
+    handed = []
+
+    def consume(lo, block, shape):
+        assert np.array_equal(block, rows[:, lo:lo + block.shape[1]])
+        handed.append((lo, shape.copy()))
+
+    _euler(spec, g, theta, np.zeros(g.d), 0.01, 600, 10, 100, seeds=seeds,
+           dW=None, ensemble=True, consume=consume)
+    assert [lo for lo, _shape in handed] == [0, 213, 525]
+    want = diffusion_shape(spec, rows)
+    for lo, shape in handed:
+        # the state before row 0 ended the burn-in and is not recorded
+        got = spec.diffusion.clip * shape[:, max(1 - lo, 0):]
+        assert np.array_equal(got, want[:, max(lo - 1, 0):lo + shape.shape[1] - 1])
+
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@st.composite
+def fold_cases(draw):
+    """Rows of 1 to 5 replications at d = 2..6 (node 0 regresses on no
+    partner), cut into chunks of 1 to 9 rows; with burn_in the first chunk
+    starts at row 0 after an interval the fold never sees."""
+    d = draw(st.integers(2, 6))
+    reps = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 40))
+    burn_in = draw(st.booleans())
+    tanh = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = [(i, j) for i in range(1, d) for j in range(d)
+             if i != j and rng.random() < 0.5]
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=n + 1))
+    cuts = np.cumsum(sizes)
+    cuts = np.r_[cuts[cuts < n + 1], n + 1]
+    spec = NsdeSpec(d=d, drift=LinearDrift(),
+                    diffusion=TanhClipped(clip=rng.uniform(0.5, 5.0)) if tanh
+                    else ConstantDiagonal())
+    # the fold works through pieces of at most piece_bytes of design: 1
+    # makes every piece one row of one replication
+    piece_bytes = draw(st.sampled_from([1, 2000, _MomentFold._GROUP_BYTES]))
+    return spec, build_graph(d, edges), 3.0 * rng.standard_normal((reps, n + 1, d)), \
+        cuts, burn_in, piece_bytes
+
+
+@given(case=fold_cases())
+@PROPERTY
+def test_the_fold_matches_the_moments_of_each_stored_path(case):
+    spec, g, rows, cuts, burn_in, piece_bytes = case
+    layout = parameter_layout(spec, g)
+    tanh = isinstance(spec.diffusion, TanhClipped)
+    # the Euler loop hands on views of (rows, reps, d) buffers
+    by_row = np.ascontiguousarray(rows.transpose(1, 0, 2))
+    shapes = None
+    if tanh:
+        # the factor handed with row t is the one at row t - 1; before row
+        # 0 it is NaN, which must not reach the sums
+        shapes = np.full_like(by_row, np.nan)
+        shapes[1:] = diffusion_shape(spec, by_row[:-1]) / spec.diffusion.clip
+    fold = _MomentFold(spec, layout)
+    fold._GROUP_BYTES = piece_bytes
+    lo = 0
+    if not burn_in:
+        fold(0, by_row[:1].transpose(1, 0, 2), None)
+        lo = 1
+    for hi in cuts:
+        if hi > lo:
+            fold(lo, by_row[lo:hi].transpose(1, 0, 2),
+                 None if shapes is None else shapes[lo:hi].transpose(1, 0, 2))
+            lo = hi
+    got = fold.moments()
+    for r in range(rows.shape[0]):
+        want = _path_moments(spec, g, layout, rows[r])
+        mine = got.chunk(r)
+        assert mine.count.tolist() == want.count.tolist()
+        for a, b in zip(mine.slots, want.slots):
+            assert np.array_equal(a, b)
+        pairs = [(mine.sq, want.sq), (mine.log_scale, want.log_scale),
+                 *zip(mine.gram, want.gram), *zip(mine.cross, want.cross)]
+        for a, b in pairs:
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-12,
+                                       atol=1e-12 * np.abs(b).max())
 
 
 def test_every_replication_fit_is_certified():
