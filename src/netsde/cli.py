@@ -3,8 +3,9 @@
 Every subcommand reads a JSON config, runs one module pipeline, writes its
 artifacts into --out-dir next to a manifest.json recording the command, a
 digest of the effective config, the seed, the library version and the
-output list.  Identical (config, seed) pairs produce byte-identical
-numeric outputs.
+output list; the commands that read or write CSV (simulate, fit, lasso,
+ingest) also record csv_s, their seconds in the CSV codec.  Identical
+(config, seed) pairs produce byte-identical numeric outputs.
 
 Exit codes: 0 on success, 1 on a domain error (bad data, singular fits,
 exploding simulations), 2 on a usage error (unknown flags, unreadable or
@@ -70,6 +71,22 @@ def _switch(cfg: dict, key: str, default: bool) -> bool:
     return value
 
 
+class _CsvClock:
+    """Seconds one command spends parsing and formatting CSV."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.calls = 0
+
+    def __call__(self, fn, *args):
+        started = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            self.seconds += time.perf_counter() - started
+            self.calls += 1
+
+
 def _config_digest(cfg: dict) -> str:
     # threads never changes numeric outputs and defaults to the machine's
     # core count, so it stays out of the digest
@@ -111,7 +128,7 @@ def _dump_json(obj) -> str:
 # subcommand pipelines; each returns a list of output file names
 
 
-def _cmd_graph_gen(cfg: dict, out_dir: str) -> list[str]:
+def _cmd_graph_gen(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
     g, info = study_graph(_require(cfg, "graph"))
     outputs = [
         _write_text(out_dir, "graph.json", to_json(g) + "\n"),
@@ -128,7 +145,7 @@ def _cmd_graph_gen(cfg: dict, out_dir: str) -> list[str]:
     return outputs
 
 
-def _cmd_simulate(cfg: dict, out_dir: str) -> list[str]:
+def _cmd_simulate(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
     spec = spec_from_config(_require(cfg, "model"))
     g, _ = study_graph(_require(cfg, "graph"))
     theta = params_from_config(_require(cfg, "params"))
@@ -138,12 +155,12 @@ def _cmd_simulate(cfg: dict, out_dir: str) -> list[str]:
         delta=float(_require(cfg, "delta")), n=int(_require(cfg, "n")),
         substeps=int(cfg.get("substeps", 10)), seed=int(cfg.get("seed", 0)),
         burn_in_steps=int(cfg.get("burn_in", 0)))
-    write_csv(path, os.path.join(out_dir, "path.csv"))
+    csv(write_csv, path, os.path.join(out_dir, "path.csv"))
     return ["path.csv"]
 
 
-def _cmd_fit(cfg: dict, out_dir: str) -> list[str]:
-    path = read_csv(str(_require(cfg, "path_csv")))
+def _cmd_fit(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
+    path = csv(read_csv, str(_require(cfg, "path_csv")))
     spec = spec_from_config(_require(cfg, "model"))
     g, _ = study_graph(_require(cfg, "graph"))
     method = cfg.get("method", "closed_form")
@@ -152,14 +169,16 @@ def _cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     if method not in modes:
         raise ConfigFieldError("method", f"unknown method {method!r}")
     augmented = _switch(cfg, "augmented", False)
+    # absent follows the model's drift; present, it must be a boolean
+    intercepts = _switch(cfg, "intercepts", False) if "intercepts" in cfg else None
     fit = fit_qmle(path, spec, g, mode=modes[method], augmented=augmented,
-                   intercepts=cfg.get("intercepts"))
+                   intercepts=intercepts)
     return [_write_text(out_dir, "fit.json", _dump_json(fit_result_to_dict(fit)))]
 
 
-def _cmd_lasso(cfg: dict, out_dir: str) -> list[str]:
+def _cmd_lasso(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
     refit, cluster = _switch(cfg, "refit", True), _switch(cfg, "cluster", False)
-    path = read_csv(str(_require(cfg, "path_csv")))
+    path = csv(read_csv, str(_require(cfg, "path_csv")))
     spec = spec_from_config(_require(cfg, "model"))
     penalty = dict(cfg.get("penalty", {"rule": "half_se"}))
     a_hat, lam, lpath, pilot = select_graph(path, spec, penalty)
@@ -183,7 +202,7 @@ def _cmd_lasso(cfg: dict, out_dir: str) -> list[str]:
     outputs = [
         _write_text(out_dir, "selection.json", _dump_json(selection)),
         _write_text(out_dir, "lasso_path.csv",
-                    lasso_path_to_csv(lpath, pilot.layout.coord_names)),
+                    csv(lasso_path_to_csv, lpath, pilot.layout.coord_names)),
     ]
     if refit:
         outputs.append(_write_text(out_dir, "refit.json", _dump_json(
@@ -202,7 +221,7 @@ def _cmd_lasso(cfg: dict, out_dir: str) -> list[str]:
     return outputs
 
 
-def _cmd_bench(cfg: dict, out_dir: str) -> list[str]:
+def _cmd_bench(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
     report = run_study(cfg)
     return [
         _write_text(out_dir, "report.json", report.to_json() + "\n"),
@@ -210,8 +229,8 @@ def _cmd_bench(cfg: dict, out_dir: str) -> list[str]:
     ]
 
 
-def _cmd_ingest(cfg: dict, out_dir: str) -> list[str]:
-    panel = load_panel_csv(str(_require(cfg, "panel_csv")))
+def _cmd_ingest(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
+    panel = csv(load_panel_csv, str(_require(cfg, "panel_csv")))
     n_missing = int(panel.missing_mask().sum())
     cc = cfg.get("complete_cases", "series")
     if cc:
@@ -219,7 +238,7 @@ def _cmd_ingest(cfg: dict, out_dir: str) -> list[str]:
     delta = cfg.get("delta")
     path = to_sample_path(panel, transform=cfg.get("transform", "levels"),
                           delta=None if delta is None else float(delta))
-    write_csv(path, os.path.join(out_dir, "path.csv"))
+    csv(write_csv, path, os.path.join(out_dir, "path.csv"))
     info = {
         "n_rows": panel.n_rows,
         "n_series": panel.n_series,
@@ -233,7 +252,7 @@ def _cmd_ingest(cfg: dict, out_dir: str) -> list[str]:
     return ["path.csv", _write_text(out_dir, "ingest.json", _dump_json(info))]
 
 
-def _cmd_communities(cfg: dict, out_dir: str) -> list[str]:
+def _cmd_communities(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
     if "adjacency" in cfg:
         a = np.asarray(cfg["adjacency"], dtype=float)
     else:
@@ -286,9 +305,10 @@ def run(command: str, config_path: str, overrides=None, out_dir: str = ".",
         cfg["threads"] = os.cpu_count() or 1
 
     started = time.monotonic()
+    csv = _CsvClock()
     try:
         os.makedirs(out_dir, exist_ok=True)
-        outputs = _COMMANDS[command](cfg, out_dir)
+        outputs = _COMMANDS[command](cfg, out_dir, csv)
     except ConfigFieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -307,6 +327,8 @@ def run(command: str, config_path: str, overrides=None, out_dir: str = ".",
         "wall_clock_s": round(time.monotonic() - started, 6),
         "outputs": outputs,
     }
+    if csv.calls:
+        manifest["csv_s"] = round(csv.seconds, 6)
     _write_text(out_dir, "manifest.json", _dump_json(manifest))
     return 0
 

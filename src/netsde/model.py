@@ -470,7 +470,12 @@ def spec_from_config(cfg: dict) -> NsdeSpec:
     drift_cfg = cfg["drift"]
     fam = drift_cfg["family"]
     if fam == "linear":
-        drift = LinearDrift(with_intercepts=bool(drift_cfg.get("with_intercepts", False)))
+        with_intercepts = drift_cfg.get("with_intercepts", False)
+        # bool("false") is True, so a string would switch intercepts on
+        if not isinstance(with_intercepts, bool):
+            raise ModelError("drift.with_intercepts must be true or false, "
+                             f"got {with_intercepts!r}")
+        drift = LinearDrift(with_intercepts=with_intercepts)
     elif fam == "radial_dictionary":
         drift = RadialDictionaryDrift(offsets=tuple(drift_cfg["offsets"]),
                                       exponents=tuple(drift_cfg["exponents"]))

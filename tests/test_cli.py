@@ -63,6 +63,7 @@ def test_graph_gen_outputs_and_manifest(tmp_path):
                                    "graph_info.json"]
     assert manifest["seed"] is None
     assert manifest["wall_clock_s"] >= 0
+    assert "csv_s" not in manifest  # graph-gen touches no CSV
 
 
 def test_config_digest_ignores_threads(tmp_path):
@@ -88,6 +89,8 @@ def test_simulate_is_reproducible(tmp_path):
 
     path = read_csv(str(out1 / "path.csv"))
     assert path.n == 400 and path.d == 2
+    manifest = read_manifest(str(out1))
+    assert 0 <= manifest["csv_s"] <= manifest["wall_clock_s"]
 
 
 def test_fit_command(tmp_path):
@@ -108,6 +111,8 @@ def test_fit_command(tmp_path):
     assert set(fit) >= {"names", "values", "converged", "n", "delta"}
     assert len(fit["names"]) == len(fit["values"])
     assert fit["n"] == 1500
+    manifest = read_manifest(str(out))
+    assert 0 <= manifest["csv_s"] <= manifest["wall_clock_s"]
 
     bad = write_json(tmp_path, "bad_fit.json", {
         "path_csv": str(sim_out / "path.csv"),
@@ -152,6 +157,8 @@ def test_lasso_command(tmp_path):
                           + [f"mu_{i}" for i in range(3)]
                           + ["w_0_1", "w_0_2", "w_1_0", "w_1_2", "w_2_0", "w_2_1"])
     assert len(names) == 12 * len(selection["lambdas"])
+    manifest = read_manifest(str(out))
+    assert 0 <= manifest["csv_s"] <= manifest["wall_clock_s"]
 
     no_refit = write_json(tmp_path, "lasso2.json", {
         "path_csv": str(sim_out / "path.csv"),
@@ -229,6 +236,8 @@ def test_ingest_command(tmp_path):
     assert info["path_rows"] == 4
     path = read_csv(str(out / "path.csv"))
     assert path.d == 2 and path.n == 3 and path.delta == 0.5
+    manifest = read_manifest(str(out))
+    assert 0 <= manifest["csv_s"] <= manifest["wall_clock_s"]
 
 
 def test_ingest_takes_delta_as_a_string(tmp_path, capsys):
@@ -427,3 +436,45 @@ def test_lasso_rejects_a_switch_that_is_not_a_boolean(
     assert cli.main(argv) == cli.USAGE_ERROR
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: config field {key!r}: must be true or false, got {value}"]
+
+
+def test_fit_rejects_a_string_intercepts_switch(tmp_path, capsys, monkeypatch):
+    # passed through unchecked, "false" reached the fit as a true value
+    sim_cfg = simulate_config(n=50)
+    sim_out = tmp_path / "sim"
+    assert cli.run("simulate", write_json(tmp_path, "sim.json", sim_cfg),
+                   out_dir=str(sim_out)) == 0
+
+    def fit(*args, **kwargs):
+        raise AssertionError("the model was fitted")
+
+    monkeypatch.setattr(cli, "fit_qmle", fit)
+    fit_cfg = write_json(tmp_path, "fit.json", {
+        "path_csv": str(sim_out / "path.csv"), "model": sim_cfg["model"],
+        "graph": sim_cfg["graph"]})
+    argv = ["fit", "--config", fit_cfg, "--out-dir", str(tmp_path / "fit"),
+            "--set", 'intercepts="false"']
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: config field 'intercepts': must be true or false, got 'false'"]
+
+
+def test_model_rejects_a_string_with_intercepts(tmp_path, capsys):
+    # bool("false") is True: the fit used to gain d intercept coordinates
+    sim_cfg = simulate_config(n=50)
+    sim_out = tmp_path / "sim"
+    assert cli.run("simulate", write_json(tmp_path, "sim.json", sim_cfg),
+                   out_dir=str(sim_out)) == 0
+    fit_cfg = write_json(tmp_path, "fit.json", {
+        "path_csv": str(sim_out / "path.csv"), "model": sim_cfg["model"],
+        "graph": sim_cfg["graph"]})
+    argv = ["fit", "--config", fit_cfg, "--out-dir", str(tmp_path / "fit"),
+            "--set", "model.drift.with_intercepts=false"]
+    assert cli.main(argv) == 0
+    fitted = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    assert not any(name.startswith("intercept") for name in fitted["names"])
+
+    argv[-1] = 'model.drift.with_intercepts="false"'
+    assert cli.main(argv) == cli.DOMAIN_ERROR
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: drift.with_intercepts must be true or false, got 'false'"]
