@@ -16,18 +16,20 @@ increments (NodeMoments):
     sum R_j R_j' / s_j^2,  sum R_j dX_j / s_j^2,  sum dX_j^2 / s_j^2,
     sum log s_j^2.
 
-One pass over the path builds them, per contiguous chunk of increments
-when asked.  The sums are additive, so the error-bound study's
-ensembles, which arrive chunk by chunk from the simulator, fold into
-per-replication moments (_MomentFold, in batched products over all
-nodes and a group of replications) without being stored.  Every fit
-reads the path through them alone: the stage-one scales, the per-node
-generalized least squares, the contrast value and gradient, the
-observed information (one CurvatureBlocks block per node, which
-model_hessian lays out dense) and, in netsde.lasso, the held-out loss
-of every penalty candidate.  Only quasi_loglik still evaluates the
-contrast row by row: one pass of O(n d^2) costs less than a moments
-build of O(n d^3) when a single value is wanted.
+One builder, _MomentFold, forms them: it takes rows chunk by chunk and
+adds every node's sums in batched products, per replication and per
+contiguous chunk of increments when asked.  The sums are additive, so
+the error-bound study's ensembles, which arrive chunk by chunk from the
+simulator, fold into per-replication moments without being stored, and
+a stored path is fed to the same fold as one replication
+(_path_moments).  Every fit reads the path through them alone: the
+stage-one scales, the per-node generalized least squares (under the
+caller's weights too, in fit_linear_closed_form), the contrast value
+and gradient, the observed information (one CurvatureBlocks block per
+node, which model_hessian lays out dense) and, in netsde.lasso, the
+held-out loss of every penalty candidate.  Only quasi_loglik still
+evaluates the contrast row by row: one pass of O(n d^2) costs less than
+a moments build of O(n d^3) when a single value is wanted.
 
 Node j's contrast is Q_j(c_j) / (2 delta alpha_j^2) + (n/2) log alpha_j^2
 plus a constant, with Q_j the weighted residual sum of squares, a
@@ -45,12 +47,13 @@ factors, so no fit needs scipy.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, build_graph
 from .model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
                     NsdeSpec, ParamLayout, ParamVector, default_bounds,
                     diffusion_shape, parameter_layout, path_drift_fn)
@@ -84,18 +87,16 @@ _ALPHA_FLOOR = 1e-8
 # contrasts
 
 
-def _increments(path: SamplePath):
-    if path.n < 1:
+def _increments(rows: np.ndarray):
+    if rows.shape[0] < 2:
         raise InsufficientDataError("need at least two rows to form increments")
-    x0 = path.data[:-1]
-    dx = np.diff(path.data, axis=0)
-    return x0, dx
+    return rows[:-1], np.diff(rows, axis=0)
 
 
 def quasi_loglik(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
                  theta: ParamVector) -> float:
     """Euler contrast value; lower is better."""
-    x0, dx = _increments(path)
+    x0, dx = _increments(path.data)
     drift = path_drift_fn(spec, g, theta)(x0)
     sig = theta.alpha * diffusion_shape(spec, x0)
     if np.any(sig <= 0):
@@ -114,48 +115,10 @@ def fit_diffusion_scale(path: SamplePath, spec: NsdeSpec,
     at alpha_j^2 = mean_i dX_ij^2 / (delta * s_ij^2); the result is clipped to
     [lo, hi].
     """
-    x0, dx = _increments(path)
-    return _scale_estimate(_node_moments(dx, diffusion_shape(spec, x0)),
-                           path.delta, lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# per-node designs (drift is linear in its parameters for both families)
-
-
-def _designs(spec: NsdeSpec, layout: ParamLayout, x0_rows: np.ndarray):
-    """Yield node j's (R_j, slots_j) for j = 0, ..., d - 1, one at a time.
-
-    Node j's partners are the k with a slot in row j of layout.coef_slots,
-    ascending.  R_j has columns [-x_j, 1 (with intercepts), x_k for the
-    partners k], the partner block repeated once per dictionary level and
-    scaled by that level's radial factor for the radial family, so the
-    momentum slot comes first.  R_j is one fancy-indexed copy of the rows
-    (Fortran-ordered), made C-ordered before the radial scale step.  The
-    memory order sets the summation order of the BLAS products
-    downstream, so both orders are part of the result.
-    """
-    levels = layout.coef_slots.shape[0]
-    scales = []
-    if layout.n_levels:
-        nrm = np.linalg.norm(x0_rows, axis=1)
-        scales = [(off + nrm) ** (-(q + 1.0))
-                  for off, q in zip(spec.drift.offsets, spec.drift.exponents)]
-    for j in range(layout.d):
-        partners = np.flatnonzero(layout.coef_slots[0, j] >= 0)
-        m = len(partners)
-        reg = x0_rows[:, np.r_[j, np.tile(partners, levels)]]
-        reg[:, 0] *= -1.0
-        if scales:
-            reg = np.ascontiguousarray(reg)
-            for lev, scale in enumerate(scales):
-                reg[:, 1 + lev * m:1 + (lev + 1) * m] *= scale[:, None]
-        slots = np.r_[layout.momentum_slot(j),
-                      layout.coef_slots[:, j, partners].ravel()]
-        if layout.with_intercepts:
-            reg = np.insert(reg, 1, 1.0, axis=1)
-            slots = np.insert(slots, 1, layout.intercept_slot(j))
-        yield reg, slots
+    # the empty graph: every design is the momentum column alone
+    layout = parameter_layout(spec, build_graph(spec.d, ()))
+    return _scale_estimate(_path_moments(spec, layout, path.data), path.delta,
+                           lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -195,53 +158,199 @@ class NodeMoments:
             cross=tuple(cross[pick] for cross in self.cross))
 
 
-def _node_moments(dx: np.ndarray, scale: np.ndarray, designs=(),
-                  sizes=None) -> NodeMoments:
-    """One pass over the increments dx (n, d), weighted by 1 / scale^2.
+class _MomentFold:
+    """Folds rows into NodeMoments: the one builder of every fit's,
+    curvature's and validation curve's moments.
 
-    designs yields node j's (R_j, slots_j) in node order; sizes splits the
-    increments into contiguous chunks (default one chunk).  Each chunk's
-    Gram sum is R'R of the standardized rows R / s_j, a symmetric product.
+    A consumer for netsde.simulate's Euler loop: each call passes the next
+    rows (reps, k, d) of every replication and the shape factors the loop
+    evaluated at the row before each (see simulate._euler), so no shape is
+    recomputed; _path_moments feeds a stored path as one replication.  The
+    increment ending at row t is weighted by 1 / s^2, s = factor times the
+    factor handed with row t (the clip for the Euler loop's tanh factors, 1
+    for a path's shapes or caller weights), or s = 1 when none is handed.
+
+    Node j's design rows are -x_j, a ones row with intercepts (column 1),
+    then its partners level after level, each radial level scaled by
+    (offset + |x|)^-(q + 1), padded with copies of x_j to the m rows of the
+    widest node (their sums are dropped), and dX_j is row m.  Laid out
+    node-major as (reps, d, m + 1, k), each node's rows are divided by its
+    scale along contiguous memory, and one product of rows 0..m - 1 with
+    all m + 1 rows gives its Gram and cross sums (from _SYRK_ROWS rows on,
+    a symmetric product for the Gram and another for the cross sums, which
+    is faster for a wide design and slower for a narrow one).  A piece of
+    a call holds about _GROUP_BYTES of design but no fewer than _PIECE_ROWS
+    rows times replications, so that a wide design's products do not get
+    too small to run fast, and its nodes are taken in groups of about
+    _GROUP_BYTES so that each group stays in cache.
+
+    sizes cuts each replication's increments into contiguous chunks (one
+    open-ended chunk by default); pieces are cut at the chunk ends, evenly
+    within each.  Each piece's sums are formed on their own and then added
+    to its chunk's running totals, so long paths keep their precision
+    (Chan, Golub & LeVeque 1983).  moments() slices the totals into
+    NodeMoments whose chunk r * len(sizes) + c is chunk c of replication r.
     """
-    n = dx.shape[0]
-    sizes = np.asarray([n] if sizes is None else sizes, dtype=int)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    if np.all(sizes == sizes[0]):
-        # chunks of one size: one batched product per node
-        def chunk_sums(z, v):
-            z = z.reshape(sizes.shape[0], sizes[0], z.shape[1])
-            zt = z.transpose(0, 2, 1)
-            return zt @ z, (zt @ v.reshape(z.shape[:2] + (1,)))[:, :, 0]
-    else:
-        spans = [slice(a, a + m) for a, m in zip(starts, sizes)]
 
-        def chunk_sums(z, v):
-            return (np.stack([z[s].T @ z[s] for s in spans]),
-                    np.stack([z[s].T @ v[s] for s in spans]))
-    std = dx / scale
-    slots, grams, crosses = [], [], []
-    for j, (reg, sl) in enumerate(designs):
-        gram, cross = chunk_sums(reg / scale[:, j, None], std[:, j])
-        grams.append(gram)
-        crosses.append(cross)
-        slots.append(sl)
-    return NodeMoments(count=sizes,
-                       sq=np.add.reduceat(std * std, starts, axis=0),
-                       log_scale=np.add.reduceat(np.log(scale * scale),
-                                                 starts, axis=0),
-                       slots=tuple(slots), gram=tuple(grams),
-                       cross=tuple(crosses))
+    _GROUP_BYTES = 1 << 20
+    _PIECE_ROWS = 1024
+    _SYRK_ROWS = 32
+
+    def __init__(self, spec: NsdeSpec, layout: ParamLayout, sizes=None,
+                 factor: float = 1.0):
+        d = layout.d
+        self._factor = factor
+        levels = max(layout.n_levels, 1)
+        lead = 1 + int(layout.with_intercepts)
+        linked = layout.coef_slots[0] >= 0
+        count = linked.sum(axis=1)
+        width = int(count.max())
+        self._m = m = lead + levels * width
+        # node j's partners in ascending order, and where each sits
+        node, at = np.nonzero(np.arange(width) < count[:, None])
+        partner = np.argsort(~linked, axis=1, kind="stable")[node, at]
+        # row j lists the rows of the gathered [x | dX | 1 | -x] block that
+        # make node j's design: -x_j, the ones row, its partners level after
+        # level, padding copies of x_j, then dX_j; slots[j] holds the flat
+        # slots of its columns
+        self._rows = np.repeat(np.arange(d)[:, None], m + 1, axis=1)
+        self._rows[:, 0] = 2 * d + 1 + np.arange(d)
+        self._rows[:, 1:lead] = 2 * d
+        self._rows[:, m] = d + np.arange(d)
+        slots = np.zeros((d, m), dtype=int)
+        slots[:, 0] = layout.momentum_slot(np.arange(d))
+        slots[:, 1:lead] = layout.intercept_indices.reshape(d, -1)
+        # each radial level's offset, exponent and (d, m + 1) mask of rows
+        self._radial = []
+        for lev in range(levels):
+            col = lead + lev * count[node] + at
+            self._rows[node, col] = partner
+            slots[node, col] = layout.coef_slots[lev, node, partner]
+            if layout.n_levels:
+                mask = np.zeros(self._rows.shape, dtype=bool)
+                mask[node, col] = True
+                self._radial.append((spec.drift.offsets[lev],
+                                     spec.drift.exponents[lev], mask))
+        self._slots = tuple(row[:lead + levels * c] for row, c in zip(slots, count))
+        self._ends = np.cumsum([sys.maxsize] if sizes is None else sizes)
+        self._last = None
+        self._count = 0
+        self._sums = self._sq = self._log_scale = None
+
+    def __call__(self, lo: int, block: np.ndarray, shape: np.ndarray | None) -> None:
+        if self._last is None:
+            # no increment ends at the first row
+            self._last = block[:, 0].copy()
+            block = block[:, 1:]
+            shape = None if shape is None else shape[:, 1:]
+        reps, k, d = block.shape
+        if k == 0:
+            return
+        m = self._m
+        if self._sums is None:
+            chunks = self._ends.shape[0]
+            self._sums = np.zeros((reps, chunks, d, m, m + 1))
+            self._sq = np.zeros((reps, chunks, d))
+            self._log_scale = np.zeros((reps, chunks, d))
+        # pieces of span rows of size replications, cut at the chunk ends
+        budget = max(self._PIECE_ROWS, self._GROUP_BYTES // (8 * d * (m + 1)))
+        span = min(k, budget)
+        size = max(1, budget // span)
+        start = 0
+        for c, stop in enumerate(np.clip(self._ends - self._count, 0, k)):
+            cuts = np.linspace(start, stop, 1 - (start - stop) // span)
+            for a, b in zip(cuts[:-1].astype(int), cuts[1:].astype(int)):
+                for r in range(0, reps, size):
+                    pick = slice(r, r + size)
+                    self._fold(block[pick, a:b],
+                               None if shape is None else shape[pick, a:b],
+                               self._last[pick] if a == 0 else block[pick, a - 1],
+                               self._sums[pick, c], self._sq[pick, c],
+                               self._log_scale[pick, c])
+            start = stop
+        self._last[...] = block[:, -1]
+        self._count += k
+
+    def _fold(self, block, shape, last, sums, sq, log_scale):
+        """Add the sums of the increments from last (reps, d) through the
+        rows of block to the totals sums, sq and log_scale (views of the
+        running totals)."""
+        reps, k, d = block.shape
+        m = self._m
+        # [x | dX | 1 | -x] node-major: x_t in column t of the first d
+        # rows, dX_t = x_{t+1} - x_t in column t of the next d (their
+        # column k is never read), a row of ones, then -x
+        xdx = np.empty((reps, 3 * d + 1, k + 1))
+        x = xdx[:, :d]
+        x[:, :, 0] = last
+        x[:, :, 1:] = block.transpose(0, 2, 1)
+        np.subtract(x[:, :, 1:], x[:, :, :-1], out=xdx[:, d:2 * d, :k])
+        xdx[:, 2 * d] = 1.0
+        np.negative(x, out=xdx[:, 2 * d + 1:])
+        radial = [(mask, (off + np.linalg.norm(x, axis=1)[:, None, :])
+                   ** (-(q + 1.0))) for off, q, mask in self._radial]
+        scale = None
+        if shape is not None:
+            scale = np.multiply(shape.transpose(0, 2, 1), self._factor,
+                                out=np.empty((reps, d, k)))
+            log_scale += np.log(scale * scale).sum(axis=2)
+        # each node's product is the same whatever its group
+        nodes = max(1, self._GROUP_BYTES // (8 * reps * (m + 1) * k))
+        gathered = np.empty((reps, min(nodes, d) * (m + 1), k + 1))
+        for a in range(0, d, nodes):
+            grp = slice(a, a + nodes)
+            rows = self._rows[grp].ravel()
+            # mode="clip" writes straight into out; "raise" would buffer a
+            # copy
+            z = np.take(xdx, rows, axis=1, mode="clip",
+                        out=gathered[:, :rows.shape[0]])
+            z = z.reshape(reps, -1, m + 1, k + 1)
+            for mask, factor in radial:
+                z[:, mask[grp]] *= factor
+            z = z[..., :k]
+            if scale is not None:
+                z /= scale[:, grp, None]
+            design, std = z[:, :, :m], z[:, :, m]
+            if m < self._SYRK_ROWS:
+                # numpy hands this to BLAS gemm, Z Z' to syrk; the corner
+                # left out is sq
+                sums[:, grp] += design @ z.transpose(0, 1, 3, 2)
+            else:
+                sums[:, grp, :, :m] += design @ design.transpose(0, 1, 3, 2)
+                sums[:, grp, :, m] += (design @ std[..., None])[..., 0]
+            sq[:, grp] += np.einsum("rjt,rjt->rj", std, std)
+
+    def moments(self) -> NodeMoments | None:
+        """The NodeMoments of every chunk of every replication (views of
+        the running totals), or None before the first increment."""
+        if self._sums is None:
+            return None
+        m = self._m
+        d = len(self._slots)
+        sums = self._sums.reshape(-1, d, m, m + 1)
+        count = np.diff(np.minimum(np.r_[0, self._ends], self._count))
+        return NodeMoments(
+            count=np.tile(count, self._sq.shape[0]), sq=self._sq.reshape(-1, d),
+            log_scale=self._log_scale.reshape(-1, d), slots=self._slots,
+            gram=tuple(sums[:, j, :len(sl), :len(sl)]
+                       for j, sl in enumerate(self._slots)),
+            cross=tuple(sums[:, j, :len(sl), m]
+                        for j, sl in enumerate(self._slots)))
 
 
-def _path_moments(spec: NsdeSpec, g: DirectedGraph, layout: ParamLayout,
-                  rows: np.ndarray, sizes=None) -> NodeMoments:
-    """NodeMoments of the increments of one path's rows (n + 1, d), split
-    into chunks by sizes, weighted by the diffusion shape, with the model's
-    node designs."""
-    x0 = rows[:-1]
-    dx = np.diff(rows, axis=0)
-    return _node_moments(dx, diffusion_shape(spec, x0),
-                         _designs(spec, layout, x0), sizes)
+def _path_moments(spec: NsdeSpec, layout: ParamLayout, rows: np.ndarray,
+                  sizes=None, scale=None) -> NodeMoments:
+    """NodeMoments of the increments of one path's rows (n + 1, d), cut
+    into contiguous chunks by sizes (default one chunk), each weighted by
+    scale (n, d) (default the diffusion shape at its start): the rows fed
+    to a _MomentFold as one replication."""
+    _increments(rows)  # raises on a path without increments
+    if scale is None and not isinstance(spec.diffusion, ConstantDiagonal):
+        scale = diffusion_shape(spec, rows[:-1])
+    fold = _MomentFold(spec, layout, sizes)
+    fold(0, rows[None, :1], None)
+    fold(1, rows[None, 1:], None if scale is None else scale[None])
+    return fold.moments()
 
 
 def _scale_estimate(mom: NodeMoments, delta: float, lo, hi) -> np.ndarray:
@@ -377,10 +486,9 @@ def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
     of g; a pilot fitted with augmented=True is on complete_graph(d)."""
     layout = parameter_layout(spec, g)
     flat = layout.flatten(theta)  # checks the blocks against the layout
-    _increments(path)  # raises on a path without increments
     if np.any(theta.alpha <= 0):
         raise DegenerateDiffusionError("diffusion scales must be strictly positive")
-    mom = _path_moments(spec, g, layout, path.data)
+    mom = _path_moments(spec, layout, path.data)
     return _information(mom, flat, path.delta, layout.pi_total).dense()
 
 
@@ -470,14 +578,18 @@ class FitResult:
     def standard_errors(self) -> np.ndarray | None:
         """sqrt of the diagonal of the inverse information, or None if a
         block is singular; each block H is inverted rate-normalized,
-        diag(rate_diag) H diag(rate_diag), and scaled back."""
+        diag(rate_diag) H diag(rate_diag), refined once with the residual
+        in extended precision (np.longdouble), and scaled back."""
         var = np.empty(self.info_blocks.p)
         for idx, blocks in self.info_blocks.groups:
             rate = self.rate_diag[idx]
+            scaled = rate[:, :, None] * blocks * rate[:, None, :]
             try:
-                inv = np.linalg.inv(rate[:, :, None] * blocks * rate[:, None, :])
+                inv = np.linalg.inv(scaled)
             except np.linalg.LinAlgError:
                 return None
+            inv = inv + inv @ (np.eye(idx.shape[1])
+                               - scaled.astype(np.longdouble) @ inv)
             var[idx] = rate * np.diagonal(inv, axis1=1, axis2=2) * rate
         var[var < 0] = np.nan
         return np.sqrt(var)
@@ -532,11 +644,16 @@ def fit_qmle(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
         intercepts = layout.with_intercepts
     if intercepts and not layout.with_intercepts:
         raise LayoutMismatchError("layout has no intercepts")
-    _increments(path)  # raises on a path without increments
     alpha = None
     if freeze_alpha is not None:
-        alpha = np.clip(np.asarray(freeze_alpha, dtype=float), _ALPHA_FLOOR, None)
-    return _closed_form_fit(_path_moments(spec, g, layout, path.data), layout,
+        alpha = np.asarray(freeze_alpha, dtype=float)
+        if alpha.shape != (layout.pi_alpha,) or not np.all(
+                np.isfinite(alpha) & (alpha >= 0)):
+            raise DegenerateDiffusionError(
+                f"freeze_alpha must hold {layout.pi_alpha} finite non-negative "
+                f"scales, got {freeze_alpha!r}")
+        alpha = np.maximum(alpha, _ALPHA_FLOOR)
+    return _closed_form_fit(_path_moments(spec, layout, path.data), layout,
                             path.delta, intercepts,
                             joint=mode == "joint" and alpha is None, alpha=alpha)
 
@@ -562,24 +679,24 @@ def fit_linear_closed_form(path: SamplePath, g: DirectedGraph,
 
     Node j's drift coefficients minimize
     sum_i (dX_ij - delta R_j c_j)^2 / sigma_hat_ij^2 over the model box,
-    with R_j its design (see _designs): _closed_form_fit with the scales
+    with R_j its design (see _MomentFold): _closed_form_fit with the scales
     at 1 relative to sigma_hat, so theta_hat.alpha is all ones.
     sigma_hat has shape (n, d); scalars or length-d vectors are
     broadcast.  A numerically singular weighted Gram matrix raises
     SingularGramError.
     """
-    x0, dx = _increments(path)
-    n, d = x0.shape
+    n, d = path.n, path.d
     if g.d != d:
         raise ValueError(f"graph has {g.d} nodes, path has {d} coordinates")
     sig = np.broadcast_to(np.asarray(sigma_hat, dtype=float), (n, d))
-    if np.any(sig <= 0):
-        raise DegenerateDiffusionError("sigma_hat must be strictly positive")
+    if not np.all(np.isfinite(sig) & (sig > 0)):
+        raise DegenerateDiffusionError(
+            "sigma_hat must be finite and strictly positive")
     spec = NsdeSpec(d=d, drift=LinearDrift(with_intercepts=intercepts),
                     diffusion=ConstantDiagonal())
     layout = parameter_layout(spec, g)
-    mom = _node_moments(dx, sig, _designs(spec, layout, x0))
-    return _closed_form_fit(mom, layout, path.delta, intercepts,
+    return _closed_form_fit(_path_moments(spec, layout, path.data, scale=sig),
+                            layout, path.delta, intercepts,
                             alpha=np.ones(d))
 
 
@@ -657,128 +774,6 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
                      converged=converged, layout=layout,
                      n=n, delta=delta, gram_cond=conds,
                      gram_jittered=jittered)
-
-
-class _MomentFold:
-    """Folds the Euler loop's rows into per-replication moments of a linear
-    drift without intercepts, with batched products.
-
-    A consumer for netsde.simulate's Euler loop: each call passes the next
-    rows (reps, k, d) of every replication and the shape factors the loop
-    evaluated at the row before each (see simulate._euler), so no shape is
-    recomputed here.  Node j's design [-x_j, x_partners] is padded to the
-    largest in-degree plus one (m rows) with copies of x_j, whose Gram
-    rows and columns are dropped, and its increment dX_j is appended as row
-    m.  Laid out node-major as (reps, d, m + 1, k), every row of a node is
-    divided by that node's scale along contiguous memory, and one product
-    of rows 0..m - 1 with all m + 1 rows gives the Gram and cross sums of
-    every replication and node in a piece of the call (about 1 MB of
-    padded design at a time).  The sign of -x_j is applied to the totals: negation
-    is exact, so they are the sums of the signed designs.  Each call's sums
-    are formed on their own and then added to the running totals, so long
-    paths keep their precision (Chan, Golub & LeVeque 1983).  moments()
-    slices the totals into NodeMoments whose chunk r is replication r.
-    """
-
-    _GROUP_BYTES = 1 << 20
-
-    def __init__(self, spec: NsdeSpec, layout: ParamLayout):
-        if layout.n_levels or layout.with_intercepts:
-            raise LayoutMismatchError(
-                "the batched fold takes a linear drift without intercepts")
-        d = layout.d
-        self._clip = (None if isinstance(spec.diffusion, ConstantDiagonal)
-                      else spec.diffusion.clip)
-        partners = [np.flatnonzero(row >= 0) for row in layout.coef_slots[0]]
-        self._m = 1 + max(len(p) for p in partners)
-        # rows of the gathered [x | dX] block for node j: x_j, its partners,
-        # padding copies of x_j, dX_j
-        self._rows = np.concatenate([
-            np.r_[j, p, np.full(self._m - 1 - len(p), j), d + j]
-            for j, p in enumerate(partners)])
-        self._slots = tuple(np.r_[layout.momentum_slot(j), layout.coef_slots[0, j, p]]
-                            for j, p in enumerate(partners))
-        self._last = None
-        self._count = 0
-        self._sums = self._sq = self._log_scale = None
-
-    def __call__(self, lo: int, block: np.ndarray, shape: np.ndarray | None) -> None:
-        if self._last is None:
-            # no increment ends at the first row
-            self._last = block[:, 0].copy()
-            block = block[:, 1:]
-            shape = None if shape is None else shape[:, 1:]
-        reps, k, d = block.shape
-        if k == 0:
-            return
-        m = self._m
-        if self._sums is None:
-            self._sums = np.zeros((reps, d, m, m + 1))
-            self._sq = np.zeros((reps, d))
-            self._log_scale = np.zeros((reps, d))
-        # pieces of at most _GROUP_BYTES of padded design: span rows of size
-        # replications at a time
-        budget = max(1, self._GROUP_BYTES // (8 * d * (m + 1)))
-        span = min(k, budget)
-        size = max(1, budget // span)
-        for a in range(0, k, span):
-            for r in range(0, reps, size):
-                pick = slice(r, r + size)
-                self._fold(block[pick, a:a + span],
-                           None if shape is None else shape[pick, a:a + span],
-                           self._last[pick] if a == 0 else block[pick, a - 1],
-                           self._sums[pick], self._sq[pick],
-                           self._log_scale[pick])
-        self._last[...] = block[:, -1]
-        self._count += k
-
-    def _fold(self, block, shape, last, sums, sq, log_scale):
-        """Add the sums of the increments from last (reps, d) through the
-        rows of block to the totals sums, sq and log_scale (views of the
-        running totals)."""
-        reps, k, d = block.shape
-        m = self._m
-        # [x | dX] node-major: x_t in column t of the first d rows and
-        # dX_t = x_{t+1} - x_t in column t of the last d (their column k
-        # is never read)
-        xdx = np.empty((reps, 2 * d, k + 1))
-        x = xdx[:, :d]
-        x[:, :, 0] = last
-        x[:, :, 1:] = block.transpose(0, 2, 1)
-        np.subtract(x[:, :, 1:], x[:, :, :-1], out=xdx[:, d:, :k])
-        # mode="clip" writes straight into out; "raise" would buffer a copy
-        z = np.take(xdx, self._rows, axis=1, mode="clip",
-                    out=np.empty((reps, d * (m + 1), k + 1)))
-        z = z.reshape(reps, d, m + 1, k + 1)[..., :k]
-        if shape is not None:
-            scale = np.multiply(shape.transpose(0, 2, 1), self._clip,
-                                out=np.empty((reps, d, k)))
-            z /= scale[:, :, None]
-            np.multiply(scale, scale, out=scale)
-            log_scale += np.log(scale, out=scale).sum(axis=2)
-        # m rows by m + 1 columns: a general product, which numpy hands to
-        # BLAS gemm (a square Z Z' goes to syrk, three times slower at this
-        # size); the corner it leaves out is sq
-        sums += z[:, :, :m] @ z.transpose(0, 1, 3, 2)
-        std = z[:, :, m]
-        sq += np.einsum("rjt,rjt->rj", std, std)
-
-    def moments(self) -> NodeMoments | None:
-        """Each replication's NodeMoments as one chunk, or None before the
-        first increment."""
-        if self._sums is None:
-            return None
-        m = self._m
-        sign = np.ones(m + 1)
-        sign[0] = -1.0
-        sums = self._sums * sign[:m, None] * sign
-        return NodeMoments(
-            count=np.full(sums.shape[0], self._count), sq=self._sq,
-            log_scale=self._log_scale, slots=self._slots,
-            gram=tuple(sums[:, j, :len(sl), :len(sl)]
-                       for j, sl in enumerate(self._slots)),
-            cross=tuple(sums[:, j, :len(sl), m]
-                        for j, sl in enumerate(self._slots)))
 
 
 # ---------------------------------------------------------------------------

@@ -272,10 +272,10 @@ def error_bound_study(config: dict) -> StudyReport:
     to estimate._MomentFold, which adds every node's and replication's
     moment sums on the known graph in batched products, and each fit is
     read off its replication's moments.  The numbers are those of
-    simulate_ensemble plus fit_adaptive_closed_form on each path, up to
-    the order of the moment sums (below 1e-14 relative: 7.3e-15 at most
-    on the cells of tests/test_streamed_study.py and a constant-diffusion
-    d = 8 cell), and an explosion raises the same ExplosionError.
+    simulate_ensemble plus fit_adaptive_closed_form on each path, whose
+    moments come from the same fold fed the whole path at once, up to
+    where the pieces of the sums are cut, and an explosion raises the
+    same ExplosionError.
     """
     g, graph_info = study_graph(config["graph"])
     spec = _study_spec(config, g.d)
@@ -306,7 +306,7 @@ def error_bound_study(config: dict) -> StudyReport:
     for cell, horizon in enumerate(horizons):
         n = int(round(horizon / delta))
         seeds = all_seeds[cell * n_reps:(cell + 1) * n_reps]
-        fold = _MomentFold(spec, layout)
+        fold = _MomentFold(spec, layout, factor=getattr(spec.diffusion, "clip", 1.0))
         _euler(spec, g, theta_true,
                _check_args(spec, g, x0, delta, n, substeps, burn_in),
                delta, n, substeps, burn_in, seeds=seeds, dW=None,

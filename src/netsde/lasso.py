@@ -436,7 +436,7 @@ def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
             f"{per_node} parameters per node; loss estimates may be unstable",
             stacklevel=2)
 
-    mom = _path_moments(spec, g, layout, path_data.data[n - n_tail:], sizes)
+    mom = _path_moments(spec, layout, path_data.data[n - n_tail:], sizes)
     flats = np.stack([layout.flatten(theta) for theta in theta_per_lambda])
     sums = _chunk_contrast(mom, flats, path_data.delta)
     losses = sums.sum(axis=1) / mom.count.sum()

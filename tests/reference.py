@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from netsde.estimate import _designs, fit_adaptive_closed_form
+from netsde.estimate import fit_adaptive_closed_form
 from netsde.experiments import _study_spec, _study_truth, study_graph
-from netsde.graph import DirectedGraph
+from netsde.graph import DirectedGraph, build_graph
 from netsde.model import (LayoutMismatchError, LinearDrift, NsdeSpec,
                           ParamVector, _check_state, diffusion_shape,
                           parameter_layout, path_drift_fn)
@@ -118,9 +118,27 @@ def sigma_path(path, spec: NsdeSpec, alpha) -> np.ndarray:
 def node_designs(spec: NsdeSpec, layout, x0_rows: np.ndarray):
     """Per-node regressor matrices: b_j(x) = R_j @ theta_flat[slots_j].
 
-    Returns a list of (R_j, slots_j) with R_j of shape (n, q_j).
+    Returns a list of (R_j, slots_j) with R_j of shape (n, q_j).  The drift
+    is linear in its coefficients, so column q of R_j is node j's drift,
+    by path_drift_fn, at the unit vector e_{slots_j[q]}.  slots_j lists
+    node j's momentum, its intercept if any, then its partners in
+    ascending order, level after level.
     """
-    return list(_designs(spec, layout, x0_rows))
+    g = build_graph(layout.d, layout.edges)
+    drifts = {}
+    out = []
+    for j in range(layout.d):
+        partners = np.flatnonzero(layout.coef_slots[0, j] >= 0)
+        slots = np.r_[layout.momentum_slot(j), layout.intercept_indices[j:j + 1],
+                      layout.coef_slots[:, j, partners].ravel()]
+        for slot in slots:
+            if slot not in drifts:
+                unit = np.zeros(layout.pi_total)
+                unit[slot] = 1.0
+                drifts[slot] = path_drift_fn(spec, g, layout.unflatten(unit))(x0_rows)
+        out.append((np.stack([drifts[slot][:, j] for slot in slots], axis=1),
+                    slots))
+    return out
 
 
 def quasi_grad(path, spec: NsdeSpec, g: DirectedGraph, layout,

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from netsde.estimate import (DegenerateDiffusionError, InsufficientDataError,
-                             SingularGramError, fit_adaptive_closed_form,
+                             SingularGramError, _path_moments,
+                             fit_adaptive_closed_form,
                              fit_diffusion_scale, fit_linear_closed_form,
                              fit_qmle, fit_result_to_dict, fit_result_to_json,
                              model_hessian, quasi_loglik, rate_diagonal)
 from netsde.graph import build_graph, complete_graph, erdos_renyi, polymer
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           ParamVector, RadialDictionaryDrift, TanhClipped,
-                          diffusion_eval, parameter_layout)
+                          diffusion_eval, diffusion_shape, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
 from reference import (diffusion_contrast, drift_contrast, drift_eval,
                        node_designs, numerical_hessian, quasi_grad,
@@ -194,28 +195,39 @@ def test_hessian_matches_for_radial_and_augmented_forms():
     assert np.allclose(analytic2, numeric2, atol=2e-5 * np.abs(analytic2).max())
 
 
-def _designs_match_the_loop_drift(spec, g, theta, x0, augmented=False):
+def _designs_match_the_loop_drift(spec, g, theta, rows, augmented=False):
+    """The reference designs of the increments of rows reproduce the drift,
+    and the fold's Gram and cross sums are their weighted products."""
     layout = parameter_layout(spec, g, augmented=augmented)
     flat = layout.flatten(theta)
+    x0 = rows[:-1]
     want = np.stack([drift_eval(spec, g, theta, row) for row in x0])
     designs = node_designs(spec, layout, x0)
     assert len(designs) == spec.d
+    mom = _path_moments(spec, layout, rows)
+    scale = diffusion_shape(spec, x0)
+    std = np.diff(rows, axis=0) / scale
     for j, (reg, slots) in enumerate(designs):
         assert np.allclose(reg @ flat[slots], want[:, j], atol=1e-12)
+        assert np.array_equal(mom.slots[j], slots)
+        z = reg / scale[:, j, None]
+        assert np.allclose(mom.gram[j][0], z.T @ z, rtol=1e-12, atol=0.0)
+        assert np.allclose(mom.cross[j][0], z.T @ std[:, j], rtol=1e-12,
+                           atol=1e-12 * np.abs(z.T @ std[:, j]).max())
     return designs
 
 
 def test_node_designs_reproduce_the_drift():
     spec, g, layout, theta = small_model()
     rng = np.random.default_rng(1)
-    x0 = rng.standard_normal((20, 3))
-    _designs_match_the_loop_drift(spec, g, theta, x0)
+    rows = rng.standard_normal((21, 3))
+    _designs_match_the_loop_drift(spec, g, theta, rows)
     # augmented designs regress on every other coordinate
     aug = parameter_layout(spec, complete_graph(3), augmented=True)
     theta_aug = aug.pack(alpha=[1.5, 2.0, 1.0], momentum=[5.0, 6.0, 7.0],
                          network=rng.standard_normal(6))
     designs_aug = _designs_match_the_loop_drift(
-        spec, complete_graph(3), theta_aug, x0, augmented=True)
+        spec, complete_graph(3), theta_aug, rows, augmented=True)
     assert all(reg.shape[1] == 3 for reg, _ in designs_aug)
 
 
@@ -232,8 +244,8 @@ def test_node_designs_follow_unsorted_edges(family):
     rng = np.random.default_rng(2)
     theta = layout.unflatten(np.r_[np.ones(7),
                                    rng.standard_normal(layout.pi_total - 7)])
-    x0 = rng.standard_normal((30, 7))
-    designs = _designs_match_the_loop_drift(spec, g, theta, x0)
+    rows = rng.standard_normal((31, 7))
+    designs = _designs_match_the_loop_drift(spec, g, theta, rows)
     levels = max(layout.n_levels, 1)
     for j, (reg, slots) in enumerate(designs):
         assert slots[0] == layout.momentum_slot(j)
@@ -294,6 +306,29 @@ def test_freeze_alpha_is_respected():
     frozen = np.array([1.1, 2.2, 3.3])
     fit = fit_qmle(path, spec, g, mode="joint", freeze_alpha=frozen)
     assert np.array_equal(fit.theta_hat.alpha, frozen)
+    # values in [0, 1e-8) are floored there
+    fit = fit_qmle(path, spec, g, freeze_alpha=[1.0, 0.0, 1e-9])
+    assert fit.theta_hat.alpha.tolist() == [1.0, 1e-8, 1e-8]
+
+
+@pytest.mark.parametrize("frozen", [[1.0, np.nan, 1.0], [1.0, np.inf, 1.0],
+                                    [1.0, -1.0, 1.0], [1.0, 1.0]])
+def test_freeze_alpha_rejects_bad_scales(frozen):
+    spec, g, layout, theta = small_model()
+    path = simulated(spec, g, theta, n=500)
+    with pytest.raises(DegenerateDiffusionError, match="freeze_alpha"):
+        fit_qmle(path, spec, g, freeze_alpha=frozen)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linear_closed_form_rejects_non_finite_weights(bad):
+    spec, g, layout, theta = small_model()
+    path = simulated(spec, g, theta, n=200)
+    sigma = np.ones((path.n, 3))
+    sigma[17, 1] = bad
+    with pytest.raises(DegenerateDiffusionError,
+                       match="sigma_hat must be finite and strictly positive"):
+        fit_linear_closed_form(path, g, sigma)
 
 
 def test_joint_scale_needs_more_increments_than_coefficients():

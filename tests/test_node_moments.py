@@ -8,11 +8,11 @@ from numpy.linalg import cholesky
 
 from netsde import estimate, model
 from netsde.estimate import (_chunk_contrast, _gradient, _information,
-                             _path_moments, _projected_grad,
+                             _MomentFold, _path_moments, _projected_grad,
                              fit_adaptive_closed_form, fit_diffusion_scale,
                              fit_linear_closed_form, fit_qmle,
                              fit_result_to_dict, model_hessian, quasi_loglik)
-from netsde.experiments import select_graph
+from netsde.experiments import error_bound_study, select_graph
 from netsde.graph import build_graph, complete_graph
 from netsde.lasso import graph_from_adjacency, two_step_refit, validation_loss
 from netsde.model import (LinearDrift, NsdeSpec, RadialDictionaryDrift,
@@ -81,7 +81,7 @@ def test_information_blocks_match_model_hessian(name):
     # away from any optimum, so the alpha-drift cross terms are not zero
     for theta in candidates[1:]:
         flat = layout.flatten(theta)
-        mom = _path_moments(spec, g, layout, path.data)
+        mom = _path_moments(spec, layout, path.data)
         got = _information(mom, flat, path.delta, layout.pi_total).dense()
         want = hessian_by_rows(path, spec, g, layout, flat)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
@@ -98,21 +98,36 @@ def test_information_blocks_match_model_hessian(name):
 def test_fit_qmle_reads_the_path_once_through_its_moments(monkeypatch, mode):
     spec, g, _aug, path, candidates = model_case("radial")
     builds = []
+    init = _MomentFold.__init__
 
-    def counted(*args, **kwargs):
+    def counted(self, *args, **kwargs):
         builds.append(args)
-        return _path_moments(*args, **kwargs)
+        init(self, *args, **kwargs)
 
     def row_by_row(*args, **kwargs):
         raise AssertionError("a row-by-row evaluator ran during the fit")
 
-    monkeypatch.setattr(estimate, "_path_moments", counted)
+    # every NodeMoments comes from one fold per call, whoever builds it
+    monkeypatch.setattr(_MomentFold, "__init__", counted)
     for name in ("quasi_loglik", "model_hessian", "path_drift_fn"):
         monkeypatch.setattr(estimate, name, row_by_row)
     monkeypatch.setattr(model, "path_drift_fn", row_by_row)
     fit = fit_qmle(path, spec, g, mode=mode)
-    monkeypatch.undo()
     assert len(builds) == 1
+    for call in (
+            lambda: fit_linear_closed_form(path, g, 1.0),
+            lambda: model_hessian(path, spec, g, fit.theta_hat),
+            lambda: validation_loss(path, spec, g, candidates, fraction=0.4),
+            lambda: error_bound_study({
+                "graph": {"kind": "er_fixed_edges", "d": 4, "n_edges": 3,
+                          "seed": 1},
+                "horizons": [2.0], "n_reps": 2})):
+        builds.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small validation blocks warn
+            call()
+        assert len(builds) == 1
+    monkeypatch.undo()
     assert fit.contrast_value == pytest.approx(
         quasi_loglik(path, spec, g, fit.theta_hat), rel=1e-12)
 

@@ -13,15 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsde import estimate, model
-from netsde.estimate import InsufficientDataError, _MomentFold, _path_moments
+from netsde.estimate import (InsufficientDataError, NodeMoments, _information,
+                             _MomentFold)
 from netsde.experiments import (StudyError, _study_spec, _study_truth,
                                 error_bound_study, study_graph)
 from netsde.graph import build_graph
-from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec, TanhClipped,
-                          diffusion_shape, parameter_layout)
-from netsde.simulate import (ExplosionError, _euler, derive_seeds,
+from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
+                          RadialDictionaryDrift, TanhClipped, diffusion_shape,
+                          parameter_layout)
+from netsde.simulate import (ExplosionError, SamplePath, _euler, derive_seeds,
                              simulate_ensemble, simulate_path)
-from reference import error_bound_by_paths
+from reference import error_bound_by_paths, hessian_by_rows, node_designs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -98,50 +100,86 @@ def test_the_euler_loop_hands_on_the_diffusion_shape_bit_for_bit():
 
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+RADIAL = RadialDictionaryDrift(offsets=(1.0, 2.0), exponents=(0.0, 0.5))
 
 
 @st.composite
 def fold_cases(draw):
     """Rows of 1 to 5 replications at d = 2..6 (node 0 regresses on no
-    partner), cut into chunks of 1 to 9 rows; with burn_in the first chunk
-    starts at row 0 after an interval the fold never sees."""
+    partner) under a linear drift with or without intercepts or a radial
+    one, weighted by a constant or tanh-clipped diffusion or by caller
+    weights.  The rows are fed in chunks of 1 to 9 rows, with burn_in
+    after an interval the fold never sees, and each replication's
+    increments are summed in uneven chunks (sizes) or as one."""
     d = draw(st.integers(2, 6))
     reps = draw(st.integers(1, 5))
     n = draw(st.integers(1, 40))
     burn_in = draw(st.booleans())
-    tanh = draw(st.booleans())
+    family = draw(st.sampled_from(["linear", "intercepts", "radial"]))
+    weights = draw(st.sampled_from(["constant", "tanh", "caller"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     edges = [(i, j) for i in range(1, d) for j in range(d)
              if i != j and rng.random() < 0.5]
-    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=n + 1))
-    cuts = np.cumsum(sizes)
+    feed = draw(st.lists(st.integers(1, 9), min_size=1, max_size=n + 1))
+    cuts = np.cumsum(feed)
     cuts = np.r_[cuts[cuts < n + 1], n + 1]
-    spec = NsdeSpec(d=d, drift=LinearDrift(),
-                    diffusion=TanhClipped(clip=rng.uniform(0.5, 5.0)) if tanh
-                    else ConstantDiagonal())
-    # the fold works through pieces of at most piece_bytes of design: 1
-    # makes every piece one row of one replication
-    piece_bytes = draw(st.sampled_from([1, 2000, _MomentFold._GROUP_BYTES]))
-    return spec, build_graph(d, edges), 3.0 * rng.standard_normal((reps, n + 1, d)), \
-        cuts, burn_in, piece_bytes
+    sizes = None
+    if draw(st.booleans()):
+        sizes = np.diff(np.unique(np.r_[0, rng.integers(0, n + 1, 3), n])).tolist()
+    spec = NsdeSpec(d=d, drift=RADIAL if family == "radial"
+                    else LinearDrift(with_intercepts=family == "intercepts"),
+                    diffusion=TanhClipped(clip=rng.uniform(0.5, 5.0))
+                    if weights == "tanh" else ConstantDiagonal())
+    # the fold works through pieces of at most piece_bytes of design and
+    # at least one row: 1 makes every piece one row of one replication;
+    # None keeps the class's budget and row floor
+    piece_bytes = draw(st.sampled_from([1, 2000, None]))
+    # with syrk every design, not only a wide one, takes the symmetric
+    # product
+    syrk = draw(st.booleans())
+    rows = 3.0 * rng.standard_normal((reps, n + 1, d))
+    scale = (rng.uniform(0.2, 3.0, (reps, n, d)) if weights == "caller"
+             else diffusion_shape(spec, rows[:, :-1]))
+    layout = parameter_layout(spec, build_graph(d, edges))
+    # a parameter point for the information: scales in [0.5, 2] and drift
+    # coefficients away from any optimum
+    flat = np.r_[rng.uniform(0.5, 2.0, d),
+                 rng.standard_normal(layout.pi_total - d)]
+    return (spec, build_graph(d, edges), rows, scale, weights, cuts, sizes,
+            burn_in, piece_bytes, syrk, flat)
+
+
+def _replication(mom, r, chunks):
+    """Replication r's chunks of fold moments."""
+    pick = slice(r * chunks, (r + 1) * chunks)
+    return NodeMoments(count=mom.count[pick], sq=mom.sq[pick],
+                       log_scale=mom.log_scale[pick], slots=mom.slots,
+                       gram=tuple(gram[pick] for gram in mom.gram),
+                       cross=tuple(cross[pick] for cross in mom.cross))
 
 
 @given(case=fold_cases())
 @PROPERTY
 def test_the_fold_matches_the_moments_of_each_stored_path(case):
-    spec, g, rows, cuts, burn_in, piece_bytes = case
+    (spec, g, rows, scale, weights, cuts, sizes, burn_in, piece_bytes, syrk,
+     flat) = case
     layout = parameter_layout(spec, g)
-    tanh = isinstance(spec.diffusion, TanhClipped)
-    # the Euler loop hands on views of (rows, reps, d) buffers
+    # the Euler loop hands on views of (rows, reps, d) buffers; the factor
+    # handed with row t weighs the increment that ends there, and before
+    # row 0 it is NaN, which must not reach the sums
     by_row = np.ascontiguousarray(rows.transpose(1, 0, 2))
-    shapes = None
-    if tanh:
-        # the factor handed with row t is the one at row t - 1; before row
-        # 0 it is NaN, which must not reach the sums
-        shapes = np.full_like(by_row, np.nan)
-        shapes[1:] = diffusion_shape(spec, by_row[:-1]) / spec.diffusion.clip
-    fold = _MomentFold(spec, layout)
-    fold._GROUP_BYTES = piece_bytes
+    handed, factor = None, 1.0
+    if weights != "constant":
+        handed = np.full_like(by_row, np.nan)
+        handed[1:] = scale.transpose(1, 0, 2)
+        if weights == "tanh":
+            factor = spec.diffusion.clip
+            handed /= factor
+    fold = _MomentFold(spec, layout, sizes, factor=factor)
+    if piece_bytes is not None:
+        fold._GROUP_BYTES, fold._PIECE_ROWS = piece_bytes, 1
+    if syrk:
+        fold._SYRK_ROWS = 0
     lo = 0
     if not burn_in:
         fold(0, by_row[:1].transpose(1, 0, 2), None)
@@ -149,21 +187,42 @@ def test_the_fold_matches_the_moments_of_each_stored_path(case):
     for hi in cuts:
         if hi > lo:
             fold(lo, by_row[lo:hi].transpose(1, 0, 2),
-                 None if shapes is None else shapes[lo:hi].transpose(1, 0, 2))
+                 None if handed is None else handed[lo:hi].transpose(1, 0, 2))
             lo = hi
     got = fold.moments()
+    n = rows.shape[1] - 1
+    bounds = np.cumsum([0] + (sizes or [n]))
+    chunks = len(bounds) - 1
     for r in range(rows.shape[0]):
-        want = _path_moments(spec, g, layout, rows[r])
-        mine = got.chunk(r)
-        assert mine.count.tolist() == want.count.tolist()
-        for a, b in zip(mine.slots, want.slots):
-            assert np.array_equal(a, b)
-        pairs = [(mine.sq, want.sq), (mine.log_scale, want.log_scale),
-                 *zip(mine.gram, want.gram), *zip(mine.cross, want.cross)]
-        for a, b in pairs:
-            assert a.shape == b.shape
-            np.testing.assert_allclose(a, b, rtol=1e-12,
-                                       atol=1e-12 * np.abs(b).max())
+        x0, dx = rows[r, :-1], np.diff(rows[r], axis=0)
+        designs = node_designs(spec, layout, x0)
+        for c, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            mine = got.chunk(r * chunks + c)
+            s = scale[r, a:b]
+            std = dx[a:b] / s
+            assert mine.count.tolist() == [b - a]
+            pairs = [(mine.sq[0], np.sum(std * std, axis=0)),
+                     (mine.log_scale[0], np.sum(np.log(s * s), axis=0))]
+            for j, (reg, slots) in enumerate(designs):
+                assert np.array_equal(mine.slots[j], slots)
+                z = reg[a:b] / s[:, j, None]
+                pairs += [(mine.gram[j][0], np.einsum("tq,tk->qk", z, z)),
+                          (mine.cross[j][0], z.T @ std[:, j])]
+            for have, want in pairs:
+                assert have.shape == want.shape
+                np.testing.assert_allclose(have, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+        if weights == "caller":
+            continue
+        # the observed information read off the moments is the row-by-row
+        # Hessian of the contrast
+        delta = 0.05
+        want = hessian_by_rows(SamplePath(delta=delta, data=rows[r]), spec, g,
+                               layout, flat)
+        info = _information(_replication(got, r, chunks), flat, delta,
+                            layout.pi_total).dense()
+        np.testing.assert_allclose(info, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def test_every_replication_fit_is_certified():
