@@ -87,14 +87,6 @@ class _CsvClock:
             self.calls += 1
 
 
-def _config_digest(cfg: dict) -> str:
-    # threads never changes numeric outputs and defaults to the machine's
-    # core count, so it stays out of the digest
-    slim = {k: v for k, v in cfg.items() if k != "threads"}
-    canonical = json.dumps(slim, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _apply_overrides(cfg: dict, overrides) -> dict:
     for item in overrides or []:
         if "=" not in item:
@@ -282,7 +274,7 @@ _COMMANDS = {
 
 
 def run(command: str, config_path: str, overrides=None, out_dir: str = ".",
-        seed: int | None = None, threads: int | None = None) -> int:
+        seed: int | None = None) -> int:
     """Execute one subcommand; returns the process exit code."""
     if command not in _COMMANDS:
         print(f"error: unknown command {command!r}", file=sys.stderr)
@@ -299,10 +291,6 @@ def run(command: str, config_path: str, overrides=None, out_dir: str = ".",
 
     if seed is not None:
         cfg["seed"] = int(seed)
-    if threads is not None:
-        cfg["threads"] = int(threads)
-    elif command == "bench" and "threads" not in cfg:
-        cfg["threads"] = os.cpu_count() or 1
 
     started = time.monotonic()
     csv = _CsvClock()
@@ -321,7 +309,8 @@ def run(command: str, config_path: str, overrides=None, out_dir: str = ".",
 
     manifest = {
         "command": command,
-        "config_digest": _config_digest(cfg),
+        "config_digest": hashlib.sha256(json.dumps(
+            cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest(),
         "seed": cfg.get("seed"),
         "version": __version__,
         "wall_clock_s": round(time.monotonic() - started, 6),
@@ -354,8 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="artifact directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker pool size (bench)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="dotted-path config override, value parsed as JSON")
@@ -365,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     return run(args.command, args.config, overrides=args.overrides,
-               out_dir=args.out_dir, seed=args.seed, threads=args.threads)
+               out_dir=args.out_dir, seed=args.seed)
 
 
 if __name__ == "__main__":

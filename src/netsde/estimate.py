@@ -19,25 +19,23 @@ increments (NodeMoments):
 One builder, _MomentFold, forms them: it takes rows chunk by chunk and
 adds every node's sums in batched products, per replication and per
 contiguous chunk of increments when asked.  The sums are additive, so
-the error-bound study's ensembles, which arrive chunk by chunk from the
-simulator, fold into per-replication moments without being stored, and
-a stored path is fed to the same fold as one replication
-(_path_moments).  Every fit reads the path through them alone: the
-stage-one scales, the per-node generalized least squares (under the
-caller's weights too, in fit_linear_closed_form), the contrast value
-and gradient, the observed information (one CurvatureBlocks block per
-node, which model_hessian lays out dense) and, in netsde.lasso, the
-held-out loss of every penalty candidate.  Only quasi_loglik still
-evaluates the contrast row by row: one pass of O(n d^2) costs less than
-a moments build of O(n d^3) when a single value is wanted.
+the studies' ensembles fold into per-replication moments as the
+simulator hands them on, and a stored path is fed to the same fold as
+one replication (_path_moments); a sub-graph's moments are a column
+subset of the complete graph's (NodeMoments.restrict).  Every fit, the
+observed information (one CurvatureBlocks block per node) and, in
+netsde.lasso, the held-out loss of every penalty candidate read the path
+through them alone.  Only quasi_loglik evaluates the contrast row by
+row: one pass of O(n d^2) costs less than a moments build of O(n d^3)
+when a single value is wanted.
 
 Node j's contrast is Q_j(c_j) / (2 delta alpha_j^2) + (n/2) log alpha_j^2
 plus a constant, with Q_j the weighted residual sum of squares, a
 quadratic in the drift coefficients c_j.  Its minimizer in c_j therefore
 does not depend on alpha_j, and every fit is exact.  One moments core,
 _closed_form_fit, serves every fit front end (fit_qmle,
-fit_adaptive_closed_form, fit_linear_closed_form) and
-error_bound_study: it solves each node's Gram system over the model box
+fit_adaptive_closed_form, fit_linear_closed_form), the selection
+pilot and both studies: it solves each node's Gram system over the model box
 (with netsde.lasso's active-set solver wherever the solution leaves
 it), sets the scales by stage one, at alpha_j^2 = Q_j / (n delta) for
 the joint fit, or at given values, and certifies the result by its
@@ -148,14 +146,33 @@ class NodeMoments:
     gram: tuple[np.ndarray, ...] = ()
     cross: tuple[np.ndarray, ...] = ()
 
-    def chunk(self, c: int) -> "NodeMoments":
-        """The moments of chunk c alone."""
-        pick = slice(c, c + 1)
+    def chunk(self, pick: int | slice) -> "NodeMoments":
+        """The moments of chunk pick alone, or of the chunks of a slice."""
+        if not isinstance(pick, slice):
+            pick = slice(pick, pick + 1)
         return NodeMoments(
             count=self.count[pick], sq=self.sq[pick],
             log_scale=self.log_scale[pick], slots=self.slots,
             gram=tuple(gram[pick] for gram in self.gram),
             cross=tuple(cross[pick] for cross in self.cross))
+
+    def restrict(self, layout: ParamLayout, sub: ParamLayout) -> "NodeMoments":
+        """The moments of sub, the layout of the same model on a sub-graph
+        of layout's graph: node j's design under sub is a subset of its
+        columns under layout, in the same order."""
+        kept = sub.coef_slots >= 0
+        if np.any(layout.coef_slots[kept] < 0):
+            raise LayoutMismatchError("the graph is not a sub-graph of the layout's")
+        # scales, momenta and intercepts lead both layouts in the same places
+        to_sub = np.arange(layout.pi_total)
+        to_sub[layout.coef_slots[layout.coef_slots >= 0]] = -1
+        to_sub[layout.coef_slots[kept]] = sub.coef_slots[kept]
+        keep = [np.flatnonzero(to_sub[sl] >= 0) for sl in self.slots]
+        return NodeMoments(
+            count=self.count, sq=self.sq, log_scale=self.log_scale,
+            slots=tuple(to_sub[sl[k]] for sl, k in zip(self.slots, keep)),
+            gram=tuple(gram[:, k[:, None], k] for gram, k in zip(self.gram, keep)),
+            cross=tuple(cross[:, k] for cross, k in zip(self.cross, keep)))
 
 
 class _MomentFold:
@@ -319,6 +336,10 @@ class _MomentFold:
                 sums[:, grp, :, :m] += design @ design.transpose(0, 1, 3, 2)
                 sums[:, grp, :, m] += (design @ std[..., None])[..., 0]
             sq[:, grp] += np.einsum("rjt,rjt->rj", std, std)
+
+    def rep_bytes(self) -> int:
+        """Bytes of the running totals kept for each replication."""
+        return 8 * len(self._ends) * len(self._slots) * (self._m * (self._m + 1) + 2)
 
     def moments(self) -> NodeMoments | None:
         """The NodeMoments of every chunk of every replication (views of
@@ -665,9 +686,8 @@ def fit_adaptive_closed_form(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
 
     Stage one solves the diffusion contrast exactly; stage two runs the
     per-node generalized least squares with those scales, over the model
-    box, and the result is certified.  The sparse-selection pipeline runs
-    it as its pilot on the complete graph (augmented=True), where every
-    node regresses on all other coordinates, and as its refit.
+    box, and the result is certified.  two_step_refit runs it on the
+    selected graph.
     """
     return fit_qmle(path, spec, g, augmented=augmented, intercepts=intercepts)
 

@@ -8,28 +8,27 @@ observation horizon.  recovery_study runs the full selection pipeline
 (dense pilot, adaptive L1 path, penalty choice, refit) and scores the
 estimated graph against the truth: exact recovery and precision/recall
 everywhere, reverse-link false positives on chains, community agreement on
-block models.
+block models.  Both fold the simulator's rows into every replication's
+moments (_ensemble_moments), store no path and read each fit off them.
 """
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import (FitResult, InsufficientDataError, _closed_form_fit,
-                       _MomentFold, fit_adaptive_closed_form)
+from .estimate import (FitResult, InsufficientDataError, NodeMoments,
+                       _closed_form_fit, _MomentFold, _path_moments)
 from .graph import (DirectedGraph, block_labels, build_graph, complete_graph,
                     erdos_renyi, ergodicity_margin, polymer, sbm)
-from .lasso import (LassoPath, adaptive_weights, estimate_adjacency,
-                    lambda_path, psd_project, select_lambda, two_step_refit,
-                    validation_loss)
-from .model import (ConstantDiagonal, LinearDrift, NsdeSpec, TanhClipped,
-                    parameter_layout)
-from .simulate import (SamplePath, _check_args, _euler, derive_seeds,
-                       simulate_ensemble)
+from .lasso import (LassoPath, _holdout_sizes, _validation_curve,
+                    adaptive_weights, estimate_adjacency, graph_from_adjacency,
+                    lambda_path, psd_project, select_lambda)
+from .model import (ConstantDiagonal, LinearDrift, NsdeSpec, ParamLayout,
+                    TanhClipped, parameter_layout)
+from .simulate import SamplePath, _check_args, _euler, derive_seeds
 
 DEFAULT_CLIP = 100.0
 
@@ -107,12 +106,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, np.generic):  # numpy bools, integers and floats
+        return obj.item()
     return obj
 
 
@@ -147,11 +142,7 @@ class StudyReport:
                           allow_nan=False)
 
     def rows_csv(self) -> str:
-        keys: list[str] = []
-        for row in self.rows:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
+        keys = list(dict.fromkeys(k for row in self.rows for k in row))
         lines = [",".join(keys)]
         for row in self.rows:
             cells = []
@@ -242,13 +233,31 @@ def _study_truth(config: dict, spec: NsdeSpec, g: DirectedGraph):
     return theta, layout, margin
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Ordered map, optionally over a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+_FOLD_BYTES = 200_000_000  # a seed block's fold totals: 25M float64 values
+
+
+def _ensemble_moments(spec: NsdeSpec, g: DirectedGraph, theta, config: dict,
+                      n: int, seeds: list[int], layout: ParamLayout, sizes=None):
+    """Fold the paths of the seeds (n increments on g at theta, with
+    config's x0, delta, substeps and burn_in) into NodeMoments on layout,
+    cut by sizes (see _MomentFold), in seed blocks whose running totals
+    stay under _FOLD_BYTES.  Yields each block's seeds and moments."""
+    delta = float(config.get("delta", 0.01))
+    substeps = int(config.get("substeps", 10))
+    burn_in = int(config.get("burn_in", 0))
+    x0 = _check_args(spec, g, config.get("x0", np.zeros(g.d)), delta, n,
+                     substeps, burn_in)
+    if n < 1:
+        raise InsufficientDataError(f"no increment to fold at n = {n}")
+    start = 0
+    while start < len(seeds):
+        fold = _MomentFold(spec, layout, sizes,
+                           factor=getattr(spec.diffusion, "clip", 1.0))
+        block = seeds[start:start + max(1, _FOLD_BYTES // fold.rep_bytes())]
+        _euler(spec, g, theta, x0, delta, n, substeps, burn_in, seeds=block,
+               dW=None, ensemble=True, consume=fold)
+        yield block, fold.moments()
+        start += len(block)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +276,8 @@ def error_bound_study(config: dict) -> StudyReport:
     replication).  Each cell is compared with the bound K * epsilon where
     K = pi / |E| and epsilon = |E| / (n * delta), so bound = pi / T.
 
-    No path is stored: the Euler loop hands each chunk of rows of all
-    replications, with the diffusion shapes its steps evaluated at them,
-    to estimate._MomentFold, which adds every node's and replication's
-    moment sums on the known graph in batched products, and each fit is
-    read off its replication's moments.  The numbers are those of
+    No path is stored: each fit is read off its replication's moments on
+    the known graph (_ensemble_moments).  The numbers are those of
     simulate_ensemble plus fit_adaptive_closed_form on each path, whose
     moments come from the same fold fed the whole path at once, up to
     where the pieces of the sums are cut, and an explosion raises the
@@ -287,10 +293,7 @@ def error_bound_study(config: dict) -> StudyReport:
     n_reps = int(config.get("n_reps", 100))
     if n_reps < 1:
         raise StudyError(f"n_reps must be positive, got {n_reps}")
-    substeps = int(config.get("substeps", 10))
-    burn_in = int(config.get("burn_in", 0))
     base_seed = int(config.get("seed", 0))
-    x0 = np.asarray(config.get("x0", np.zeros(g.d)), dtype=float)
 
     reference = config.get("reference", {})
     ref_means = reference.get("mean_error")
@@ -305,24 +308,14 @@ def error_bound_study(config: dict) -> StudyReport:
     rows = []
     for cell, horizon in enumerate(horizons):
         n = int(round(horizon / delta))
-        seeds = all_seeds[cell * n_reps:(cell + 1) * n_reps]
-        fold = _MomentFold(spec, layout, factor=getattr(spec.diffusion, "clip", 1.0))
-        _euler(spec, g, theta_true,
-               _check_args(spec, g, x0, delta, n, substeps, burn_in),
-               delta, n, substeps, burn_in, seeds=seeds, dW=None,
-               ensemble=True, consume=fold)
-        moments = fold.moments()
-        if moments is None:
-            raise InsufficientDataError(
-                f"horizon {horizon} holds no increment at delta {delta}")
-        err2 = np.empty(n_reps)
-        n_converged = 0
-        for r in range(n_reps):
-            fit = _closed_form_fit(moments.chunk(r), layout, delta,
-                                   intercepts=False)
-            diff = layout.flatten(fit.theta_hat) - flat_true
-            err2[r] = float(diff @ diff)
-            n_converged += fit.converged
+        fits = [_closed_form_fit(moments.chunk(r), layout, delta, intercepts=False)
+                for block, moments in _ensemble_moments(
+                    spec, g, theta_true, config, n,
+                    all_seeds[cell * n_reps:(cell + 1) * n_reps], layout)
+                for r in range(len(block))]
+        err2 = np.array([float(diff @ diff) for diff in (
+            layout.flatten(fit.theta_hat) - flat_true for fit in fits)])
+        n_converged = sum(fit.converged for fit in fits)
         eps = g.n_edges / (n * delta)
         bound = k_ratio * eps
         mean_error = float(err2.mean() / layout.pi_total)
@@ -374,17 +367,14 @@ def error_bound_study(config: dict) -> StudyReport:
         "all_below_bound": bool(all(row["below_bound"] for row in rows)),
         "graph": graph_info,
     }
-    notes = []
     if ref_means is not None:
         summary["all_within_reference_band"] = bool(
             all(row.get("within_reference_band", False)
                 for row in rows[:len(ref_means)]))
-    for row in rows:
-        if row.get("bound_matches_reference") is False:
-            notes.append(
-                f"horizon {row['horizon']}: reported reference bound "
-                f"{row['reference_bound']} disagrees with K * epsilon = "
-                f"{row['bound']:.4g}")
+    notes = [f"horizon {row['horizon']}: reported reference bound "
+             f"{row['reference_bound']} disagrees with K * epsilon = "
+             f"{row['bound']:.4g}"
+             for row in rows if row.get("bound_matches_reference") is False]
     return StudyReport(study="error_bound", config=config, rows=rows,
                        summary=summary, notes=notes)
 
@@ -393,8 +383,14 @@ def error_bound_study(config: dict) -> StudyReport:
 # recovery pipeline
 
 
-_PENALTY_KEYS = {"rule", "weight_exponent", "fraction", "holdout", "n_points",
-                 "min_fraction", "penalize_momentum"}
+# each penalty setting's default, check and what the check asks
+_PENALTY_SETTINGS = {
+    "weight_exponent": (1.0, lambda v: v >= 0.0, "be non-negative"),
+    "fraction": (None, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "holdout": (0.3, lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "n_points": (50, lambda v: v >= 1.0, "be at least 1"),
+    "min_fraction": (1e-3, lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+}
 
 
 def _switch(cfg: dict, key: str, default: bool, name: str | None = None) -> bool:
@@ -408,17 +404,44 @@ def _switch(cfg: dict, key: str, default: bool, name: str | None = None) -> bool
     return value
 
 
-def _penalty_setting(penalty_cfg: dict, key: str, default, ok, allowed: str) -> float:
-    """penalty_cfg[key] (default when absent) as a float; StudyError naming
-    the key unless ok(value), which a value that is not a number fails."""
-    value = penalty_cfg.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = float("nan")  # fails every check below
-    if not ok(number):
-        raise StudyError(f"penalty {key!r} must {allowed}, got {value!r}")
-    return number
+def _penalty(penalty_cfg: dict) -> dict:
+    """The rule and the settings it reads of a penalty block, checked: an
+    unknown key, or a setting the rule reads that is not a number in its
+    range, raises StudyError naming it, and an unknown rule ValueError."""
+    unknown = sorted(set(penalty_cfg) - set(_PENALTY_SETTINGS)
+                     - {"rule", "penalize_momentum"})
+    if unknown:
+        raise StudyError("unknown setting " + ", ".join(
+            f"penalty.{key}" for key in unknown))
+    rule = penalty_cfg.get("rule", "half_se")
+    if rule not in ("min", "half_se", "fixed_fraction"):
+        raise ValueError(f"unknown selection rule {rule!r}")
+    pen = {"rule": rule, "penalize_momentum": _switch(
+        penalty_cfg, "penalize_momentum", False, "penalty.penalize_momentum")}
+    reads = ["fraction"] if rule == "fixed_fraction" else [
+        "holdout", "n_points", "min_fraction"]
+    for key in ["weight_exponent", *reads]:
+        default, ok, allowed = _PENALTY_SETTINGS[key]
+        value = penalty_cfg.get(key, default)
+        try:
+            pen[key] = float(value)
+        except (TypeError, ValueError):
+            pen[key] = float("nan")  # fails every check
+        if not ok(pen[key]):
+            raise StudyError(f"penalty {key!r} must {allowed}, got {value!r}")
+    return pen
+
+
+def _chunk_sizes(pen: dict, n: int) -> list[int]:
+    """The chunks select_graph cuts n increments into: the pilot's head and
+    the held-out sub-blocks, or one for fixed_fraction; StudyError when
+    the holdout leaves the head empty."""
+    if pen["rule"] == "fixed_fraction":
+        return [n]
+    tail = _holdout_sizes(n, pen["holdout"])
+    if sum(tail) >= n:
+        raise StudyError("holdout leaves no data for the pilot")
+    return [n - sum(tail), *tail]
 
 
 def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
@@ -427,54 +450,38 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
     Rules needing a validation curve fit the pilot on the leading 1 - holdout
     share of the increments and score candidates on the trailing share; the
     fixed_fraction rule uses the whole path for the pilot and solves the
-    one penalty fraction * lambda_max.  An unknown penalty key, and each
-    setting a rule reads, is checked before the pilot runs (StudyError
-    naming the key).  The path's adjacency holds the estimate at every
-    penalty level.  Returns (a_hat, selected_lambda, lasso_path, pilot_fit).
+    one penalty fraction * lambda_max.  The penalty settings are checked
+    first (_penalty), then the path is folded once on the complete graph,
+    cut as _chunk_sizes says, and _select reads the rest off its moments.
+    The path's adjacency holds the estimate at every penalty level.
+    Returns (a_hat, selected_lambda, lasso_path, pilot_fit).
     """
-    unknown = sorted(set(penalty_cfg) - _PENALTY_KEYS)
-    if unknown:
-        raise StudyError("unknown setting " + ", ".join(
-            f"penalty.{key}" for key in unknown))
-    g_full = complete_graph(spec.d)
-    rule = penalty_cfg.get("rule", "half_se")
-    if rule not in ("min", "half_se", "fixed_fraction"):
-        raise ValueError(f"unknown selection rule {rule!r}")
-    exponent = _penalty_setting(penalty_cfg, "weight_exponent", 1.0,
-                                lambda v: v >= 0.0, "be non-negative")
-    penalize_momentum = _switch(penalty_cfg, "penalize_momentum", False,
-                                "penalty.penalize_momentum")
-    fit_data = path
-    if rule == "fixed_fraction":
-        fraction = _penalty_setting(penalty_cfg, "fraction", None,
-                                    lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
-    else:
-        holdout = _penalty_setting(penalty_cfg, "holdout", 0.3,
-                                   lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
-        n_points = int(_penalty_setting(penalty_cfg, "n_points", 50,
-                                        lambda v: v >= 1.0, "be at least 1"))
-        min_fraction = _penalty_setting(penalty_cfg, "min_fraction", 1e-3,
-                                        lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
-        n_tail = max(1, int(np.floor(path.n * holdout)))
-        if n_tail >= path.n:
-            raise StudyError("holdout leaves no data for the pilot")
-        fit_data = SamplePath(delta=path.delta,
-                              data=path.data[:path.n - n_tail + 1], seed=None)
+    pen = _penalty(penalty_cfg)
+    layout = parameter_layout(spec, complete_graph(spec.d), augmented=True)
+    mom = _path_moments(spec, layout, path.data, _chunk_sizes(pen, path.n))
+    return _select(mom, layout, path.delta, pen)
 
-    pilot = fit_adaptive_closed_form(fit_data, spec, g_full, augmented=True)
+
+def _select(mom: NodeMoments, layout: ParamLayout, delta: float, pen: dict):
+    """select_graph read off a path's moments on the complete-graph
+    layout, cut by _chunk_sizes: the pilot is the fit of chunk 0, and the
+    validation curve scores each candidate on the other chunks."""
+    pilot = _closed_form_fit(mom.chunk(0), layout, delta, layout.with_intercepts)
     h = psd_project(pilot.info_blocks)
-    gamma = adaptive_weights(pilot.theta_hat, exponent,
-                             penalize_momentum=penalize_momentum)
-
-    if rule == "fixed_fraction":
-        lpath = lambda_path(h, pilot.theta_hat, gamma, fractions=[fraction])
+    gamma = adaptive_weights(pilot.theta_hat, pen["weight_exponent"],
+                             penalize_momentum=pen["penalize_momentum"])
+    if pen["rule"] == "fixed_fraction":
+        lpath = lambda_path(h, pilot.theta_hat, gamma, fractions=[pen["fraction"]])
         pick, lam = 0, float(lpath.lambdas[0])
     else:
-        lpath = lambda_path(h, pilot.theta_hat, gamma, n_points=n_points,
-                            min_fraction=min_fraction)
-        lpath.validation_loss, lpath.validation_se = validation_loss(
-            path, spec, g_full, lpath.coefficients, fraction=holdout)
-        lam = select_lambda(lpath, rule=rule)
+        lpath = lambda_path(h, pilot.theta_hat, gamma,
+                            n_points=int(pen["n_points"]),
+                            min_fraction=pen["min_fraction"])
+        lpath.validation_loss, lpath.validation_se = _validation_curve(
+            mom.chunk(slice(1, None)),
+            np.stack([layout.flatten(theta) for theta in lpath.coefficients]),
+            delta)
+        lam = select_lambda(lpath, rule=pen["rule"])
         # min and half_se both pick a grid point
         pick = int(np.flatnonzero(lpath.lambdas == lam)[0])
         loss, se = lpath.validation_loss, lpath.validation_se
@@ -484,7 +491,7 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
                 f"half_se selected lambda_max, the empty graph: its held-out loss "
                 f"{loss[0]:.6g} is within half a standard error ({se[best]:.3g}) "
                 f"of the minimum {loss[best]:.6g} at lam={lpath.lambdas[best]:.6g}")
-    lpath.adjacency = [estimate_adjacency(pilot.layout, theta)
+    lpath.adjacency = [estimate_adjacency(layout, theta)
                        for theta in lpath.coefficients]
     return lpath.adjacency[pick], lam, lpath, pilot
 
@@ -530,7 +537,10 @@ def recovery_study(config: dict) -> StudyReport:
     scores the estimated adjacency.  Chain configs additionally count
     reverse links estimated where the chain has none; block-model configs
     cluster the estimated graph and score the community labels against the
-    planted blocks.
+    planted blocks.  Every setting is checked before the simulation
+    starts.  No path is stored: each seed's moments on the complete graph,
+    cut as select_graph cuts a path, give its selection (_select) and,
+    restricted to the selected graph, its refit (two_step_refit's fit).
     """
     graph_cfg = config["graph"]
     g_true, graph_info = study_graph(graph_cfg)
@@ -542,75 +552,56 @@ def recovery_study(config: dict) -> StudyReport:
     delta = float(config.get("delta", 0.01))
     horizon = float(config.get("horizon", 200.0))
     n = int(round(horizon / delta))
-    substeps = int(config.get("substeps", 10))
-    burn_in = int(config.get("burn_in", 0))
     n_seeds = int(config.get("n_seeds", 50))
     base_seed = int(config.get("seed", 0))
-    threads = int(config.get("threads", 1))
     do_refit = _switch(config, "refit", True)
-    penalty_cfg = dict(config.get("penalty", {"rule": "half_se"}))
+    pen = _penalty(config.get("penalty", {"rule": "half_se"}))
+    sizes = _chunk_sizes(pen, n)
     agreement_threshold = float(config.get("agreement_threshold", 0.9))
-    x0 = np.asarray(config.get("x0", np.zeros(g_true.d)), dtype=float)
 
-    mu_true = layout.momentum(theta_true)
-    alpha_true = theta_true.alpha
     coupling = float(config.get("coupling", 2.0))
+    labels_true = block_labels(graph_cfg["block_sizes"]) if kind == "sbm" else None
 
-    if kind == "polymer":
-        positions = graph_cfg.get("double_link_positions")
-        if positions is None:
-            positions = range(0, g_true.d - 1, 3)
-        double_positions = set(int(k) for k in positions)
-    else:
-        double_positions = None
-    labels_true = None
-    if kind == "sbm":
-        labels_true = block_labels(graph_cfg["block_sizes"])
-
-    seeds = derive_seeds(base_seed, n_seeds)
-
-    def run_one(path: SamplePath):
-        a_hat, lam, lpath, _pilot = select_graph(path, spec, penalty_cfg)
-        row = {"seed": path.seed, "lambda_max": lpath.lambda_max,
-               "selected_lambda": lam}
-        row.update(_edge_scores(a_true, a_hat))
-        if double_positions is not None:
-            false_rev = sum(1 for k in range(g_true.d - 1)
-                            if a_hat[k, k + 1] == 1 and k not in double_positions)
-            row["false_reverse_links"] = int(false_rev)
-        if labels_true is not None:
-            labels_hat = detect_communities(a_hat)
-            row["n_communities"] = int(labels_hat.max() + 1)
-            row["agreement"] = label_agreement(labels_true, labels_hat)
-        if do_refit:
-            refit = two_step_refit(path, spec, a_hat)
-            row.update(_refit_scores(refit, g_true, a_hat, mu_true,
-                                     alpha_true, coupling))
-        return row
-
-    # simulate in seed blocks so the ensemble buffer stays bounded
-    block = max(1, int(25_000_000 // ((n + 1) * g_true.d)))
+    full = parameter_layout(spec, complete_graph(g_true.d), augmented=True)
     rows: list[dict] = []
-    for start in range(0, n_seeds, block):
-        paths = simulate_ensemble(spec, g_true, theta_true, x0, delta, n,
-                                  seeds=seeds[start:start + block],
-                                  substeps=substeps, burn_in_steps=burn_in)
-        rows.extend(parallel_map(run_one, paths, threads=threads))
+    for block, moments in _ensemble_moments(
+            spec, g_true, theta_true, config, n,
+            derive_seeds(base_seed, n_seeds), full, sizes):
+        for r, seed in enumerate(block):
+            mom = moments.chunk(slice(r * len(sizes), (r + 1) * len(sizes)))
+            a_hat, lam, lpath, _pilot = _select(mom, full, delta, pen)
+            row = {"seed": seed, "lambda_max": lpath.lambda_max,
+                   "selected_lambda": lam}
+            row.update(_edge_scores(a_true, a_hat))
+            if kind == "polymer":  # links (k, k + 1) the chain lacks
+                row["false_reverse_links"] = int(np.sum(
+                    np.diagonal(a_hat, 1) > np.diagonal(a_true, 1)))
+            if labels_true is not None:
+                labels_hat = detect_communities(a_hat)
+                row["n_communities"] = int(labels_hat.max() + 1)
+                row["agreement"] = label_agreement(labels_true, labels_hat)
+            if do_refit:
+                sub = parameter_layout(spec, graph_from_adjacency(a_hat))
+                refit = _closed_form_fit(mom.restrict(full, sub), sub, delta,
+                                         sub.with_intercepts)
+                row.update(_refit_scores(refit, g_true, a_hat,
+                                         layout.momentum(theta_true),
+                                         theta_true.alpha, coupling))
+            rows.append(row)
 
-    exact = np.array([row["exact"] for row in rows], dtype=bool)
     summary = {
         "n_seeds": n_seeds,
         "horizon": horizon,
         "stability_margin": margin,
         "n_true_edges": g_true.n_edges,
-        "recovery_rate": float(exact.mean()),
+        "recovery_rate": float(np.mean([row["exact"] for row in rows])),
         "mean_precision": float(np.mean([row["precision"] for row in rows])),
         "mean_recall": float(np.mean([row["recall"] for row in rows])),
         "graph": graph_info,
     }
-    if double_positions is not None:
-        clean = np.array([row["false_reverse_links"] == 0 for row in rows])
-        summary["no_false_reverse_rate"] = float(clean.mean())
+    if kind == "polymer":
+        summary["no_false_reverse_rate"] = float(np.mean(
+            [row["false_reverse_links"] == 0 for row in rows]))
     if labels_true is not None:
         agree = np.array([row["agreement"] for row in rows])
         summary["mean_agreement"] = float(agree.mean())

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimate import (CurvatureBlocks, FitResult, InsufficientDataError,
-                       _chunk_contrast, _path_moments,
+                       NodeMoments, _chunk_contrast, _path_moments,
                        fit_adaptive_closed_form)
 from .graph import DirectedGraph, build_graph
 from .model import (NsdeSpec, ParamLayout, ParamVector, default_bounds,
@@ -392,14 +392,32 @@ def lambda_path(h, pilot: ParamVector, gamma: np.ndarray,
 # validation and penalty choice
 
 
-def _node_param_count(layout) -> int:
-    """Largest parameter count of one node's contrast: alpha_j, momentum,
-    intercept if any, and the coefficients of node j's drift."""
-    coupling = int((layout.coef_slots >= 0).sum(axis=(0, 2)).max())
-    return 2 + int(layout.with_intercepts) + coupling
-
-
 _SE_BLOCKS = 10  # held-out sub-blocks behind a candidate's standard error
+
+
+def _holdout_sizes(n: int, fraction: float) -> list[int]:
+    """Increment counts of the 10 contiguous held-out sub-blocks (fewer
+    for a shorter tail) of the trailing fraction of n increments."""
+    n_tail = max(1, int(np.floor(n * fraction)))
+    return [len(b) for b in np.array_split(np.arange(n_tail), min(_SE_BLOCKS, n_tail))]
+
+
+def _validation_curve(mom: NodeMoments, flats: np.ndarray, delta: float):
+    """(loss, se) of each candidate flats[k] on the held-out chunks of mom:
+    its contrast per increment and that mean's standard error across them."""
+    # the contrast splits by node, so the size that matters is one node's
+    # parameter count (its scale and its drift slots)
+    per_node = 1 + max(sl.shape[0] for sl in mom.slots)
+    if mom.count.min() < 10 * per_node:
+        warnings.warn(
+            f"validation blocks hold as few as {mom.count.min()} increments "
+            f"for {per_node} parameters per node; loss estimates may be "
+            f"unstable", stacklevel=3)
+    sums = _chunk_contrast(mom, flats, delta)
+    losses = sums.sum(axis=1) / mom.count.sum()
+    if mom.count.shape[0] == 1:
+        return losses, np.zeros(flats.shape[0])
+    return losses, (sums / mom.count).std(axis=1, ddof=1) / np.sqrt(mom.count.shape[0])
 
 
 def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
@@ -420,30 +438,14 @@ def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
         raise InsufficientDataError("validation needs at least two increments")
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    n_tail = max(1, int(np.floor(n * fraction)))
-    sizes = [len(b) for b in np.array_split(np.arange(n_tail),
-                                             min(_SE_BLOCKS, n_tail))]
-    n_cand = len(theta_per_lambda)
-    if n_cand == 0:
+    if len(theta_per_lambda) == 0:
         return np.empty(0), np.zeros(0)
+    sizes = _holdout_sizes(n, fraction)
     layout = parameter_layout(spec, g)
-    # the contrast splits by node, so the size that matters is one node's
-    # parameter count, not the whole vector's
-    per_node = _node_param_count(layout)
-    if min(sizes) < 10 * per_node:
-        warnings.warn(
-            f"validation blocks hold as few as {min(sizes)} increments for "
-            f"{per_node} parameters per node; loss estimates may be unstable",
-            stacklevel=2)
-
-    mom = _path_moments(spec, layout, path_data.data[n - n_tail:], sizes)
-    flats = np.stack([layout.flatten(theta) for theta in theta_per_lambda])
-    sums = _chunk_contrast(mom, flats, path_data.delta)
-    losses = sums.sum(axis=1) / mom.count.sum()
-    ses = np.zeros(n_cand)
-    if len(sizes) > 1:
-        ses = (sums / mom.count).std(axis=1, ddof=1) / np.sqrt(len(sizes))
-    return losses, ses
+    mom = _path_moments(spec, layout, path_data.data[n - sum(sizes):], sizes)
+    return _validation_curve(
+        mom, np.stack([layout.flatten(theta) for theta in theta_per_lambda]),
+        path_data.delta)
 
 
 def select_lambda(path: LassoPath, rule: str = "half_se") -> float:

@@ -21,8 +21,8 @@ evaluated at the state the interval started from (clip times it is
 diffusion_shape there, bit for bit; None for ConstantDiagonal): an
 ensemble copies the rows into one (reps, n + 1, d) array and each
 SamplePath holds a view of it, with no per-replication copy, and ignores
-the shapes, while netsde.experiments' error_bound_study folds rows and
-shapes into moments, stores no path and evaluates no diffusion.
+the shapes, while netsde.experiments' two studies fold rows and shapes
+into moments, store no path and evaluate no diffusion.
 
 Drawing the Gaussians costs about as much as stepping a wide ensemble, so
 the loop runs in chunks of whole observation intervals (~1M noise values

@@ -12,11 +12,14 @@ import numpy as np
 
 from netsde.estimate import fit_adaptive_closed_form
 from netsde.experiments import _study_spec, _study_truth, study_graph
-from netsde.graph import DirectedGraph, build_graph
+from netsde.graph import DirectedGraph, build_graph, complete_graph
+from netsde.lasso import (adaptive_weights, estimate_adjacency, lambda_path,
+                          psd_project, select_lambda, two_step_refit,
+                          validation_loss)
 from netsde.model import (LayoutMismatchError, LinearDrift, NsdeSpec,
                           ParamVector, _check_state, diffusion_shape,
                           parameter_layout, path_drift_fn)
-from netsde.simulate import derive_seeds, simulate_ensemble
+from netsde.simulate import SamplePath, derive_seeds, simulate_ensemble
 
 
 def numerical_hessian(fn, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
@@ -281,4 +284,70 @@ def error_bound_by_paths(config: dict) -> list[tuple[float, float]]:
                     - layout.flatten(theta)) ** 2) for p in paths])
         out.append((float(err2.mean() / layout.pi_total),
                     float(err2.std(ddof=1) / layout.pi_total)))
+    return out
+
+
+def select_by_paths(path, spec: NsdeSpec, penalty: dict):
+    """(a_hat, selected_lambda, lambda_max) of the selection pipeline by
+    two separate fits of a stored path: the complete-graph pilot fitted on
+    the leading 1 - holdout share of it (all of it for fixed_fraction)
+    and the candidates scored by validation_loss on the trailing share."""
+    g_full = complete_graph(spec.d)
+    rule = penalty.get("rule", "half_se")
+    head = path
+    if rule != "fixed_fraction":
+        holdout = penalty.get("holdout", 0.3)
+        n_tail = max(1, int(np.floor(path.n * holdout)))
+        head = SamplePath(delta=path.delta, data=path.data[:path.n - n_tail + 1])
+    pilot = fit_adaptive_closed_form(head, spec, g_full, augmented=True)
+    h = psd_project(pilot.info_blocks)
+    gamma = adaptive_weights(pilot.theta_hat, penalty.get("weight_exponent", 1.0))
+    if rule == "fixed_fraction":
+        lpath = lambda_path(h, pilot.theta_hat, gamma,
+                            fractions=[penalty["fraction"]])
+        lam = float(lpath.lambdas[0])
+    else:
+        lpath = lambda_path(h, pilot.theta_hat, gamma,
+                            n_points=penalty.get("n_points", 50),
+                            min_fraction=penalty.get("min_fraction", 1e-3))
+        lpath.validation_loss, lpath.validation_se = validation_loss(
+            path, spec, g_full, lpath.coefficients, fraction=holdout)
+        lam = select_lambda(lpath, rule=rule)
+    theta = lpath.coefficients[int(np.flatnonzero(lpath.lambdas == lam)[0])]
+    return estimate_adjacency(pilot.layout, theta), lam, lpath.lambda_max
+
+
+def recovery_by_paths(config: dict) -> list[dict]:
+    """Per seed of a recovery config, from stored ensemble paths:
+    select_by_paths' adjacency and penalty levels, the reverse links
+    (k, k + 1) selected at chain positions k that carry no double link
+    (polymer graphs; the double links read off the graph config, every
+    third position by default) and the refit (two_step_refit, when the
+    config refits): the study's route before it folded its paths."""
+    graph_cfg = config["graph"]
+    g, _info = study_graph(graph_cfg)
+    spec = _study_spec(config, g.d)
+    theta, _layout, _margin = _study_truth(config, spec, g)
+    delta = float(config.get("delta", 0.01))
+    seeds = derive_seeds(int(config.get("seed", 0)),
+                         int(config.get("n_seeds", 50)))
+    paths = simulate_ensemble(
+        spec, g, theta, np.asarray(config.get("x0", np.zeros(g.d)), dtype=float),
+        delta, int(round(float(config.get("horizon", 200.0)) / delta)),
+        seeds=seeds, substeps=int(config.get("substeps", 10)),
+        burn_in_steps=int(config.get("burn_in", 0)))
+    penalty = config.get("penalty", {"rule": "half_se"})
+    out = []
+    for path in paths:
+        a_hat, lam, lam_max = select_by_paths(path, spec, penalty)
+        row = {"seed": path.seed, "a_hat": a_hat, "selected_lambda": lam,
+               "lambda_max": lam_max, "refit": None}
+        if graph_cfg.get("kind") == "polymer":
+            positions = graph_cfg.get("double_link_positions")
+            doubles = set(range(0, g.d - 1, 3) if positions is None else positions)
+            row["false_reverse_links"] = sum(
+                1 for k in range(g.d - 1) if a_hat[k, k + 1] == 1 and k not in doubles)
+        if config.get("refit", True):
+            row["refit"] = two_step_refit(path, spec, a_hat)
+        out.append(row)
     return out

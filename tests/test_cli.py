@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netsde import cli, experiments
+from netsde import cli
+from netsde.estimate import _MomentFold
 from netsde.graph import build_graph
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           params_to_config, parameter_layout, spec_to_config)
@@ -64,16 +65,6 @@ def test_graph_gen_outputs_and_manifest(tmp_path):
     assert manifest["seed"] is None
     assert manifest["wall_clock_s"] >= 0
     assert "csv_s" not in manifest  # graph-gen touches no CSV
-
-
-def test_config_digest_ignores_threads(tmp_path):
-    cfg = write_json(tmp_path, "g.json", {
-        "graph": {"kind": "edges", "d": 2, "edges": [[0, 1]]}})
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.run("graph-gen", cfg, out_dir=str(out1), threads=1) == 0
-    assert cli.run("graph-gen", cfg, out_dir=str(out2), threads=7) == 0
-    assert read_manifest(str(out1))["config_digest"] \
-        == read_manifest(str(out2))["config_digest"]
 
 
 def test_simulate_is_reproducible(tmp_path):
@@ -361,6 +352,14 @@ def short_er_path(tmp_path_factory):
 HALF_SE = 'penalty.rule="half_se"'
 
 
+def no_fold(monkeypatch):
+    """Make building a moments fold, the first work on a path, fail."""
+    def fold(*args, **kwargs):
+        raise AssertionError("the path was folded")
+
+    monkeypatch.setattr(_MomentFold, "__init__", fold)
+
+
 @pytest.mark.parametrize("overrides,key", [
     ([HALF_SE, "penalty.n_points=0"], "n_points"),
     ([HALF_SE, "penalty.min_fraction=0"], "min_fraction"),
@@ -373,10 +372,7 @@ HALF_SE = 'penalty.rule="half_se"'
 ])
 def test_lasso_rejects_bad_penalty_settings_before_the_pilot(
         tmp_path, capsys, monkeypatch, short_er_path, overrides, key):
-    def fit(*args, **kwargs):
-        raise AssertionError("the pilot was fitted")
-
-    monkeypatch.setattr(experiments, "fit_adaptive_closed_form", fit)
+    no_fold(monkeypatch)
     overrides = [f"path_csv={json.dumps(short_er_path)}", *overrides]
     assert cli.run("lasso", str(CONFIGS / "lasso_er.json"), overrides=overrides,
                    out_dir=str(tmp_path / "sel")) == cli.DOMAIN_ERROR
@@ -387,10 +383,7 @@ def test_lasso_rejects_bad_penalty_settings_before_the_pilot(
 
 def test_lasso_rejects_an_unknown_penalty_key(tmp_path, capsys, monkeypatch,
                                                short_er_path):
-    def fit(*args, **kwargs):
-        raise AssertionError("the pilot was fitted")
-
-    monkeypatch.setattr(experiments, "fit_adaptive_closed_form", fit)
+    no_fold(monkeypatch)
     argv = ["lasso", "--config", str(CONFIGS / "lasso_er.json"),
             "--out-dir", str(tmp_path / "sel"),
             "--set", f"path_csv={json.dumps(short_er_path)}",
@@ -426,10 +419,7 @@ def test_fit_rejects_a_string_switch(tmp_path, capsys, monkeypatch):
 ])
 def test_lasso_rejects_a_switch_that_is_not_a_boolean(
         tmp_path, capsys, monkeypatch, short_er_path, override, key, value):
-    def fit(*args, **kwargs):
-        raise AssertionError("the pilot was fitted")
-
-    monkeypatch.setattr(experiments, "fit_adaptive_closed_form", fit)
+    no_fold(monkeypatch)
     argv = ["lasso", "--config", str(CONFIGS / "lasso_er.json"),
             "--out-dir", str(tmp_path / "sel"),
             "--set", f"path_csv={json.dumps(short_er_path)}", "--set", override]

@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netsde import experiments
+from netsde.estimate import _MomentFold
 from netsde.experiments import (StudyError, StudyReport, cluster_lambda_curve,
                                 detect_communities, error_bound_study,
                                 find_er_graph_with_edges, label_agreement,
-                                modularity, parallel_map, recovery_study,
+                                modularity, recovery_study,
                                 reference_er_graph, run_study, select_graph,
                                 study_graph)
 from netsde.graph import (block_labels, complete_graph, ergodicity_margin,
@@ -118,13 +118,6 @@ def test_label_agreement_rejects_negative_and_fractional_labels():
         label_agreement([0, 0, 1, 1], [0.0, 0.5, 1.0, 1.0])
     # whole numbers written as floats are labels like any other
     assert label_agreement([0.0, 0.0, 1.0, 1.0], [1, 1, 0, 0]) == 1.0
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(23))
-    want = [x * x for x in items]
-    assert parallel_map(lambda x: x * x, items, threads=1) == want
-    assert parallel_map(lambda x: x * x, items, threads=4) == want
 
 
 def small_error_bound_config():
@@ -272,11 +265,16 @@ def test_select_graph_with_validation_curve():
     assert a_fixed is fixed.adjacency[0]
 
 
-def test_select_graph_rejects_an_unknown_rule_before_fitting(monkeypatch):
-    def fit(*args, **kwargs):
-        raise AssertionError("the pilot was fitted")
+def no_fold(monkeypatch):
+    """Make building a moments fold, the first work on a path, fail."""
+    def fold(*args, **kwargs):
+        raise AssertionError("a path was folded")
 
-    monkeypatch.setattr(experiments, "fit_adaptive_closed_form", fit)
+    monkeypatch.setattr(_MomentFold, "__init__", fold)
+
+
+def test_select_graph_rejects_an_unknown_rule_before_fitting(monkeypatch):
+    no_fold(monkeypatch)
     spec = NsdeSpec(d=2, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
     path = SamplePath(delta=0.01, data=np.zeros((50, 2)))
     with pytest.raises(ValueError, match="unknown selection rule 'bogus'"):
@@ -285,17 +283,13 @@ def test_select_graph_rejects_an_unknown_rule_before_fitting(monkeypatch):
 
 def test_switches_must_be_booleans(monkeypatch):
     # bool("false") is True: a string switch is an error naming its key
-    def fit(*args, **kwargs):
-        raise AssertionError("the pilot was fitted")
-
-    monkeypatch.setattr(experiments, "fit_adaptive_closed_form", fit)
+    no_fold(monkeypatch)
     spec = NsdeSpec(d=2, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
     path = SamplePath(delta=0.01, data=np.zeros((50, 2)))
     with pytest.raises(StudyError, match="penalty.penalize_momentum must be "
                                          "true or false, got 'false'"):
         select_graph(path, spec, {"rule": "fixed_fraction", "fraction": 0.5,
                                   "penalize_momentum": "false"})
-    monkeypatch.setattr(experiments, "simulate_ensemble", fit)
     with pytest.raises(StudyError, match="refit must be true or false, got 0"):
         recovery_study({"graph": {"kind": "polymer", "d": 4}, "refit": 0})
 

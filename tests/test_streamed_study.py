@@ -1,6 +1,7 @@
-"""error_bound_study folds the Euler loop's rows into per-replication
-moments and stores no path; these tests hold it to the path-based fit and
-the simulator to its recorded output."""
+"""error_bound_study and recovery_study fold the Euler loop's rows into
+per-replication moments and store no path; these tests hold them to the
+path-based fits and selection, and the simulator to its recorded
+output."""
 import hashlib
 import json
 import threading
@@ -12,18 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsde import estimate, model
-from netsde.estimate import (InsufficientDataError, NodeMoments, _information,
-                             _MomentFold)
-from netsde.experiments import (StudyError, _study_spec, _study_truth,
-                                error_bound_study, study_graph)
-from netsde.graph import build_graph
-from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
-                          RadialDictionaryDrift, TanhClipped, diffusion_shape,
-                          parameter_layout)
+from netsde import estimate, experiments, model, simulate
+from netsde.estimate import InsufficientDataError, _information, _MomentFold
+from netsde.experiments import (StudyError, _edge_scores, _refit_scores,
+                                _study_spec, _study_truth, error_bound_study,
+                                recovery_study, select_graph, study_graph)
+from netsde.graph import build_graph, complete_graph
+from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
+                          NsdeSpec, RadialDictionaryDrift, TanhClipped,
+                          diffusion_shape, parameter_layout)
 from netsde.simulate import (ExplosionError, SamplePath, _euler, derive_seeds,
                              simulate_ensemble, simulate_path)
-from reference import error_bound_by_paths, hessian_by_rows, node_designs
+from reference import (error_bound_by_paths, hessian_by_rows, node_designs,
+                       recovery_by_paths)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -149,15 +151,6 @@ def fold_cases(draw):
             burn_in, piece_bytes, syrk, flat)
 
 
-def _replication(mom, r, chunks):
-    """Replication r's chunks of fold moments."""
-    pick = slice(r * chunks, (r + 1) * chunks)
-    return NodeMoments(count=mom.count[pick], sq=mom.sq[pick],
-                       log_scale=mom.log_scale[pick], slots=mom.slots,
-                       gram=tuple(gram[pick] for gram in mom.gram),
-                       cross=tuple(cross[pick] for cross in mom.cross))
-
-
 @given(case=fold_cases())
 @PROPERTY
 def test_the_fold_matches_the_moments_of_each_stored_path(case):
@@ -219,8 +212,8 @@ def test_the_fold_matches_the_moments_of_each_stored_path(case):
         delta = 0.05
         want = hessian_by_rows(SamplePath(delta=delta, data=rows[r]), spec, g,
                                layout, flat)
-        info = _information(_replication(got, r, chunks), flat, delta,
-                            layout.pi_total).dense()
+        own = got.chunk(slice(r * chunks, (r + 1) * chunks))
+        info = _information(own, flat, delta, layout.pi_total).dense()
         np.testing.assert_allclose(info, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
 
@@ -317,3 +310,199 @@ def test_streamed_study_stores_no_paths():
     finally:
         tracemalloc.stop()
     assert peak < paths_bytes
+
+
+# ---------------------------------------------------------------------------
+# recovery study
+
+
+@st.composite
+def restriction_cases(draw):
+    """Rows of 1 to 3 replications at d = 2..6 on a graph (complete for
+    the linear families, as the selection pilot's is) and a sub-graph of
+    it, under a linear drift with or without intercepts or a radial one,
+    weighted by a constant or tanh-clipped diffusion, summed in uneven
+    chunks or as one."""
+    d = draw(st.integers(2, 6))
+    reps = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    family = draw(st.sampled_from(["linear", "intercepts", "radial"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    full = complete_graph(d).edges
+    if family == "radial":
+        full = [e for e in full if rng.random() < 0.7]
+    sub = [e for e in full if rng.random() < draw(st.sampled_from([0.0, 0.5, 1.0]))]
+    spec = NsdeSpec(d=d, drift=RADIAL if family == "radial"
+                    else LinearDrift(with_intercepts=family == "intercepts"),
+                    diffusion=draw(st.sampled_from(
+                        [ConstantDiagonal(), TanhClipped(clip=2.0)])))
+    sizes = None
+    if draw(st.booleans()):
+        sizes = np.diff(np.unique(np.r_[0, rng.integers(0, n + 1, 3), n])).tolist()
+    rows = 3.0 * rng.standard_normal((reps, n + 1, d))
+    return (spec, parameter_layout(spec, build_graph(d, full)),
+            parameter_layout(spec, build_graph(d, sub)), rows, sizes)
+
+
+def _fold_rows(spec, layout, rows, sizes):
+    shape = None
+    if not isinstance(spec.diffusion, ConstantDiagonal):
+        shape = diffusion_shape(spec, rows[:, :-1])
+    fold = _MomentFold(spec, layout, sizes)
+    fold(0, rows[:, :1], None)
+    fold(1, rows[:, 1:], shape)
+    return fold.moments()
+
+
+@given(case=restriction_cases())
+@PROPERTY
+def test_restricted_moments_are_the_sub_graph_fold(case):
+    spec, full, sub, rows, sizes = case
+    got = _fold_rows(spec, full, rows, sizes).restrict(full, sub)
+    want = _fold_rows(spec, sub, rows, sizes)
+    assert np.array_equal(got.count, want.count)
+    assert np.array_equal(got.sq, want.sq)
+    assert np.array_equal(got.log_scale, want.log_scale)
+    for j in range(spec.d):
+        assert np.array_equal(got.slots[j], want.slots[j])
+        for have, ref in ((got.gram[j], want.gram[j]),
+                          (got.cross[j], want.cross[j])):
+            assert have.shape == ref.shape
+            np.testing.assert_allclose(have, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+    if sub.edges != full.edges:
+        with pytest.raises(LayoutMismatchError, match="not a sub-graph"):
+            want.restrict(sub, full)
+
+
+POLYMER_DOUBLES = {"kind": "polymer", "d": 12,
+                   "double_link_positions": [1, 2, 7]}
+
+
+@pytest.mark.filterwarnings("ignore:validation blocks hold")
+@pytest.mark.parametrize("name,overrides", [
+    # fixed_fraction with the refit
+    ("recovery_er.json", {"horizon": 40.0, "n_seeds": 3}),
+    # half_se, with the refit on the selected chain
+    ("recovery_polymer.json", {"horizon": 150.0, "n_seeds": 3, "refit": True}),
+    # the min rule selects false reverse links at this horizon
+    ("recovery_polymer.json", {"horizon": 60.0, "n_seeds": 3,
+                               "graph": POLYMER_DOUBLES,
+                               "penalty": {"rule": "min", "holdout": 0.5}}),
+    ("recovery_sbm.json", {"horizon": 200.0, "n_seeds": 2}),
+])
+def test_streamed_recovery_matches_the_stored_path_pipeline(monkeypatch, name,
+                                                            overrides):
+    config = _load(name, **overrides)
+    selected = []
+    select = experiments._select
+
+    def recorded(*args):
+        out = select(*args)
+        selected.append(out[0])
+        return out
+
+    monkeypatch.setattr(experiments, "_select", recorded)
+    report = recovery_study(config)
+    want = recovery_by_paths(config)
+    g, _info = study_graph(config["graph"])
+    spec = _study_spec(config, g.d)
+    theta, layout, _margin = _study_truth(config, spec, g)
+    a_true = g.adjacency().astype(int)
+    assert len(report.rows) == len(selected) == len(want)
+    for row, a_hat, ref in zip(report.rows, selected, want):
+        assert row["seed"] == ref["seed"]
+        assert np.array_equal(a_hat, ref["a_hat"])
+        assert {k: row[k] for k in _edge_scores(a_true, a_hat)} \
+            == _edge_scores(a_true, ref["a_hat"])
+        for key in ("selected_lambda", "lambda_max"):
+            assert row[key] == pytest.approx(ref[key], rel=1e-10, abs=0)
+        if "false_reverse_links" in ref:
+            assert row["false_reverse_links"] == ref["false_reverse_links"]
+        if ref["refit"] is not None:
+            scores = _refit_scores(ref["refit"], g, a_hat, layout.momentum(theta),
+                                   theta.alpha, float(config["coupling"]))
+            for key, value in scores.items():
+                assert row[key] == pytest.approx(value, rel=1e-10, abs=0,
+                                                 nan_ok=True)
+
+
+@pytest.mark.filterwarnings("ignore:validation blocks hold")
+def test_selection_and_recovery_fold_once_and_store_no_paths(monkeypatch):
+    spec, g, theta = _study_model("recovery_sbm.json")
+    path = simulate_path(spec, g, theta, np.zeros(g.d), 0.01, 2000, seed=3)
+    builds = []
+    init = _MomentFold.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    def stored(*args, **kwargs):
+        raise AssertionError("a path was stored")
+
+    monkeypatch.setattr(_MomentFold, "__init__", counted)
+    monkeypatch.setattr(simulate, "simulate_ensemble", stored)
+    monkeypatch.setattr(simulate, "_stored_rows", stored)
+    # the pilot's head and the held-out blocks are chunks of one fold
+    select_graph(path, spec, {"rule": "half_se", "holdout": 0.5})
+    assert len(builds) == 1
+    # one fold per seed block; blocks of two seeds give the same selection
+    er_spec, er_g, _theta = _study_model("recovery_er.json")
+    per_seed = _MomentFold(er_spec, parameter_layout(
+        er_spec, complete_graph(er_g.d), augmented=True)).rep_bytes()
+    config = _load("recovery_er.json", horizon=20.0, n_seeds=5)
+    builds.clear()
+    whole = recovery_study(config)
+    assert len(builds) == 1
+    monkeypatch.setattr(experiments, "_FOLD_BYTES", 2 * per_seed)
+    builds.clear()
+    blocked = recovery_study(config)
+    assert len(builds) == 3
+    assert len(blocked.rows) == len(whole.rows)
+    for row, want in zip(blocked.rows, whole.rows):
+        assert row == pytest.approx(want, rel=1e-10)
+
+
+def test_recovery_study_stores_no_paths():
+    config = _load("recovery_er.json", n_seeds=40)
+    paths_bytes = 40 * (20000 + 1) * 10 * 8  # 64 MB of float64 rows
+    tracemalloc.start()
+    try:
+        recovery_study(config)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < paths_bytes
+
+
+@pytest.mark.parametrize("overrides,error,match", [
+    ({"penalty": {"rule": "min", "rul": "min"}}, StudyError,
+     "unknown setting penalty.rul"),
+    ({"penalty": {"rule": "bogus"}}, ValueError, "unknown selection rule"),
+    ({"penalty": {"rule": "half_se", "holdout": 1.5}}, StudyError,
+     "penalty 'holdout'"),
+    ({"penalty": {"rule": "min", "n_points": 0}}, StudyError,
+     "penalty 'n_points'"),
+    ({"penalty": {"rule": "half_se", "min_fraction": 2}}, StudyError,
+     "penalty 'min_fraction'"),
+    ({"penalty": {"rule": "fixed_fraction", "fraction": 0}}, StudyError,
+     "penalty 'fraction'"),
+    ({"penalty": {"rule": "fixed_fraction", "fraction": 0.1,
+                  "weight_exponent": -1}}, StudyError,
+     "penalty 'weight_exponent'"),
+    ({"penalty": {"rule": "min", "penalize_momentum": "no"}}, StudyError,
+     "penalty.penalize_momentum must be true or false"),
+    # one increment leaves the pilot nothing once the tail takes one
+    ({"horizon": 0.01, "penalty": {"rule": "half_se", "holdout": 0.5}},
+     StudyError, "holdout leaves no data"),
+    ({"refit": "yes"}, StudyError, "refit must be true or false"),
+])
+def test_recovery_study_checks_every_setting_before_simulating(
+        monkeypatch, overrides, error, match):
+    def euler(*args, **kwargs):
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(experiments, "_euler", euler)
+    with pytest.raises(error, match=match):
+        recovery_study({"graph": {"kind": "polymer", "d": 4}, **overrides})
