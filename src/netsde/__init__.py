@@ -17,7 +17,7 @@ from .graph import (DirectedGraph, GraphError, build_graph, complete_graph,
                     erdos_renyi, ergodicity_margin, largest_singular_value,
                     polymer, sbm)
 from .ingest import (IngestError, PanelData, complete_cases, load_panel_csv,
-                     parse_panel_csv, save_panel_csv, to_sample_path)
+                     parse_panel_csv, to_sample_path)
 from .lasso import (LassoError, LassoPath, adaptive_weights,
                     estimate_adjacency, graph_from_adjacency, kkt_residual,
                     lambda_max, lambda_path, lsa_solve, psd_project,
@@ -25,8 +25,7 @@ from .lasso import (LassoError, LassoPath, adaptive_weights,
 from .model import (ConstantDiagonal, LinearDrift, ModelError, NsdeSpec,
                     ParamLayout, ParamVector, RadialDictionaryDrift,
                     TanhClipped, default_bounds, parameter_layout,
-                    params_from_config, params_to_config, spec_from_config,
-                    spec_to_config)
+                    params_from_config, spec_from_config)
 from .simulate import (SamplePath, SimulationError, derive_seeds, read_csv,
                        simulate_ensemble, simulate_path, write_csv)
 
@@ -45,11 +44,11 @@ __all__ = [
     "graph_from_adjacency", "kkt_residual", "label_agreement",
     "lambda_max", "lambda_path", "largest_singular_value", "load_panel_csv",
     "lsa_solve", "model_hessian", "modularity",
-    "parameter_layout", "params_from_config", "params_to_config",
+    "parameter_layout", "params_from_config",
     "parse_panel_csv", "polymer", "psd_project", "quasi_loglik",
     "read_csv", "recovery_study", "reference_er_graph", "run_study",
-    "save_panel_csv", "sbm", "select_graph",
+    "sbm", "select_graph",
     "select_lambda", "simulate_ensemble", "simulate_path", "spec_from_config",
-    "spec_to_config", "study_graph", "to_sample_path", "two_step_refit",
+    "study_graph", "to_sample_path", "two_step_refit",
     "validation_loss", "write_csv",
 ]

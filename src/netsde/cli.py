@@ -173,7 +173,7 @@ def _cmd_lasso(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
     path = csv(read_csv, str(_require(cfg, "path_csv")))
     spec = spec_from_config(_require(cfg, "model"))
     penalty = dict(cfg.get("penalty", {"rule": "half_se"}))
-    a_hat, lam, lpath, pilot = select_graph(path, spec, penalty)
+    a_hat, lam, lpath, pilot, mom = select_graph(path, spec, penalty)
 
     edges = [[i, j] for i in range(spec.d) for j in range(spec.d)
              if i != j and a_hat[i, j]]
@@ -198,7 +198,8 @@ def _cmd_lasso(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
     ]
     if refit:
         outputs.append(_write_text(out_dir, "refit.json", _dump_json(
-            fit_result_to_dict(two_step_refit(path, spec, a_hat)))))
+            fit_result_to_dict(two_step_refit(spec, a_hat, mom, pilot.layout,
+                                              path.delta)))))
     if cluster:
         labels = detect_communities(a_hat)
         outputs.append(_write_text(out_dir, "communities.json", _dump_json({

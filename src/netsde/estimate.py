@@ -22,7 +22,8 @@ contiguous chunk of increments when asked.  The sums are additive, so
 the studies' ensembles fold into per-replication moments as the
 simulator hands them on, and a stored path is fed to the same fold as
 one replication (_path_moments); a sub-graph's moments are a column
-subset of the complete graph's (NodeMoments.restrict).  Every fit, the
+subset of the complete graph's (NodeMoments.restrict), so the refit on a
+selected graph reads the selection's moments.  Every fit, the
 observed information (one CurvatureBlocks block per node) and, in
 netsde.lasso, the held-out loss of every penalty candidate read the path
 through them alone.  Only quasi_loglik evaluates the contrast row by
@@ -34,10 +35,10 @@ plus a constant, with Q_j the weighted residual sum of squares, a
 quadratic in the drift coefficients c_j.  Its minimizer in c_j therefore
 does not depend on alpha_j, and every fit is exact.  One moments core,
 _closed_form_fit, serves every fit front end (fit_qmle,
-fit_adaptive_closed_form, fit_linear_closed_form), the selection
-pilot and both studies: it solves each node's Gram system over the model box
-(with netsde.lasso's active-set solver wherever the solution leaves
-it), sets the scales by stage one, at alpha_j^2 = Q_j / (n delta) for
+fit_adaptive_closed_form, fit_linear_closed_form), the selection pilot,
+the refit and both studies: it solves each node's Gram system over the
+model box (with netsde.lasso's active-set solver wherever the solution
+leaves it), sets the scales by stage one, at alpha_j^2 = Q_j / (n delta) for
 the joint fit, or at given values, and certifies the result by its
 projected gradient.  The Gram systems are factored with numpy's
 Cholesky (np.linalg.cholesky) and solved through the triangular
@@ -686,8 +687,8 @@ def fit_adaptive_closed_form(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
 
     Stage one solves the diffusion contrast exactly; stage two runs the
     per-node generalized least squares with those scales, over the model
-    box, and the result is certified.  two_step_refit runs it on the
-    selected graph.
+    box, and the result is certified.  On a selected graph this is the fit
+    netsde.lasso.two_step_refit reads off the selection's moments.
     """
     return fit_qmle(path, spec, g, augmented=augmented, intercepts=intercepts)
 
@@ -816,8 +817,3 @@ def fit_result_to_dict(fit: FitResult) -> dict:
         "gram_jittered": int(np.count_nonzero(fit.gram_jittered)),
     }
 
-
-def fit_result_to_json(fit: FitResult) -> str:
-    import json
-
-    return json.dumps(fit_result_to_dict(fit), indent=2)

@@ -9,7 +9,9 @@ observation horizon.  recovery_study runs the full selection pipeline
 estimated graph against the truth: exact recovery and precision/recall
 everywhere, reverse-link false positives on chains, community agreement on
 block models.  Both fold the simulator's rows into every replication's
-moments (_ensemble_moments), store no path and read each fit off them.
+moments (_ensemble_moments), store no path and read each fit off them;
+a recovery seed's refit is two_step_refit on its complete-graph moments,
+as the refit of `netsde lasso` is.
 """
 from __future__ import annotations
 
@@ -24,13 +26,11 @@ from .estimate import (FitResult, InsufficientDataError, NodeMoments,
 from .graph import (DirectedGraph, block_labels, build_graph, complete_graph,
                     erdos_renyi, ergodicity_margin, polymer, sbm)
 from .lasso import (LassoPath, _holdout_sizes, _validation_curve,
-                    adaptive_weights, estimate_adjacency, graph_from_adjacency,
-                    lambda_path, psd_project, select_lambda)
+                    adaptive_weights, estimate_adjacency, lambda_path,
+                    psd_project, select_lambda, two_step_refit)
 from .model import (ConstantDiagonal, LinearDrift, NsdeSpec, ParamLayout,
-                    TanhClipped, parameter_layout)
+                    ParamVector, TanhClipped, parameter_layout)
 from .simulate import SamplePath, _check_args, _euler, derive_seeds
-
-DEFAULT_CLIP = 100.0
 
 
 class StudyError(RuntimeError):
@@ -199,7 +199,7 @@ def study_graph(graph_cfg: dict):
 def _study_spec(config: dict, d: int) -> NsdeSpec:
     family = config.get("diffusion", "tanh_clipped")
     if family == "tanh_clipped":
-        diffusion = TanhClipped(clip=float(config.get("clip", DEFAULT_CLIP)))
+        diffusion = TanhClipped(clip=float(config.get("clip", TanhClipped.clip)))
     elif family == "constant":
         diffusion = ConstantDiagonal()
     else:
@@ -237,12 +237,12 @@ _FOLD_BYTES = 200_000_000  # a seed block's fold totals: 25M float64 values
 
 
 def _ensemble_moments(spec: NsdeSpec, g: DirectedGraph, theta, config: dict,
-                      n: int, seeds: list[int], layout: ParamLayout, sizes=None):
-    """Fold the paths of the seeds (n increments on g at theta, with
-    config's x0, delta, substeps and burn_in) into NodeMoments on layout,
+                      n: int, delta: float, seeds: list[int],
+                      layout: ParamLayout, sizes=None):
+    """Fold the paths of the seeds (n increments of delta on g at theta,
+    with config's x0, substeps and burn_in) into NodeMoments on layout,
     cut by sizes (see _MomentFold), in seed blocks whose running totals
     stay under _FOLD_BYTES.  Yields each block's seeds and moments."""
-    delta = float(config.get("delta", 0.01))
     substeps = int(config.get("substeps", 10))
     burn_in = int(config.get("burn_in", 0))
     x0 = _check_args(spec, g, config.get("x0", np.zeros(g.d)), delta, n,
@@ -310,7 +310,7 @@ def error_bound_study(config: dict) -> StudyReport:
         n = int(round(horizon / delta))
         fits = [_closed_form_fit(moments.chunk(r), layout, delta, intercepts=False)
                 for block, moments in _ensemble_moments(
-                    spec, g, theta_true, config, n,
+                    spec, g, theta_true, config, n, delta,
                     all_seeds[cell * n_reps:(cell + 1) * n_reps], layout)
                 for r in range(len(block))]
         err2 = np.array([float(diff @ diff) for diff in (
@@ -360,7 +360,7 @@ def error_bound_study(config: dict) -> StudyReport:
         if len(horizons) > 1 else float("nan")
     summary = {
         "pi_total": layout.pi_total,
-        "graph_size": g.d + g.n_edges,
+        "graph_size": g.size,
         "K": k_ratio,
         "stability_margin": margin,
         "slope_log_error_vs_log_horizon": slope,
@@ -454,12 +454,14 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
     first (_penalty), then the path is folded once on the complete graph,
     cut as _chunk_sizes says, and _select reads the rest off its moments.
     The path's adjacency holds the estimate at every penalty level.
-    Returns (a_hat, selected_lambda, lasso_path, pilot_fit).
+    Returns (a_hat, selected_lambda, lasso_path, pilot_fit, moments):
+    moments are the path's NodeMoments on the pilot's layout, which
+    two_step_refit reads the refit off.
     """
     pen = _penalty(penalty_cfg)
     layout = parameter_layout(spec, complete_graph(spec.d), augmented=True)
     mom = _path_moments(spec, layout, path.data, _chunk_sizes(pen, path.n))
-    return _select(mom, layout, path.delta, pen)
+    return (*_select(mom, layout, path.delta, pen), mom)
 
 
 def _select(mom: NodeMoments, layout: ParamLayout, delta: float, pen: dict):
@@ -512,15 +514,18 @@ def _edge_scores(a_true: np.ndarray, a_hat: np.ndarray) -> dict:
     }
 
 
-def _refit_scores(refit: FitResult, g_true: DirectedGraph, a_hat: np.ndarray,
-                  mu_true: np.ndarray, alpha_true: np.ndarray,
-                  coupling: float) -> dict:
+def _refit_scores(refit: FitResult, truth: ParamLayout, theta_true: ParamVector,
+                  a_hat: np.ndarray) -> dict:
+    """Errors of a refit against theta_true, laid out by truth (the true
+    graph's layout); the edges scored are the true ones selected."""
     layout = refit.layout
     flat = layout.flatten(refit.theta_hat)
-    alpha_err = float(np.max(np.abs(refit.theta_hat.alpha - alpha_true)))
-    mu_err = float(np.max(np.abs(layout.momentum(refit.theta_hat) - mu_true)))
-    edge_errs = [abs(flat[layout.edge_slot(i, j)] - coupling)
-                 for (i, j) in g_true.edges if a_hat[i, j] == 1]
+    flat_true = truth.flatten(theta_true)
+    alpha_err = float(np.max(np.abs(refit.theta_hat.alpha - theta_true.alpha)))
+    mu_err = float(np.max(np.abs(layout.momentum(refit.theta_hat)
+                                 - truth.momentum(theta_true))))
+    edge_errs = [abs(flat[layout.edge_slot(i, j)] - flat_true[truth.edge_slot(i, j)])
+                 for (i, j) in truth.edges if a_hat[i, j] == 1]
     return {
         "refit_alpha_max_abs_err": alpha_err,
         "refit_momentum_max_abs_err": mu_err,
@@ -539,8 +544,8 @@ def recovery_study(config: dict) -> StudyReport:
     cluster the estimated graph and score the community labels against the
     planted blocks.  Every setting is checked before the simulation
     starts.  No path is stored: each seed's moments on the complete graph,
-    cut as select_graph cuts a path, give its selection (_select) and,
-    restricted to the selected graph, its refit (two_step_refit's fit).
+    cut as select_graph cuts a path, give its selection (_select) and its
+    refit (two_step_refit).
     """
     graph_cfg = config["graph"]
     g_true, graph_info = study_graph(graph_cfg)
@@ -558,14 +563,12 @@ def recovery_study(config: dict) -> StudyReport:
     pen = _penalty(config.get("penalty", {"rule": "half_se"}))
     sizes = _chunk_sizes(pen, n)
     agreement_threshold = float(config.get("agreement_threshold", 0.9))
-
-    coupling = float(config.get("coupling", 2.0))
     labels_true = block_labels(graph_cfg["block_sizes"]) if kind == "sbm" else None
 
     full = parameter_layout(spec, complete_graph(g_true.d), augmented=True)
     rows: list[dict] = []
     for block, moments in _ensemble_moments(
-            spec, g_true, theta_true, config, n,
+            spec, g_true, theta_true, config, n, delta,
             derive_seeds(base_seed, n_seeds), full, sizes):
         for r, seed in enumerate(block):
             mom = moments.chunk(slice(r * len(sizes), (r + 1) * len(sizes)))
@@ -581,12 +584,8 @@ def recovery_study(config: dict) -> StudyReport:
                 row["n_communities"] = int(labels_hat.max() + 1)
                 row["agreement"] = label_agreement(labels_true, labels_hat)
             if do_refit:
-                sub = parameter_layout(spec, graph_from_adjacency(a_hat))
-                refit = _closed_form_fit(mom.restrict(full, sub), sub, delta,
-                                         sub.with_intercepts)
-                row.update(_refit_scores(refit, g_true, a_hat,
-                                         layout.momentum(theta_true),
-                                         theta_true.alpha, coupling))
+                refit = two_step_refit(spec, a_hat, mom, full, delta)
+                row.update(_refit_scores(refit, layout, theta_true, a_hat))
             rows.append(row)
 
     summary = {

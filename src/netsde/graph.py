@@ -88,15 +88,6 @@ class DirectedGraph:
             a[i, j] = 1.0
         return a
 
-    def parents(self, i: int) -> tuple[int, ...]:
-        """Nodes whose state enters the drift of coordinate i, ascending."""
-        if not 0 <= i < self.d:
-            raise IndexOutOfRangeError(f"node {i} outside 0..{self.d - 1}")
-        return tuple(sorted(j for k, j in self.edges if k == i))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in set(self.edges)
-
 
 def build_graph(d: int, edges) -> DirectedGraph:
     """Validate an edge list and build a DirectedGraph.
@@ -226,37 +217,6 @@ def ergodicity_margin(mu, b, mode: str = "singular") -> float:
 
 
 # ---------------------------------------------------------------------------
-# degree summaries
-
-
-@dataclass(frozen=True)
-class DegreeHistogram:
-    """Per-node in/out degrees plus a histogram of total degree."""
-
-    in_degrees: tuple[int, ...]
-    out_degrees: tuple[int, ...]
-    histogram: dict[int, int]
-
-
-def degree_distribution(g: DirectedGraph) -> DegreeHistogram:
-    """In-degree = number of parents, out-degree = number of children.
-
-    The histogram maps total degree (in + out) to node count.
-    """
-    ins = [0] * g.d
-    outs = [0] * g.d
-    for i, j in g.edges:
-        ins[i] += 1
-        outs[j] += 1
-    hist: dict[int, int] = {}
-    for k in range(g.d):
-        t = ins[k] + outs[k]
-        hist[t] = hist.get(t, 0) + 1
-    return DegreeHistogram(in_degrees=tuple(ins), out_degrees=tuple(outs),
-                           histogram=hist)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -265,25 +225,6 @@ def to_edge_list_text(g: DirectedGraph) -> str:
     lines = [f"# d={g.d}"]
     lines.extend(f"{i} {j}" for i, j in g.edges)
     return "\n".join(lines) + "\n"
-
-
-def from_edge_list_text(text: str) -> DirectedGraph:
-    """Parse the format written by to_edge_list_text."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("#"):
-        raise GraphError("missing '# d=<n>' header line")
-    header = lines[0].lstrip("#").strip()
-    if not header.startswith("d="):
-        raise GraphError(f"malformed header {lines[0]!r}")
-    d = int(header[2:])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"malformed edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return build_graph(d, edges)
 
 
 def to_dot(g: DirectedGraph) -> str:
@@ -297,8 +238,3 @@ def to_dot(g: DirectedGraph) -> str:
 
 def to_json(g: DirectedGraph) -> str:
     return json.dumps({"d": g.d, "edges": [[i, j] for i, j in g.edges]})
-
-
-def from_json(text: str) -> DirectedGraph:
-    obj = json.loads(text)
-    return build_graph(obj["d"], obj["edges"])

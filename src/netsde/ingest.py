@@ -45,6 +45,8 @@ SPLIT_MIN_CELLS = 200_000
 # the header before a child's payload: the payload's row or byte count,
 # or -k when a k-byte JSON [message, line] of a ParseError follows
 _COUNT = struct.Struct("<q")
+# the relative deviation from the inferred spacing that to_sample_path allows
+SPACING_RTOL = 1e-6
 
 
 class IngestError(ValueError):
@@ -290,11 +292,6 @@ def _format_rows(table: np.ndarray, gaps: np.ndarray) -> list[str]:
     return lines
 
 
-def save_panel_csv(panel: PanelData, file_path: str) -> None:
-    with open(file_path, "w", encoding="utf-8") as fh:
-        fh.write(panel_to_csv(panel))
-
-
 # ---------------------------------------------------------------------------
 # the second process of a split table
 
@@ -410,8 +407,7 @@ def complete_cases(panel: PanelData, axis: str = "series") -> PanelData:
 
 
 def to_sample_path(panel: PanelData, transform: str = "levels",
-                   delta: float | None = None,
-                   spacing_rtol: float = 1e-6) -> SamplePath:
+                   delta: float | None = None) -> SamplePath:
     """Turn a complete, evenly spaced panel into a SamplePath.
 
     transform "levels" keeps values as they are, "log" takes logs (every
@@ -422,7 +418,7 @@ def to_sample_path(panel: PanelData, transform: str = "levels",
     Raises:
         MissingValuesError: if any value is missing.
         IrregularSpacingError: if some spacing deviates from the inferred
-            one by more than spacing_rtol in relative terms.
+            one by more than SPACING_RTOL in relative terms.
         LogDomainError: for non-positive values under a log transform.
     """
     if panel.missing_mask().any():
@@ -432,7 +428,7 @@ def to_sample_path(panel: PanelData, transform: str = "levels",
         raise IngestError("need at least two rows to form a path")
     step = panel.inferred_delta
     diffs = np.diff(panel.timestamps)
-    if np.any(np.abs(diffs - step) > spacing_rtol * abs(step)):
+    if np.any(np.abs(diffs - step) > SPACING_RTOL * abs(step)):
         raise IrregularSpacingError(
             f"spacing varies from {diffs.min():.6g} to {diffs.max():.6g}; "
             "resample the panel first")

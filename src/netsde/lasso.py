@@ -11,7 +11,9 @@ minimized over the box.  Weights gamma_k come from the pilot
 penalized lightly and noise coordinates are pushed to exact zeros.  The
 pilot is fitted on the complete graph, so the support of its network
 block estimates the adjacency matrix, after which an unpenalized refit on
-the selected graph removes the shrinkage bias.
+the selected graph removes the shrinkage bias.  The refit folds no path
+of its own: the selected graph's moments are a column subset of the
+complete graph's that the selection already holds (two_step_refit).
 
 The contrast separates by node, so H is block diagonal: node j's block
 couples only alpha_j, its momentum and its own drift weights.  The pilot
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimate import (CurvatureBlocks, FitResult, InsufficientDataError,
-                       NodeMoments, _chunk_contrast, _path_moments,
-                       fit_adaptive_closed_form)
+                       NodeMoments, _chunk_contrast, _closed_form_fit,
+                       _path_moments)
 from .graph import DirectedGraph, build_graph
 from .model import (NsdeSpec, ParamLayout, ParamVector, default_bounds,
                     parameter_layout)
@@ -494,13 +496,19 @@ def graph_from_adjacency(a_hat: np.ndarray) -> DirectedGraph:
     return build_graph(d, zip(rows.tolist(), cols.tolist()))
 
 
-def two_step_refit(path_data: SamplePath, spec: NsdeSpec,
-                   a_hat: np.ndarray) -> FitResult:
-    """Unpenalized two-stage refit on the selected graph: the certified
-    minimizer of the two-stage contrast over the model box, for either
-    drift family (fit_adaptive_closed_form).
+def two_step_refit(spec: NsdeSpec, a_hat: np.ndarray, mom: NodeMoments,
+                   layout: ParamLayout, delta: float) -> FitResult:
+    """Unpenalized two-stage refit on the graph of a_hat: the certified
+    minimizer of the two-stage contrast over the model box, read off mom,
+    a path's moments on layout (such as select_graph's moments on its
+    pilot's layout), restricted to the selected graph's columns
+    (NodeMoments.restrict; LayoutMismatchError when the graph is not a
+    sub-graph of layout's).  It is the fit fit_adaptive_closed_form makes
+    from the path, up to the order in which the sums are added.
     """
-    return fit_adaptive_closed_form(path_data, spec, graph_from_adjacency(a_hat))
+    sub = parameter_layout(spec, graph_from_adjacency(a_hat))
+    return _closed_form_fit(mom.restrict(layout, sub), sub, delta,
+                            sub.with_intercepts)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ class LayoutMismatchError(ModelError):
     pass
 
 
-class NonFiniteStateError(ModelError):
-    pass
-
-
 class NegativeAlphaError(ModelError):
     pass
 
@@ -176,16 +172,8 @@ class ParamLayout:
 
     # --- slot maps ---
 
-    def alpha_slot(self, i: int) -> int:
-        return i
-
     def momentum_slot(self, i: int) -> int:
         return self.pi_alpha + i
-
-    def intercept_slot(self, i: int) -> int:
-        if not self.with_intercepts:
-            raise LayoutMismatchError("layout has no intercepts")
-        return self.pi_alpha + self.d + i
 
     def edge_slot(self, i: int, j: int, level: int = 0) -> int:
         """Flat slot of the network coefficient on edge (i, j)."""
@@ -250,10 +238,6 @@ class ParamLayout:
             return np.zeros(self.d)
         return theta.beta[self.d:2 * self.d]
 
-    def network(self, theta: ParamVector) -> np.ndarray:
-        off = self.d + (self.d if self.with_intercepts else 0)
-        return theta.beta[off:]
-
 
 def parameter_layout(spec: NsdeSpec, g: DirectedGraph, augmented: bool = False) -> ParamLayout:
     """Build the flat parameter layout for a model on a given graph.
@@ -299,15 +283,6 @@ def parameter_layout(spec: NsdeSpec, g: DirectedGraph, augmented: bool = False) 
 # evaluation
 
 
-def _check_state(x, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise LayoutMismatchError(f"state has shape {x.shape}, expected ({d},)")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteStateError("state contains non-finite entries")
-    return x
-
-
 def diffusion_shape(spec: NsdeSpec, x: np.ndarray) -> np.ndarray:
     """State factor s(x) of the diffusion, so that sigma_i = alpha_i * s(x_i).
 
@@ -318,18 +293,6 @@ def diffusion_shape(spec: NsdeSpec, x: np.ndarray) -> np.ndarray:
     c = spec.diffusion.clip
     x = np.asarray(x, dtype=float)
     return c * np.tanh(np.sqrt(1.0 + x * x) / c)
-
-
-def diffusion_eval(spec: NsdeSpec, alpha, x) -> np.ndarray:
-    """Evaluate the diagonal diffusion sigma(x) at a single state."""
-    alpha = np.asarray(alpha, dtype=float)
-    x = _check_state(x, spec.d)
-    if alpha.shape != (spec.d,):
-        raise LayoutMismatchError(
-            f"alpha has shape {alpha.shape}, expected ({spec.d},)")
-    if np.any(alpha < 0):
-        raise NegativeAlphaError("diffusion scales must be non-negative")
-    return alpha * diffusion_shape(spec, x)
 
 
 def linear_drift_matrix(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector):
@@ -449,21 +412,7 @@ def default_bounds(layout: ParamLayout | ParamVector):
 
 
 # ---------------------------------------------------------------------------
-# config round trip
-
-
-def spec_to_config(spec: NsdeSpec) -> dict:
-    if isinstance(spec.drift, LinearDrift):
-        drift = {"family": "linear", "with_intercepts": spec.drift.with_intercepts}
-    else:
-        drift = {"family": "radial_dictionary",
-                 "offsets": list(spec.drift.offsets),
-                 "exponents": list(spec.drift.exponents)}
-    if isinstance(spec.diffusion, ConstantDiagonal):
-        diffusion = {"family": "constant_diagonal"}
-    else:
-        diffusion = {"family": "tanh_clipped", "clip": spec.diffusion.clip}
-    return {"d": spec.d, "drift": drift, "diffusion": diffusion}
+# config
 
 
 def spec_from_config(cfg: dict) -> NsdeSpec:
@@ -486,14 +435,10 @@ def spec_from_config(cfg: dict) -> NsdeSpec:
     if fam == "constant_diagonal":
         diffusion = ConstantDiagonal()
     elif fam == "tanh_clipped":
-        diffusion = TanhClipped(clip=float(diff_cfg.get("clip", 100.0)))
+        diffusion = TanhClipped(clip=float(diff_cfg.get("clip", TanhClipped.clip)))
     else:
         raise ModelError(f"unknown diffusion family {fam!r}")
     return NsdeSpec(d=int(cfg["d"]), drift=drift, diffusion=diffusion)
-
-
-def params_to_config(theta: ParamVector) -> dict:
-    return {"alpha": theta.alpha.tolist(), "beta": theta.beta.tolist()}
 
 
 def params_from_config(cfg: dict, layout: ParamLayout | None = None) -> ParamVector:

@@ -3,7 +3,8 @@
 They compute the same quantities as netsde by the direct route: central
 differences, row-by-row contrasts, fits of stored paths and exhaustive
 enumeration.  They are
-slow on purpose and live here, not in the package.
+slow on purpose and live here, not in the package, beside the small
+helpers (single-state evaluators, config writers) that only tests use.
 """
 import itertools
 from fractions import Fraction
@@ -13,11 +14,11 @@ import numpy as np
 from netsde.estimate import fit_adaptive_closed_form
 from netsde.experiments import _study_spec, _study_truth, study_graph
 from netsde.graph import DirectedGraph, build_graph, complete_graph
-from netsde.lasso import (adaptive_weights, estimate_adjacency, lambda_path,
-                          psd_project, select_lambda, two_step_refit,
-                          validation_loss)
-from netsde.model import (LayoutMismatchError, LinearDrift, NsdeSpec,
-                          ParamVector, _check_state, diffusion_shape,
+from netsde.lasso import (adaptive_weights, estimate_adjacency,
+                          graph_from_adjacency, lambda_path, psd_project,
+                          select_lambda, validation_loss)
+from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
+                          NsdeSpec, ParamLayout, ParamVector, diffusion_shape,
                           parameter_layout, path_drift_fn)
 from netsde.simulate import SamplePath, derive_seeds, simulate_ensemble
 
@@ -61,6 +62,37 @@ def exact_inverse_diagonal(matrix: np.ndarray) -> np.ndarray:
     return np.array([float(rows[i][n + i]) for i in range(n)])
 
 
+def spec_to_config(spec: NsdeSpec) -> dict:
+    """The model block of a config that spec_from_config reads back as spec."""
+    if isinstance(spec.drift, LinearDrift):
+        drift = {"family": "linear", "with_intercepts": spec.drift.with_intercepts}
+    else:
+        drift = {"family": "radial_dictionary",
+                 "offsets": list(spec.drift.offsets),
+                 "exponents": list(spec.drift.exponents)}
+    if isinstance(spec.diffusion, ConstantDiagonal):
+        diffusion = {"family": "constant_diagonal"}
+    else:
+        diffusion = {"family": "tanh_clipped", "clip": spec.diffusion.clip}
+    return {"d": spec.d, "drift": drift, "diffusion": diffusion}
+
+
+def params_to_config(theta: ParamVector) -> dict:
+    """The params block of a config that params_from_config reads back."""
+    return {"alpha": theta.alpha.tolist(), "beta": theta.beta.tolist()}
+
+
+def network_block(layout: ParamLayout, theta: ParamVector) -> np.ndarray:
+    """theta's network coefficients: the drift block after the momenta and
+    intercepts."""
+    return theta.beta[layout.d * (1 + int(layout.with_intercepts)):]
+
+
+def diffusion_eval(spec: NsdeSpec, alpha, x) -> np.ndarray:
+    """The diagonal diffusion sigma(x) at a single state."""
+    return np.asarray(alpha, dtype=float) * diffusion_shape(spec, x)
+
+
 def pair_index(i: int, j: int, d: int) -> int:
     """Rank of ordered pair (i, j), i != j, among the d * (d - 1) pairs in
     row-major order, by arithmetic instead of the layout's index."""
@@ -77,12 +109,12 @@ def drift_eval(spec: NsdeSpec, g: DirectedGraph, theta: ParamVector, x) -> np.nd
     linear family's network block is read by pair_index, not by edge rank.
     """
     layout = parameter_layout(spec, g)
-    x = _check_state(x, spec.d)
+    x = np.asarray(x, dtype=float)
     mu = layout.momentum(theta)
     out = -mu * x
     if layout.with_intercepts:
         out = out + layout.intercepts(theta)
-    net = layout.network(theta)
+    net = network_block(layout, theta)
     if isinstance(spec.drift, LinearDrift):
         complete = g.n_edges == spec.d * (spec.d - 1)
         for rank, (i, j) in enumerate(g.edges):
@@ -177,7 +209,7 @@ def hessian_by_rows(path, spec: NsdeSpec, g: DirectedGraph, layout,
     hess = np.zeros((layout.pi_total, layout.pi_total))
     quad = np.sum(r * r * inv_var, axis=0)
     for j, (reg, slots) in enumerate(node_designs(spec, layout, x0)):
-        a = layout.alpha_slot(j)
+        a = j  # the scales lead the flat vector
         hess[a, a] = 3.0 * quad[j] / (path.delta * alpha[j] ** 2) - n / alpha[j] ** 2
         cross = (2.0 / alpha[j]) * (reg.T @ (r[:, j] * inv_var[:, j]))
         hess[a, slots] = cross
@@ -322,8 +354,9 @@ def recovery_by_paths(config: dict) -> list[dict]:
     select_by_paths' adjacency and penalty levels, the reverse links
     (k, k + 1) selected at chain positions k that carry no double link
     (polymer graphs; the double links read off the graph config, every
-    third position by default) and the refit (two_step_refit, when the
-    config refits): the study's route before it folded its paths."""
+    third position by default) and the refit (when the config refits),
+    the two-stage fit of the stored path on the selected graph: the
+    study's route before it folded its paths."""
     graph_cfg = config["graph"]
     g, _info = study_graph(graph_cfg)
     spec = _study_spec(config, g.d)
@@ -348,6 +381,7 @@ def recovery_by_paths(config: dict) -> list[dict]:
             row["false_reverse_links"] = sum(
                 1 for k in range(g.d - 1) if a_hat[k, k + 1] == 1 and k not in doubles)
         if config.get("refit", True):
-            row["refit"] = two_step_refit(path, spec, a_hat)
+            row["refit"] = fit_adaptive_closed_form(path, spec,
+                                                    graph_from_adjacency(a_hat))
         out.append(row)
     return out

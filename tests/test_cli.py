@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from netsde import cli
-from netsde.estimate import _MomentFold
+from netsde.estimate import _MomentFold, fit_adaptive_closed_form
 from netsde.graph import build_graph
+from netsde.lasso import graph_from_adjacency
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
-                          params_to_config, parameter_layout, spec_to_config)
+                          parameter_layout, spec_from_config)
 from netsde.simulate import read_csv
+from reference import params_to_config, spec_to_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -161,6 +163,44 @@ def test_lasso_command(tmp_path):
     assert cli.run("lasso", no_refit, out_dir=str(out2)) == 0
     assert not (out2 / "refit.json").exists()
     assert not (out2 / "communities.json").exists()
+
+
+@pytest.mark.parametrize("penalty", [
+    {"rule": "fixed_fraction", "fraction": 0.1},
+    {"rule": "min", "holdout": 0.5},  # moments in chunks; selects 6 edges
+])
+def test_lasso_refit_reads_the_selection_fold(tmp_path, monkeypatch, penalty):
+    # the refit is the two-stage fit of the path on the selected graph,
+    # read off the moments the selection folded: one fold per command
+    sim_cfg = simulate_config(d=3, n=10000)
+    sim_out = tmp_path / "sim"
+    assert cli.run("simulate", write_json(tmp_path, "sim.json", sim_cfg),
+                   out_dir=str(sim_out)) == 0
+    builds = []
+    init = _MomentFold.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_MomentFold, "__init__", counted)
+    out = tmp_path / "sel"
+    assert cli.run("lasso", write_json(tmp_path, "lasso.json", {
+        "path_csv": str(sim_out / "path.csv"), "model": sim_cfg["model"],
+        "penalty": penalty}), out_dir=str(out)) == 0
+    assert len(builds) == 1
+    monkeypatch.undo()
+    a_hat = np.asarray(json.loads((out / "selection.json").read_text())["adjacency"])
+    refit = json.loads((out / "refit.json").read_text())
+    want = cli.fit_result_to_dict(fit_adaptive_closed_form(
+        read_csv(str(sim_out / "path.csv")), spec_from_config(sim_cfg["model"]),
+        graph_from_adjacency(a_hat)))
+    assert refit["names"] == want["names"]
+    assert a_hat.any() and refit["converged"]
+    assert refit["n"] == want["n"] == 10000
+    for key in ("values", "standard_errors"):
+        np.testing.assert_allclose(refit[key], want[key], rtol=1e-12, atol=0)
+    assert refit["contrast"] == pytest.approx(want["contrast"], rel=1e-12, abs=0)
 
 
 def test_shipped_pipeline_configs_run(tmp_path):

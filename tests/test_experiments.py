@@ -235,7 +235,7 @@ def test_select_graph_with_validation_curve():
                         network=np.full(2, 2.0))
     path = simulate_path(spec, g, theta, np.zeros(3), 0.01, 4000, substeps=5,
                          seed=5)
-    a_hat, lam, lpath, pilot = select_graph(
+    a_hat, lam, lpath, pilot, _mom = select_graph(
         path, spec, {"rule": "half_se", "n_points": 8, "holdout": 0.3})
     assert a_hat.shape == (3, 3)
     assert lpath.validation_loss is not None and lpath.validation_se is not None
@@ -259,7 +259,7 @@ def test_select_graph_with_validation_curve():
     for theta, a in zip(lpath.coefficients, lpath.adjacency):
         assert np.array_equal(a, estimate_adjacency(pilot.layout, theta))
     assert lpath.adjacency[-1].any()
-    a_fixed, _lam, fixed, _pilot = select_graph(
+    a_fixed, _lam, fixed, _pilot, _mom = select_graph(
         path, spec, {"rule": "fixed_fraction", "fraction": 0.1})
     assert len(fixed.adjacency) == len(fixed.lambdas) == 1
     assert a_fixed is fixed.adjacency[0]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,8 @@ from netsde.graph import (BlockSizeMismatchError, DirectedGraph,
                           DuplicateEdgeError, GraphError,
                           IndexOutOfRangeError, InvalidProbabilityError,
                           NonSquareError, SelfLoopError, block_labels,
-                          build_graph, complete_graph, degree_distribution,
-                          erdos_renyi, ergodicity_margin, from_edge_list_text,
-                          from_json, largest_singular_value,
+                          build_graph, complete_graph, erdos_renyi,
+                          ergodicity_margin, largest_singular_value,
                           polymer, sbm, to_dot, to_edge_list_text, to_json)
 
 
@@ -17,9 +18,6 @@ def test_build_graph_basics():
     assert g.d == 4
     assert g.n_edges == 3
     assert g.size == 7
-    assert g.parents(2) == (0, 3)
-    assert g.parents(0) == ()
-    assert g.has_edge(1, 0) and not g.has_edge(0, 1)
     a = g.adjacency()
     assert a.shape == (4, 4)
     assert a[2, 0] == 1.0 and a[2, 3] == 1.0 and a[0, 2] == 0.0
@@ -37,8 +35,6 @@ def test_build_graph_rejects_bad_edges():
         build_graph(3, [(-1, 0)])
     with pytest.raises(GraphError):
         DirectedGraph(d=0, edges=())
-    with pytest.raises(IndexOutOfRangeError):
-        build_graph(3, [(0, 1)]).parents(5)
 
 
 def test_complete_graph():
@@ -149,28 +145,14 @@ def test_ergodicity_margin_modes():
         ergodicity_margin(mu, b, mode="spectral")
 
 
-def test_degree_distribution():
-    g = build_graph(4, [(1, 0), (2, 0), (2, 3)])
-    deg = degree_distribution(g)
-    assert deg.in_degrees == (0, 1, 2, 0)
-    assert deg.out_degrees == (2, 0, 0, 1)
-    assert deg.histogram == {2: 2, 1: 2}
+def test_edge_list_text():
+    g = polymer(4, double_link_positions=[1])
+    assert to_edge_list_text(g) == "# d=4\n1 0\n2 1\n3 2\n1 2\n"
 
 
-def test_edge_list_round_trip():
-    g = polymer(7, double_link_positions=[1, 4])
-    text = to_edge_list_text(g)
-    assert text.startswith("# d=7\n")
-    assert from_edge_list_text(text) == g
-    with pytest.raises(GraphError):
-        from_edge_list_text("0 1\n")
-    with pytest.raises(GraphError):
-        from_edge_list_text("# d=3\n0 1 2\n")
-
-
-def test_json_round_trip():
+def test_json_text():
     g = erdos_renyi(9, 0.3, seed=5)
-    assert from_json(to_json(g)) == g
+    assert json.loads(to_json(g)) == {"d": 9, "edges": [list(e) for e in g.edges]}
 
 
 def test_dot_output():

@@ -1,11 +1,17 @@
-"""`import netsde`, simulation, every fit, selection and the studies
-load numpy alone.
+"""What the package imports and exports.
 
-scipy serves only label_agreement (the assignment solver), which imports
-it when called; the lasso takes a dense curvature matrix as one block and
-needs no scipy.  Every check runs in a fresh interpreter, so nothing this
-test session imported counts.
+`import netsde`, simulation, every fit, selection and the studies load
+numpy alone.  scipy serves only label_agreement (the assignment solver),
+which imports it when called; the lasso takes a dense curvature matrix
+as one block and needs no scipy.  Every such check runs in a fresh
+interpreter, so nothing this test session imported counts.
+
+Every function netsde exports runs in its own pipeline, or the benchmark
+wraps it; one that only the tests use lives in tests/reference.py.
 """
+import ast
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -13,8 +19,10 @@ from pathlib import Path
 
 import netsde
 
-SRC = str(Path(netsde.__file__).resolve().parent.parent)
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PACKAGE = Path(netsde.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 PRELUDE = f"""
 import json, sys
@@ -48,7 +56,7 @@ def test_simulate_fit_select_and_study_load_no_scipy():
 import numpy as np
 from netsde import (LinearDrift, NsdeSpec, TanhClipped, build_graph,
                     fit_adaptive_closed_form, fit_qmle, parameter_layout,
-                    simulate_path)
+                    simulate_path, two_step_refit)
 from netsde.experiments import error_bound_study, select_graph
 
 d = 4
@@ -60,13 +68,14 @@ theta = parameter_layout(spec, g).pack(alpha=np.full(d, 2.0),
 path = simulate_path(spec, g, theta, np.zeros(d), 0.01, 3000, substeps=5, seed=3)
 fit = fit_adaptive_closed_form(path, spec, g)
 fits = [fit_qmle(path, spec, g, mode=mode) for mode in ("adaptive", "joint")]
-a_hat, lam, lpath, pilot = select_graph(path, spec, {{"rule": "half_se"}})
+a_hat, lam, lpath, pilot, mom = select_graph(path, spec, {{"rule": "half_se"}})
+refit = two_step_refit(spec, a_hat, mom, pilot.layout, path.delta)
 with open({str(CONFIGS / "bench_error_bound_d8.json")!r}) as fh:
     cfg = json.load(fh)
 cfg.update(n_reps=2, horizons=cfg["horizons"][:1])
 report = error_bound_study(cfg)
 print(json.dumps({{"scipy": scipy_modules(),
-                  "converged": all(f.converged for f in [fit] + fits),
+                  "converged": all(f.converged for f in [fit, refit] + fits),
                   "selected": bool(lam in lpath.lambdas),
                   "validated": lpath.validation_loss is not None,
                   "cells": len(report.rows)}}))
@@ -98,3 +107,30 @@ print(json.dumps({"dense": dense, "after": scipy_modules(),
     assert "scipy.optimize" in out["after"]
     assert out["agreement"] == 1.0
     assert out["solved"]
+
+
+def _package_loads() -> set[str]:
+    """Every name the package's modules (but __init__) load, leaving out
+    each top-level definition's loads of its own name."""
+    loads = set()
+    for file in PACKAGE.glob("*.py"):
+        if file.name == "__init__.py":
+            continue
+        for top in ast.parse(file.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None)
+            loads.update(node.id for node in ast.walk(top)
+                         if isinstance(node, ast.Name)
+                         and isinstance(node.ctx, ast.Load) and node.id != own)
+    return loads
+
+
+def test_every_exported_function_runs_in_the_package(monkeypatch):
+    # the benchmark wraps some functions by name (perfbench/layers.py
+    # TARGETS), so those stay whoever calls them
+    monkeypatch.syspath_prepend(str(ROOT))
+    wrapped = {t.attr for t in importlib.import_module("perfbench.layers").TARGETS}
+    loads = _package_loads()
+    unused = [name for name in netsde.__all__
+              if inspect.isfunction(getattr(netsde, name))
+              and name not in loads and name not in wrapped]
+    assert unused == []

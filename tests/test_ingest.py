@@ -12,7 +12,7 @@ from netsde.ingest import (EmptyPanelError, IngestError,
                            MissingValuesError, NonMonotoneTimestampsError,
                            PanelData, ParseError, complete_cases,
                            load_panel_csv, panel_to_csv, parse_panel_csv,
-                           save_panel_csv, to_sample_path)
+                           to_sample_path)
 
 
 def awkward_panel():
@@ -33,7 +33,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert back.timestamp_label == "time"
 
     path = tmp_path / "panel.csv"
-    save_panel_csv(panel, str(path))
+    path.write_text(panel_to_csv(panel), encoding="utf-8")
     again = load_panel_csv(str(path))
     assert np.array_equal(again.values, panel.values, equal_nan=True)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from netsde import lasso
-from netsde.estimate import CurvatureBlocks, fit_adaptive_closed_form
+from netsde.estimate import (CurvatureBlocks, _path_moments,
+                             fit_adaptive_closed_form)
 from netsde.graph import build_graph, complete_graph
 from netsde.lasso import (ConvergenceError, LassoError,
                           LassoPath, MissingValidationLossError, NonPSDError,
@@ -400,8 +401,7 @@ def test_validation_loss_matches_direct_computation():
     for i in range(rows.shape[0] - 1):
         x = rows[i]
         dx = rows[i + 1] - x
-        from netsde.model import diffusion_eval
-        from reference import drift_eval
+        from reference import diffusion_eval, drift_eval
         b = drift_eval(spec, g, theta, x)
         s = diffusion_eval(spec, theta.alpha, x)
         per_inc.append(float(np.sum((dx - path.delta * b) ** 2
@@ -544,12 +544,21 @@ def test_estimate_adjacency_reads_any_layout(family):
 
 
 def test_two_step_refit_routes_agree():
+    # the refit read off the selection's chunked complete-graph moments is
+    # the two-stage fit of the stored path on the selected graph
     spec, g, layout, theta, path = small_sim(n=2000)
-    a_hat = g.adjacency()
-    closed = two_step_refit(path, spec, a_hat)
+    full = parameter_layout(spec, complete_graph(2), augmented=True)
+    mom = _path_moments(spec, full, path.data, [1400, 300, 300])
+    closed = two_step_refit(spec, g.adjacency(), mom, full, path.delta)
     direct = fit_adaptive_closed_form(path, spec, g)
-    assert np.allclose(layout.flatten(closed.theta_hat),
-                       layout.flatten(direct.theta_hat), atol=0.0)
+    assert closed.layout == direct.layout == layout
+    assert closed.n == direct.n == 2000 and closed.converged
+    np.testing.assert_allclose(layout.flatten(closed.theta_hat),
+                               layout.flatten(direct.theta_hat), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(closed.standard_errors(),
+                               direct.standard_errors(), rtol=1e-12, atol=0)
+    assert closed.contrast_value == pytest.approx(direct.contrast_value,
+                                                  rel=1e-12, abs=0)
 
 
 def test_lasso_path_csv():

@@ -8,13 +8,12 @@ from scipy.linalg import expm
 from netsde.graph import build_graph
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
                           ParamVector, RadialDictionaryDrift, TanhClipped,
-                          diffusion_eval, linear_drift_matrix,
-                          parameter_layout)
+                          linear_drift_matrix, parameter_layout)
 from netsde.simulate import (EXPLOSION_GUARD, ExplosionError,
                              InvalidSubstepsError, SamplePath, derive_seeds,
                              from_csv, read_csv, simulate_ensemble,
                              simulate_path, to_csv, write_csv)
-from reference import drift_eval
+from reference import diffusion_eval, drift_eval
 
 
 def two_node_model(clip=None, coupling=0.8):

@@ -420,8 +420,7 @@ def test_streamed_recovery_matches_the_stored_path_pipeline(monkeypatch, name,
         if "false_reverse_links" in ref:
             assert row["false_reverse_links"] == ref["false_reverse_links"]
         if ref["refit"] is not None:
-            scores = _refit_scores(ref["refit"], g, a_hat, layout.momentum(theta),
-                                   theta.alpha, float(config["coupling"]))
+            scores = _refit_scores(ref["refit"], layout, theta, a_hat)
             for key, value in scores.items():
                 assert row[key] == pytest.approx(value, rel=1e-10, abs=0,
                                                  nan_ok=True)
