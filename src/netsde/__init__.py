@@ -22,17 +22,17 @@ from .lasso import (LassoError, LassoPath, adaptive_weights,
                     estimate_adjacency, graph_from_adjacency, kkt_residual,
                     lambda_max, lambda_path, lsa_solve, psd_project,
                     select_lambda, two_step_refit, validation_loss)
-from .model import (ConstantDiagonal, LinearDrift, ModelError, NsdeSpec,
-                    ParamLayout, ParamVector, RadialDictionaryDrift,
-                    TanhClipped, default_bounds, parameter_layout,
-                    params_from_config, spec_from_config)
+from .model import (ConfigFieldError, ConstantDiagonal, LinearDrift,
+                    ModelError, NsdeSpec, ParamLayout, ParamVector,
+                    RadialDictionaryDrift, TanhClipped, default_bounds,
+                    parameter_layout, params_from_config, spec_from_config)
 from .simulate import (SamplePath, SimulationError, derive_seeds, read_csv,
                        simulate_ensemble, simulate_path, write_csv)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstantDiagonal", "DirectedGraph", "EstimationError", "FitResult", "GraphError", "IngestError", "LassoError", "LassoPath",
+    "ConfigFieldError", "ConstantDiagonal", "DirectedGraph", "EstimationError", "FitResult", "GraphError", "IngestError", "LassoError", "LassoPath",
     "LinearDrift", "ModelError", "NsdeSpec", "PanelData", "ParamLayout",
     "ParamVector", "RadialDictionaryDrift", "SamplePath", "SimulationError",
     "StudyError", "StudyReport", "TanhClipped", "adaptive_weights",

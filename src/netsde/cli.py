@@ -7,9 +7,12 @@ output list; the commands that read or write CSV (simulate, fit, lasso,
 ingest) also record csv_s, their seconds in the CSV codec.  Identical
 (config, seed) pairs produce byte-identical numeric outputs.
 
-Exit codes: 0 on success, 1 on a domain error (bad data, singular fits,
-exploding simulations), 2 on a usage error (unknown flags, unreadable or
-malformed config, missing config fields).
+Every command reads its settings through model.setting before its first
+piece of work.  Exit codes: 0 on success; 2 on a usage error (unknown
+flags, a file that cannot be read or written) or a ConfigFieldError, one
+line naming the setting's dotted path from the config root; 1 on a
+domain error (bad data, singular fits, exploding simulations, unstable
+models, values a model, simulator or panel rejects).
 """
 from __future__ import annotations
 
@@ -24,51 +27,23 @@ import numpy as np
 
 from . import __version__
 from .estimate import EstimationError, fit_qmle, fit_result_to_dict
-from .experiments import (StudyError, cluster_lambda_curve, detect_communities,
-                          label_agreement, modularity, run_study, select_graph,
-                          study_graph)
-from .graph import (GraphError, ergodicity_margin, to_dot, to_edge_list_text,
-                    to_json)
-from .ingest import (IngestError, complete_cases, load_panel_csv,
-                     to_sample_path)
-from .lasso import LassoError, lasso_path_to_csv, two_step_refit
-from .model import ModelError, params_from_config, spec_from_config
+from .experiments import (StudyError, _communities, _selection_settings,
+                          _simulation_settings, cluster_lambda_curve,
+                          label_agreement, run_study, select_graph, study_graph)
+from .graph import ergodicity_margin, to_dot, to_edge_list_text, to_json
+from .ingest import complete_cases, load_panel_csv, to_sample_path
+from .lasso import (LassoError, graph_from_adjacency, lasso_path_to_csv,
+                    two_step_refit)
+from .model import (ConfigFieldError, params_from_config, setting,
+                    spec_from_config)
 from .simulate import SimulationError, read_csv, simulate_path, write_csv
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
-_DOMAIN_ERRORS = (GraphError, ModelError, SimulationError, EstimationError,
-                  LassoError, StudyError, IngestError, ValueError,
-                  np.linalg.LinAlgError)
-
-
-class ConfigFieldError(Exception):
-    """A required config field is missing or has the wrong shape."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"config field {path!r}: {message}")
-        self.path = path
-
-
-def _require(cfg: dict, path: str):
-    node = cfg
-    walked = []
-    for part in path.split("."):
-        walked.append(part)
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigFieldError(".".join(walked), "missing")
-        node = node[part]
-    return node
-
-
-def _switch(cfg: dict, key: str, default: bool) -> bool:
-    """cfg[key] (default when absent), which must be a JSON true or false:
-    bool("false") is True, so a string would flip the switch on."""
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigFieldError(key, f"must be true or false, got {value!r}")
-    return value
+# graph, model, panel and linear algebra errors are ValueErrors
+_DOMAIN_ERRORS = (SimulationError, EstimationError, LassoError, StudyError,
+                  ValueError)
 
 
 class _CsvClock:
@@ -121,16 +96,17 @@ def _dump_json(obj) -> str:
 
 
 def _cmd_graph_gen(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
-    g, info = study_graph(_require(cfg, "graph"))
+    mean_reversion = setting(cfg, "mean_reversion", float, None)
+    coupling = setting(cfg, "coupling", float, None)
+    g, info = study_graph(cfg, "graph.")
     outputs = [
         _write_text(out_dir, "graph.json", to_json(g) + "\n"),
         _write_text(out_dir, "edges.txt", to_edge_list_text(g)),
         _write_text(out_dir, "graph.dot", to_dot(g)),
     ]
-    if "mean_reversion" in cfg and "coupling" in cfg:
-        mu = np.full(g.d, float(cfg["mean_reversion"]))
-        b = float(cfg["coupling"]) * g.adjacency()
-        info = dict(info)
+    if mean_reversion is not None and coupling is not None:
+        mu = np.full(g.d, mean_reversion)
+        b = coupling * g.adjacency()
         info["singular_margin"] = ergodicity_margin(mu, b, mode="singular")
         info["rowsum_margin"] = ergodicity_margin(mu, b, mode="rowsum")
     outputs.append(_write_text(out_dir, "graph_info.json", _dump_json(info)))
@@ -138,51 +114,45 @@ def _cmd_graph_gen(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
 
 
 def _cmd_simulate(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
-    spec = spec_from_config(_require(cfg, "model"))
-    g, _ = study_graph(_require(cfg, "graph"))
-    theta = params_from_config(_require(cfg, "params"))
-    x0 = np.asarray(cfg.get("x0", np.zeros(spec.d)), dtype=float)
-    path = simulate_path(
-        spec, g, theta, x0,
-        delta=float(_require(cfg, "delta")), n=int(_require(cfg, "n")),
-        substeps=int(cfg.get("substeps", 10)), seed=int(cfg.get("seed", 0)),
-        burn_in_steps=int(cfg.get("burn_in", 0)))
+    spec = spec_from_config(cfg, "model.")
+    theta = params_from_config(cfg, at="params.")
+    delta, n = setting(cfg, "delta", float), setting(cfg, "n", int)
+    sim = _simulation_settings(cfg, spec.d)
+    g, _ = study_graph(cfg, "graph.")
+    path = simulate_path(spec, g, theta, delta=delta, n=n, **sim)
     csv(write_csv, path, os.path.join(out_dir, "path.csv"))
     return ["path.csv"]
 
 
 def _cmd_fit(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
-    path = csv(read_csv, str(_require(cfg, "path_csv")))
-    spec = spec_from_config(_require(cfg, "model"))
-    g, _ = study_graph(_require(cfg, "graph"))
-    method = cfg.get("method", "closed_form")
     # closed_form is the two-stage fit's older name
     modes = {"closed_form": "adaptive", "adaptive": "adaptive", "joint": "joint"}
-    if method not in modes:
-        raise ConfigFieldError("method", f"unknown method {method!r}")
-    augmented = _switch(cfg, "augmented", False)
-    # absent follows the model's drift; present, it must be a boolean
-    intercepts = _switch(cfg, "intercepts", False) if "intercepts" in cfg else None
-    fit = fit_qmle(path, spec, g, mode=modes[method], augmented=augmented,
+    mode = modes[setting(cfg, "method", str, "closed_form", allowed=modes)]
+    augmented = setting(cfg, "augmented", bool, False)
+    # absent follows the model's drift
+    intercepts = setting(cfg, "intercepts", bool, None)
+    spec = spec_from_config(cfg, "model.")
+    path_csv = setting(cfg, "path_csv", str)
+    g, _ = study_graph(cfg, "graph.")
+    path = csv(read_csv, path_csv)
+    fit = fit_qmle(path, spec, g, mode=mode, augmented=augmented,
                    intercepts=intercepts)
     return [_write_text(out_dir, "fit.json", _dump_json(fit_result_to_dict(fit)))]
 
 
 def _cmd_lasso(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
-    refit, cluster = _switch(cfg, "refit", True), _switch(cfg, "cluster", False)
-    path = csv(read_csv, str(_require(cfg, "path_csv")))
-    spec = spec_from_config(_require(cfg, "model"))
-    penalty = dict(cfg.get("penalty", {"rule": "half_se"}))
-    a_hat, lam, lpath, pilot, mom = select_graph(path, spec, penalty)
+    pen, refit = _selection_settings(cfg)
+    cluster = setting(cfg, "cluster", bool, False)
+    spec = spec_from_config(cfg, "model.")
+    path = csv(read_csv, setting(cfg, "path_csv", str))
+    a_hat, lam, lpath, pilot, mom = select_graph(path, spec, pen)
 
-    edges = [[i, j] for i in range(spec.d) for j in range(spec.d)
-             if i != j and a_hat[i, j]]
     selection = {
         "lambda_max": lpath.lambda_max,
         "selected_lambda": lam,
-        "rule": penalty.get("rule", "half_se"),
+        "rule": pen["rule"],
         "adjacency": a_hat.tolist(),
-        "edges": edges,
+        "edges": [list(e) for e in graph_from_adjacency(a_hat).edges],
         "active_counts": lpath.active_counts.tolist(),
         "lambdas": lpath.lambdas.tolist(),
         "validation_loss": None if lpath.validation_loss is None
@@ -201,16 +171,10 @@ def _cmd_lasso(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
             fit_result_to_dict(two_step_refit(spec, a_hat, mom, pilot.layout,
                                               path.delta)))))
     if cluster:
-        labels = detect_communities(a_hat)
-        outputs.append(_write_text(out_dir, "communities.json", _dump_json({
-            "labels": labels.tolist(),
-            "n_communities": int(labels.max() + 1),
-            "modularity": modularity(a_hat, labels),
-        })))
-        if lpath.adjacency is not None:
-            outputs.append(_write_text(
-                out_dir, "cluster_curve.json",
-                _dump_json(cluster_lambda_curve(lpath))))
+        outputs.append(_write_text(out_dir, "communities.json",
+                                   _dump_json(_communities(a_hat))))
+        outputs.append(_write_text(out_dir, "cluster_curve.json",
+                                   _dump_json(cluster_lambda_curve(lpath))))
     return outputs
 
 
@@ -223,14 +187,18 @@ def _cmd_bench(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
 
 
 def _cmd_ingest(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
-    panel = csv(load_panel_csv, str(_require(cfg, "panel_csv")))
+    panel_csv = setting(cfg, "panel_csv", str)
+    # null or false keeps every series and row
+    cc = setting(cfg, "complete_cases", default="series",
+                 allowed=("series", "rows", None, False))
+    transform = setting(cfg, "transform", str, "levels",
+                        allowed=("levels", "log", "diff_log"))
+    delta = setting(cfg, "delta", float, None)
+    panel = csv(load_panel_csv, panel_csv)
     n_missing = int(panel.missing_mask().sum())
-    cc = cfg.get("complete_cases", "series")
     if cc:
         panel = complete_cases(panel, axis=cc)
-    delta = cfg.get("delta")
-    path = to_sample_path(panel, transform=cfg.get("transform", "levels"),
-                          delta=None if delta is None else float(delta))
+    path = to_sample_path(panel, transform=transform, delta=delta)
     csv(write_csv, path, os.path.join(out_dir, "path.csv"))
     info = {
         "n_rows": panel.n_rows,
@@ -239,27 +207,21 @@ def _cmd_ingest(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
         "dropped_series": list(panel.dropped_series),
         "n_missing_values": n_missing,
         "inferred_delta": panel.inferred_delta,
-        "transform": cfg.get("transform", "levels"),
+        "transform": transform,
         "path_rows": path.data.shape[0],
     }
     return ["path.csv", _write_text(out_dir, "ingest.json", _dump_json(info))]
 
 
 def _cmd_communities(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
-    if "adjacency" in cfg:
-        a = np.asarray(cfg["adjacency"], dtype=float)
-    else:
-        g, _ = study_graph(_require(cfg, "graph"))
-        a = g.adjacency()
-    resolution = float(cfg.get("resolution", 1.0))
-    labels = detect_communities(a, resolution=resolution)
-    out = {
-        "labels": labels.tolist(),
-        "n_communities": int(labels.max() + 1),
-        "modularity": modularity(a, labels, resolution=resolution),
-    }
-    if "true_labels" in cfg:
-        out["agreement"] = label_agreement(cfg["true_labels"], labels)
+    a = setting(cfg, "adjacency", list, None)
+    resolution = setting(cfg, "resolution", float, 1.0)
+    true_labels = setting(cfg, "true_labels", list, None)
+    if a is None:
+        a = study_graph(cfg, "graph.")[0].adjacency()
+    out = _communities(np.asarray(a, dtype=float), resolution)
+    if true_labels is not None:
+        out["agreement"] = label_agreement(true_labels, out["labels"])
     return [_write_text(out_dir, "communities.json", _dump_json(out))]
 
 
@@ -280,29 +242,21 @@ def run(command: str, config_path: str, overrides=None, out_dir: str = ".",
     if command not in _COMMANDS:
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return USAGE_ERROR
+    started = time.monotonic()
+    csv = _CsvClock()
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ConfigFieldError("<root>", "config must be a JSON object")
         cfg = _apply_overrides(cfg, overrides)
-    except (OSError, json.JSONDecodeError, ConfigFieldError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    if seed is not None:
-        cfg["seed"] = int(seed)
-
-    started = time.monotonic()
-    csv = _CsvClock()
-    try:
+        if seed is not None:
+            cfg["seed"] = int(seed)
         os.makedirs(out_dir, exist_ok=True)
         outputs = _COMMANDS[command](cfg, out_dir, csv)
-    except ConfigFieldError as exc:
+    except (OSError, json.JSONDecodeError, ConfigFieldError) as exc:
+        # a file that cannot be read or written, or a bad setting
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except KeyError as exc:
-        print(f"error: config field {exc.args[0]!r}: missing", file=sys.stderr)
         return USAGE_ERROR
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -312,7 +266,7 @@ def run(command: str, config_path: str, overrides=None, out_dir: str = ".",
         "command": command,
         "config_digest": hashlib.sha256(json.dumps(
             cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest(),
-        "seed": cfg.get("seed"),
+        "seed": setting(cfg, "seed", default=None),
         "version": __version__,
         "wall_clock_s": round(time.monotonic() - started, 6),
         "outputs": outputs,

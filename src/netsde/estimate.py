@@ -733,9 +733,11 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
     at zero penalty.  The scales are sqrt(Q_j / (n delta)) at the fitted
     coefficients when joint (InsufficientDataError when a node has no more
     increments than drift coefficients), else alpha when given, else the
-    stage-one scales.  converged holds when the projected gradient over the
-    coordinates the fit optimizes (the scales only when joint, the
-    intercepts only when fitted) is below 1e-8 (1 + |contrast|).
+    stage-one scales (DegenerateDiffusionError when joint and a node's Q_j
+    is at most 1e-10 times its sum of squared increments).  converged
+    holds when the projected gradient over the coordinates the fit
+    optimizes (the scales only when joint, the intercepts only when
+    fitted) is below 1e-8 (1 + |contrast|).
     """
     n = int(mom.count.sum())
     lo, hi = default_bounds(layout)
@@ -774,11 +776,14 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
                            np.clip(flat, lo, hi))
     scales = slice(0, layout.pi_alpha)
     if joint:
-        quad = [_node_terms(mom, j, flat[sl], delta)[3]
-                for j, sl in enumerate(mom.slots)]
-        # Q_j >= 0, but rounding takes it below zero on a noiseless path
-        alpha = np.clip(np.sqrt(np.maximum(quad, 0.0) / (n * delta)),
-                        lo[scales], hi[scales])
+        quad = np.array([_node_terms(mom, j, flat[sl], delta)[3]
+                         for j, sl in enumerate(mom.slots)])
+        # a drift that fits node j's increments exactly leaves Q_j at
+        # rounding noise, below zero even, and no scale can be read off it
+        for j in np.flatnonzero(quad <= 1e-10 * mom.sq.sum(axis=0)):
+            raise DegenerateDiffusionError(f"joint fit of node {j}: the drift "
+                                           "fits its increments exactly")
+        alpha = np.clip(np.sqrt(quad / (n * delta)), lo[scales], hi[scales])
     elif alpha is None:
         alpha = _scale_estimate(mom, delta, lo[scales], hi[scales])
     flat[scales] = alpha

@@ -11,7 +11,10 @@ everywhere, reverse-link false positives on chains, community agreement on
 block models.  Both fold the simulator's rows into every replication's
 moments (_ensemble_moments), store no path and read each fit off them;
 a recovery seed's refit is two_step_refit on its complete-graph moments,
-as the refit of `netsde lasso` is.
+as the refit of `netsde lasso` is.  Both read every setting through
+model.setting before the simulation starts; the settings a command
+shares with a study (graph, simulator, penalty and refit) have one
+reader each here.
 """
 from __future__ import annotations
 
@@ -28,8 +31,9 @@ from .graph import (DirectedGraph, block_labels, build_graph, complete_graph,
 from .lasso import (LassoPath, _holdout_sizes, _validation_curve,
                     adaptive_weights, estimate_adjacency, lambda_path,
                     psd_project, select_lambda, two_step_refit)
-from .model import (ConstantDiagonal, LinearDrift, NsdeSpec, ParamLayout,
-                    ParamVector, TanhClipped, parameter_layout)
+from .model import (REQUIRED, ConfigFieldError, ConstantDiagonal, LinearDrift,
+                    NsdeSpec, ParamLayout, ParamVector, TanhClipped,
+                    parameter_layout, setting)
 from .simulate import SamplePath, _check_args, _euler, derive_seeds
 
 
@@ -162,48 +166,43 @@ class StudyReport:
 # config plumbing shared by the studies
 
 
-def study_graph(graph_cfg: dict):
-    """Build the study graph from its config block; returns (graph, info)."""
-    kind = graph_cfg.get("kind")
+def study_graph(cfg: dict, at: str = ""):
+    """The graph of the block at `at` in cfg ("graph.", or "" for cfg
+    itself; see model.setting) and its info.  What an er_fixed_edges block
+    leaves out takes the defaults of find_er_graph_with_edges."""
+    kind = setting(cfg, at + "kind", str, allowed=(
+        "er_reference", "er_fixed_edges", "erdos_renyi", "polymer", "sbm", "edges"))
     if kind == "er_reference":
-        g = reference_er_graph()
-        return g, {"kind": kind}
+        return reference_er_graph(), {"kind": kind}
     if kind == "er_fixed_edges":
+        given = {key: setting(cfg, at + key, type_, None) for key, type_ in (
+            ("seed", int), ("mean_reversion", float), ("coupling", float),
+            ("min_margin", float))}
         g, used, margin = find_er_graph_with_edges(
-            d=int(graph_cfg["d"]), n_edges=int(graph_cfg["n_edges"]),
-            seed=int(graph_cfg.get("seed", 12345)),
-            mean_reversion=float(graph_cfg.get("mean_reversion", 7.0)),
-            coupling=float(graph_cfg.get("coupling", 2.0)),
-            min_margin=float(graph_cfg.get("min_margin", 0.1)))
+            setting(cfg, at + "d", int), setting(cfg, at + "n_edges", int),
+            **{key: value for key, value in given.items() if value is not None})
         return g, {"kind": kind, "graph_seed": used, "margin": margin}
-    if kind == "erdos_renyi":
-        g = erdos_renyi(int(graph_cfg["d"]), float(graph_cfg["p"]),
-                        int(graph_cfg.get("seed", 0)))
-        return g, {"kind": kind}
-    if kind == "polymer":
-        positions = graph_cfg.get("double_link_positions")
-        g = polymer(int(graph_cfg["d"]), positions)
-        return g, {"kind": kind}
-    if kind == "sbm":
-        sizes = [int(s) for s in graph_cfg["block_sizes"]]
-        g = sbm(sizes, float(graph_cfg["p_in"]), float(graph_cfg["p_ex"]),
-                int(graph_cfg.get("seed", 0)))
+    if kind in ("erdos_renyi", "sbm"):
+        seed = setting(cfg, at + "seed", int, 0)
+        if kind == "erdos_renyi":
+            return erdos_renyi(setting(cfg, at + "d", int),
+                               setting(cfg, at + "p", float), seed), {"kind": kind}
+        sizes = [int(s) for s in setting(cfg, at + "block_sizes", list)]
+        g = sbm(sizes, setting(cfg, at + "p_in", float),
+                setting(cfg, at + "p_ex", float), seed)
         return g, {"kind": kind, "block_sizes": sizes}
-    if kind == "edges":
-        g = build_graph(int(graph_cfg["d"]),
-                        [tuple(e) for e in graph_cfg["edges"]])
-        return g, {"kind": kind}
-    raise StudyError(f"unknown graph kind {kind!r}")
+    if kind == "polymer":
+        return polymer(setting(cfg, at + "d", int), setting(
+            cfg, at + "double_link_positions", list, None)), {"kind": kind}
+    return build_graph(setting(cfg, at + "d", int), [
+        tuple(e) for e in setting(cfg, at + "edges", list)]), {"kind": kind}
 
 
 def _study_spec(config: dict, d: int) -> NsdeSpec:
-    family = config.get("diffusion", "tanh_clipped")
-    if family == "tanh_clipped":
-        diffusion = TanhClipped(clip=float(config.get("clip", TanhClipped.clip)))
-    elif family == "constant":
-        diffusion = ConstantDiagonal()
-    else:
-        raise StudyError(f"unknown diffusion family {family!r}")
+    family = setting(config, "diffusion", str, "tanh_clipped",
+                     allowed=("tanh_clipped", "constant"))
+    diffusion = ConstantDiagonal() if family == "constant" else TanhClipped(
+        clip=setting(config, "clip", float, TanhClipped.clip))
     return NsdeSpec(d=d, drift=LinearDrift(), diffusion=diffusion)
 
 
@@ -219,9 +218,9 @@ def _as_vector(value, d: int) -> np.ndarray:
 def _study_truth(config: dict, spec: NsdeSpec, g: DirectedGraph):
     """True parameter vector and stability margin for a study config."""
     d = spec.d
-    mu = _as_vector(config.get("mean_reversion", 7.0), d)
-    alpha = _as_vector(config.get("noise_scale", 2.0), d)
-    coupling = float(config.get("coupling", 2.0))
+    mu = _as_vector(setting(config, "mean_reversion", default=7.0), d)
+    alpha = _as_vector(setting(config, "noise_scale", default=2.0), d)
+    coupling = setting(config, "coupling", float, 2.0)
     layout = parameter_layout(spec, g)
     theta = layout.pack(alpha=alpha, momentum=mu,
                         network=np.full(g.n_edges, coupling))
@@ -233,20 +232,30 @@ def _study_truth(config: dict, spec: NsdeSpec, g: DirectedGraph):
     return theta, layout, margin
 
 
+_STUDY_DELTA = 0.01  # both studies' default observation step
+
+
+def _simulation_settings(config: dict, d: int) -> dict:
+    """x0, substeps, seed and burn_in of a config that simulates, as
+    simulate_path's keywords."""
+    return {"x0": setting(config, "x0", list, np.zeros(d)),
+            "substeps": setting(config, "substeps", int, 10),
+            "seed": setting(config, "seed", int, 0),
+            "burn_in_steps": setting(config, "burn_in", int, 0)}
+
+
 _FOLD_BYTES = 200_000_000  # a seed block's fold totals: 25M float64 values
 
 
-def _ensemble_moments(spec: NsdeSpec, g: DirectedGraph, theta, config: dict,
+def _ensemble_moments(spec: NsdeSpec, g: DirectedGraph, theta, sim: dict,
                       n: int, delta: float, seeds: list[int],
                       layout: ParamLayout, sizes=None):
     """Fold the paths of the seeds (n increments of delta on g at theta,
-    with config's x0, substeps and burn_in) into NodeMoments on layout,
-    cut by sizes (see _MomentFold), in seed blocks whose running totals
-    stay under _FOLD_BYTES.  Yields each block's seeds and moments."""
-    substeps = int(config.get("substeps", 10))
-    burn_in = int(config.get("burn_in", 0))
-    x0 = _check_args(spec, g, config.get("x0", np.zeros(g.d)), delta, n,
-                     substeps, burn_in)
+    from sim, see _simulation_settings) into NodeMoments on layout, cut by
+    sizes (see _MomentFold), in seed blocks whose running totals stay
+    under _FOLD_BYTES.  Yields each block's seeds and moments."""
+    substeps, burn_in = sim["substeps"], sim["burn_in_steps"]
+    x0 = _check_args(spec, g, sim["x0"], delta, n, substeps, burn_in)
     if n < 1:
         raise InsufficientDataError(f"no increment to fold at n = {n}")
     start = 0
@@ -283,34 +292,30 @@ def error_bound_study(config: dict) -> StudyReport:
     where the pieces of the sums are cut, and an explosion raises the
     same ExplosionError.
     """
-    g, graph_info = study_graph(config["graph"])
+    g, graph_info = study_graph(config, "graph.")
     spec = _study_spec(config, g.d)
     theta_true, layout, margin = _study_truth(config, spec, g)
     flat_true = layout.flatten(theta_true)
 
-    delta = float(config.get("delta", 0.01))
-    horizons = [float(t) for t in config["horizons"]]
-    n_reps = int(config.get("n_reps", 100))
-    if n_reps < 1:
-        raise StudyError(f"n_reps must be positive, got {n_reps}")
-    base_seed = int(config.get("seed", 0))
-
-    reference = config.get("reference", {})
-    ref_means = reference.get("mean_error")
-    ref_bounds = reference.get("bound")
-    band = float(reference.get("band", 0.5))
+    sim = _simulation_settings(config, g.d)
+    delta = setting(config, "delta", float, _STUDY_DELTA)
+    horizons = [float(t) for t in setting(config, "horizons", list)]
+    n_reps = setting(config, "n_reps", int, 100, (lambda v: v >= 1, "be positive"))
+    ref_means = setting(config, "reference.mean_error", list, None)
+    ref_bounds = setting(config, "reference.bound", list, None)
+    band = setting(config, "reference.band", float, 0.5)
 
     # Table normalization: K counts parameters per edge and epsilon counts
     # edges per unit of observation time, so bound = K * epsilon = pi / T.
     k_ratio = layout.pi_total / g.n_edges if g.n_edges else float("inf")
 
-    all_seeds = derive_seeds(base_seed, n_reps * len(horizons))
+    all_seeds = derive_seeds(sim["seed"], n_reps * len(horizons))
     rows = []
     for cell, horizon in enumerate(horizons):
         n = int(round(horizon / delta))
         fits = [_closed_form_fit(moments.chunk(r), layout, delta, intercepts=False)
                 for block, moments in _ensemble_moments(
-                    spec, g, theta_true, config, n, delta,
+                    spec, g, theta_true, sim, n, delta,
                     all_seeds[cell * n_reps:(cell + 1) * n_reps], layout)
                 for r in range(len(block))]
         err2 = np.array([float(diff @ diff) for diff in (
@@ -383,53 +388,41 @@ def error_bound_study(config: dict) -> StudyReport:
 # recovery pipeline
 
 
-# each penalty setting's default, check and what the check asks
+# each numeric penalty setting's default and its (check, requirement)
 _PENALTY_SETTINGS = {
-    "weight_exponent": (1.0, lambda v: v >= 0.0, "be non-negative"),
-    "fraction": (None, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-    "holdout": (0.3, lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    "n_points": (50, lambda v: v >= 1.0, "be at least 1"),
-    "min_fraction": (1e-3, lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "weight_exponent": (1.0, (lambda v: v >= 0.0, "be non-negative")),
+    "fraction": (REQUIRED, (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")),
+    "holdout": (0.3, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
+    "n_points": (50, (lambda v: v >= 1.0, "be at least 1")),
+    "min_fraction": (1e-3, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
 }
 
 
-def _switch(cfg: dict, key: str, default: bool, name: str | None = None) -> bool:
-    """cfg[key] (default when absent), which must be a bool: bool("false")
-    is True, so a string would flip the switch on.  StudyError names the
-    setting as name (default key)."""
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        raise StudyError(
-            f"{name or key} must be true or false, got {value!r}")
-    return value
-
-
-def _penalty(penalty_cfg: dict) -> dict:
-    """The rule and the settings it reads of a penalty block, checked: an
-    unknown key, or a setting the rule reads that is not a number in its
-    range, raises StudyError naming it, and an unknown rule ValueError."""
-    unknown = sorted(set(penalty_cfg) - set(_PENALTY_SETTINGS)
-                     - {"rule", "penalize_momentum"})
+def _penalty(cfg: dict, at: str = "") -> dict:
+    """The rule and the settings it reads of the penalty block at `at` in
+    cfg ("penalty.", or ""), checked: ConfigFieldError names an unknown
+    key, or a setting the rule reads that is missing or not valid."""
+    block = setting(cfg, at[:-1], dict, {}) if at else cfg
+    unknown = [at + key for key in sorted(
+        set(block) - set(_PENALTY_SETTINGS) - {"rule", "penalize_momentum"})]
     if unknown:
-        raise StudyError("unknown setting " + ", ".join(
-            f"penalty.{key}" for key in unknown))
-    rule = penalty_cfg.get("rule", "half_se")
-    if rule not in ("min", "half_se", "fixed_fraction"):
-        raise ValueError(f"unknown selection rule {rule!r}")
-    pen = {"rule": rule, "penalize_momentum": _switch(
-        penalty_cfg, "penalize_momentum", False, "penalty.penalize_momentum")}
-    reads = ["fraction"] if rule == "fixed_fraction" else [
+        raise ConfigFieldError(unknown[0], "unknown setting" + "".join(
+            f"; so is {path!r}" for path in unknown[1:]))
+    pen = {"rule": setting(cfg, at + "rule", str, "half_se",
+                           allowed=("min", "half_se", "fixed_fraction")),
+           "penalize_momentum": setting(cfg, at + "penalize_momentum", bool, False)}
+    reads = ["fraction"] if pen["rule"] == "fixed_fraction" else [
         "holdout", "n_points", "min_fraction"]
     for key in ["weight_exponent", *reads]:
-        default, ok, allowed = _PENALTY_SETTINGS[key]
-        value = penalty_cfg.get(key, default)
-        try:
-            pen[key] = float(value)
-        except (TypeError, ValueError):
-            pen[key] = float("nan")  # fails every check
-        if not ok(pen[key]):
-            raise StudyError(f"penalty {key!r} must {allowed}, got {value!r}")
+        default, check = _PENALTY_SETTINGS[key]
+        pen[key] = setting(cfg, at + key, float, default, check)
     return pen
+
+
+def _selection_settings(config: dict):
+    """The checked penalty block (_penalty) and the refit switch of a
+    config that selects a graph: a recovery study's or `netsde lasso`'s."""
+    return _penalty(config, "penalty."), setting(config, "refit", bool, True)
 
 
 def _chunk_sizes(pen: dict, n: int) -> list[int]:
@@ -547,29 +540,27 @@ def recovery_study(config: dict) -> StudyReport:
     cut as select_graph cuts a path, give its selection (_select) and its
     refit (two_step_refit).
     """
-    graph_cfg = config["graph"]
-    g_true, graph_info = study_graph(graph_cfg)
+    g_true, graph_info = study_graph(config, "graph.")
     spec = _study_spec(config, g_true.d)
     theta_true, layout, margin = _study_truth(config, spec, g_true)
     a_true = g_true.adjacency().astype(int)
-    kind = graph_cfg.get("kind")
+    kind = graph_info["kind"]
 
-    delta = float(config.get("delta", 0.01))
-    horizon = float(config.get("horizon", 200.0))
+    sim = _simulation_settings(config, g_true.d)
+    delta = setting(config, "delta", float, _STUDY_DELTA)
+    horizon = setting(config, "horizon", float, 200.0)
     n = int(round(horizon / delta))
-    n_seeds = int(config.get("n_seeds", 50))
-    base_seed = int(config.get("seed", 0))
-    do_refit = _switch(config, "refit", True)
-    pen = _penalty(config.get("penalty", {"rule": "half_se"}))
+    n_seeds = setting(config, "n_seeds", int, 50)
+    pen, do_refit = _selection_settings(config)
     sizes = _chunk_sizes(pen, n)
-    agreement_threshold = float(config.get("agreement_threshold", 0.9))
-    labels_true = block_labels(graph_cfg["block_sizes"]) if kind == "sbm" else None
+    agreement_threshold = setting(config, "agreement_threshold", float, 0.9)
+    labels_true = block_labels(graph_info["block_sizes"]) if kind == "sbm" else None
 
     full = parameter_layout(spec, complete_graph(g_true.d), augmented=True)
     rows: list[dict] = []
     for block, moments in _ensemble_moments(
-            spec, g_true, theta_true, config, n, delta,
-            derive_seeds(base_seed, n_seeds), full, sizes):
+            spec, g_true, theta_true, sim, n, delta,
+            derive_seeds(sim["seed"], n_seeds), full, sizes):
         for r, seed in enumerate(block):
             mom = moments.chunk(slice(r * len(sizes), (r + 1) * len(sizes)))
             a_hat, lam, lpath, _pilot = _select(mom, full, delta, pen)
@@ -620,12 +611,8 @@ def recovery_study(config: dict) -> StudyReport:
 
 def run_study(config: dict) -> StudyReport:
     """Dispatch a study config on its "study" field."""
-    study = config.get("study")
-    if study == "error_bound":
-        return error_bound_study(config)
-    if study == "recovery":
-        return recovery_study(config)
-    raise StudyError(f"unknown study {study!r}")
+    studies = {"error_bound": error_bound_study, "recovery": recovery_study}
+    return studies[setting(config, "study", str, allowed=studies)](config)
 
 
 # ---------------------------------------------------------------------------
@@ -761,17 +748,20 @@ def label_agreement(labels_a, labels_b) -> float:
     return float(confusion[rows, cols].sum() / a.shape[0])
 
 
+def _communities(a, resolution: float = 1.0) -> dict:
+    """The community labels of a's graph, their count and their modularity."""
+    labels = detect_communities(a, resolution=resolution)
+    return {"labels": labels.tolist(), "n_communities": int(labels.max() + 1),
+            "modularity": modularity(a, labels, resolution=resolution)}
+
+
 def cluster_lambda_curve(lpath: LassoPath, resolution: float = 1.0) -> list[dict]:
     """Community count and modularity of the estimated graph along a path."""
     if lpath.adjacency is None:
         raise StudyError("path carries no adjacency estimates")
     curve = []
     for lam, a_hat in zip(lpath.lambdas, lpath.adjacency):
-        labels = detect_communities(a_hat, resolution=resolution)
-        curve.append({
-            "lambda": float(lam),
-            "n_edges": int(np.sum(a_hat)),
-            "n_communities": int(labels.max() + 1),
-            "modularity": modularity(a_hat, labels, resolution=resolution),
-        })
+        curve.append({"lambda": float(lam), "n_edges": int(np.sum(a_hat)),
+                      **_communities(a_hat, resolution)})
+        del curve[-1]["labels"]
     return curve

@@ -12,6 +12,10 @@ the state norm).  An unknown graph is fitted as the complete one: the
 augmented layout of the linear family is the per-edge layout of
 complete_graph(d), whose coefficients w_ij on every ordered pair the
 adaptive Lasso then thins out.
+
+Every config setting the package reads goes through setting(), which
+converts and checks one value and raises ConfigFieldError naming its
+dotted path; spec_from_config and params_from_config use it too.
 """
 from __future__ import annotations
 
@@ -415,35 +419,80 @@ def default_bounds(layout: ParamLayout | ParamVector):
 # config
 
 
-def spec_from_config(cfg: dict) -> NsdeSpec:
-    drift_cfg = cfg["drift"]
-    fam = drift_cfg["family"]
-    if fam == "linear":
-        with_intercepts = drift_cfg.get("with_intercepts", False)
-        # bool("false") is True, so a string would switch intercepts on
-        if not isinstance(with_intercepts, bool):
-            raise ModelError("drift.with_intercepts must be true or false, "
-                             f"got {with_intercepts!r}")
-        drift = LinearDrift(with_intercepts=with_intercepts)
-    elif fam == "radial_dictionary":
-        drift = RadialDictionaryDrift(offsets=tuple(drift_cfg["offsets"]),
-                                      exponents=tuple(drift_cfg["exponents"]))
-    else:
-        raise ModelError(f"unknown drift family {fam!r}")
-    diff_cfg = cfg["diffusion"]
-    fam = diff_cfg["family"]
-    if fam == "constant_diagonal":
-        diffusion = ConstantDiagonal()
-    elif fam == "tanh_clipped":
-        diffusion = TanhClipped(clip=float(diff_cfg.get("clip", TanhClipped.clip)))
-    else:
-        raise ModelError(f"unknown diffusion family {fam!r}")
-    return NsdeSpec(d=int(cfg["d"]), drift=drift, diffusion=diffusion)
+class ConfigFieldError(ValueError):
+    """A config setting that is missing, mistyped, out of its range, not
+    one of its allowed values or unknown, named by its dotted path."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"config field {path!r}: {message}")
 
 
-def params_from_config(cfg: dict, layout: ParamLayout | None = None) -> ParamVector:
-    theta = ParamVector(alpha=np.asarray(cfg["alpha"], dtype=float),
-                        beta=np.asarray(cfg["beta"], dtype=float))
-    if layout is not None:
-        layout.flatten(theta)  # validates block sizes
-    return theta
+REQUIRED = object()  # the default of a setting that must be given
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string", dict: "an object", list: "a list"}
+
+
+def setting(cfg: dict, path: str, kind=None, default=REQUIRED, check=None,
+            allowed=None):
+    """The setting at dotted path in cfg, or default (as it is) where it
+    is absent; a null counts as absent when default is None.  kind
+    converts a given value: bool takes only JSON true or false, int and
+    float go through their constructors, and str, dict and list (or tuple
+    or array) must be one already.  check is a (predicate, requirement)
+    pair it must pass, allowed the values it may take.  Each failure
+    raises ConfigFieldError naming the path; cfg is never written to."""
+    node, parts = cfg, path.split(".")
+    for depth, part in enumerate(parts):
+        if not isinstance(node, dict):
+            raise ConfigFieldError(".".join(parts[:depth]) or "<root>",
+                                   f"must be an object, got {node!r}")
+        if part not in node:
+            if default is REQUIRED:
+                raise ConfigFieldError(".".join(parts[:depth + 1]), "missing")
+            return default
+        node = node[part]
+    if node is None and default is None:
+        return None
+    value, ok = node, True
+    if kind in (int, float):
+        try:
+            value = kind(node)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+    elif kind is not None:
+        ok = isinstance(node, (list, tuple, np.ndarray) if kind is list else kind)
+    if not ok:
+        raise ConfigFieldError(path, f"must be {_KINDS[kind]}, got {node!r}")
+    if check is not None and not check[0](value):
+        raise ConfigFieldError(path, f"must {check[1]}, got {node!r}")
+    if allowed is not None and value not in tuple(allowed):
+        raise ConfigFieldError(path, "must be one of " + ", ".join(
+            map(repr, allowed)) + f", got {node!r}")
+    return value
+
+
+def spec_from_config(cfg: dict, at: str = "") -> NsdeSpec:
+    """The model of the block at `at` in cfg, a dotted prefix such as
+    "model." ("" for cfg itself), so errors name paths from cfg's root."""
+    family = setting(cfg, at + "drift.family", str,
+                     allowed=("linear", "radial_dictionary"))
+    if family == "linear":
+        drift = LinearDrift(with_intercepts=setting(
+            cfg, at + "drift.with_intercepts", bool, LinearDrift.with_intercepts))
+    else:
+        drift = RadialDictionaryDrift(
+            offsets=tuple(setting(cfg, at + "drift.offsets", list)),
+            exponents=tuple(setting(cfg, at + "drift.exponents", list)))
+    family = setting(cfg, at + "diffusion.family", str,
+                     allowed=("constant_diagonal", "tanh_clipped"))
+    diffusion = ConstantDiagonal() if family == "constant_diagonal" else \
+        TanhClipped(clip=setting(cfg, at + "diffusion.clip", float, TanhClipped.clip))
+    return NsdeSpec(d=setting(cfg, at + "d", int), drift=drift, diffusion=diffusion)
+
+
+def params_from_config(cfg: dict, at: str = "") -> ParamVector:
+    """The parameters of the block at `at` in cfg (as in spec_from_config)."""
+    return ParamVector(
+        alpha=np.asarray(setting(cfg, at + "alpha", list), dtype=float),
+        beta=np.asarray(setting(cfg, at + "beta", list), dtype=float))

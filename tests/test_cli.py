@@ -281,10 +281,10 @@ def test_ingest_takes_delta_as_a_string(tmp_path, capsys):
     assert read_csv(str(out / "path.csv")).delta == 0.5
     capsys.readouterr()
     assert cli.run("ingest", cfg, overrides=["delta=abc"],
-                   out_dir=str(tmp_path / "bad")) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "abc" in err
-    assert len(err.strip().splitlines()) == 1
+                   out_dir=str(tmp_path / "bad")) == cli.USAGE_ERROR
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: config field 'delta': must be a number, got 'abc'"]
+    # a number the panel rejects is a domain error
     for bad in ("nan", "inf"):
         assert cli.run("ingest", cfg, overrides=[f"delta={bad}"],
                        out_dir=str(tmp_path / bad)) == 1
@@ -415,10 +415,10 @@ def test_lasso_rejects_bad_penalty_settings_before_the_pilot(
     no_fold(monkeypatch)
     overrides = [f"path_csv={json.dumps(short_er_path)}", *overrides]
     assert cli.run("lasso", str(CONFIGS / "lasso_er.json"), overrides=overrides,
-                   out_dir=str(tmp_path / "sel")) == cli.DOMAIN_ERROR
+                   out_dir=str(tmp_path / "sel")) == cli.USAGE_ERROR
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert f"penalty {key!r}" in err[0]
+    assert len(err) == 1
+    assert err[0].startswith(f"error: config field 'penalty.{key}': must ")
 
 
 def test_lasso_rejects_an_unknown_penalty_key(tmp_path, capsys, monkeypatch,
@@ -428,9 +428,10 @@ def test_lasso_rejects_an_unknown_penalty_key(tmp_path, capsys, monkeypatch,
             "--out-dir", str(tmp_path / "sel"),
             "--set", f"path_csv={json.dumps(short_er_path)}",
             "--set", "penalty.fractoin=0.9", "--set", "penalty.rul=min"]
-    assert cli.main(argv) == cli.DOMAIN_ERROR
+    assert cli.main(argv) == cli.USAGE_ERROR
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: unknown setting penalty.fractoin, penalty.rul"]
+    assert err == ["error: config field 'penalty.fractoin': unknown setting; "
+                   "so is 'penalty.rul'"]
 
 
 def test_fit_rejects_a_string_switch(tmp_path, capsys, monkeypatch):
@@ -505,6 +506,7 @@ def test_model_rejects_a_string_with_intercepts(tmp_path, capsys):
     assert not any(name.startswith("intercept") for name in fitted["names"])
 
     argv[-1] = 'model.drift.with_intercepts="false"'
-    assert cli.main(argv) == cli.DOMAIN_ERROR
+    assert cli.main(argv) == cli.USAGE_ERROR
     assert capsys.readouterr().err.strip().splitlines() == [
-        "error: drift.with_intercepts must be true or false, got 'false'"]
+        "error: config field 'model.drift.with_intercepts': must be true or "
+        "false, got 'false'"]

@@ -348,12 +348,13 @@ def test_joint_scale_needs_more_increments_than_coefficients():
         alpha = fit_qmle(longer, spec, g, mode="joint").theta_hat.alpha
         assert np.all(np.isfinite(alpha)) and np.all(alpha > 0.0)
     # a noiseless path with spare increments leaves Q_j at rounding noise
-    # as well, below zero for some rates; the scale stops at its floor
+    # as well, below zero for some rates: no scale can be read off it
     one = NsdeSpec(d=1, drift=LinearDrift(), diffusion=ConstantDiagonal())
     for rate in np.linspace(0.5, 0.99, 20):
         noiseless = SamplePath(delta=0.01, data=(2.0 * rate ** np.arange(4))[:, None])
-        alpha = fit_qmle(noiseless, one, build_graph(1, []), mode="joint").theta_hat.alpha
-        assert np.isfinite(alpha[0]) and alpha[0] >= 1e-8
+        with pytest.raises(DegenerateDiffusionError,
+                           match="node 0: the drift fits its increments exactly"):
+            fit_qmle(noiseless, one, build_graph(1, []), mode="joint")
 
 
 def test_fit_argument_errors():

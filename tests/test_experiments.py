@@ -16,7 +16,8 @@ from netsde.graph import (block_labels, complete_graph, ergodicity_margin,
                           largest_singular_value, sbm)
 from netsde.lasso import (LassoPath, adaptive_weights, estimate_adjacency,
                           lambda_path)
-from netsde.model import LinearDrift, NsdeSpec, TanhClipped, parameter_layout
+from netsde.model import (ConfigFieldError, LinearDrift, NsdeSpec, TanhClipped,
+                          parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -64,7 +65,7 @@ def test_study_graph_dispatch():
     assert g.n_edges == 4 and info["block_sizes"] == [2, 2]
     g, _ = study_graph({"kind": "edges", "d": 3, "edges": [[0, 1], [2, 0]]})
     assert g.edges == ((0, 1), (2, 0))
-    with pytest.raises(StudyError):
+    with pytest.raises(ConfigFieldError, match="'kind': must be one of"):
         study_graph({"kind": "tree"})
 
 
@@ -174,7 +175,7 @@ def test_error_bound_study_rejects_unstable_config():
     cfg["coupling"] = 50.0
     with pytest.raises(StudyError, match="not ergodic"):
         error_bound_study(cfg)
-    with pytest.raises(StudyError, match="unknown study"):
+    with pytest.raises(ConfigFieldError, match="'study': must be one of"):
         run_study({"study": "bootstrap"})
 
 
@@ -250,7 +251,7 @@ def test_select_graph_with_validation_curve():
     assert len(notes) == 1
     for value in (f"{loss[0]:.6g}", f"{loss[best]:.6g}", f"{se[best]:.3g}"):
         assert value in notes[0]
-    with pytest.raises(StudyError, match="holdout"):
+    with pytest.raises(ConfigFieldError, match="'holdout': must lie in"):
         select_graph(path, spec, {"rule": "half_se", "holdout": 1.0})
     # one adjacency estimate per penalty level, read off each solution
     # through the pilot's layout
@@ -277,7 +278,8 @@ def test_select_graph_rejects_an_unknown_rule_before_fitting(monkeypatch):
     no_fold(monkeypatch)
     spec = NsdeSpec(d=2, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
     path = SamplePath(delta=0.01, data=np.zeros((50, 2)))
-    with pytest.raises(ValueError, match="unknown selection rule 'bogus'"):
+    with pytest.raises(ConfigFieldError, match="'rule': must be one of "
+                                              ".*, got 'bogus'"):
         select_graph(path, spec, {"rule": "bogus"})
 
 
@@ -286,11 +288,12 @@ def test_switches_must_be_booleans(monkeypatch):
     no_fold(monkeypatch)
     spec = NsdeSpec(d=2, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
     path = SamplePath(delta=0.01, data=np.zeros((50, 2)))
-    with pytest.raises(StudyError, match="penalty.penalize_momentum must be "
-                                         "true or false, got 'false'"):
+    with pytest.raises(ConfigFieldError, match="'penalize_momentum': must be "
+                                              "true or false, got 'false'"):
         select_graph(path, spec, {"rule": "fixed_fraction", "fraction": 0.5,
                                   "penalize_momentum": "false"})
-    with pytest.raises(StudyError, match="refit must be true or false, got 0"):
+    with pytest.raises(ConfigFieldError,
+                       match="'refit': must be true or false, got 0"):
         recovery_study({"graph": {"kind": "polymer", "d": 4}, "refit": 0})
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from netsde.experiments import StudyError, study_graph
+from netsde.experiments import study_graph
 from netsde.graph import (BlockSizeMismatchError, DirectedGraph,
                           DuplicateEdgeError, GraphError,
                           IndexOutOfRangeError, InvalidProbabilityError,
@@ -11,6 +11,7 @@ from netsde.graph import (BlockSizeMismatchError, DirectedGraph,
                           build_graph, complete_graph, erdos_renyi,
                           ergodicity_margin, largest_singular_value,
                           polymer, sbm, to_dot, to_edge_list_text, to_json)
+from netsde.model import ConfigFieldError
 
 
 def test_build_graph_basics():
@@ -103,7 +104,7 @@ def test_generate_dispatch():
     g, _ = study_graph({"kind": "sbm", "block_sizes": [3, 4], "p_in": 0.8,
                         "p_ex": 0.1, "seed": 2})
     assert g == sbm([3, 4], 0.8, 0.1, seed=2)
-    with pytest.raises(StudyError):
+    with pytest.raises(ConfigFieldError, match="'kind': must be one of"):
         study_graph({"kind": "ring", "d": 6})
 
 

@@ -19,8 +19,8 @@ from netsde.experiments import (StudyError, _edge_scores, _refit_scores,
                                 _study_spec, _study_truth, error_bound_study,
                                 recovery_study, select_graph, study_graph)
 from netsde.graph import build_graph, complete_graph
-from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
-                          NsdeSpec, RadialDictionaryDrift, TanhClipped,
+from netsde.model import (ConfigFieldError, ConstantDiagonal,
+                          LayoutMismatchError, LinearDrift, NsdeSpec, RadialDictionaryDrift, TanhClipped,
                           diffusion_shape, parameter_layout)
 from netsde.simulate import (ExplosionError, SamplePath, _euler, derive_seeds,
                              simulate_ensemble, simulate_path)
@@ -228,7 +228,7 @@ def test_every_replication_fit_is_certified():
 
 
 def test_streamed_study_rejects_empty_cells():
-    with pytest.raises(StudyError, match="n_reps must be positive"):
+    with pytest.raises(ConfigFieldError, match="'n_reps': must be positive"):
         error_bound_study(_load("bench_error_bound_d8.json", n_reps=0))
     # a horizon under half an observation step records no increment
     with pytest.raises(InsufficientDataError):
@@ -476,26 +476,27 @@ def test_recovery_study_stores_no_paths():
 
 
 @pytest.mark.parametrize("overrides,error,match", [
-    ({"penalty": {"rule": "min", "rul": "min"}}, StudyError,
-     "unknown setting penalty.rul"),
-    ({"penalty": {"rule": "bogus"}}, ValueError, "unknown selection rule"),
-    ({"penalty": {"rule": "half_se", "holdout": 1.5}}, StudyError,
-     "penalty 'holdout'"),
-    ({"penalty": {"rule": "min", "n_points": 0}}, StudyError,
-     "penalty 'n_points'"),
-    ({"penalty": {"rule": "half_se", "min_fraction": 2}}, StudyError,
-     "penalty 'min_fraction'"),
-    ({"penalty": {"rule": "fixed_fraction", "fraction": 0}}, StudyError,
-     "penalty 'fraction'"),
+    ({"penalty": {"rule": "min", "rul": "min"}}, ConfigFieldError,
+     "'penalty.rul': unknown setting"),
+    ({"penalty": {"rule": "bogus"}}, ConfigFieldError,
+     "'penalty.rule': must be one of"),
+    ({"penalty": {"rule": "half_se", "holdout": 1.5}}, ConfigFieldError,
+     "'penalty.holdout': must lie in"),
+    ({"penalty": {"rule": "min", "n_points": 0}}, ConfigFieldError,
+     "'penalty.n_points': must be at least 1"),
+    ({"penalty": {"rule": "half_se", "min_fraction": 2}}, ConfigFieldError,
+     "'penalty.min_fraction': must lie in"),
+    ({"penalty": {"rule": "fixed_fraction", "fraction": 0}}, ConfigFieldError,
+     "'penalty.fraction': must lie in"),
     ({"penalty": {"rule": "fixed_fraction", "fraction": 0.1,
-                  "weight_exponent": -1}}, StudyError,
-     "penalty 'weight_exponent'"),
-    ({"penalty": {"rule": "min", "penalize_momentum": "no"}}, StudyError,
-     "penalty.penalize_momentum must be true or false"),
+                  "weight_exponent": -1}}, ConfigFieldError,
+     "'penalty.weight_exponent': must be non-negative"),
+    ({"penalty": {"rule": "min", "penalize_momentum": "no"}}, ConfigFieldError,
+     "'penalty.penalize_momentum': must be true or false"),
     # one increment leaves the pilot nothing once the tail takes one
     ({"horizon": 0.01, "penalty": {"rule": "half_se", "holdout": 0.5}},
      StudyError, "holdout leaves no data"),
-    ({"refit": "yes"}, StudyError, "refit must be true or false"),
+    ({"refit": "yes"}, ConfigFieldError, "'refit': must be true or false"),
 ])
 def test_recovery_study_checks_every_setting_before_simulating(
         monkeypatch, overrides, error, match):
