@@ -214,9 +214,9 @@ def _cmd_ingest(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
 
 
 def _cmd_communities(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
-    a = setting(cfg, "adjacency", list, None)
+    a = setting(cfg, "adjacency", [[float]], None)
     resolution = setting(cfg, "resolution", float, 1.0)
-    true_labels = setting(cfg, "true_labels", list, None)
+    true_labels = setting(cfg, "true_labels", [float], None)
     if a is None:
         a = study_graph(cfg, "graph.")[0].adjacency()
     out = _communities(np.asarray(a, dtype=float), resolution)

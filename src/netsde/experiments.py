@@ -187,15 +187,16 @@ def study_graph(cfg: dict, at: str = ""):
         if kind == "erdos_renyi":
             return erdos_renyi(setting(cfg, at + "d", int),
                                setting(cfg, at + "p", float), seed), {"kind": kind}
-        sizes = [int(s) for s in setting(cfg, at + "block_sizes", list)]
+        sizes = setting(cfg, at + "block_sizes", [int])
         g = sbm(sizes, setting(cfg, at + "p_in", float),
                 setting(cfg, at + "p_ex", float), seed)
         return g, {"kind": kind, "block_sizes": sizes}
     if kind == "polymer":
         return polymer(setting(cfg, at + "d", int), setting(
-            cfg, at + "double_link_positions", list, None)), {"kind": kind}
-    return build_graph(setting(cfg, at + "d", int), [
-        tuple(e) for e in setting(cfg, at + "edges", list)]), {"kind": kind}
+            cfg, at + "double_link_positions", [int], None)), {"kind": kind}
+    return build_graph(setting(cfg, at + "d", int), setting(
+        cfg, at + "edges", [[int]], check=(lambda edges: all(
+            len(e) == 2 for e in edges), "hold [child, parent] pairs"))), {"kind": kind}
 
 
 def _study_spec(config: dict, d: int) -> NsdeSpec:
@@ -206,20 +207,17 @@ def _study_spec(config: dict, d: int) -> NsdeSpec:
     return NsdeSpec(d=d, drift=LinearDrift(), diffusion=diffusion)
 
 
-def _as_vector(value, d: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(d, float(arr))
-    if arr.shape != (d,):
-        raise StudyError(f"expected a scalar or length-{d} vector, got shape {arr.shape}")
-    return arr
+def _node_setting(config: dict, path: str, default: float, d: int) -> np.ndarray:
+    """The setting at path, a number for every node or a list of d."""
+    return np.full(d, setting(config, path, (float, [float]), default, (
+        lambda v: not isinstance(v, list) or len(v) == d, f"have {d} entries")))
 
 
 def _study_truth(config: dict, spec: NsdeSpec, g: DirectedGraph):
     """True parameter vector and stability margin for a study config."""
     d = spec.d
-    mu = _as_vector(setting(config, "mean_reversion", default=7.0), d)
-    alpha = _as_vector(setting(config, "noise_scale", default=2.0), d)
+    mu = _node_setting(config, "mean_reversion", 7.0, d)
+    alpha = _node_setting(config, "noise_scale", 2.0, d)
     coupling = setting(config, "coupling", float, 2.0)
     layout = parameter_layout(spec, g)
     theta = layout.pack(alpha=alpha, momentum=mu,
@@ -238,7 +236,7 @@ _STUDY_DELTA = 0.01  # both studies' default observation step
 def _simulation_settings(config: dict, d: int) -> dict:
     """x0, substeps, seed and burn_in of a config that simulates, as
     simulate_path's keywords."""
-    return {"x0": setting(config, "x0", list, np.zeros(d)),
+    return {"x0": setting(config, "x0", [float], np.zeros(d)),
             "substeps": setting(config, "substeps", int, 10),
             "seed": setting(config, "seed", int, 0),
             "burn_in_steps": setting(config, "burn_in", int, 0)}
@@ -299,10 +297,10 @@ def error_bound_study(config: dict) -> StudyReport:
 
     sim = _simulation_settings(config, g.d)
     delta = setting(config, "delta", float, _STUDY_DELTA)
-    horizons = [float(t) for t in setting(config, "horizons", list)]
+    horizons = setting(config, "horizons", [float])
     n_reps = setting(config, "n_reps", int, 100, (lambda v: v >= 1, "be positive"))
-    ref_means = setting(config, "reference.mean_error", list, None)
-    ref_bounds = setting(config, "reference.bound", list, None)
+    ref_means = setting(config, "reference.mean_error", [float], None)
+    ref_bounds = setting(config, "reference.bound", [float], None)
     band = setting(config, "reference.band", float, 0.5)
 
     # Table normalization: K counts parameters per edge and epsilon counts
@@ -348,12 +346,12 @@ def error_bound_study(config: dict) -> StudyReport:
             "below_bound": bool(mean_error <= bound),
         }
         if ref_means is not None and cell < len(ref_means):
-            ref = float(ref_means[cell])
+            ref = ref_means[cell]
             row["reference_mean_error"] = ref
             row["within_reference_band"] = bool(
                 (1.0 - band) * ref <= mean_error <= (1.0 + band) * ref)
         if ref_bounds is not None and cell < len(ref_bounds):
-            ref_b = float(ref_bounds[cell])
+            ref_b = ref_bounds[cell]
             row["reference_bound"] = ref_b
             # reported bounds that disagree with K * epsilon get flagged
             row["bound_matches_reference"] = bool(
@@ -388,13 +386,13 @@ def error_bound_study(config: dict) -> StudyReport:
 # recovery pipeline
 
 
-# each numeric penalty setting's default and its (check, requirement)
+# each numeric penalty setting's kind, default and (check, requirement)
 _PENALTY_SETTINGS = {
-    "weight_exponent": (1.0, (lambda v: v >= 0.0, "be non-negative")),
-    "fraction": (REQUIRED, (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")),
-    "holdout": (0.3, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
-    "n_points": (50, (lambda v: v >= 1.0, "be at least 1")),
-    "min_fraction": (1e-3, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
+    "weight_exponent": (float, 1.0, (lambda v: v >= 0.0, "be non-negative")),
+    "fraction": (float, REQUIRED, (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")),
+    "holdout": (float, 0.3, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
+    "n_points": (int, 50, (lambda v: v >= 1, "be at least 1")),
+    "min_fraction": (float, 1e-3, (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")),
 }
 
 
@@ -414,8 +412,7 @@ def _penalty(cfg: dict, at: str = "") -> dict:
     reads = ["fraction"] if pen["rule"] == "fixed_fraction" else [
         "holdout", "n_points", "min_fraction"]
     for key in ["weight_exponent", *reads]:
-        default, check = _PENALTY_SETTINGS[key]
-        pen[key] = setting(cfg, at + key, float, default, check)
+        pen[key] = setting(cfg, at + key, *_PENALTY_SETTINGS[key])
     return pen
 
 
@@ -470,7 +467,7 @@ def _select(mom: NodeMoments, layout: ParamLayout, delta: float, pen: dict):
         pick, lam = 0, float(lpath.lambdas[0])
     else:
         lpath = lambda_path(h, pilot.theta_hat, gamma,
-                            n_points=int(pen["n_points"]),
+                            n_points=pen["n_points"],
                             min_fraction=pen["min_fraction"])
         lpath.validation_loss, lpath.validation_se = _validation_curve(
             mom.chunk(slice(1, None)),
@@ -550,7 +547,7 @@ def recovery_study(config: dict) -> StudyReport:
     delta = setting(config, "delta", float, _STUDY_DELTA)
     horizon = setting(config, "horizon", float, 200.0)
     n = int(round(horizon / delta))
-    n_seeds = setting(config, "n_seeds", int, 50)
+    n_seeds = setting(config, "n_seeds", int, 50, (lambda v: v >= 1, "be positive"))
     pen, do_refit = _selection_settings(config)
     sizes = _chunk_sizes(pen, n)
     agreement_threshold = setting(config, "agreement_threshold", float, 0.9)

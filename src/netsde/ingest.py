@@ -11,26 +11,23 @@ netsde.simulate through it) reads each cell with float() and writes it
 with repr(), which hold the GIL, so a second thread cannot share the
 work.  A table of SPLIT_MIN_CELLS cells or more is done in two
 processes instead: this one takes the first half of the rows and one
-os.fork()ed child the second, whose result comes back through an
-os.pipe, raw float64 rows or encoded text read straight into the
-result.  Both halves run the same row function, so the values, the
-text and the ParseError (message and line; of two bad lines the
-earlier one) are what one process gives.  Smaller tables stay in one
-process, since a fork costs more than their halves save, and so does
-every table while a second Python thread is alive, or where os.fork is
-missing.  The child ends with os._exit; the parent always reaps it,
-kills it first if its own half raised, and parses or formats the
-child's half itself if the child delivered nothing.
+os.fork()ed child the second, whose rows (parsed values or formatted
+lines) come back through an os.pipe as one pickle.  Both halves run the
+same row function, so the values, the text and the ParseError (message
+and line; of two bad lines the earlier one) are what one process gives.
+Smaller tables stay in one process, since a fork costs more than their
+halves save, and so does every table while a second Python thread is
+alive, or where os.fork is missing.  The child ends with os._exit; the
+parent always reaps it, kills it first if its own half raised, and does
+the child's half itself if the child's reply is missing or cut short.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
+import pickle
 import signal
-import struct
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +39,6 @@ DEFAULT_MISSING_MARKERS = ("", "NA", "NaN", "nan", "null")
 # and its pipe cost 12-20 ms (2-vCPU Xeon) and a cell 0.5-1.1 us, so a
 # split pays from about 60k cells; 200k leaves room for a slower fork.
 SPLIT_MIN_CELLS = 200_000
-# the header before a child's payload: the payload's row or byte count,
-# or -k when a k-byte JSON [message, line] of a ParseError follows
-_COUNT = struct.Struct("<q")
 # the relative deviation from the inferred spacing that to_sample_path allows
 SPACING_RTOL = 1e-6
 
@@ -167,13 +161,11 @@ def parse_panel_csv(text: str,
     n_cols = len(header)
     body = lines[header_line:]
 
-    def parse(part, first):
-        return _parse_rows(part, first, n_cols, names, markers, strip_all)
+    def parse(part, offset):
+        return _parse_rows(part, header_line + 1 + offset, n_cols, names,
+                           markers, strip_all)
 
-    if _split(len(body) * n_cols):
-        table = _parse_in_two(parse, body, header_line + 1, n_cols)
-    else:
-        table = np.array(parse(body, header_line + 1), dtype=float)
+    table = np.array(_halves(body, parse, len(body) * n_cols), dtype=float)
     if table.shape[0] == 0:
         raise EmptyPanelError("panel has a header but no data rows")
     return PanelData(timestamps=table[:, 0].copy(), series_names=names,
@@ -221,32 +213,6 @@ def _parse_stripped_row(cells, markers, names, lineno) -> list[float]:
     return row
 
 
-def _parse_in_two(parse, body, first, n_cols) -> np.ndarray:
-    """The table parse(body, first) gives, the first half of the lines
-    parsed here and the second in a forked child.  The child sends raw
-    float64 rows, read straight into the result."""
-    mid = len(body) // 2
-
-    def theirs():
-        return parse(body[mid:], first + mid)
-
-    def send():
-        table = np.array(theirs(), dtype=float).reshape(-1, n_cols)
-        return len(table), table
-
-    with _child(send) as stream:
-        mine = parse(body[:mid], first)
-        count = _receive_count(stream)
-        if count is not None:
-            table = np.empty((len(mine) + count, n_cols))
-            if mine:
-                table[:len(mine)] = mine
-            if _read_into(stream, table[len(mine):]):
-                return table
-    # the child delivered nothing: its half is parsed here
-    return np.array(mine + theirs(), dtype=float)
-
-
 def load_panel_csv(file_path: str,
                    missing_markers=DEFAULT_MISSING_MARKERS) -> PanelData:
     with open(file_path, "r", encoding="utf-8") as fh:
@@ -260,26 +226,11 @@ def panel_to_csv(panel: PanelData) -> str:
     table = np.column_stack([panel.timestamps, panel.values])
     gaps = panel.missing_mask().any(axis=1)
     header = ",".join([panel.timestamp_label, *panel.series_names])
-    if not _split(table.size):
-        return "\n".join([header, *_format_rows(table, gaps), ""])
-    mid = len(table) // 2
 
-    def theirs():
-        return "\n".join([*_format_rows(table[mid:], gaps[mid:]), ""])
+    def write(part, offset):
+        return _format_rows(part, gaps[offset:offset + len(part)])
 
-    def send():
-        data = theirs().encode("utf-8")
-        return len(data), data
-
-    with _child(send) as stream:
-        mine = _format_rows(table[:mid], gaps[:mid])
-        count = _receive_count(stream)
-        data = bytearray(count or 0)
-        received = count is not None and _read_into(stream, data)
-    # a child that delivered nothing has its half formatted here
-    rest = data.decode("utf-8") if received else theirs()
-    del data
-    return "\n".join([header, *mine, rest])
+    return "\n".join([header, *_halves(table, write, table.size), ""])
 
 
 def _format_rows(table: np.ndarray, gaps: np.ndarray) -> list[str]:
@@ -305,14 +256,17 @@ def _split(n_cells: int) -> bool:
             and threading.active_count() == 1)
 
 
-@contextmanager
-def _child(send):
-    """Fork a child that writes send()'s (count, payload) to a pipe after a
-    count header, or a ParseError's message and line after a negative
-    one, and yield the pipe's read end.  The child always ends with
-    os._exit, so it runs no atexit hook and flushes no buffer of this
-    process.  The parent kills the child if the block raises, and always
-    reaps it."""
+def _halves(rows, work, n_cells: int) -> list:
+    """The list work(rows, 0) gives, for a table of n_cells cells.  Where
+    _split allows, work(rows[:mid], 0) runs here and work(rows[mid:], mid)
+    in a forked child, which replies with one pickle: (True, its list),
+    or (False, (message, line)) of its ParseError.  The child always ends
+    with os._exit, so it runs no atexit hook and flushes no buffer of
+    this process.  The parent kills the child if its own half raises,
+    and always reaps it."""
+    if not _split(n_cells):
+        return work(rows, 0)
+    mid = len(rows) // 2
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -325,54 +279,29 @@ def _child(send):
             os.close(read_fd)
             with open(write_fd, "wb") as out:
                 try:
-                    count, payload = send()
+                    reply = True, work(rows[mid:], mid)
                 except ParseError as exc:
-                    record = json.dumps([exc.message, exc.line]).encode("utf-8")
-                    out.write(_COUNT.pack(-len(record)) + record)
-                else:
-                    out.write(_COUNT.pack(count))
-                    out.write(payload)
+                    reply = False, (exc.message, exc.line)
+                pickle.dump(reply, out)
         finally:
             os._exit(0)
     os.close(write_fd)
     try:
-        with open(read_fd, "rb", buffering=0) as stream:
-            yield stream
+        with open(read_fd, "rb") as stream:
+            mine = work(rows[:mid], 0)
+            try:
+                ok, theirs = pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError):
+                # the reply is missing or cut short: the half is done here
+                ok, theirs = True, work(rows[mid:], mid)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         os.waitpid(pid, 0)
-
-
-def _receive_count(stream) -> int | None:
-    """The count the child sent, or None if it sent nothing whole; raises
-    the ParseError it sent instead."""
-    head = bytearray(_COUNT.size)
-    if not _read_into(stream, head):
-        return None
-    (count,) = _COUNT.unpack(head)
-    if count >= 0:
-        return count
-    record = bytearray(-count)
-    if not _read_into(stream, record):
-        return None
-    message, line = json.loads(record)
-    raise ParseError(message, line)
-
-
-def _read_into(stream, buffer) -> bool:
-    """Fill buffer from stream; False if the stream ends first."""
-    view = memoryview(buffer)
-    if view.nbytes == 0:
-        return True
-    view = view.cast("B")
-    while view:
-        n = stream.readinto(view)
-        if not n:
-            return False
-        view = view[n:]
-    return True
+    if not ok:
+        raise ParseError(*theirs)
+    return mine + theirs
 
 
 def complete_cases(panel: PanelData, axis: str = "series") -> PanelData:

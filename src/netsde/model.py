@@ -431,6 +431,7 @@ REQUIRED = object()  # the default of a setting that must be given
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a number",
           str: "a string", dict: "an object", list: "a list"}
+_PLURALS = {int: "integers", float: "numbers"}
 
 
 def setting(cfg: dict, path: str, kind=None, default=REQUIRED, check=None,
@@ -438,10 +439,13 @@ def setting(cfg: dict, path: str, kind=None, default=REQUIRED, check=None,
     """The setting at dotted path in cfg, or default (as it is) where it
     is absent; a null counts as absent when default is None.  kind
     converts a given value: bool takes only JSON true or false, int and
-    float go through their constructors, and str, dict and list (or tuple
-    or array) must be one already.  check is a (predicate, requirement)
-    pair it must pass, allowed the values it may take.  Each failure
-    raises ConfigFieldError naming the path; cfg is never written to."""
+    float go through their constructors but take no boolean (and int no
+    fraction), str, dict and list (or tuple or array) must be one
+    already, [k] is a list whose every entry converts as kind k, and a
+    tuple of kinds takes the first that fits.  check is a (predicate,
+    requirement) pair it must pass, allowed the values it may take.  Each
+    failure raises ConfigFieldError naming the path; cfg is never written
+    to."""
     node, parts = cfg, path.split(".")
     for depth, part in enumerate(parts):
         if not isinstance(node, dict):
@@ -454,22 +458,47 @@ def setting(cfg: dict, path: str, kind=None, default=REQUIRED, check=None,
         node = node[part]
     if node is None and default is None:
         return None
-    value, ok = node, True
-    if kind in (int, float):
-        try:
-            value = kind(node)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-    elif kind is not None:
-        ok = isinstance(node, (list, tuple, np.ndarray) if kind is list else kind)
-    if not ok:
-        raise ConfigFieldError(path, f"must be {_KINDS[kind]}, got {node!r}")
+    try:
+        value = _converted(node, kind)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigFieldError(
+            path, f"must be {_described(kind)}, got {node!r}") from None
     if check is not None and not check[0](value):
         raise ConfigFieldError(path, f"must {check[1]}, got {node!r}")
     if allowed is not None and value not in tuple(allowed):
         raise ConfigFieldError(path, "must be one of " + ", ".join(
             map(repr, allowed)) + f", got {node!r}")
     return value
+
+
+def _converted(node, kind):
+    """node as kind (see setting); TypeError or ValueError if it is not one."""
+    if isinstance(kind, tuple):
+        for option in kind:
+            try:
+                return _converted(node, option)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        raise ValueError(node)
+    if isinstance(kind, list):
+        return [_converted(entry, kind[0]) for entry in _converted(node, list)]
+    if kind in (int, float):
+        if isinstance(node, bool) or (kind is int and isinstance(node, float)
+                                      and not node.is_integer()):
+            raise ValueError(node)
+        return kind(node)
+    if kind is not None and not isinstance(
+            node, (list, tuple, np.ndarray) if kind is list else kind):
+        raise TypeError(node)
+    return node
+
+
+def _described(kind, plural=False) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(_described(option, plural) for option in kind)
+    if isinstance(kind, list):
+        return ("lists of " if plural else "a list of ") + _described(kind[0], True)
+    return _PLURALS[kind] if plural else _KINDS[kind]
 
 
 def spec_from_config(cfg: dict, at: str = "") -> NsdeSpec:
@@ -482,8 +511,8 @@ def spec_from_config(cfg: dict, at: str = "") -> NsdeSpec:
             cfg, at + "drift.with_intercepts", bool, LinearDrift.with_intercepts))
     else:
         drift = RadialDictionaryDrift(
-            offsets=tuple(setting(cfg, at + "drift.offsets", list)),
-            exponents=tuple(setting(cfg, at + "drift.exponents", list)))
+            offsets=tuple(setting(cfg, at + "drift.offsets", [float])),
+            exponents=tuple(setting(cfg, at + "drift.exponents", [float])))
     family = setting(cfg, at + "diffusion.family", str,
                      allowed=("constant_diagonal", "tanh_clipped"))
     diffusion = ConstantDiagonal() if family == "constant_diagonal" else \
@@ -494,5 +523,5 @@ def spec_from_config(cfg: dict, at: str = "") -> NsdeSpec:
 def params_from_config(cfg: dict, at: str = "") -> ParamVector:
     """The parameters of the block at `at` in cfg (as in spec_from_config)."""
     return ParamVector(
-        alpha=np.asarray(setting(cfg, at + "alpha", list), dtype=float),
-        beta=np.asarray(setting(cfg, at + "beta", list), dtype=float))
+        alpha=setting(cfg, at + "alpha", [float]),
+        beta=setting(cfg, at + "beta", [float]))

@@ -37,6 +37,7 @@ FIRST_WORK = {
     "lasso": (cli, "read_csv"),
     "bench": (experiments, "_euler"),
     "ingest": (cli, "load_panel_csv"),
+    "communities": (cli, "_communities"),
 }
 
 SHIPPED = {
@@ -73,6 +74,11 @@ def test_setting_converts_and_checks_one_value():
     assert setting({"d": None}, "d", float, None) is None
     with pytest.raises(ConfigFieldError, match="'d': must be a number, got None"):
         setting({"d": None}, "d", float, 1.0)
+    # [k] converts every entry of a list, a tuple of kinds the first that fits
+    assert setting({"v": [1, "2.5"]}, "v", [float]) == [1.0, 2.5]
+    assert setting({"v": [[0, 1.0], (2, 3)]}, "v", [[int]]) == [[0, 1], [2, 3]]
+    assert setting({"v": 4}, "v", (float, [float])) == 4.0
+    assert setting({"v": [4]}, "v", (float, [float])) == [4.0]
     # the reader never writes into the config, so its digest stays put
     assert json.dumps(cfg, sort_keys=True) == before
 
@@ -93,6 +99,16 @@ def test_setting_converts_and_checks_one_value():
      "config field 'a': must be positive, got 0"),
     ({"a": "max"}, "a", {"kind": str, "allowed": ("min", "half_se")},
      "config field 'a': must be one of 'min', 'half_se', got 'max'"),
+    ({"a": True}, "a", {"kind": int}, "config field 'a': must be an integer, got True"),
+    ({"a": 2.5}, "a", {"kind": int}, "config field 'a': must be an integer, got 2.5"),
+    ({"a": False}, "a", {"kind": float},
+     "config field 'a': must be a number, got False"),
+    ({"a": [1, "x"]}, "a", {"kind": [float]},
+     "config field 'a': must be a list of numbers, got [1, 'x']"),
+    ({"a": [[1], 2]}, "a", {"kind": [[int]]},
+     "config field 'a': must be a list of lists of integers, got [[1], 2]"),
+    ({"a": "x"}, "a", {"kind": (float, [float])},
+     "config field 'a': must be a number or a list of numbers, got 'x'"),
 ])
 def test_setting_names_a_bad_value_by_its_path(cfg, path, kwargs, message):
     with pytest.raises(ConfigFieldError) as exc:
@@ -183,6 +199,10 @@ def _edited(tmp_path, name, edits):
     return str(out)
 
 
+RADIAL = {"family": "radial_dictionary", "offsets": [1.0, 2.0],
+          "exponents": [0.0, 0.5]}
+
+
 @pytest.mark.parametrize("command,name,edits,overrides,path,message", [
     # missing
     ("simulate", "simulate_er.json", {"n": DELETE}, [], "n", "missing"),
@@ -213,6 +233,61 @@ def _edited(tmp_path, name, edits):
     ("simulate", "simulate_er.json", {}, ['model.diffusion.family="cubic"'],
      "model.diffusion.family",
      "must be one of 'constant_diagonal', 'tanh_clipped', got 'cubic'"),
+    # a boolean for a number, a fraction for an integer: at the top level,
+    # nested and through --set
+    ("bench", "recovery_polymer.json", {"n_seeds": True}, [], "n_seeds",
+     "must be an integer, got True"),
+    ("bench", "bench_error_bound_d8.json", {"n_reps": 2.7}, [], "n_reps",
+     "must be an integer, got 2.7"),
+    ("simulate", "simulate_er.json", {"delta": True}, [], "delta",
+     "must be a number, got True"),
+    ("bench", "recovery_polymer.json", {"penalty.n_points": 2.5}, [],
+     "penalty.n_points", "must be an integer, got 2.5"),
+    ("simulate", "simulate_er.json", {"model.diffusion.clip": True}, [],
+     "model.diffusion.clip", "must be a number, got True"),
+    ("bench", "recovery_er.json", {}, ["n_seeds=true"], "n_seeds",
+     "must be an integer, got True"),
+    ("simulate", "simulate_er.json", {}, ["n=2.5"], "n",
+     "must be an integer, got 2.5"),
+    ("lasso", "lasso_er.json", {}, ["penalty.fraction=true"], "penalty.fraction",
+     "must be a number, got True"),
+    # a bad entry of a list setting
+    ("graph-gen", "graph_er.json", {"graph": {"kind": "edges", "d": 3,
+                                              "edges": [1, 2]}}, [],
+     "graph.edges", "must be a list of lists of integers, got [1, 2]"),
+    ("graph-gen", "graph_er.json", {"graph": {"kind": "edges", "d": 3,
+                                              "edges": [[0, 1, 2]]}}, [],
+     "graph.edges", "must hold [child, parent] pairs, got [[0, 1, 2]]"),
+    ("graph-gen", "graph_er.json", {"graph": {
+        "kind": "polymer", "d": 4, "double_link_positions": [0.5]}}, [],
+     "graph.double_link_positions", "must be a list of integers, got [0.5]"),
+    ("bench", "recovery_sbm.json", {"graph.block_sizes": [4, 11.5, 6]}, [],
+     "graph.block_sizes", "must be a list of integers, got [4, 11.5, 6]"),
+    ("bench", "bench_error_bound_d8.json", {"horizons": ["ten"]}, [],
+     "horizons", "must be a list of numbers, got ['ten']"),
+    ("bench", "bench_error_bound_d8.json", {"reference.bound": [3.6, None]}, [],
+     "reference.bound", "must be a list of numbers, got [3.6, None]"),
+    ("bench", "recovery_polymer.json", {"x0": [0, 0, "a"]}, [],
+     "x0", "must be a list of numbers, got [0, 0, 'a']"),
+    ("bench", "recovery_polymer.json", {"mean_reversion": [10.0, "fast"]}, [],
+     "mean_reversion",
+     "must be a number or a list of numbers, got [10.0, 'fast']"),
+    ("bench", "recovery_polymer.json", {"noise_scale": [2.0, 2.0]}, [],
+     "noise_scale", "must have 12 entries, got [2.0, 2.0]"),
+    ("simulate", "simulate_er.json", {"params.alpha": [2, [2]]}, [],
+     "params.alpha", "must be a list of numbers, got [2, [2]]"),
+    ("simulate", "simulate_er.json", {"params.beta": [7, None]}, [],
+     "params.beta", "must be a list of numbers, got [7, None]"),
+    ("simulate", "simulate_er.json",
+     {"model.drift": {**RADIAL, "offsets": [1.0, "near"]}}, [],
+     "model.drift.offsets", "must be a list of numbers, got [1.0, 'near']"),
+    ("simulate", "simulate_er.json",
+     {"model.drift": {**RADIAL, "exponents": [0.0, True]}}, [],
+     "model.drift.exponents", "must be a list of numbers, got [0.0, True]"),
+    ("communities", "graph_er.json", {"adjacency": [[0, 1], [1, "a"]]}, [],
+     "adjacency", "must be a list of lists of numbers, got [[0, 1], [1, 'a']]"),
+    ("communities", "graph_er.json", {"true_labels": ["a", "b"]}, [],
+     "true_labels", "must be a list of numbers, got ['a', 'b']"),
 ])
 def test_a_bad_setting_exits_2_naming_its_path(
         tmp_path, monkeypatch, capsys, command, name, edits, overrides, path,

@@ -1,4 +1,5 @@
 import os
+import pickle
 import threading
 
 import numpy as np
@@ -390,3 +391,43 @@ def test_codec_stays_in_process_beside_a_thread(monkeypatch):
         worker.join()
     assert text == ("t,a,b\n0.0,1.0,2.0\n1.0,2.0,3.0\n2.0,3.0,4.0\n"
                     "3.0,4.0,5.0\n4.0,5.0,6.0\n")
+
+
+@pytest.mark.parametrize("keep", [lambda n: 1, lambda n: n // 2, lambda n: n - 1],
+                         ids=["first byte", "half", "all but the last byte"])
+def test_split_redoes_a_reply_cut_short(monkeypatch, keep):
+    # the child writes part of its pickle and exits; the parent does its
+    # half again, to the result of one process
+    parent = os.getpid()
+    dump = pickle.dump
+
+    def dump_part(obj, file):
+        if os.getpid() == parent:
+            return dump(obj, file)
+        data = pickle.dumps(obj)
+        file.write(data[:keep(len(data))])
+        file.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(pickle, "dump", dump_part)
+    panel = in_two_processes(parse_panel_csv, SPLIT_TEXT)
+    assert same_panel(panel, in_one_process(parse_panel_csv, SPLIT_TEXT))
+    assert in_two_processes(panel_to_csv, panel) \
+        == in_one_process(panel_to_csv, panel)
+    assert_no_child()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="lists open descriptors through /proc")
+@pytest.mark.parametrize("text", [
+    SPLIT_TEXT,                                   # success
+    SPLIT_TEXT.replace("3,4,5", "3,4,?"),         # the child's half raises
+    SPLIT_TEXT.replace("1,2,3", "1,?,3"),         # the parent's half raises
+])
+def test_split_parse_leaves_no_pipe_open(text):
+    before = sorted(os.listdir("/proc/self/fd"))
+    try:
+        in_two_processes(parse_panel_csv, text)
+    except ParseError:
+        pass
+    assert sorted(os.listdir("/proc/self/fd")) == before

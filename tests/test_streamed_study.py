@@ -497,6 +497,8 @@ def test_recovery_study_stores_no_paths():
     ({"horizon": 0.01, "penalty": {"rule": "half_se", "holdout": 0.5}},
      StudyError, "holdout leaves no data"),
     ({"refit": "yes"}, ConfigFieldError, "'refit': must be true or false"),
+    # no seed once ran, to a summary of NaN means
+    ({"n_seeds": 0}, ConfigFieldError, "'n_seeds': must be positive, got 0"),
 ])
 def test_recovery_study_checks_every_setting_before_simulating(
         monkeypatch, overrides, error, match):
