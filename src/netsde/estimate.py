@@ -416,11 +416,11 @@ class CurvatureBlocks:
 
     Coordinates of different blocks share no curvature.  The information
     of a fit has one block per node (alpha_j, its momentum and its own
-    drift parameters); netsde.lasso takes a dense matrix as one block.
-    Blocks of equal size m
-    form one group (index, blocks): blocks (nb, m, m) stacks their
-    submatrices and index (nb, m) their flat coordinates in ascending
-    order, so netsde.lasso solves a whole group in one batched step.
+    drift parameters); netsde.lasso.psd_project turns a dense matrix into
+    one block.  Blocks of equal size m form one group (index, blocks):
+    blocks (nb, m, m) stacks their submatrices and index (nb, m) their
+    flat coordinates in ascending order, so netsde.lasso solves a whole
+    group in one batched step.
     """
 
     p: int
@@ -450,45 +450,40 @@ class CurvatureBlocks:
         return out
 
 
-def _node_terms(mom: NodeMoments, j: int, c: np.ndarray, delta: float):
-    """Node j's Gram and cross sums over every chunk, G c and its residual
-    sum of squares Q = sq - 2 delta c'cross + delta^2 c'G c at coefficients c."""
-    gram = mom.gram[j].sum(axis=0)
-    cross = mom.cross[j].sum(axis=0)
-    gc = gram @ c
-    quad = mom.sq[:, j].sum() - delta * (2.0 * (c @ cross) - delta * (c @ gc))
-    return gram, cross, gc, quad
-
-
-def _gradient(mom: NodeMoments, flat: np.ndarray, delta: float) -> np.ndarray:
-    """Gradient of the contrast at flat: -Q / (delta alpha^3) + n / alpha on
-    alpha_j and (delta G c - cross) / alpha^2 on node j's drift slots."""
-    n = mom.count.sum()
-    grad = np.zeros(flat.shape[0])
+def _node_terms(mom: NodeMoments, flat: np.ndarray, delta: float) -> list:
+    """Per node j, at its coefficients c = flat[slots[j]]: its Gram and
+    cross sums over every chunk, G c and its residual sum of squares
+    Q = sq - 2 delta c'cross + delta^2 c'G c."""
+    terms = []
     for j, sl in enumerate(mom.slots):
-        _gram, cross, gc, quad = _node_terms(mom, j, flat[sl], delta)
-        alpha = flat[j]
-        grad[j] = -quad / (delta * alpha ** 3) + n / alpha
-        grad[sl] = (delta * gc - cross) / (alpha * alpha)
-    return grad
+        c = flat[sl]
+        gram = mom.gram[j].sum(axis=0)
+        cross = mom.cross[j].sum(axis=0)
+        gc = gram @ c
+        quad = mom.sq[:, j].sum() - delta * (2.0 * (c @ cross) - delta * (c @ gc))
+        terms.append((gram, cross, gc, quad))
+    return terms
 
 
-def _information(mom: NodeMoments, flat: np.ndarray, delta: float,
-                 p: int) -> CurvatureBlocks:
-    """Observed information of the contrast at flat, one block per node.
+def _derivatives(mom: NodeMoments, flat: np.ndarray, delta: float, terms):
+    """Gradient and observed information (CurvatureBlocks, one block per
+    node) of the contrast at flat, read off terms, the _node_terms at flat.
 
-    Node j's block covers alpha_j and its drift slots: with Q the residual
-    sum of squares (see _node_terms), the alpha entry is
-    3 Q / (delta alpha^4) - n / alpha^2, the cross terms are
-    2 (cross - delta gram c) / alpha^3 and the drift part is
-    delta gram / alpha^2.
+    With Q node j's residual sum of squares, the gradient is
+    -Q / (delta alpha^3) + n / alpha on alpha_j and
+    (delta G c - cross) / alpha^2 on node j's drift slots.  Node j's
+    information block covers alpha_j and its drift slots: the alpha entry
+    is 3 Q / (delta alpha^4) - n / alpha^2, the cross terms are
+    2 (cross - delta G c) / alpha^3 and the drift part is delta G / alpha^2.
     """
     n = mom.count.sum()
+    grad = np.zeros(flat.shape[0])
     members, blocks = [], []
-    for j, sl in enumerate(mom.slots):
-        gram, cross, gc, quad = _node_terms(mom, j, flat[sl], delta)
+    for j, (sl, (gram, cross, gc, quad)) in enumerate(zip(mom.slots, terms)):
         alpha = flat[j]
         a2 = alpha * alpha
+        grad[j] = -quad / (delta * alpha ** 3) + n / alpha
+        grad[sl] = (delta * gc - cross) / a2
         order = np.argsort(sl)
         blk = np.empty((sl.shape[0] + 1,) * 2)
         blk[0, 0] = 3.0 * quad / (delta * a2 * a2) - n / a2
@@ -497,21 +492,23 @@ def _information(mom: NodeMoments, flat: np.ndarray, delta: float,
         blk[1:, 1:] = (delta / a2) * gram[np.ix_(order, order)]
         members.append(np.concatenate([[j], sl[order]]))
         blocks.append(blk)
-    return CurvatureBlocks.from_blocks(p, members, blocks)
+    return grad, CurvatureBlocks.from_blocks(flat.shape[0], members, blocks)
 
 
 def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
                   theta: ParamVector) -> np.ndarray:
     """Analytic Hessian of quasi_loglik at theta, as a dense matrix: the
-    path's _information blocks at theta (one per node, over its diffusion
-    scale and drift parameters) laid out dense.  theta follows the layout
-    of g; a pilot fitted with augmented=True is on complete_graph(d)."""
+    path's information blocks at theta (_derivatives; one per node, over
+    its diffusion scale and drift parameters) laid out dense.  theta
+    follows the layout of g; a pilot fitted with augmented=True is on
+    complete_graph(d)."""
     layout = parameter_layout(spec, g)
     flat = layout.flatten(theta)  # checks the blocks against the layout
     if np.any(theta.alpha <= 0):
         raise DegenerateDiffusionError("diffusion scales must be strictly positive")
     mom = _path_moments(spec, layout, path.data)
-    return _information(mom, flat, path.delta, layout.pi_total).dense()
+    return _derivatives(mom, flat, path.delta,
+                        _node_terms(mom, flat, path.delta))[1].dense()
 
 
 # ---------------------------------------------------------------------------
@@ -775,9 +772,10 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
         flat = _active_set(hb, flat, np.zeros_like(flat), lo, hi,
                            np.clip(flat, lo, hi))
     scales = slice(0, layout.pi_alpha)
+    # the drift coefficients are final, so their terms serve the scales too
+    terms = _node_terms(mom, flat, delta)
     if joint:
-        quad = np.array([_node_terms(mom, j, flat[sl], delta)[3]
-                         for j, sl in enumerate(mom.slots)])
+        quad = np.array([t[3] for t in terms])
         # a drift that fits node j's increments exactly leaves Q_j at
         # rounding noise, below zero even, and no scale can be read off it
         for j in np.flatnonzero(quad <= 1e-10 * mom.sq.sum(axis=0)):
@@ -791,11 +789,11 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
     optimized = np.zeros(layout.pi_total, dtype=bool)
     optimized[np.concatenate(members)] = True
     optimized[scales] = joint
-    pg = _projected_grad(_gradient(mom, flat, delta), flat, lo, hi)
+    grad, info = _derivatives(mom, flat, delta, terms)
+    pg = _projected_grad(grad, flat, lo, hi)
     converged = bool(np.max(np.abs(pg[optimized])) < 1e-8 * (1.0 + abs(contrast)))
     return FitResult(theta_hat=layout.unflatten(flat), contrast_value=contrast,
-                     info_blocks=_information(mom, flat, delta,
-                                              layout.pi_total),
+                     info_blocks=info,
                      rate_diag=rate_diagonal(layout, n, delta),
                      converged=converged, layout=layout,
                      n=n, delta=delta, gram_cond=conds,

@@ -443,7 +443,7 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
     one penalty fraction * lambda_max.  The penalty settings are checked
     first (_penalty), then the path is folded once on the complete graph,
     cut as _chunk_sizes says, and _select reads the rest off its moments.
-    The path's adjacency holds the estimate at every penalty level.
+    The path's adjacency (K, d, d) holds the estimate at every grid point.
     Returns (a_hat, selected_lambda, lasso_path, pilot_fit, moments):
     moments are the path's NodeMoments on the pilot's layout, which
     two_step_refit reads the refit off.
@@ -460,22 +460,18 @@ def _select(mom: NodeMoments, layout: ParamLayout, delta: float, pen: dict):
     validation curve scores each candidate on the other chunks."""
     pilot = _closed_form_fit(mom.chunk(0), layout, delta, layout.with_intercepts)
     h = psd_project(pilot.info_blocks)
-    gamma = adaptive_weights(pilot.theta_hat, pen["weight_exponent"],
+    gamma = adaptive_weights(pilot, pen["weight_exponent"],
                              penalize_momentum=pen["penalize_momentum"])
     if pen["rule"] == "fixed_fraction":
         lpath = lambda_path(h, pilot.theta_hat, gamma, fractions=[pen["fraction"]])
-        pick, lam = 0, float(lpath.lambdas[0])
+        pick = 0
     else:
         lpath = lambda_path(h, pilot.theta_hat, gamma,
                             n_points=pen["n_points"],
                             min_fraction=pen["min_fraction"])
         lpath.validation_loss, lpath.validation_se = _validation_curve(
-            mom.chunk(slice(1, None)),
-            np.stack([layout.flatten(theta) for theta in lpath.coefficients]),
-            delta)
-        lam = select_lambda(lpath, rule=pen["rule"])
-        # min and half_se both pick a grid point
-        pick = int(np.flatnonzero(lpath.lambdas == lam)[0])
+            mom.chunk(slice(1, None)), lpath.coefficients, delta)
+        pick = select_lambda(lpath, rule=pen["rule"])
         loss, se = lpath.validation_loss, lpath.validation_se
         best = int(np.argmin(loss))
         if pick == 0 and best > 0:
@@ -483,9 +479,8 @@ def _select(mom: NodeMoments, layout: ParamLayout, delta: float, pen: dict):
                 f"half_se selected lambda_max, the empty graph: its held-out loss "
                 f"{loss[0]:.6g} is within half a standard error ({se[best]:.3g}) "
                 f"of the minimum {loss[best]:.6g} at lam={lpath.lambdas[best]:.6g}")
-    lpath.adjacency = [estimate_adjacency(layout, theta)
-                       for theta in lpath.coefficients]
-    return lpath.adjacency[pick], lam, lpath, pilot
+    lpath.adjacency = estimate_adjacency(layout, lpath.coefficients)
+    return lpath.adjacency[pick], float(lpath.lambdas[pick]), lpath, pilot
 
 
 def _edge_scores(a_true: np.ndarray, a_hat: np.ndarray) -> dict:

@@ -17,13 +17,15 @@ complete graph's that the selection already holds (two_step_refit).
 
 The contrast separates by node, so H is block diagonal: node j's block
 couples only alpha_j, its momentum and its own drift weights.  The pilot
-fit hands H over as netsde.estimate.CurvatureBlocks; a dense H is taken
-as one block.  On a block, F is piecewise quadratic and its minimizer is
-exact once the free coordinates and their signs are known, so one primal
-active-set solver, batched over the blocks of a size, serves lsa_solve,
-lambda_max and the cold start.  The validation curve builds the held-out
-tail's per-node moments once and scores each candidate as a quadratic
-form in its coefficients.
+fit hands H over as netsde.estimate.CurvatureBlocks, the one format the
+solvers take (psd_project takes a dense matrix as one block).  On a
+block, F is piecewise quadratic and its minimizer is exact once the free
+coordinates and their signs are known, so one primal active-set solver,
+batched over the blocks of a size, serves lsa_solve, lambda_max and the
+cold start.  A path is arrays of flat solutions and adjacency estimates,
+and select_lambda picks a grid index.  The validation curve builds the
+held-out tail's per-node moments once and scores each candidate as a
+quadratic form in its coefficients.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ from .estimate import (CurvatureBlocks, FitResult, InsufficientDataError,
                        NodeMoments, _chunk_contrast, _closed_form_fit,
                        _path_moments)
 from .graph import DirectedGraph, build_graph
-from .model import (NsdeSpec, ParamLayout, ParamVector, default_bounds,
-                    parameter_layout)
+from .model import (LayoutMismatchError, NsdeSpec, ParamLayout, ParamVector,
+                    default_bounds, parameter_layout)
 from .simulate import SamplePath
 
 logger = logging.getLogger(__name__)
@@ -72,39 +74,33 @@ PILOT_FLOOR = 1e-12
 # weights
 
 
-def adaptive_weights(pilot: ParamVector, exponent: float = 1.0,
+def adaptive_weights(pilot: FitResult, exponent: float = 1.0,
                      penalize_momentum: bool = False) -> np.ndarray:
     """Adaptive weights gamma_k = min(|pilot_k|^-exponent, DEFAULT_WEIGHT_CAP)
-    over the flat parameter vector.
+    on the penalized slots of the pilot fit's layout, 0 elsewhere.
 
-    The diffusion scales carry no penalty, and neither do the momentum
-    entries (the leading d coordinates of the beta block) unless
-    penalize_momentum is set.  Pilot magnitudes below PILOT_FLOOR get the
-    cap weight.
+    The network coefficients are penalized, and the momentum entries too
+    when penalize_momentum is set; the diffusion scales and the intercepts
+    never are.  Pilot magnitudes below PILOT_FLOOR get the cap weight.
     """
-    mag = np.abs(pilot.flat())
+    layout = pilot.layout
+    mag = np.abs(layout.flatten(pilot.theta_hat))
     gamma = np.full(mag.shape, DEFAULT_WEIGHT_CAP)
     ok = mag >= PILOT_FLOOR
     gamma[ok] = np.minimum(mag[ok] ** (-exponent), DEFAULT_WEIGHT_CAP)
-    d = pilot.alpha.shape[0]
-    gamma[:d if penalize_momentum else 2 * d] = 0.0
+    pen = np.zeros(mag.shape, dtype=bool)
+    pen[layout.coef_slots[layout.coef_slots >= 0]] = True
+    pen[layout.pi_alpha:layout.pi_alpha + layout.d] = penalize_momentum
+    gamma[~pen] = 0.0
     return gamma
 
 
-# ---------------------------------------------------------------------------
-# curvature blocks
-
-
-def curvature_blocks(h) -> CurvatureBlocks:
-    """Block form of the curvature: CurvatureBlocks are returned as given and
-    a dense square matrix is one block."""
-    if isinstance(h, CurvatureBlocks):
-        return h
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise LassoError(f"curvature matrix must be square, got shape {h.shape}")
-    p = h.shape[0]
-    return CurvatureBlocks.from_blocks(p, [np.arange(p)], [h])
+def _blocks(h) -> CurvatureBlocks:
+    """h, which the solvers take as CurvatureBlocks only."""
+    if not isinstance(h, CurvatureBlocks):
+        raise LassoError(f"curvature must be CurvatureBlocks, not {type(h).__name__}; "
+                         "psd_project turns a dense matrix into blocks")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +130,11 @@ def kkt_residual(h, pilot: ParamVector, theta: ParamVector,
                  lam: float, gamma: np.ndarray, bounds=None) -> float:
     """Worst violation of the stationarity conditions of the surrogate problem.
 
-    h is CurvatureBlocks or a dense matrix, and gamma the flat weights.
+    h is CurvatureBlocks, and gamma the flat weights.
     """
     lo, hi = _box(pilot, bounds)
     x = theta.flat()
-    z = curvature_blocks(h).matvec(x - pilot.flat())
+    z = _blocks(h).matvec(x - pilot.flat())
     up, down = _descent_rates(z, x, lam * gamma, lo, hi)
     return float(np.max(np.maximum(up, down), initial=0.0))
 
@@ -233,22 +229,23 @@ def lsa_solve(h, pilot: ParamVector, lam: float, gamma: np.ndarray,
               bounds=None, warm: ParamVector | None = None) -> ParamVector:
     """Minimize the penalized quadratic surrogate over the box.
 
-    h is CurvatureBlocks or a dense matrix (one block), and gamma the flat
-    weights of adaptive_weights.  A primal active-set method finds each
-    block's free set and signs, on which the solution is exact: H_FF x_F =
-    H_FF pilot_F - H_FN (x_N - pilot_N) - lam gamma_F s_F, one batched
-    solve per block size and pass.  It starts from warm (clipped to the
-    box) or, cold, from lambda_max's restricted solution.  The result is
-    certified: ConvergenceError is raised unless its stationarity residual
-    is at most 1e-8 * (1 + lam), and also when a fixed bound of passes
-    runs out.  A negative curvature diagonal or a singular free set raises
-    NonPSDError, and a negative or non-finite lam raises LassoError.
+    h is CurvatureBlocks (a dense matrix raises LassoError: see
+    psd_project), and gamma the flat weights of adaptive_weights.  A primal
+    active-set method finds each block's free set and signs, on which the
+    solution is exact: H_FF x_F = H_FF pilot_F - H_FN (x_N - pilot_N) -
+    lam gamma_F s_F, one batched solve per block size and pass.  It starts
+    from warm (clipped to the box) or, cold, from lambda_max's restricted
+    solution.  The result is certified: ConvergenceError is raised unless
+    its stationarity residual is at most 1e-8 * (1 + lam), and also when a
+    fixed bound of passes runs out.  A negative curvature diagonal or a
+    singular free set raises NonPSDError, and a negative or non-finite lam
+    raises LassoError.
     """
-    hb = curvature_blocks(h)
+    _blocks(h)
     pilot_flat = pilot.flat()
     p = pilot_flat.shape[0]
-    if hb.p != p:
-        raise LassoError(f"curvature matrix has shape ({hb.p}, {hb.p}), "
+    if h.p != p:
+        raise LassoError(f"curvature matrix has shape ({h.p}, {h.p}), "
                          f"expected ({p}, {p})")
     if not 0.0 <= lam < np.inf:  # NaN fails every comparison
         raise LassoError(f"penalty level must be finite and non-negative, got {lam}")
@@ -257,10 +254,10 @@ def lsa_solve(h, pilot: ParamVector, lam: float, gamma: np.ndarray,
         raise LassoError("weights do not match the parameter vector")
     lo, hi = _box(pilot, bounds)
     start = (warm.flat() if warm is not None
-             else _restricted(hb, pilot_flat, gamma, lo, hi))
-    x = _active_set(hb, pilot_flat, lam * gamma, lo, hi, np.clip(start, lo, hi))
+             else _restricted(h, pilot_flat, gamma, lo, hi))
+    x = _active_set(h, pilot_flat, lam * gamma, lo, hi, np.clip(start, lo, hi))
     theta = _split_like(pilot, x)
-    resid = kkt_residual(hb, pilot, theta, lam, gamma, bounds=(lo, hi))
+    resid = kkt_residual(h, pilot, theta, lam, gamma, bounds=(lo, hi))
     if resid > 1e-8 * (1.0 + lam):
         raise ConvergenceError(
             f"active-set solve failed its certificate: stationarity residual "
@@ -274,16 +271,21 @@ _PSD_REL_FLOOR = 1e-10
 def psd_project(h) -> CurvatureBlocks:
     """Clip eigenvalues from below at 1e-10 * largest eigenvalue.
 
-    The eigenvalues are those of the blocks (see CurvatureBlocks; a dense h
-    is one block), which together are the spectrum of the whole matrix;
-    blocks already at or above the floor are returned symmetrized but
-    otherwise unchanged.  An indefinite or rank-deficient matrix is
-    repaired with a warning, since downstream solves assume positive
-    curvature.  The result is CurvatureBlocks with h's blocks.
+    The eigenvalues are those of the blocks (see CurvatureBlocks), which
+    together are the spectrum of the whole matrix; blocks already at or
+    above the floor are returned symmetrized but otherwise unchanged.  An
+    indefinite or rank-deficient matrix is repaired with a warning, since
+    downstream solves assume positive curvature.  h is CurvatureBlocks or
+    a dense square matrix, taken as one block; the result is
+    CurvatureBlocks with h's blocks, the format the solvers take.
     """
-    hb = curvature_blocks(h)
+    if not isinstance(h, CurvatureBlocks):
+        h = np.asarray(h, dtype=float)
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise LassoError(f"curvature matrix must be square, got shape {h.shape}")
+        h = CurvatureBlocks.from_blocks(h.shape[0], [np.arange(h.shape[0])], [h])
     groups = [(idx, 0.5 * (blocks + blocks.transpose(0, 2, 1)))
-              for idx, blocks in hb.groups]
+              for idx, blocks in h.groups]
     vals = [np.linalg.eigvalsh(blocks) for _, blocks in groups]
     top = max((v[:, -1].max() for v in vals), default=0.0)
     bottom = min((v[:, 0].min() for v in vals), default=np.inf)
@@ -300,7 +302,7 @@ def psd_project(h) -> CurvatureBlocks:
                 w, vecs = np.linalg.eigh(blocks[low])
                 blocks[low] = ((vecs * np.maximum(w, floor)[:, None, :])
                                @ vecs.transpose(0, 2, 1))
-    return CurvatureBlocks(p=hb.p, groups=tuple(groups))
+    return CurvatureBlocks(p=h.p, groups=tuple(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +322,13 @@ def lambda_max(h, pilot: ParamVector, gamma: np.ndarray,
     coordinate at exactly zero.  A cold lsa_solve starts from theta_star.
     h and gamma are as in lsa_solve.
     """
-    hb = curvature_blocks(h)
+    _blocks(h)
     pilot_flat = pilot.flat()
     pen = gamma > 0
     if not np.any(pen):
         raise ZeroWeightError("no penalized coordinates")
-    star = _restricted(hb, pilot_flat, gamma, *_box(pilot, bounds))
-    z = hb.matvec(star - pilot_flat)
+    star = _restricted(h, pilot_flat, gamma, *_box(pilot, bounds))
+    z = h.matvec(star - pilot_flat)
     return float(np.max(np.abs(z[pen]) / gamma[pen]))
 
 
@@ -336,13 +338,14 @@ def lambda_max(h, pilot: ParamVector, gamma: np.ndarray,
 
 @dataclass
 class LassoPath:
-    """Solutions of the surrogate problem along a decreasing penalty grid."""
+    """Solutions of the surrogate problem along a decreasing penalty grid,
+    as arrays over the K grid points."""
 
     lambdas: np.ndarray
-    coefficients: list[ParamVector]
+    coefficients: np.ndarray  # (K, p): the flat solution at each lambda
     active_counts: np.ndarray
     lambda_max: float
-    adjacency: list[np.ndarray] | None = None  # filled by select_graph
+    adjacency: np.ndarray | None = None  # (K, d, d), filled by select_graph
     validation_loss: np.ndarray | None = None
     validation_se: np.ndarray | None = None
     notes: list[str] = field(default_factory=list)
@@ -363,22 +366,18 @@ def lambda_path(h, pilot: ParamVector, gamma: np.ndarray,
     decreases; violations are logged, not raised.  h and gamma are as in
     lsa_solve.
     """
-    h = curvature_blocks(h)
     lam_top = lambda_max(h, pilot, gamma, bounds=bounds)
     if fractions is None:
         grid = np.geomspace(lam_top, lam_top * min_fraction, n_points)
     else:
         grid = lam_top * np.sort(np.asarray(fractions, dtype=float))[::-1]
-    pen = gamma > 0
-    coefficients = []
-    counts = np.empty(grid.shape[0], dtype=int)
-    notes: list[str] = []
+    coefficients = np.empty((grid.shape[0], pilot.pi_total))
     warm = None
     for idx, lam in enumerate(grid):
-        sol = lsa_solve(h, pilot, float(lam), gamma, bounds=bounds, warm=warm)
-        warm = sol
-        coefficients.append(sol)
-        counts[idx] = int(np.count_nonzero(sol.flat()[pen]))
+        warm = lsa_solve(h, pilot, float(lam), gamma, bounds=bounds, warm=warm)
+        coefficients[idx] = warm.flat()
+    counts = np.count_nonzero(coefficients[:, gamma > 0], axis=1)
+    notes: list[str] = []
     for idx in range(1, grid.shape[0]):
         if counts[idx] < counts[idx - 1]:
             msg = (f"active count dropped from {counts[idx - 1]} to {counts[idx]} "
@@ -423,13 +422,15 @@ def _validation_curve(mom: NodeMoments, flats: np.ndarray, delta: float):
 
 
 def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-                    theta_per_lambda, fraction: float = 0.3):
+                    flats: np.ndarray, fraction: float = 0.3):
     """Per-increment contrast of each candidate on the held-out tail.
 
-    The tail is the trailing `fraction` of the increments, cut into 10
-    contiguous sub-blocks.  Returns (loss, se) arrays over the candidate
-    list: loss is the mean over the tail and se the standard error of that
-    mean across the sub-blocks.
+    flats (K, p) holds one flat parameter vector of g's layout per
+    candidate, as LassoPath.coefficients does.  The tail is the trailing
+    `fraction` of the increments, cut into 10 contiguous sub-blocks.
+    Returns (loss, se) arrays over the candidates: loss is the mean over
+    the tail and se the standard error of that mean across the
+    sub-blocks.
 
     The tail's per-node moments are built once (see
     netsde.estimate.NodeMoments); each candidate's block loss is then a
@@ -440,18 +441,21 @@ def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
         raise InsufficientDataError("validation needs at least two increments")
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    if len(theta_per_lambda) == 0:
+    flats = np.asarray(flats, dtype=float)
+    if flats.shape[0] == 0:
         return np.empty(0), np.zeros(0)
-    sizes = _holdout_sizes(n, fraction)
     layout = parameter_layout(spec, g)
+    if flats.shape[1:] != (layout.pi_total,):
+        raise LayoutMismatchError(
+            f"candidates of shape {flats.shape} for {layout.pi_total} slots")
+    sizes = _holdout_sizes(n, fraction)
     mom = _path_moments(spec, layout, path_data.data[n - sum(sizes):], sizes)
-    return _validation_curve(
-        mom, np.stack([layout.flatten(theta) for theta in theta_per_lambda]),
-        path_data.delta)
+    return _validation_curve(mom, flats, path_data.delta)
 
 
-def select_lambda(path: LassoPath, rule: str = "half_se") -> float:
-    """Pick a penalty level from a solved path's validation curve.
+def select_lambda(path: LassoPath, rule: str = "half_se") -> int:
+    """Index of the grid point a rule picks off a solved path's validation
+    curve.
 
     Rules: "min" takes the validation-loss minimizer; "half_se" takes the
     largest penalty whose loss stays within half a standard error of the
@@ -465,14 +469,14 @@ def select_lambda(path: LassoPath, rule: str = "half_se") -> float:
     loss = np.asarray(path.validation_loss, dtype=float)
     best = int(np.argmin(loss))
     if rule == "min":
-        return float(path.lambdas[best])
+        return best
     if rule == "half_se":
         se = np.zeros_like(loss) if path.validation_se is None else path.validation_se
         cutoff = loss[best] + 0.5 * se[best]
         for idx in range(loss.shape[0]):  # lambdas are decreasing
             if loss[idx] <= cutoff:
-                return float(path.lambdas[idx])
-        return float(path.lambdas[best])
+                return idx
+        return best
     raise ValueError(f"unknown selection rule {rule!r}")
 
 
@@ -480,13 +484,17 @@ def select_lambda(path: LassoPath, rule: str = "half_se") -> float:
 # adjacency and refit
 
 
-def estimate_adjacency(layout: ParamLayout, theta: ParamVector) -> np.ndarray:
-    """0/1 adjacency of theta's network block: entry (i, j) is 1 iff the
+def estimate_adjacency(layout: ParamLayout, flats: np.ndarray) -> np.ndarray:
+    """0/1 adjacency of each flat parameter vector of layout in flats
+    (shape (..., p)), shape (..., d, d): entry (i, j) is 1 iff the
     coefficient of x_j in node i's drift is nonzero at some dictionary
     level."""
+    flats = np.asarray(flats, dtype=float)
+    if flats.shape[-1:] != (layout.pi_total,):
+        raise LayoutMismatchError(
+            f"vectors of shape {flats.shape} for {layout.pi_total} slots")
     slots = layout.coef_slots
-    flat = layout.flatten(theta)
-    return ((slots >= 0) & (np.abs(flat[slots]) > 0.0)).any(axis=0).astype(int)
+    return ((slots >= 0) & (np.abs(flats[..., slots]) > 0.0)).any(axis=-3).astype(int)
 
 
 def graph_from_adjacency(a_hat: np.ndarray) -> DirectedGraph:
@@ -518,12 +526,10 @@ def two_step_refit(spec: NsdeSpec, a_hat: np.ndarray, mom: NodeMoments,
 def lasso_path_to_csv(path: LassoPath, coord_names) -> str:
     """Rows 'lambda,coef_name,value' for every grid point and coordinate."""
     names = list(coord_names)
+    if path.coefficients.shape[1] != len(names):
+        raise LassoError("coordinate names do not match the path")
     lines = ["lambda,coef_name,value"]
-    for lam, theta in zip(path.lambdas, path.coefficients):
-        flat = theta.flat()
-        if flat.shape[0] != len(names):
-            raise LassoError("coordinate names do not match the path")
-        head = f"{float(lam)!r},"
-        lines.extend(f"{head}{name},{value!r}"
-                     for name, value in zip(names, flat.tolist()))
+    for lam, row in zip(path.lambdas.tolist(), path.coefficients.tolist()):
+        head = f"{lam!r},"
+        lines.extend(f"{head}{name},{value!r}" for name, value in zip(names, row))
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from netsde.estimate import fit_adaptive_closed_form
+from netsde.estimate import CurvatureBlocks, fit_adaptive_closed_form
 from netsde.experiments import _study_spec, _study_truth, study_graph
 from netsde.graph import DirectedGraph, build_graph, complete_graph
 from netsde.lasso import (adaptive_weights, estimate_adjacency,
@@ -21,6 +21,25 @@ from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
                           NsdeSpec, ParamLayout, ParamVector, diffusion_shape,
                           parameter_layout, path_drift_fn)
 from netsde.simulate import SamplePath, derive_seeds, simulate_ensemble
+
+
+def one_block(h) -> CurvatureBlocks:
+    """A dense square matrix as one curvature block, as it is: psd_project
+    would symmetrize it and clip its eigenvalues."""
+    h = np.asarray(h, dtype=float)
+    return CurvatureBlocks.from_blocks(h.shape[0], [np.arange(h.shape[0])], [h])
+
+
+def flat_weights(theta: ParamVector, n_free: int, exponent: float = 1.0) -> np.ndarray:
+    """Adaptive weights of a bare parameter vector, with no layout to read:
+    0 on its first n_free flat slots and min(|theta_k|^-exponent, 1e12) on
+    the rest (1e12 below a magnitude of 1e-12)."""
+    mag = np.abs(theta.flat())
+    gamma = np.full(mag.shape, 1e12)
+    ok = mag >= 1e-12
+    gamma[ok] = np.minimum(mag[ok] ** (-exponent), 1e12)
+    gamma[:n_free] = 0.0
+    return gamma
 
 
 def numerical_hessian(fn, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
@@ -333,20 +352,20 @@ def select_by_paths(path, spec: NsdeSpec, penalty: dict):
         head = SamplePath(delta=path.delta, data=path.data[:path.n - n_tail + 1])
     pilot = fit_adaptive_closed_form(head, spec, g_full, augmented=True)
     h = psd_project(pilot.info_blocks)
-    gamma = adaptive_weights(pilot.theta_hat, penalty.get("weight_exponent", 1.0))
+    gamma = adaptive_weights(pilot, penalty.get("weight_exponent", 1.0))
     if rule == "fixed_fraction":
         lpath = lambda_path(h, pilot.theta_hat, gamma,
                             fractions=[penalty["fraction"]])
-        lam = float(lpath.lambdas[0])
+        pick = 0
     else:
         lpath = lambda_path(h, pilot.theta_hat, gamma,
                             n_points=penalty.get("n_points", 50),
                             min_fraction=penalty.get("min_fraction", 1e-3))
         lpath.validation_loss, lpath.validation_se = validation_loss(
             path, spec, g_full, lpath.coefficients, fraction=holdout)
-        lam = select_lambda(lpath, rule=rule)
-    theta = lpath.coefficients[int(np.flatnonzero(lpath.lambdas == lam)[0])]
-    return estimate_adjacency(pilot.layout, theta), lam, lpath.lambda_max
+        pick = select_lambda(lpath, rule=rule)
+    return (estimate_adjacency(pilot.layout, lpath.coefficients[pick]),
+            float(lpath.lambdas[pick]), lpath.lambda_max)
 
 
 def recovery_by_paths(config: dict) -> list[dict]:

@@ -17,12 +17,11 @@ from netsde.experiments import (error_bound_study, recovery_study,
                                 reference_er_graph)
 from netsde.graph import erdos_renyi, ergodicity_margin
 from netsde.ingest import PanelData, panel_to_csv, parse_panel_csv
-from netsde.lasso import (adaptive_weights, kkt_residual, lambda_max,
-                          lsa_solve)
+from netsde.lasso import kkt_residual, lambda_max, lsa_solve
 from netsde.model import (LinearDrift, NsdeSpec, ParamVector, TanhClipped,
                           parameter_layout)
 from netsde.simulate import simulate_path
-from reference import sigma_path
+from reference import flat_weights, one_block, sigma_path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -150,13 +149,13 @@ def test_lasso_solver_certificates():
         n_pairs = d * (d - 1)
         p = 2 * d + n_pairs
         a = rng.normal(size=(p, p))
-        h = a.T @ a + 0.1 * np.eye(p)
+        h = one_block(a.T @ a + 0.1 * np.eye(p))
         pilot = ParamVector(
             alpha=np.abs(rng.normal(size=d)) + 0.1,
             beta=np.concatenate([
                 rng.uniform(2.0, 6.0, d),
                 rng.normal(size=n_pairs) * rng.binomial(1, 0.5, n_pairs)]))
-        w = adaptive_weights(pilot, penalize_momentum=True)
+        w = flat_weights(pilot, d)
         lam_top = lambda_max(h, pilot, w)
         pen = w > 0
         assert np.all(lsa_solve(h, pilot, lam_top, w).flat()[pen] == 0.0)
@@ -177,9 +176,9 @@ def test_lasso_solver_certificates():
         pilot = ParamVector(alpha=np.abs(rng.normal(size=d)) + 0.5,
                             beta=np.concatenate([rng.normal(size=d),
                                                  rng.normal(size=n_pairs)]))
-        w = adaptive_weights(pilot, penalize_momentum=True)
+        w = flat_weights(pilot, d)
         lam = float(rng.uniform(0.1, 2.0))
-        sol = lsa_solve(h, pilot, lam, w).flat()
+        sol = lsa_solve(one_block(h), pilot, lam, w).flat()
         flat = pilot.flat()
         for k in range(p):
             want = soft(h[k, k] * flat[k], lam * w[k]) / h[k, k]

@@ -12,13 +12,14 @@ from netsde.experiments import (StudyError, StudyReport, cluster_lambda_curve,
                                 modularity, recovery_study,
                                 reference_er_graph, run_study, select_graph,
                                 study_graph)
-from netsde.graph import (block_labels, complete_graph, ergodicity_margin,
-                          largest_singular_value, sbm)
+from netsde.graph import (block_labels, build_graph, complete_graph,
+                          ergodicity_margin, largest_singular_value, sbm)
 from netsde.lasso import (LassoPath, adaptive_weights, estimate_adjacency,
                           lambda_path)
-from netsde.model import (ConfigFieldError, LinearDrift, NsdeSpec, TanhClipped,
-                          parameter_layout)
+from netsde.model import (ConfigFieldError, ConstantDiagonal, LinearDrift,
+                          NsdeSpec, TanhClipped, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
+from reference import flat_weights, one_block
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -257,13 +258,32 @@ def test_select_graph_with_validation_curve():
     # through the pilot's layout
     assert len(lpath.adjacency) == len(lpath.lambdas) == 8
     assert np.array_equal(lpath.adjacency[0], a_hat)
-    for theta, a in zip(lpath.coefficients, lpath.adjacency):
-        assert np.array_equal(a, estimate_adjacency(pilot.layout, theta))
+    for flat, a in zip(lpath.coefficients, lpath.adjacency):
+        assert np.array_equal(a, estimate_adjacency(pilot.layout, flat))
     assert lpath.adjacency[-1].any()
     a_fixed, _lam, fixed, _pilot, _mom = select_graph(
         path, spec, {"rule": "fixed_fraction", "fraction": 0.1})
     assert len(fixed.adjacency) == len(fixed.lambdas) == 1
-    assert a_fixed is fixed.adjacency[0]
+    assert np.array_equal(a_fixed, fixed.adjacency[0])
+
+
+def test_select_graph_leaves_the_intercepts_unpenalized():
+    # weighted like edges, these intercepts were shrunk, one of them set
+    # lambda_max (above 440 here) and edges went missing
+    spec = NsdeSpec(d=4, drift=LinearDrift(with_intercepts=True),
+                    diffusion=ConstantDiagonal())
+    g = build_graph(4, [(1, 0), (2, 1), (3, 2), (0, 3)])
+    theta = parameter_layout(spec, g).pack(
+        alpha=np.ones(4), momentum=np.full(4, 7.0), network=np.full(4, 2.0),
+        intercepts=[3.0, -2.0, 1.5, 0.5])
+    for seed in (3, 4):
+        path = simulate_path(spec, g, theta, np.zeros(4), 0.01, 20000,
+                             substeps=5, seed=seed)
+        a_hat, _lam, lpath, pilot, _mom = select_graph(
+            path, spec, {"rule": "fixed_fraction", "fraction": 0.1})
+        assert lpath.lambda_max < 200.0
+        assert np.array_equal(a_hat, g.adjacency())
+        assert not adaptive_weights(pilot)[pilot.layout.intercept_indices].any()
 
 
 def no_fold(monkeypatch):
@@ -308,15 +328,15 @@ def test_cluster_lambda_curve_keys():
     layout = parameter_layout(spec, complete_graph(d), augmented=True)
     pilot = layout.pack(alpha=np.ones(d), momentum=np.zeros(d),
                         network=rng.standard_normal(n_w) * 2.0)
-    lpath = lambda_path(h, pilot, adaptive_weights(pilot), n_points=6)
-    lpath.adjacency = [estimate_adjacency(layout, t) for t in lpath.coefficients]
+    lpath = lambda_path(one_block(h), pilot, flat_weights(pilot, 2 * d), n_points=6)
+    lpath.adjacency = estimate_adjacency(layout, lpath.coefficients)
     curve = cluster_lambda_curve(lpath)
     assert len(curve) == 6
     for pt in curve:
         assert set(pt) == {"lambda", "n_edges", "n_communities", "modularity"}
     assert curve[0]["n_edges"] == 0
 
-    bare = LassoPath(lambdas=np.array([1.0]), coefficients=[pilot],
+    bare = LassoPath(lambdas=np.array([1.0]), coefficients=layout.flatten(pilot)[None],
                      active_counts=np.array([0]), lambda_max=1.0)
     with pytest.raises(StudyError):
         cluster_lambda_curve(bare)

@@ -63,3 +63,21 @@ def test_every_fit_is_certified_or_raises_a_named_error(problem):
         except NAMED:
             continue
         assert fit.converged, (mode, fit)
+
+
+@PROPERTY
+@given(fit_problems())
+def test_standard_errors_invert_the_rate_normalized_information(problem):
+    spec, g, path = problem
+    for mode in ("adaptive", "joint"):
+        try:
+            fit = fit_qmle(path, spec, g, mode=mode)
+        except NAMED:
+            continue
+        rate = fit.rate_diag
+        scaled = rate[:, None] * fit.info_blocks.dense() * rate[None, :]
+        if np.linalg.cond(scaled) > 1e12:
+            continue
+        with np.errstate(invalid="ignore"):  # a negative variance reads nan
+            want = np.sqrt(rate * np.diag(np.linalg.inv(scaled)) * rate)
+        np.testing.assert_allclose(fit.standard_errors(), want, rtol=1e-9, atol=0)

@@ -95,7 +95,7 @@ h = np.array([[2.0, 0.0, 1.0], [0.0, -3.0, 0.0], [1.0, 0.0, 2.0]])
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")  # h is indefinite; the repair warns
     fixed = psd_project(h)
-sol = lsa_solve(fixed.dense(), ParamVector(alpha=np.zeros(0), beta=[1.0, 2.0, -1.0]),
+sol = lsa_solve(fixed, ParamVector(alpha=np.zeros(0), beta=[1.0, 2.0, -1.0]),
                 0.1, np.ones(3))
 dense = scipy_modules()
 agreement = label_agreement([0, 0, 1, 1], [1, 1, 0, 0])

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
                           NsdeSpec, ParamVector, RadialDictionaryDrift,
                           TanhClipped, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
-from reference import exact_box_lasso
+from reference import exact_box_lasso, flat_weights, one_block
 
 
 def rand_instance(rng, n_alpha=2, n_beta=4, scale=1.0):
@@ -27,22 +28,30 @@ def rand_instance(rng, n_alpha=2, n_beta=4, scale=1.0):
     h = a.T @ a + 0.1 * np.eye(p)
     pilot = ParamVector(alpha=np.abs(rng.standard_normal(n_alpha)) + 0.1,
                         beta=scale * rng.standard_normal(n_beta))
-    gamma = adaptive_weights(pilot, penalize_momentum=True)
+    gamma = flat_weights(pilot, n_alpha)
     return h, pilot, gamma
 
 
 def test_adaptive_weights_blocks_and_flags():
-    pilot = ParamVector(alpha=[2.0, 4.0], beta=[0.5, -0.25, 0.0, 8.0, -2.0])
+    # flat order [alpha | momentum | intercepts | network (0, 1), (1, 0)]
+    spec = NsdeSpec(d=2, drift=LinearDrift(with_intercepts=True),
+                    diffusion=ConstantDiagonal())
+    g = complete_graph(2)
+    path = simulate_path(spec, g, parameter_layout(spec, g).pack(
+        alpha=[1.0, 1.5], momentum=[4.0, 5.0], network=[1.5, 0.0],
+        intercepts=[2.0, -1.0]), np.zeros(2), 0.01, 400, substeps=5, seed=0)
+    fit = fit_adaptive_closed_form(path, spec, g, augmented=True)
+    pilot = dataclasses.replace(fit, theta_hat=fit.layout.pack(
+        alpha=[2.0, 4.0], momentum=[0.5, -0.25], intercepts=[3.0, -0.5],
+        network=[0.0, 8.0]))
     w = adaptive_weights(pilot, 2.0)
-    # alpha never penalized, momentum (first len(alpha) beta slots) off too
-    assert w.shape == (7,)
-    assert np.array_equal(w[:4], [0.0, 0.0, 0.0, 0.0])
-    assert w[4] == 1e12  # zero pilot hits the cap
-    assert np.allclose(w[5:], [1.0 / 64.0, 0.25])
-
+    # scales, intercepts and (unless asked) momentum carry no penalty
+    assert np.array_equal(w[:6], np.zeros(6))
+    assert w[6] == 1e12  # zero pilot hits the cap
+    assert w[7] == 1.0 / 64.0
     on = adaptive_weights(pilot, penalize_momentum=True)
-    assert np.array_equal(on[:2], [0.0, 0.0])
-    assert np.allclose(on[2:], [2.0, 4.0, 1e12, 0.125, 0.5])
+    assert np.array_equal(on[[0, 1, 4, 5]], np.zeros(4))
+    assert np.allclose(on[[2, 3, 6, 7]], [2.0, 4.0, 1e12, 0.125])
 
 
 def test_diagonal_h_equals_soft_threshold_exactly():
@@ -56,9 +65,9 @@ def test_diagonal_h_equals_soft_threshold_exactly():
         h = np.diag(diag)
         pilot = ParamVector(alpha=np.abs(rng.standard_normal(n_alpha)) + 0.1,
                             beta=3.0 * rng.standard_normal(n_beta))
-        gamma = adaptive_weights(pilot, penalize_momentum=True)
+        gamma = flat_weights(pilot, n_alpha)
         lam = float(np.abs(rng.standard_normal())) + 0.05
-        sol = lsa_solve(h, pilot, lam, gamma).flat()
+        sol = lsa_solve(one_block(h), pilot, lam, gamma).flat()
         flat = pilot.flat()
         for k in range(p):
             t = diag[k] * flat[k]
@@ -92,7 +101,7 @@ def test_solver_matches_convex_oracle():
         prob.solve(solver="CLARABEL")
         assert prob.status == "optimal"
 
-        sol = lsa_solve(h, pilot, lam, gamma, bounds=(lo, hi))
+        sol = lsa_solve(one_block(h), pilot, lam, gamma, bounds=(lo, hi))
         got = sol.flat()
 
         def f(v):
@@ -116,7 +125,7 @@ def test_solver_matches_exact_oracle():
             hi = np.full(p, 0.5)
             lo = np.maximum(lo, -0.5)
         want = exact_box_lasso(h, pilot.flat(), lam, gamma, lo, hi)
-        got = lsa_solve(h, pilot, lam, gamma, bounds=(lo, hi)).flat()
+        got = lsa_solve(one_block(h), pilot, lam, gamma, bounds=(lo, hi)).flat()
         assert np.allclose(got, want, atol=5e-5)
 
 
@@ -134,7 +143,7 @@ def random_block_problem(rng, sizes):
             blk -= 2.0 * np.abs(np.linalg.eigvalsh(blk)).max() * np.eye(len(idx))
         h[np.ix_(idx, idx)] = blk
     pilot = ParamVector(alpha=np.zeros(0), beta=2.0 * rng.standard_normal(p))
-    gamma = adaptive_weights(pilot, penalize_momentum=True)
+    gamma = flat_weights(pilot, 0)
     return h, pilot, gamma, members
 
 
@@ -158,10 +167,10 @@ def test_block_diagonal_curvature_splits_into_separate_solves():
     lo = np.full(flat.shape[0], -0.8)
     hi = np.full(flat.shape[0], 1e3)
     lam = 0.3
-    whole = lsa_solve(fixed, pilot, lam, gamma, bounds=(lo, hi)).flat()
+    whole = lsa_solve(one_block(fixed), pilot, lam, gamma, bounds=(lo, hi)).flat()
     for idx in members:
         sub = ParamVector(alpha=np.zeros(0), beta=flat[idx])
-        part = lsa_solve(fixed[np.ix_(idx, idx)], sub, lam, gamma[idx],
+        part = lsa_solve(one_block(fixed[np.ix_(idx, idx)]), sub, lam, gamma[idx],
                          bounds=(lo[idx], hi[idx])).flat()
         assert np.allclose(whole[idx], part, atol=1e-9)
 
@@ -171,8 +180,8 @@ def test_kkt_certificate_holds_on_random_solves():
     for _ in range(25):
         h, pilot, gamma = rand_instance(rng)
         lam = float(np.abs(rng.standard_normal())) + 0.01
-        sol = lsa_solve(h, pilot, lam, gamma)
-        resid = kkt_residual(h, pilot, sol, lam, gamma)
+        sol = lsa_solve(one_block(h), pilot, lam, gamma)
+        resid = kkt_residual(one_block(h), pilot, sol, lam, gamma)
         assert resid <= 1e-8 * (1.0 + lam)
 
 
@@ -181,18 +190,18 @@ def test_lambda_max_certificate():
     for _ in range(25):
         h, pilot, gamma = rand_instance(rng)
         pen = gamma > 0
-        lam_top = lambda_max(h, pilot, gamma)
+        lam_top = lambda_max(one_block(h), pilot, gamma)
         assert lam_top > 0
-        at_top = lsa_solve(h, pilot, lam_top, gamma).flat()
+        at_top = lsa_solve(one_block(h), pilot, lam_top, gamma).flat()
         assert np.all(at_top[pen] == 0.0)
-        below = lsa_solve(h, pilot, 0.95 * lam_top, gamma).flat()
+        below = lsa_solve(one_block(h), pilot, 0.95 * lam_top, gamma).flat()
         assert np.any(below[pen] != 0.0)
 
 
 def test_lambda_max_respects_the_box():
     # strong negative coupling pushes the free coordinate to its bound; the
     # restricted solve must honor lo=0 or the certificate breaks
-    h = np.array([[1.0, -0.9], [-0.9, 1.0]])
+    h = one_block([[1.0, -0.9], [-0.9, 1.0]])
     pilot = ParamVector(alpha=[0.1], beta=[2.0])
     gamma = np.array([0.0, 1.0])
     lam_top = lambda_max(h, pilot, gamma)
@@ -205,7 +214,7 @@ def test_lambda_max_respects_the_box():
 
 
 def test_lambda_max_needs_penalized_weight():
-    h = np.eye(2)
+    h = one_block(np.eye(2))
     pilot = ParamVector(alpha=[1.0], beta=[1.0])
     free = np.zeros(2)
     with pytest.raises(ZeroWeightError):
@@ -214,7 +223,7 @@ def test_lambda_max_needs_penalized_weight():
 
 def test_separable_lambda_max_value():
     # identity curvature, no unpenalized block: lam_max = max |pilot| weighted
-    h = np.eye(2)
+    h = one_block(np.eye(2))
     pilot = ParamVector(alpha=np.zeros(0), beta=np.array([3.0, 0.5]))
     gamma = np.ones(2)
     assert lambda_max(h, pilot, gamma) == pytest.approx(3.0, abs=1e-12)
@@ -222,19 +231,34 @@ def test_separable_lambda_max_value():
 
 def test_solver_errors(monkeypatch):
     pilot = ParamVector(alpha=[1.0], beta=[1.0])
-    gamma = adaptive_weights(pilot, penalize_momentum=True)
+    gamma = flat_weights(pilot, 1)
     with pytest.raises(NonPSDError):
-        lsa_solve(np.diag([1.0, -1.0]), pilot, 0.1, gamma)
+        lsa_solve(one_block(np.diag([1.0, -1.0])), pilot, 0.1, gamma)
     with pytest.raises(NonPSDError, match="singular"):
-        lsa_solve(np.ones((2, 2)), pilot, 0.0, gamma)
+        lsa_solve(one_block(np.ones((2, 2))), pilot, 0.0, gamma)
     with pytest.raises(LassoError):
-        lsa_solve(np.eye(3), pilot, 0.1, gamma)
+        lsa_solve(one_block(np.eye(3)), pilot, 0.1, gamma)
     for lam in (-0.1, np.nan, np.inf):
         with pytest.raises(LassoError, match="finite and non-negative"):
-            lsa_solve(np.eye(2), pilot, lam, gamma)
+            lsa_solve(one_block(np.eye(2)), pilot, lam, gamma)
     monkeypatch.setattr(lasso, "_MAX_PASSES", 0)
     with pytest.raises(ConvergenceError):
-        lsa_solve(np.eye(2), pilot, 0.5, gamma)
+        lsa_solve(one_block(np.eye(2)), pilot, 0.5, gamma)
+
+
+def test_solvers_take_curvature_blocks_only():
+    # a dense matrix goes through psd_project, which takes one as one block
+    pilot = ParamVector(alpha=[1.0], beta=[1.0])
+    gamma = np.array([0.0, 1.0])
+    dense = np.eye(2)
+    for call in (lambda: lsa_solve(dense, pilot, 0.1, gamma),
+                 lambda: lambda_max(dense, pilot, gamma),
+                 lambda: lambda_path(dense, pilot, gamma, n_points=2),
+                 lambda: kkt_residual(dense, pilot, pilot, 0.1, gamma)):
+        with pytest.raises(LassoError, match="psd_project"):
+            call()
+    blocks = psd_project(dense)
+    assert lsa_solve(blocks, pilot, 0.1, gamma).beta[0] == pytest.approx(0.9)
 
 
 def test_zero_curvature_coordinate_stays_pinned():
@@ -252,12 +276,12 @@ def test_zero_curvature_coordinate_stays_pinned():
     sub = ParamVector(alpha=[0.7], beta=[1.5, -2.0, 0.8])
     sub_w = np.array([0.0, 0.5, 1.0, 2.0])
     lam = 0.6
-    want = lsa_solve(rest, sub, lam, sub_w).flat()
-    cold = lsa_solve(h, pilot, lam, gamma).flat()
+    want = lsa_solve(one_block(rest), sub, lam, sub_w).flat()
+    cold = lsa_solve(one_block(h), pilot, lam, gamma).flat()
     assert cold[2] == 0.4
     assert np.allclose(cold[keep], want, atol=1e-12)
     stale = ParamVector(alpha=[0.3], beta=[0.0, -0.25, 1.0, 0.0])
-    warm = lsa_solve(h, pilot, lam, gamma, warm=stale).flat()
+    warm = lsa_solve(one_block(h), pilot, lam, gamma, warm=stale).flat()
     assert warm[2] == -0.25
     assert np.allclose(warm[keep], want, atol=1e-12)
 
@@ -268,7 +292,7 @@ def test_cold_start_with_coordinates_at_their_bounds():
     # start at the clipped pilot would drive the unpenalized coordinate
     # onto its bound at -1.6 and leave ~1e-16 in the last one once it is
     # released; the cold start at the restricted solution avoids that
-    h = np.array([[8.65, 0.14, -3.8], [0.14, 3.16, 0.14], [-3.8, 0.14, 2.24]])
+    h = one_block([[8.65, 0.14, -3.8], [0.14, 3.16, 0.14], [-3.8, 0.14, 2.24]])
     box = (np.array([-0.63, -1.6, -0.3]), np.array([0.53, 2.1, 0.05]))
     pilot = ParamVector(alpha=np.zeros(0), beta=[-1.62, -1.4, -1.3])
     gamma = np.array([1e12, 0.0, 0.41])
@@ -283,7 +307,7 @@ def test_cold_start_with_coordinates_at_their_bounds():
     box = (np.array([0.0, -0.3, -0.3, -0.3, -0.3]), np.full(5, 0.3))
     for _ in range(50):
         a = rng.standard_normal((5, 5))
-        h = a.T @ a + 0.1 * np.eye(5)
+        h = one_block(a.T @ a + 0.1 * np.eye(5))
         pilot = ParamVector(alpha=np.zeros(0), beta=np.concatenate(
             [[-1.0], 2.0 * rng.standard_normal(4)]))
         gamma = np.concatenate([[0.0], rng.uniform(0.2, 3.0, 4)])
@@ -304,15 +328,15 @@ def test_capped_and_ordinary_weights_match_the_oracle():
         flat = pilot.flat()
         flat[[3, 5]] = rng.choice([0.0, 1e-14], 2)
         pilot = ParamVector(alpha=flat[:2], beta=flat[2:])
-        gamma = adaptive_weights(pilot, penalize_momentum=True)
+        gamma = flat_weights(pilot, 2)
         assert np.sum(gamma == 1e12) >= 2 and np.sum((gamma > 0) & (gamma < 1e12)) >= 2
         lo = np.full(6, -1.0)
         hi = np.full(6, 1.0 + trial)
         lo[:2] = 0.0
-        top = lambda_max(h, pilot, gamma, bounds=(lo, hi))
+        top = lambda_max(one_block(h), pilot, gamma, bounds=(lo, hi))
         for lam in (1e-3 * top, 0.3 * top, top):
             want = exact_box_lasso(h, flat, lam, gamma, lo, hi)
-            got = lsa_solve(h, pilot, lam, gamma, bounds=(lo, hi)).flat()
+            got = lsa_solve(one_block(h), pilot, lam, gamma, bounds=(lo, hi)).flat()
             assert np.allclose(got, want, atol=5e-5)
             assert np.all(got[gamma == 1e12] == 0.0)
 
@@ -321,9 +345,9 @@ def test_warm_start_agrees_with_cold_start():
     rng = np.random.default_rng(4)
     h, pilot, gamma = rand_instance(rng)
     lam = 0.8
-    cold = lsa_solve(h, pilot, lam, gamma).flat()
+    cold = lsa_solve(one_block(h), pilot, lam, gamma).flat()
     stale = ParamVector(alpha=pilot.alpha * 0.5, beta=pilot.beta * -0.3)
-    warm = lsa_solve(h, pilot, lam, gamma, warm=stale).flat()
+    warm = lsa_solve(one_block(h), pilot, lam, gamma, warm=stale).flat()
     assert np.allclose(cold, warm, atol=1e-8)
 
 
@@ -345,18 +369,19 @@ def test_psd_project_behavior():
 def test_lambda_path_grid_and_counts():
     rng = np.random.default_rng(6)
     h, pilot, gamma = rand_instance(rng, n_alpha=1, n_beta=5)
-    path = lambda_path(h, pilot, gamma, n_points=12)
+    path = lambda_path(one_block(h), pilot, gamma, n_points=12)
     assert path.lambdas.shape == (12,)
     assert path.lambdas[0] == pytest.approx(path.lambda_max)
     assert path.lambdas[-1] == pytest.approx(1e-3 * path.lambda_max)
     assert np.all(np.diff(path.lambdas) < 0)
     pen = gamma > 0
     assert path.active_counts[0] == 0
-    assert np.count_nonzero(path.coefficients[0].flat()[pen]) == 0
+    assert path.coefficients.shape == (12, 6)
+    assert np.count_nonzero(path.coefficients[0][pen]) == 0
     assert path.active_counts[-1] > 0
     assert path.adjacency is None  # select_graph fills it, from its layout
 
-    explicit = lambda_path(h, pilot, gamma, fractions=[0.25, 1.0, 0.5])
+    explicit = lambda_path(one_block(h), pilot, gamma, fractions=[0.25, 1.0, 0.5])
     assert explicit.lambda_max == path.lambda_max
     assert np.array_equal(explicit.lambdas,
                           [path.lambda_max * f for f in (1.0, 0.5, 0.25)])
@@ -372,9 +397,12 @@ def test_lambda_path_tracks_pair_weights():
     layout = pilot_layout(d)
     pilot = layout.pack(alpha=np.ones(d), momentum=np.zeros(d),
                         network=rng.standard_normal(n_w) * 2.0)
-    gamma = adaptive_weights(pilot)
-    path = lambda_path(h, pilot, gamma, n_points=8)
-    adjacency = [estimate_adjacency(layout, theta) for theta in path.coefficients]
+    gamma = flat_weights(pilot, 2 * d)
+    path = lambda_path(one_block(h), pilot, gamma, n_points=8)
+    adjacency = estimate_adjacency(layout, path.coefficients)
+    assert adjacency.shape == (8, d, d)
+    for flat, a in zip(path.coefficients, adjacency):
+        assert np.array_equal(a, estimate_adjacency(layout, flat))
     assert adjacency[0].sum() == 0
     assert adjacency[-1].sum() > 0
 
@@ -393,7 +421,8 @@ def test_validation_loss_matches_direct_computation():
     spec, g, layout, theta, path = small_sim()
     other = layout.pack(alpha=[1.0, 1.5], momentum=[1.0, 1.0], network=[0.0])
     with pytest.warns(UserWarning, match="blocks hold as few"):
-        loss, se = validation_loss(path, spec, g, [theta, other], fraction=0.25)
+        loss, se = validation_loss(path, spec, g, np.stack(
+            [layout.flatten(theta), layout.flatten(other)]), fraction=0.25)
     n_tail = int(np.floor(path.n * 0.25))
     rows = path.data[path.n - n_tail:]
     # direct per-increment evaluation of the first candidate
@@ -420,10 +449,12 @@ def test_validation_loss_matches_direct_computation():
 def test_validation_loss_errors():
     spec, g, layout, theta, path = small_sim()
     with pytest.raises(ValueError):
-        validation_loss(path, spec, g, [theta], fraction=1.5)
+        validation_loss(path, spec, g, layout.flatten(theta)[None], fraction=1.5)
     tiny = SamplePath(delta=0.01, data=path.data[:30])
     with pytest.warns(UserWarning):
-        validation_loss(tiny, spec, g, [theta], fraction=0.3)
+        validation_loss(tiny, spec, g, layout.flatten(theta)[None], fraction=0.3)
+    with pytest.raises(LayoutMismatchError):
+        validation_loss(path, spec, g, np.ones((1, 4)), fraction=0.3)
 
 
 def test_validation_warning_counts_parameters_per_node():
@@ -432,12 +463,12 @@ def test_validation_warning_counts_parameters_per_node():
     spec, g, layout, theta, path = small_sim(n=2000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        validation_loss(path, spec, g, [theta], fraction=0.2)
+        validation_loss(path, spec, g, layout.flatten(theta)[None], fraction=0.2)
 
 
 def hand_path():
     lambdas = np.array([8.0, 4.0, 2.0, 1.0, 0.5])
-    coeffs = [ParamVector(alpha=[1.0], beta=[0.0])] * 5
+    coeffs = np.tile([1.0, 0.0], (5, 1))
     return LassoPath(lambdas=lambdas, coefficients=coeffs,
                      active_counts=np.array([0, 1, 1, 2, 2]),
                      lambda_max=8.0,
@@ -447,13 +478,13 @@ def hand_path():
 
 def test_select_lambda_rules():
     path = hand_path()
-    assert select_lambda(path, rule="min") == 2.0
+    assert select_lambda(path, rule="min") == 2  # lambda 2.0
     # cutoff is min + 0.5 * se at the minimizer = 1.25; the sparser
     # candidates (losses 5 and 3) sit above it, so the minimizer wins
-    assert select_lambda(path, rule="half_se") == 2.0
+    assert select_lambda(path, rule="half_se") == 2
     # widen the minimizer's se and the candidate at lambda=4 comes in reach
     path.validation_se = np.array([0.1, 0.1, 4.0, 0.1, 0.1])
-    assert select_lambda(path, rule="half_se") == 4.0
+    assert select_lambda(path, rule="half_se") == 1  # lambda 4.0
     with pytest.raises(ValueError):
         select_lambda(path, rule="aic")
     bare = LassoPath(lambdas=path.lambdas, coefficients=path.coefficients,
@@ -476,11 +507,11 @@ def test_estimate_adjacency_mapping():
     # row-major pair order for d=3: (0,1),(0,2),(1,0),(1,2),(2,0),(2,1)
     w = np.array([0.5, 0.0, 0.0, -0.3, 0.0, 1e-9])
     layout = pilot_layout(3)
-    a = estimate_adjacency(layout, network_theta(layout, w))
+    a = estimate_adjacency(layout, layout.flatten(network_theta(layout, w)))
     want = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]])
     assert np.array_equal(a, want)
     with pytest.raises(LayoutMismatchError):
-        estimate_adjacency(layout, ParamVector(alpha=np.ones(3), beta=np.zeros(5)))
+        estimate_adjacency(layout, np.zeros(8))
     g = graph_from_adjacency(want)
     assert set(g.edges) == {(0, 1), (1, 2), (2, 1)}
     assert np.array_equal(g.adjacency(), want)
@@ -507,7 +538,7 @@ def test_vectorised_adjacency_matches_the_loop():
         w[rng.random(w.shape) < 0.4] = 0.0
         w[rng.random(w.shape) < 0.3] *= 1e-9
         layout = pilot_layout(d)
-        got = estimate_adjacency(layout, network_theta(layout, w))
+        got = estimate_adjacency(layout, layout.flatten(network_theta(layout, w)))
         want = loop_adjacency(w, d)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         # a nonzero diagonal is ignored, any nonzero entry is an edge
@@ -527,19 +558,21 @@ def test_estimate_adjacency_reads_any_layout(family):
                                        diffusion=ConstantDiagonal()), g)
     n_net = layout.pi_total - 2 * layout.d
     theta = network_theta(layout, np.arange(1.0, 1.0 + n_net))
-    assert np.array_equal(estimate_adjacency(layout, theta), g.adjacency())
+    assert np.array_equal(estimate_adjacency(layout, layout.flatten(theta)),
+                          g.adjacency())
     if family == "radial":
         # an edge is kept while any dictionary level carries it
         net = np.arange(1.0, 1.0 + n_net)
         net[layout.edge_slot(3, 1, level=0) - 2 * layout.d] = 0.0
         theta = network_theta(layout, net)
-        assert np.array_equal(estimate_adjacency(layout, theta), g.adjacency())
+        assert np.array_equal(estimate_adjacency(layout, layout.flatten(theta)),
+                          g.adjacency())
         return
     pilot = pilot_layout(5)
     net = np.zeros(pilot.pi_total - 10)
     for i, j in g.edges:
         net[pilot.edge_slot(i, j) - 10] = -0.5
-    got = estimate_adjacency(pilot, network_theta(pilot, net))
+    got = estimate_adjacency(pilot, pilot.flatten(network_theta(pilot, net)))
     assert np.array_equal(got, g.adjacency())
 
 

@@ -3,8 +3,8 @@
 Each problem is a positive definite H made of blocks of size 1 to 4 under
 a random permutation of the coordinates (the shape of the pilot
 information), a random pilot, penalty weights (some zero), a box around
-zero and a penalty level in [0, 1.2 lambda_max].  H is passed dense, which
-the solver takes as one block; the block members come along, so the
+zero and a penalty level in [0, 1.2 lambda_max].  H is passed as one
+block (reference.one_block); the block members come along, so the
 multi-block CurvatureBlocks form can be checked against it.
 """
 import warnings
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from netsde.estimate import CurvatureBlocks
 from netsde.lasso import kkt_residual, lambda_max, lsa_solve, psd_project
 from netsde.model import ParamVector
-from reference import exact_box_lasso
+from reference import exact_box_lasso, one_block
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
 
@@ -47,7 +47,7 @@ def block_problems(draw, max_p=12):
     gamma[rng.integers(p)] = rng.uniform(0.2, 3.0)  # at least one penalized
     pilot = ParamVector(alpha=np.zeros(0), beta=2.0 * rng.standard_normal(p))
     box = (-rng.uniform(0.0, 3.0, p), rng.uniform(0.0, 3.0, p))
-    lam_top = lambda_max(h, pilot, gamma, bounds=box)
+    lam_top = lambda_max(one_block(h), pilot, gamma, bounds=box)
     return h, pilot, gamma, box, fraction * lam_top, lam_top, members
 
 
@@ -55,8 +55,8 @@ def block_problems(draw, max_p=12):
 @given(block_problems())
 def test_solution_meets_its_certificate(problem):
     h, pilot, gamma, box, lam, _top, _members = problem
-    sol = lsa_solve(h, pilot, lam, gamma, bounds=box)
-    assert kkt_residual(h, pilot, sol, lam, gamma, bounds=box) \
+    sol = lsa_solve(one_block(h), pilot, lam, gamma, bounds=box)
+    assert kkt_residual(one_block(h), pilot, sol, lam, gamma, bounds=box) \
         <= 1e-8 * (1.0 + lam)
 
 
@@ -64,7 +64,7 @@ def test_solution_meets_its_certificate(problem):
 @given(block_problems(), st.floats(1.0, 1.5))
 def test_lambda_max_zeroes_every_penalized_coordinate(problem, factor):
     h, pilot, gamma, box, _lam, top, _members = problem
-    sol = lsa_solve(h, pilot, factor * top, gamma, bounds=box).flat()
+    sol = lsa_solve(one_block(h), pilot, factor * top, gamma, bounds=box).flat()
     assert np.all(sol[gamma > 0] == 0.0)
 
 
@@ -73,7 +73,7 @@ def test_lambda_max_zeroes_every_penalized_coordinate(problem, factor):
 def test_small_problems_match_the_enumeration_oracle(problem):
     h, pilot, gamma, box, lam, _top, _members = problem
     want = exact_box_lasso(h, pilot.flat(), lam, gamma, *box)
-    got = lsa_solve(h, pilot, lam, gamma, bounds=box).flat()
+    got = lsa_solve(one_block(h), pilot, lam, gamma, bounds=box).flat()
     assert np.allclose(got, want, atol=5e-5)
 
 
@@ -89,7 +89,7 @@ def test_dense_and_block_forms_agree(problem, shift):
     blocks = _blocks(h, members)
     assert abs(lambda_max(blocks, pilot, gamma, bounds=box) - top) \
         <= 1e-9 * (1.0 + top)
-    want = lsa_solve(h, pilot, lam, gamma, bounds=box).flat()
+    want = lsa_solve(one_block(h), pilot, lam, gamma, bounds=box).flat()
     got = lsa_solve(blocks, pilot, lam, gamma, bounds=box).flat()
     assert np.allclose(got, want, rtol=0.0, atol=1e-9)
     # shifted down by a share of its spectrum, H needs repair

@@ -7,8 +7,8 @@ import pytest
 from numpy.linalg import cholesky
 
 from netsde import estimate, model
-from netsde.estimate import (_chunk_contrast, _gradient, _information,
-                             _MomentFold, _path_moments, _projected_grad,
+from netsde.estimate import (_chunk_contrast, _derivatives, _MomentFold,
+                             _node_terms, _path_moments, _projected_grad,
                              fit_adaptive_closed_form, fit_diffusion_scale,
                              fit_linear_closed_form, fit_qmle,
                              fit_result_to_dict, model_hessian, quasi_loglik)
@@ -67,7 +67,8 @@ def test_validation_loss_matches_the_row_by_row_loop(name):
     spec, g, _aug, path, candidates = model_case(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small blocks warn; not the point here
-        loss, se = validation_loss(path, spec, g, candidates, fraction=0.4)
+        loss, se = validation_loss(
+            path, spec, g, np.stack([c.flat() for c in candidates]), fraction=0.4)
     want_loss, want_se = validation_loss_by_rows(path, spec, g, candidates,
                                                  fraction=0.4)
     assert np.allclose(loss, want_loss, rtol=1e-12, atol=0.0)
@@ -82,7 +83,9 @@ def test_information_blocks_match_model_hessian(name):
     for theta in candidates[1:]:
         flat = layout.flatten(theta)
         mom = _path_moments(spec, layout, path.data)
-        got = _information(mom, flat, path.delta, layout.pi_total).dense()
+        grad, info = _derivatives(mom, flat, path.delta,
+                                  _node_terms(mom, flat, path.delta))
+        got = info.dense()
         want = hessian_by_rows(path, spec, g, layout, flat)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
         assert np.array_equal(model_hessian(path, spec, g, theta), got)
@@ -90,8 +93,7 @@ def test_information_blocks_match_model_hessian(name):
         assert contrast == pytest.approx(quasi_loglik(path, spec, g, theta),
                                          rel=1e-12)
         want = quasi_grad(path, spec, g, layout, flat)
-        assert np.allclose(_gradient(mom, flat, path.delta), want, rtol=0.0,
-                           atol=1e-12 * np.abs(want).max())
+        assert np.allclose(grad, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "joint"])
@@ -117,7 +119,8 @@ def test_fit_qmle_reads_the_path_once_through_its_moments(monkeypatch, mode):
     for call in (
             lambda: fit_linear_closed_form(path, g, 1.0),
             lambda: model_hessian(path, spec, g, fit.theta_hat),
-            lambda: validation_loss(path, spec, g, candidates, fraction=0.4),
+            lambda: validation_loss(
+                path, spec, g, np.stack([c.flat() for c in candidates]), fraction=0.4),
             lambda: error_bound_study({
                 "graph": {"kind": "er_fixed_edges", "d": 4, "n_edges": 3,
                           "seed": 1},

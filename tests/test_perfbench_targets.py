@@ -6,6 +6,13 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+from netsde import experiments, lasso
+from netsde.graph import build_graph
+from netsde.model import LinearDrift, NsdeSpec, TanhClipped, parameter_layout
+from netsde.simulate import simulate_path
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # the argument names perfbench/layers.py's span and count hooks read
@@ -34,3 +41,35 @@ def test_every_trace_target_is_a_package_function(monkeypatch):
         params = inspect.signature(fn).parameters
         for name in HOOK_ARGUMENTS.get(target.attr, ()):
             assert name in params, f"{target.attr} lost its {name!r} argument"
+
+
+# the lasso names whose spans the traced run reads (lasso.psd_s,
+# lambda_max_s, path_s, solve_s and kkt_s)
+TRACED_LASSO = ("psd_project", "lambda_max", "lambda_path", "lsa_solve",
+                "kkt_residual")
+
+
+def test_select_graph_reaches_every_traced_lasso_name(monkeypatch):
+    # the run wraps each module attribute holding one of these names; a
+    # call that routes around all of them would read 0 there, not fail
+    reached = dict.fromkeys(TRACED_LASSO, 0)
+    for module in (lasso, experiments):
+        for name in TRACED_LASSO:
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                reached[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    spec = NsdeSpec(d=3, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
+    g = build_graph(3, [(0, 1), (2, 1)])
+    theta = parameter_layout(spec, g).pack(alpha=np.full(3, 2.0),
+                                           momentum=np.full(3, 7.0),
+                                           network=np.full(2, 2.0))
+    path = simulate_path(spec, g, theta, np.zeros(3), 0.01, 2000, substeps=5,
+                         seed=5)
+    experiments.select_graph(path, spec, {"rule": "min", "n_points": 4})
+    assert all(reached.values()), reached

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsde import estimate, experiments, model, simulate
-from netsde.estimate import InsufficientDataError, _information, _MomentFold
+from netsde.estimate import (InsufficientDataError, _derivatives, _MomentFold,
+                             _node_terms)
 from netsde.experiments import (StudyError, _edge_scores, _refit_scores,
                                 _study_spec, _study_truth, error_bound_study,
                                 recovery_study, select_graph, study_graph)
@@ -213,7 +214,7 @@ def test_the_fold_matches_the_moments_of_each_stored_path(case):
         want = hessian_by_rows(SamplePath(delta=delta, data=rows[r]), spec, g,
                                layout, flat)
         own = got.chunk(slice(r * chunks, (r + 1) * chunks))
-        info = _information(own, flat, delta, layout.pi_total).dense()
+        info = _derivatives(own, flat, delta, _node_terms(own, flat, delta))[1].dense()
         np.testing.assert_allclose(info, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
 
