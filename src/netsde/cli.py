@@ -27,9 +27,10 @@ import numpy as np
 
 from . import __version__
 from .estimate import EstimationError, fit_qmle, fit_result_to_dict
-from .experiments import (StudyError, _communities, _selection_settings,
-                          _simulation_settings, cluster_lambda_curve,
-                          label_agreement, run_study, select_graph, study_graph)
+from .experiments import (_POSITIVE, StudyError, _communities,
+                          _selection_settings, _simulation_settings,
+                          cluster_lambda_curve, label_agreement, run_study,
+                          select_graph, study_graph)
 from .graph import ergodicity_margin, to_dot, to_edge_list_text, to_json
 from .ingest import complete_cases, load_panel_csv, to_sample_path
 from .lasso import (LassoError, graph_from_adjacency, lasso_path_to_csv,
@@ -116,7 +117,8 @@ def _cmd_graph_gen(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
 def _cmd_simulate(cfg: dict, out_dir: str, csv: _CsvClock) -> list[str]:
     spec = spec_from_config(cfg, "model.")
     theta = params_from_config(cfg, at="params.")
-    delta, n = setting(cfg, "delta", float), setting(cfg, "n", int)
+    delta = setting(cfg, "delta", float, check=_POSITIVE)
+    n = setting(cfg, "n", int, check=(lambda v: v >= 0, "be non-negative"))
     sim = _simulation_settings(cfg, spec.d)
     g, _ = study_graph(cfg, "graph.")
     path = simulate_path(spec, g, theta, delta=delta, n=n, **sim)

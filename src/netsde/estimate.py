@@ -26,9 +26,9 @@ subset of the complete graph's (NodeMoments.restrict), so the refit on a
 selected graph reads the selection's moments.  Every fit, the
 observed information (one CurvatureBlocks block per node) and, in
 netsde.lasso, the held-out loss of every penalty candidate read the path
-through them alone.  Only quasi_loglik evaluates the contrast row by
-row: one pass of O(n d^2) costs less than a moments build of O(n d^3)
-when a single value is wanted.
+through them alone: fit_diffusion_scale reads the stage-one scales off
+them, and quasi_loglik the contrast of each chunk at any number of
+parameter vectors.
 
 Node j's contrast is Q_j(c_j) / (2 delta alpha_j^2) + (n/2) log alpha_j^2
 plus a constant, with Q_j the weighted residual sum of squares, a
@@ -52,10 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DirectedGraph, build_graph
+from .graph import DirectedGraph
 from .model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
                     NsdeSpec, ParamLayout, ParamVector, default_bounds,
-                    diffusion_shape, parameter_layout, path_drift_fn)
+                    diffusion_shape, parameter_layout)
 from .simulate import SamplePath
 
 
@@ -80,44 +80,6 @@ class InsufficientDataError(EstimationError):
 
 _COND_LIMIT = 1e14
 _ALPHA_FLOOR = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# contrasts
-
-
-def _increments(rows: np.ndarray):
-    if rows.shape[0] < 2:
-        raise InsufficientDataError("need at least two rows to form increments")
-    return rows[:-1], np.diff(rows, axis=0)
-
-
-def quasi_loglik(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-                 theta: ParamVector) -> float:
-    """Euler contrast value; lower is better."""
-    x0, dx = _increments(path.data)
-    drift = path_drift_fn(spec, g, theta)(x0)
-    sig = theta.alpha * diffusion_shape(spec, x0)
-    if np.any(sig <= 0):
-        raise DegenerateDiffusionError("diffusion must be strictly positive")
-    r = dx - path.delta * drift
-    var = sig * sig
-    return float(np.sum(r * r / (2.0 * path.delta * var)) +
-                 0.5 * np.sum(np.log(var)))
-
-
-def fit_diffusion_scale(path: SamplePath, spec: NsdeSpec,
-                        lo: float = 0.0, hi: float = 1e3) -> np.ndarray:
-    """Exact minimizer of the stage-one contrast for multiplicative diffusions.
-
-    With sigma_j = alpha_j * s(x_j), the contrast is minimized coordinate-wise
-    at alpha_j^2 = mean_i dX_ij^2 / (delta * s_ij^2); the result is clipped to
-    [lo, hi].
-    """
-    # the empty graph: every design is the momentum column alone
-    layout = parameter_layout(spec, build_graph(spec.d, ()))
-    return _scale_estimate(_path_moments(spec, layout, path.data), path.delta,
-                           lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +327,14 @@ def _path_moments(spec: NsdeSpec, layout: ParamLayout, rows: np.ndarray,
     """NodeMoments of the increments of one path's rows (n + 1, d), cut
     into contiguous chunks by sizes (default one chunk), each weighted by
     scale (n, d) (default the diffusion shape at its start): the rows fed
-    to a _MomentFold as one replication."""
-    _increments(rows)  # raises on a path without increments
+    to a _MomentFold as one replication.  InsufficientDataError for fewer
+    than two rows, LayoutMismatchError for a column count other than the
+    layout's node count."""
+    if rows.shape[0] < 2:
+        raise InsufficientDataError("need at least two rows to form increments")
+    if rows.shape[1] != layout.d:
+        raise LayoutMismatchError(f"path has {rows.shape[1]} columns, model "
+                                  f"has {layout.d} nodes")
     if scale is None and not isinstance(spec.diffusion, ConstantDiagonal):
         scale = diffusion_shape(spec, rows[:-1])
     fold = _MomentFold(spec, layout, sizes)
@@ -375,29 +343,44 @@ def _path_moments(spec: NsdeSpec, layout: ParamLayout, rows: np.ndarray,
     return fold.moments()
 
 
-def _scale_estimate(mom: NodeMoments, delta: float, lo, hi) -> np.ndarray:
-    """Stage-one scales alpha_j^2 = sum dX_j^2 / s_j^2 / (n delta), clipped
-    to [lo, hi] (scalars or one bound per node)."""
+# ---------------------------------------------------------------------------
+# contrasts
+
+
+def fit_diffusion_scale(mom: NodeMoments, delta: float, lo, hi) -> np.ndarray:
+    """Exact minimizer of the stage-one contrast, read off any moments of
+    the path: alpha_j^2 = sum dX_j^2 / s_j^2 / (n delta), clipped to
+    [lo, hi] (scalars or one bound per node)."""
     return np.clip(np.sqrt(mom.sq.sum(axis=0) / mom.count.sum() / delta), lo, hi)
 
 
-def _chunk_contrast(mom: NodeMoments, flats: np.ndarray,
-                    delta: float) -> np.ndarray:
-    """Contrast of each chunk at each flat parameter vector, shape (K, C).
+def quasi_loglik(mom: NodeMoments, flats: np.ndarray, delta: float) -> np.ndarray:
+    """Euler contrast of each chunk of mom at each flat parameter vector,
+    shape (K, C); lower is better.
 
-    flats (K, p) holds the alpha block first.  With c = node j's
-    coefficients, its residual sum of squares over a chunk is the quadratic
-    form sq - 2 delta c'cross + delta^2 c'gram c, and its log term is
+    flats (K, p) holds one vector of mom's layout per row, the alpha block
+    first (LayoutMismatchError for another width; DegenerateDiffusionError
+    for a scale that is not positive).  With c = node j's coefficients,
+    its residual sum of squares over a chunk is the quadratic form
+    sq - 2 delta c'cross + delta^2 c'gram c, and its log term is
     count log alpha_j^2 + log_scale.
     """
     d = mom.sq.shape[1]
+    flats = np.asarray(flats, dtype=float)
+    p = d + sum(sl.shape[0] for sl in mom.slots)
+    if flats.ndim != 2 or flats.shape[1] != p:
+        raise LayoutMismatchError(
+            f"candidates of shape {flats.shape} for {p} slots")
+    if np.any(flats[:, :d] <= 0):
+        raise DegenerateDiffusionError("diffusion scales must be strictly positive")
+    k = flats.shape[0]
     a2 = flats[:, :d] ** 2
-    quad = np.repeat(mom.sq[None], flats.shape[0], axis=0)  # (K, C, d)
+    quad = np.repeat(mom.sq[None], k, axis=0)  # (K, C, d)
     n_chunks = mom.count.shape[0]
     for j, sl in enumerate(mom.slots):
         c = flats[:, sl]
         q = sl.shape[0]
-        gc = (mom.gram[j].reshape(n_chunks * q, q) @ c.T).reshape(n_chunks, q, -1)
+        gc = (mom.gram[j].reshape(n_chunks * q, q) @ c.T).reshape(n_chunks, q, k)
         quad[:, :, j] -= delta * (2.0 * (c @ mom.cross[j].T)
                                   - delta * np.einsum("cqk,kq->kc", gc, c))
     out = quad / (2.0 * delta * a2[:, None, :])
@@ -497,7 +480,7 @@ def _derivatives(mom: NodeMoments, flat: np.ndarray, delta: float, terms):
 
 def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
                   theta: ParamVector) -> np.ndarray:
-    """Analytic Hessian of quasi_loglik at theta, as a dense matrix: the
+    """Analytic Hessian of the path's contrast at theta, as a dense matrix: the
     path's information blocks at theta (_derivatives; one per node, over
     its diffusion scale and drift parameters) laid out dense.  theta
     follows the layout of g; a pilot fitted with augmented=True is on
@@ -783,9 +766,9 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
                                            "fits its increments exactly")
         alpha = np.clip(np.sqrt(quad / (n * delta)), lo[scales], hi[scales])
     elif alpha is None:
-        alpha = _scale_estimate(mom, delta, lo[scales], hi[scales])
+        alpha = fit_diffusion_scale(mom, delta, lo[scales], hi[scales])
     flat[scales] = alpha
-    contrast = float(_chunk_contrast(mom, flat[None], delta).sum())
+    contrast = float(quasi_loglik(mom, flat[None], delta).sum())
     optimized = np.zeros(layout.pi_total, dtype=bool)
     optimized[np.concatenate(members)] = True
     optimized[scales] = joint

@@ -28,9 +28,9 @@ from .estimate import (FitResult, InsufficientDataError, NodeMoments,
                        _closed_form_fit, _MomentFold, _path_moments)
 from .graph import (DirectedGraph, block_labels, build_graph, complete_graph,
                     erdos_renyi, ergodicity_margin, polymer, sbm)
-from .lasso import (LassoPath, _holdout_sizes, _validation_curve,
-                    adaptive_weights, estimate_adjacency, lambda_path,
-                    psd_project, select_lambda, two_step_refit)
+from .lasso import (LassoPath, adaptive_weights, estimate_adjacency,
+                    lambda_path, psd_project, select_lambda, two_step_refit,
+                    validation_loss)
 from .model import (REQUIRED, ConfigFieldError, ConstantDiagonal, LinearDrift,
                     NsdeSpec, ParamLayout, ParamVector, TanhClipped,
                     parameter_layout, setting)
@@ -231,15 +231,20 @@ def _study_truth(config: dict, spec: NsdeSpec, g: DirectedGraph):
 
 
 _STUDY_DELTA = 0.01  # both studies' default observation step
+# the check of an observation step or horizon (NaN fails both comparisons)
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
 
 
 def _simulation_settings(config: dict, d: int) -> dict:
     """x0, substeps, seed and burn_in of a config that simulates, as
     simulate_path's keywords."""
-    return {"x0": setting(config, "x0", [float], np.zeros(d)),
-            "substeps": setting(config, "substeps", int, 10),
+    return {"x0": setting(config, "x0", [float], np.zeros(d),
+                          (lambda v: len(v) == d, f"have {d} entries")),
+            "substeps": setting(config, "substeps", int, 10,
+                                (lambda v: v >= 1, "be at least 1")),
             "seed": setting(config, "seed", int, 0),
-            "burn_in_steps": setting(config, "burn_in", int, 0)}
+            "burn_in_steps": setting(config, "burn_in", int, 0,
+                                     (lambda v: v >= 0, "be non-negative"))}
 
 
 _FOLD_BYTES = 200_000_000  # a seed block's fold totals: 25M float64 values
@@ -296,8 +301,10 @@ def error_bound_study(config: dict) -> StudyReport:
     flat_true = layout.flatten(theta_true)
 
     sim = _simulation_settings(config, g.d)
-    delta = setting(config, "delta", float, _STUDY_DELTA)
-    horizons = setting(config, "horizons", [float])
+    delta = setting(config, "delta", float, _STUDY_DELTA, _POSITIVE)
+    horizons = setting(config, "horizons", [float], check=(
+        lambda v: len(v) > 0 and all(_POSITIVE[0](t) for t in v),
+        "be a non-empty list of positive finite numbers"))
     n_reps = setting(config, "n_reps", int, 100, (lambda v: v >= 1, "be positive"))
     ref_means = setting(config, "reference.mean_error", [float], None)
     ref_bounds = setting(config, "reference.bound", [float], None)
@@ -423,15 +430,18 @@ def _selection_settings(config: dict):
 
 
 def _chunk_sizes(pen: dict, n: int) -> list[int]:
-    """The chunks select_graph cuts n increments into: the pilot's head and
-    the held-out sub-blocks, or one for fixed_fraction; StudyError when
-    the holdout leaves the head empty."""
+    """The chunks select_graph cuts n increments into: the pilot's head,
+    then the trailing holdout share (at least one increment) in 10
+    contiguous sub-blocks (fewer for a shorter tail), or one chunk for
+    fixed_fraction; StudyError when the holdout leaves the head empty."""
     if pen["rule"] == "fixed_fraction":
         return [n]
-    tail = _holdout_sizes(n, pen["holdout"])
-    if sum(tail) >= n:
+    n_tail = max(1, int(np.floor(n * pen["holdout"])))
+    if n_tail >= n:
         raise StudyError("holdout leaves no data for the pilot")
-    return [n - sum(tail), *tail]
+    # the sub-blocks give each candidate's standard error
+    return [n - n_tail, *(len(b) for b in np.array_split(
+        np.arange(n_tail), min(10, n_tail)))]
 
 
 def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
@@ -469,7 +479,7 @@ def _select(mom: NodeMoments, layout: ParamLayout, delta: float, pen: dict):
         lpath = lambda_path(h, pilot.theta_hat, gamma,
                             n_points=pen["n_points"],
                             min_fraction=pen["min_fraction"])
-        lpath.validation_loss, lpath.validation_se = _validation_curve(
+        lpath.validation_loss, lpath.validation_se = validation_loss(
             mom.chunk(slice(1, None)), lpath.coefficients, delta)
         pick = select_lambda(lpath, rule=pen["rule"])
         loss, se = lpath.validation_loss, lpath.validation_se
@@ -539,8 +549,8 @@ def recovery_study(config: dict) -> StudyReport:
     kind = graph_info["kind"]
 
     sim = _simulation_settings(config, g_true.d)
-    delta = setting(config, "delta", float, _STUDY_DELTA)
-    horizon = setting(config, "horizon", float, 200.0)
+    delta = setting(config, "delta", float, _STUDY_DELTA, _POSITIVE)
+    horizon = setting(config, "horizon", float, 200.0, _POSITIVE)
     n = int(round(horizon / delta))
     n_seeds = setting(config, "n_seeds", int, 50, (lambda v: v >= 1, "be positive"))
     pen, do_refit = _selection_settings(config)

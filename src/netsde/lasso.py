@@ -23,9 +23,11 @@ block, F is piecewise quadratic and its minimizer is exact once the free
 coordinates and their signs are known, so one primal active-set solver,
 batched over the blocks of a size, serves lsa_solve, lambda_max and the
 cold start.  A path is arrays of flat solutions and adjacency estimates,
-and select_lambda picks a grid index.  The validation curve builds the
-held-out tail's per-node moments once and scores each candidate as a
-quadratic form in its coefficients.
+and select_lambda picks a grid index.  validation_loss scores every
+candidate at once on the held-out chunks of the path's moments, which
+netsde.experiments.select_graph folds once for the pilot and the
+validation alike: each candidate's loss is a quadratic form in its
+coefficients (netsde.estimate.quasi_loglik).
 """
 from __future__ import annotations
 
@@ -35,13 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import (CurvatureBlocks, FitResult, InsufficientDataError,
-                       NodeMoments, _chunk_contrast, _closed_form_fit,
-                       _path_moments)
+from .estimate import (CurvatureBlocks, FitResult, NodeMoments,
+                       _closed_form_fit, quasi_loglik)
 from .graph import DirectedGraph, build_graph
 from .model import (LayoutMismatchError, NsdeSpec, ParamLayout, ParamVector,
                     default_bounds, parameter_layout)
-from .simulate import SamplePath
 
 logger = logging.getLogger(__name__)
 
@@ -393,19 +393,18 @@ def lambda_path(h, pilot: ParamVector, gamma: np.ndarray,
 # validation and penalty choice
 
 
-_SE_BLOCKS = 10  # held-out sub-blocks behind a candidate's standard error
+def validation_loss(mom: NodeMoments, flats: np.ndarray, delta: float):
+    """Per-increment contrast of each candidate on held-out moments.
 
-
-def _holdout_sizes(n: int, fraction: float) -> list[int]:
-    """Increment counts of the 10 contiguous held-out sub-blocks (fewer
-    for a shorter tail) of the trailing fraction of n increments."""
-    n_tail = max(1, int(np.floor(n * fraction)))
-    return [len(b) for b in np.array_split(np.arange(n_tail), min(_SE_BLOCKS, n_tail))]
-
-
-def _validation_curve(mom: NodeMoments, flats: np.ndarray, delta: float):
-    """(loss, se) of each candidate flats[k] on the held-out chunks of mom:
-    its contrast per increment and that mean's standard error across them."""
+    flats (K, p) holds one flat parameter vector of mom's layout per
+    candidate, as LassoPath.coefficients does; mom holds the held-out
+    increments cut into contiguous sub-blocks (select_graph cuts the
+    trailing holdout share into 10).  Returns (loss, se) arrays over the
+    candidates: loss is the mean over every block and se the standard
+    error of that mean across the blocks.  Each candidate's block loss is
+    a quadratic form in its drift coefficients plus the log terms
+    (netsde.estimate.quasi_loglik).
+    """
     # the contrast splits by node, so the size that matters is one node's
     # parameter count (its scale and its drift slots)
     per_node = 1 + max(sl.shape[0] for sl in mom.slots)
@@ -414,43 +413,11 @@ def _validation_curve(mom: NodeMoments, flats: np.ndarray, delta: float):
             f"validation blocks hold as few as {mom.count.min()} increments "
             f"for {per_node} parameters per node; loss estimates may be "
             f"unstable", stacklevel=3)
-    sums = _chunk_contrast(mom, flats, delta)
+    sums = quasi_loglik(mom, flats, delta)
     losses = sums.sum(axis=1) / mom.count.sum()
     if mom.count.shape[0] == 1:
-        return losses, np.zeros(flats.shape[0])
+        return losses, np.zeros(sums.shape[0])
     return losses, (sums / mom.count).std(axis=1, ddof=1) / np.sqrt(mom.count.shape[0])
-
-
-def validation_loss(path_data: SamplePath, spec: NsdeSpec, g: DirectedGraph,
-                    flats: np.ndarray, fraction: float = 0.3):
-    """Per-increment contrast of each candidate on the held-out tail.
-
-    flats (K, p) holds one flat parameter vector of g's layout per
-    candidate, as LassoPath.coefficients does.  The tail is the trailing
-    `fraction` of the increments, cut into 10 contiguous sub-blocks.
-    Returns (loss, se) arrays over the candidates: loss is the mean over
-    the tail and se the standard error of that mean across the
-    sub-blocks.
-
-    The tail's per-node moments are built once (see
-    netsde.estimate.NodeMoments); each candidate's block loss is then a
-    quadratic form in its drift coefficients plus the log terms.
-    """
-    n = path_data.n
-    if n < 2:
-        raise InsufficientDataError("validation needs at least two increments")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    flats = np.asarray(flats, dtype=float)
-    if flats.shape[0] == 0:
-        return np.empty(0), np.zeros(0)
-    layout = parameter_layout(spec, g)
-    if flats.shape[1:] != (layout.pi_total,):
-        raise LayoutMismatchError(
-            f"candidates of shape {flats.shape} for {layout.pi_total} slots")
-    sizes = _holdout_sizes(n, fraction)
-    mom = _path_moments(spec, layout, path_data.data[n - sum(sizes):], sizes)
-    return _validation_curve(mom, flats, path_data.delta)
 
 
 def select_lambda(path: LassoPath, rule: str = "half_se") -> int:

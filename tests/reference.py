@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from netsde.estimate import CurvatureBlocks, fit_adaptive_closed_form
+from netsde.estimate import (CurvatureBlocks, _path_moments,
+                             fit_adaptive_closed_form, fit_diffusion_scale)
 from netsde.experiments import _study_spec, _study_truth, study_graph
 from netsde.graph import DirectedGraph, build_graph, complete_graph
 from netsde.lasso import (adaptive_weights, estimate_adjacency,
@@ -197,7 +198,7 @@ def node_designs(spec: NsdeSpec, layout, x0_rows: np.ndarray):
 
 def quasi_grad(path, spec: NsdeSpec, g: DirectedGraph, layout,
                flat: np.ndarray) -> np.ndarray:
-    """Analytic gradient of quasi_loglik with respect to the flat vector,
+    """Analytic gradient of contrast_by_rows with respect to the flat vector,
     summed row by row over the node designs."""
     x0 = path.data[:-1]
     theta = layout.unflatten(flat)
@@ -215,7 +216,7 @@ def quasi_grad(path, spec: NsdeSpec, g: DirectedGraph, layout,
 
 def hessian_by_rows(path, spec: NsdeSpec, g: DirectedGraph, layout,
                     flat: np.ndarray) -> np.ndarray:
-    """Analytic Hessian of quasi_loglik with respect to the flat vector,
+    """Analytic Hessian of contrast_by_rows with respect to the flat vector,
     as a dense matrix summed row by row over the node designs: one block
     per node over its diffusion scale and drift parameters."""
     x0 = path.data[:-1]
@@ -259,8 +260,38 @@ def increment_losses(rows: np.ndarray, delta: float, spec, g,
     return np.sum(r * r / (2.0 * delta * var) + 0.5 * np.log(var), axis=1)
 
 
+def contrast_by_rows(path, spec: NsdeSpec, g: DirectedGraph,
+                     theta: ParamVector) -> float:
+    """The Euler contrast of a stored path at theta, summed increment by
+    increment: quasi_loglik's value over the path's moments by the direct
+    route."""
+    return float(increment_losses(path.data, path.delta, spec, g, theta).sum())
+
+
+def stage_one_scales(path, spec: NsdeSpec, lo=0.0, hi=1e3) -> np.ndarray:
+    """fit_diffusion_scale of a stored path: the stage-one scales read off
+    its moments on the empty graph, clipped to [lo, hi]."""
+    layout = parameter_layout(spec, build_graph(spec.d, ()))
+    return fit_diffusion_scale(_path_moments(spec, layout, path.data),
+                               path.delta, lo, hi)
+
+
+def holdout_loss(path, spec: NsdeSpec, g: DirectedGraph, flats,
+                 fraction: float = 0.3):
+    """validation_loss of the candidates flats (K, p) of g's layout on a
+    stored path's trailing fraction of increments, cut into 10 contiguous
+    sub-blocks (fewer for a shorter tail): the tail's rows folded on their
+    own, where select_graph folds the whole path once."""
+    n = path.n
+    n_tail = max(1, int(np.floor(n * fraction)))
+    sizes = [len(b) for b in np.array_split(np.arange(n_tail), min(10, n_tail))]
+    mom = _path_moments(spec, parameter_layout(spec, g), path.data[n - n_tail:],
+                        sizes)
+    return validation_loss(mom, flats, path.delta)
+
+
 def validation_loss_by_rows(path, spec, g, thetas, fraction=0.3):
-    """validation_loss evaluated increment by increment for each candidate:
+    """holdout_loss evaluated increment by increment for each candidate:
     the trailing fraction of the increments, standard errors over 10
     contiguous sub-blocks."""
     n = path.n
@@ -342,7 +373,7 @@ def select_by_paths(path, spec: NsdeSpec, penalty: dict):
     """(a_hat, selected_lambda, lambda_max) of the selection pipeline by
     two separate fits of a stored path: the complete-graph pilot fitted on
     the leading 1 - holdout share of it (all of it for fixed_fraction)
-    and the candidates scored by validation_loss on the trailing share."""
+    and the candidates scored by holdout_loss on the trailing share."""
     g_full = complete_graph(spec.d)
     rule = penalty.get("rule", "half_se")
     head = path
@@ -361,7 +392,7 @@ def select_by_paths(path, spec: NsdeSpec, penalty: dict):
         lpath = lambda_path(h, pilot.theta_hat, gamma,
                             n_points=penalty.get("n_points", 50),
                             min_fraction=penalty.get("min_fraction", 1e-3))
-        lpath.validation_loss, lpath.validation_se = validation_loss(
+        lpath.validation_loss, lpath.validation_se = holdout_loss(
             path, spec, g_full, lpath.coefficients, fraction=holdout)
         pick = select_lambda(lpath, rule=rule)
     return (estimate_adjacency(pilot.layout, lpath.coefficients[pick]),

@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netsde.estimate import (fit_diffusion_scale, fit_linear_closed_form,
-                             fit_qmle)
+from netsde.estimate import fit_linear_closed_form, fit_qmle
 from netsde.experiments import (error_bound_study, recovery_study,
                                 reference_er_graph)
 from netsde.graph import erdos_renyi, ergodicity_margin
@@ -21,7 +20,7 @@ from netsde.lasso import kkt_residual, lambda_max, lsa_solve
 from netsde.model import (LinearDrift, NsdeSpec, ParamVector, TanhClipped,
                           parameter_layout)
 from netsde.simulate import simulate_path
-from reference import flat_weights, one_block, sigma_path
+from reference import flat_weights, one_block, sigma_path, stage_one_scales
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -83,7 +82,7 @@ def test_closed_form_matches_optimizer():
                             network=rng.uniform(-1.0, 1.0, g.n_edges))
         path = simulate_path(spec, g, theta, np.zeros(d), 0.01, 5000,
                              substeps=10, seed=trial)
-        alpha_hat = fit_diffusion_scale(path, spec)
+        alpha_hat = stage_one_scales(path, spec)
         closed = ParamVector(
             alpha=alpha_hat,
             beta=fit_linear_closed_form(

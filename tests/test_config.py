@@ -288,6 +288,41 @@ RADIAL = {"family": "radial_dictionary", "offsets": [1.0, 2.0],
      "adjacency", "must be a list of lists of numbers, got [[0, 1], [1, 'a']]"),
     ("communities", "graph_er.json", {"true_labels": ["a", "b"]}, [],
      "true_labels", "must be a list of numbers, got ['a', 'b']"),
+    # an observation step, a horizon or a simulator setting out of range;
+    # these once ended in a traceback, in an error that named no setting,
+    # or in an empty report
+    ("bench", "bench_error_bound_d8.json", {"delta": 0}, [], "delta",
+     "must be positive and finite, got 0"),
+    ("bench", "recovery_er.json", {"delta": 0}, [], "delta",
+     "must be positive and finite, got 0"),
+    ("bench", "bench_error_bound_d8.json", {"delta": -0.01}, [], "delta",
+     "must be positive and finite, got -0.01"),
+    ("bench", "recovery_polymer.json", {}, ["delta=Infinity"], "delta",
+     "must be positive and finite, got inf"),
+    ("bench", "recovery_polymer.json", {"horizon": 0}, [], "horizon",
+     "must be positive and finite, got 0"),
+    ("bench", "recovery_polymer.json", {"horizon": -2}, [], "horizon",
+     "must be positive and finite, got -2"),
+    ("bench", "recovery_polymer.json", {}, ["horizon=NaN"], "horizon",
+     "must be positive and finite, got nan"),
+    ("bench", "bench_error_bound_d8.json", {"horizons": []}, [], "horizons",
+     "must be a non-empty list of positive finite numbers, got []"),
+    ("bench", "bench_error_bound_d8.json", {"horizons": [10, 0]}, [], "horizons",
+     "must be a non-empty list of positive finite numbers, got [10, 0]"),
+    ("bench", "bench_error_bound_d8.json", {}, ["horizons=[10, NaN]"], "horizons",
+     "must be a non-empty list of positive finite numbers, got [10, nan]"),
+    ("bench", "recovery_er.json", {"substeps": 0}, [], "substeps",
+     "must be at least 1, got 0"),
+    ("bench", "bench_error_bound_d8.json", {"burn_in": -1}, [], "burn_in",
+     "must be non-negative, got -1"),
+    ("bench", "recovery_polymer.json", {"x0": [0.0, 0.0]}, [], "x0",
+     "must have 12 entries, got [0.0, 0.0]"),
+    ("simulate", "simulate_er.json", {"delta": 0}, [], "delta",
+     "must be positive and finite, got 0"),
+    ("simulate", "simulate_er.json", {"substeps": 0}, [], "substeps",
+     "must be at least 1, got 0"),
+    ("simulate", "simulate_er.json", {}, ["n=-200"], "n",
+     "must be non-negative, got -200"),
 ])
 def test_a_bad_setting_exits_2_naming_its_path(
         tmp_path, monkeypatch, capsys, command, name, edits, overrides, path,

@@ -3,18 +3,19 @@ import pytest
 
 from netsde.estimate import (DegenerateDiffusionError, InsufficientDataError,
                              SingularGramError, _path_moments,
-                             fit_adaptive_closed_form,
-                             fit_diffusion_scale, fit_linear_closed_form,
+                             fit_adaptive_closed_form, fit_linear_closed_form,
                              fit_qmle, fit_result_to_dict,
                              model_hessian, quasi_loglik, rate_diagonal)
+from netsde.experiments import select_graph
 from netsde.graph import build_graph, complete_graph, erdos_renyi, polymer
-from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
-                          ParamVector, RadialDictionaryDrift, TanhClipped,
-                          diffusion_shape, parameter_layout)
+from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
+                          NsdeSpec, ParamVector, RadialDictionaryDrift,
+                          TanhClipped, diffusion_shape, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
-from reference import (diffusion_contrast, diffusion_eval, drift_contrast,
-                       drift_eval, node_designs, numerical_hessian, quasi_grad,
-                       sigma_path)
+from reference import (contrast_by_rows, diffusion_contrast, diffusion_eval,
+                       drift_contrast, drift_eval, node_designs,
+                       numerical_hessian, quasi_grad, sigma_path,
+                       stage_one_scales)
 
 
 def small_model(clip=100.0):
@@ -50,9 +51,17 @@ def naive_contrast(path, spec, g, theta):
 def test_quasi_loglik_matches_naive_loop():
     spec, g, layout, theta = small_model()
     path = simulated(spec, g, theta, n=200)
-    got = quasi_loglik(path, spec, g, theta)
     want = naive_contrast(path, spec, g, theta)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert contrast_by_rows(path, spec, g, theta) == pytest.approx(want, rel=1e-12)
+    # the moments' contrast, one chunk or several, at once for two vectors
+    flat = layout.flatten(theta)
+    for sizes in (None, [120, 50, 30]):
+        got = quasi_loglik(_path_moments(spec, layout, path.data, sizes),
+                           np.stack([flat, 1.1 * flat]), path.delta)
+        assert got.shape == (2, 1 if sizes is None else 3)
+        assert got[0].sum() == pytest.approx(want, rel=1e-12)
+        assert got[1].sum() == pytest.approx(contrast_by_rows(
+            path, spec, g, layout.unflatten(1.1 * flat)), rel=1e-12)
 
 
 def test_contrast_identities():
@@ -61,7 +70,7 @@ def test_contrast_identities():
     x0 = path.data[:-1]
     sig = sigma_path(path, spec, theta.alpha)
     log_term = 0.5 * float(np.sum(np.log(sig * sig)))
-    assert quasi_loglik(path, spec, g, theta) == pytest.approx(
+    assert contrast_by_rows(path, spec, g, theta) == pytest.approx(
         0.5 * drift_contrast(path, spec, g, theta) + log_term, rel=1e-12)
     assert sig.shape == (path.n, 3)
     assert np.allclose(sig, theta.alpha * 100.0 * np.tanh(
@@ -71,7 +80,7 @@ def test_contrast_identities():
 def test_stage_one_scale_is_the_exact_minimizer():
     spec, g, layout, theta = small_model()
     path = simulated(spec, g, theta, n=3000)
-    alpha_hat = fit_diffusion_scale(path, spec)
+    alpha_hat = stage_one_scales(path, spec)
     # the contrast is separable; scanning one coordinate at a time must not
     # find anything better than the closed form
     from scipy.optimize import minimize_scalar
@@ -90,7 +99,7 @@ def test_stage_one_scale_is_the_exact_minimizer():
 def test_stage_one_clipping():
     spec, g, layout, theta = small_model()
     path = simulated(spec, g, theta, n=100)
-    clipped = fit_diffusion_scale(path, spec, lo=0.0, hi=0.5)
+    clipped = stage_one_scales(path, spec, lo=0.0, hi=0.5)
     assert np.all(clipped <= 0.5)
 
 
@@ -136,7 +145,7 @@ def test_gradient_matches_central_differences():
     grad = quasi_grad(path, spec, g, layout, flat)
 
     def obj(v):
-        return quasi_loglik(path, spec, g, layout.unflatten(v))
+        return contrast_by_rows(path, spec, g, layout.unflatten(v))
 
     num = np.empty_like(flat)
     for k in range(flat.size):
@@ -152,7 +161,7 @@ def test_hessian_matches_central_differences():
     path = simulated(spec, g, theta, n=300)
 
     def obj(v):
-        return quasi_loglik(path, spec, g, layout.unflatten(v))
+        return contrast_by_rows(path, spec, g, layout.unflatten(v))
 
     flat = layout.flatten(theta)
     analytic = model_hessian(path, spec, g, theta)
@@ -175,7 +184,7 @@ def test_hessian_matches_for_radial_and_augmented_forms():
                          seed=2)
 
     def obj(v):
-        return quasi_loglik(path, spec, g, layout.unflatten(v))
+        return contrast_by_rows(path, spec, g, layout.unflatten(v))
 
     analytic = model_hessian(path, spec, g, theta)
     numeric = numerical_hessian(obj, layout.flatten(theta))
@@ -188,7 +197,7 @@ def test_hessian_matches_for_radial_and_augmented_forms():
     theta2 = layout2.unflatten(flat2)
 
     def obj2(v):
-        return quasi_loglik(path, spec2, g, layout2.unflatten(v))
+        return contrast_by_rows(path, spec2, g, layout2.unflatten(v))
 
     analytic2 = model_hessian(path, spec2, g, theta2)
     numeric2 = numerical_hessian(obj2, flat2)
@@ -363,10 +372,28 @@ def test_fit_argument_errors():
     with pytest.raises(ValueError):
         fit_qmle(path, spec, g, mode="steepest")
     with pytest.raises(InsufficientDataError):
-        quasi_loglik(SamplePath(delta=0.1, data=np.zeros((1, 3))), spec, g, theta)
+        _path_moments(spec, layout, np.zeros((1, 3)))
+    mom = _path_moments(spec, layout, path.data)
     with pytest.raises(DegenerateDiffusionError):
-        quasi_loglik(path, spec, g,
-                     ParamVector(alpha=[0.0, 1.0, 1.0], beta=theta.beta))
+        quasi_loglik(mom, ParamVector(alpha=[0.0, 1.0, 1.0],
+                                      beta=theta.beta).flat()[None], path.delta)
+    with pytest.raises(LayoutMismatchError, match=r"shape \(1, 4\) for 9 slots"):
+        quasi_loglik(mom, np.ones((1, 4)), path.delta)
+    assert quasi_loglik(mom, np.empty((0, 9)), path.delta).shape == (0, 1)
+
+
+@pytest.mark.parametrize("columns", [2, 4])
+def test_a_path_of_another_width_names_both_counts(columns):
+    # it once failed inside numpy with a broadcast or take message
+    spec, g, layout, theta = small_model()
+    rows = simulated(spec, g, theta, n=200).data
+    rows = np.hstack([rows, rows])[:, :columns]
+    path = SamplePath(delta=0.01, data=rows)
+    message = f"path has {columns} columns, model has 3 nodes"
+    with pytest.raises(LayoutMismatchError, match=message):
+        fit_qmle(path, spec, g)
+    with pytest.raises(LayoutMismatchError, match=message):
+        select_graph(path, spec, {"rule": "min", "n_points": 4})
 
 
 def test_numerical_hessian_option_agrees():
@@ -377,7 +404,7 @@ def test_numerical_hessian_option_agrees():
     fa = fit_qmle(path, spec, g, mode="adaptive")
 
     def obj(v):
-        return quasi_loglik(path, spec, g, layout.unflatten(v))
+        return contrast_by_rows(path, spec, g, layout.unflatten(v))
 
     numeric = numerical_hessian(obj, layout.flatten(fa.theta_hat))
     info = fa.info_blocks.dense()

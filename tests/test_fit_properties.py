@@ -7,17 +7,20 @@ on) and a path of n from 3 to 3000 increments at a spacing from 0.001
 to 0.1.
 The path is a noisy mean-reverting recursion whose noise scale may be
 zero in some coordinates.  fit_qmle in both modes must either return a
-certified fit or raise one of the named EstimationError subclasses.
+certified fit or raise one of the named EstimationError subclasses,
+and no small move of a coordinate the fit optimizes, within the box,
+may lower its contrast.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsde.estimate import (DegenerateDiffusionError, InsufficientDataError,
-                             SingularGramError, fit_qmle)
+                             SingularGramError, _path_moments, fit_qmle,
+                             quasi_loglik)
 from netsde.graph import complete_graph, erdos_renyi
 from netsde.model import (ConstantDiagonal, LinearDrift, NsdeSpec,
-                          RadialDictionaryDrift, TanhClipped)
+                          RadialDictionaryDrift, TanhClipped, default_bounds)
 from netsde.simulate import SamplePath
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
@@ -81,3 +84,32 @@ def test_standard_errors_invert_the_rate_normalized_information(problem):
         with np.errstate(invalid="ignore"):  # a negative variance reads nan
             want = np.sqrt(rate * np.diag(np.linalg.inv(scaled)) * rate)
         np.testing.assert_allclose(fit.standard_errors(), want, rtol=1e-9, atol=0)
+
+
+@PROPERTY
+@given(fit_problems())
+def test_no_small_move_in_the_box_lowers_a_certified_contrast(problem):
+    spec, g, path = problem
+    for mode in ("adaptive", "joint"):
+        try:
+            fit = fit_qmle(path, spec, g, mode=mode)
+        except NAMED:
+            continue
+        layout = fit.layout
+        flat = layout.flatten(fit.theta_hat)
+        lo, hi = default_bounds(layout)
+        lo[:layout.pi_alpha] = 1e-8  # the fit's floor on the scales
+        # the drift slots, and the scales only when the fit is joint (the
+        # adaptive scales minimize the stage-one contrast instead)
+        coords = np.arange(0 if mode == "joint" else layout.pi_alpha,
+                           layout.pi_total)
+        step = 1e-5 * (1.0 + np.abs(flat[coords]))
+        moved = np.repeat(flat[None], 2 * coords.size, axis=0)
+        rows, cols = np.arange(2 * coords.size), np.tile(coords, 2)
+        moved[rows, cols] = np.clip(flat[cols] + np.r_[step, -step],
+                                    lo[cols], hi[cols])
+        values = quasi_loglik(_path_moments(spec, layout, path.data), moved,
+                              path.delta).sum(axis=1)
+        # rounding: the worst drop over these examples is 5e-14 (1 + |contrast|)
+        floor = fit.contrast_value - 1e-12 * (1.0 + abs(fit.contrast_value))
+        assert np.all(values >= floor), (mode, np.argmin(values))

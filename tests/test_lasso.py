@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from netsde import lasso
-from netsde.estimate import (CurvatureBlocks, _path_moments,
-                             fit_adaptive_closed_form)
+from netsde.estimate import (CurvatureBlocks, DegenerateDiffusionError,
+                             _path_moments, fit_adaptive_closed_form)
 from netsde.graph import build_graph, complete_graph
 from netsde.lasso import (ConvergenceError, LassoError,
                           LassoPath, MissingValidationLossError, NonPSDError,
@@ -19,7 +19,7 @@ from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
                           NsdeSpec, ParamVector, RadialDictionaryDrift,
                           TanhClipped, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
-from reference import exact_box_lasso, flat_weights, one_block
+from reference import exact_box_lasso, flat_weights, holdout_loss, one_block
 
 
 def rand_instance(rng, n_alpha=2, n_beta=4, scale=1.0):
@@ -421,7 +421,7 @@ def test_validation_loss_matches_direct_computation():
     spec, g, layout, theta, path = small_sim()
     other = layout.pack(alpha=[1.0, 1.5], momentum=[1.0, 1.0], network=[0.0])
     with pytest.warns(UserWarning, match="blocks hold as few"):
-        loss, se = validation_loss(path, spec, g, np.stack(
+        loss, se = holdout_loss(path, spec, g, np.stack(
             [layout.flatten(theta), layout.flatten(other)]), fraction=0.25)
     n_tail = int(np.floor(path.n * 0.25))
     rows = path.data[path.n - n_tail:]
@@ -448,13 +448,18 @@ def test_validation_loss_matches_direct_computation():
 
 def test_validation_loss_errors():
     spec, g, layout, theta, path = small_sim()
-    with pytest.raises(ValueError):
-        validation_loss(path, spec, g, layout.flatten(theta)[None], fraction=1.5)
     tiny = SamplePath(delta=0.01, data=path.data[:30])
     with pytest.warns(UserWarning):
-        validation_loss(tiny, spec, g, layout.flatten(theta)[None], fraction=0.3)
+        holdout_loss(tiny, spec, g, layout.flatten(theta)[None], fraction=0.3)
+    mom = _path_moments(spec, layout, path.data, [40] * 10)
     with pytest.raises(LayoutMismatchError):
-        validation_loss(path, spec, g, np.ones((1, 4)), fraction=0.3)
+        validation_loss(mom, np.ones((1, 4)), path.delta)
+    with pytest.raises(DegenerateDiffusionError):
+        validation_loss(mom, np.zeros((1, layout.pi_total)), path.delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, se = validation_loss(mom, np.empty((0, layout.pi_total)), path.delta)
+    assert loss.shape == se.shape == (0,)
 
 
 def test_validation_warning_counts_parameters_per_node():
@@ -463,7 +468,7 @@ def test_validation_warning_counts_parameters_per_node():
     spec, g, layout, theta, path = small_sim(n=2000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        validation_loss(path, spec, g, layout.flatten(theta)[None], fraction=0.2)
+        holdout_loss(path, spec, g, layout.flatten(theta)[None], fraction=0.2)
 
 
 def hand_path():

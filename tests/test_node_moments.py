@@ -7,20 +7,21 @@ import pytest
 from numpy.linalg import cholesky
 
 from netsde import estimate, model
-from netsde.estimate import (_chunk_contrast, _derivatives, _MomentFold,
-                             _node_terms, _path_moments, _projected_grad,
-                             fit_adaptive_closed_form, fit_diffusion_scale,
-                             fit_linear_closed_form, fit_qmle,
-                             fit_result_to_dict, model_hessian, quasi_loglik)
+from netsde.estimate import (_derivatives, _MomentFold, _node_terms,
+                             _path_moments, _projected_grad,
+                             fit_adaptive_closed_form, fit_linear_closed_form,
+                             fit_qmle, fit_result_to_dict, model_hessian,
+                             quasi_loglik)
 from netsde.experiments import error_bound_study, select_graph
 from netsde.graph import build_graph, complete_graph
-from netsde.lasso import graph_from_adjacency, two_step_refit, validation_loss
+from netsde.lasso import graph_from_adjacency, two_step_refit
 from netsde.model import (LinearDrift, NsdeSpec, RadialDictionaryDrift,
                           TanhClipped, default_bounds, diffusion_shape,
                           parameter_layout, path_drift_fn)
 from netsde.simulate import simulate_path
-from reference import (exact_inverse_diagonal, hessian_by_rows, quasi_grad,
-                       sigma_path, validation_loss_by_rows)
+from reference import (contrast_by_rows, exact_inverse_diagonal, hessian_by_rows,
+                       holdout_loss, quasi_grad, sigma_path, stage_one_scales,
+                       validation_loss_by_rows)
 
 # node 0's parents are listed out of order, so its slots are not ascending
 EDGES = [(0, 2), (0, 1), (1, 2), (2, 0)]
@@ -67,7 +68,7 @@ def test_validation_loss_matches_the_row_by_row_loop(name):
     spec, g, _aug, path, candidates = model_case(name)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small blocks warn; not the point here
-        loss, se = validation_loss(
+        loss, se = holdout_loss(
             path, spec, g, np.stack([c.flat() for c in candidates]), fraction=0.4)
     want_loss, want_se = validation_loss_by_rows(path, spec, g, candidates,
                                                  fraction=0.4)
@@ -89,8 +90,8 @@ def test_information_blocks_match_model_hessian(name):
         want = hessian_by_rows(path, spec, g, layout, flat)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
         assert np.array_equal(model_hessian(path, spec, g, theta), got)
-        contrast = _chunk_contrast(mom, flat[None], path.delta).sum()
-        assert contrast == pytest.approx(quasi_loglik(path, spec, g, theta),
+        contrast = quasi_loglik(mom, flat[None], path.delta).sum()
+        assert contrast == pytest.approx(contrast_by_rows(path, spec, g, theta),
                                          rel=1e-12)
         want = quasi_grad(path, spec, g, layout, flat)
         assert np.allclose(grad, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
@@ -98,7 +99,8 @@ def test_information_blocks_match_model_hessian(name):
 
 @pytest.mark.parametrize("mode", ["adaptive", "joint"])
 def test_fit_qmle_reads_the_path_once_through_its_moments(monkeypatch, mode):
-    spec, g, _aug, path, candidates = model_case("radial")
+    spec, g, _aug, path, _candidates = model_case("radial")
+    linear = model_case("linear")  # the selection takes the linear family
     builds = []
     init = _MomentFold.__init__
 
@@ -111,16 +113,15 @@ def test_fit_qmle_reads_the_path_once_through_its_moments(monkeypatch, mode):
 
     # every NodeMoments comes from one fold per call, whoever builds it
     monkeypatch.setattr(_MomentFold, "__init__", counted)
-    for name in ("quasi_loglik", "model_hessian", "path_drift_fn"):
-        monkeypatch.setattr(estimate, name, row_by_row)
+    monkeypatch.setattr(estimate, "model_hessian", row_by_row)
     monkeypatch.setattr(model, "path_drift_fn", row_by_row)
     fit = fit_qmle(path, spec, g, mode=mode)
     assert len(builds) == 1
     for call in (
             lambda: fit_linear_closed_form(path, g, 1.0),
             lambda: model_hessian(path, spec, g, fit.theta_hat),
-            lambda: validation_loss(
-                path, spec, g, np.stack([c.flat() for c in candidates]), fraction=0.4),
+            lambda: select_graph(linear[3], linear[0], {"rule": "min",
+                                                        "n_points": 4}),
             lambda: error_bound_study({
                 "graph": {"kind": "er_fixed_edges", "d": 4, "n_edges": 3,
                           "seed": 1},
@@ -132,7 +133,7 @@ def test_fit_qmle_reads_the_path_once_through_its_moments(monkeypatch, mode):
         assert len(builds) == 1
     monkeypatch.undo()
     assert fit.contrast_value == pytest.approx(
-        quasi_loglik(path, spec, g, fit.theta_hat), rel=1e-12)
+        contrast_by_rows(path, spec, g, fit.theta_hat), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -147,7 +148,7 @@ def test_fits_carry_the_reference_contrast_information_and_errors(name):
                            fit.layout.flatten(fit.theta_hat))
     assert np.allclose(info, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
     assert fit.contrast_value == pytest.approx(
-        quasi_loglik(path, spec, g, fit.theta_hat), rel=1e-12)
+        contrast_by_rows(path, spec, g, fit.theta_hat), rel=1e-12)
     # block-wise standard errors against the exact inverse of the whole
     # matrix (a float inverse of the radial case, condition number 1.6e7,
     # is itself about 1e-12 off)
@@ -217,7 +218,7 @@ def test_linear_closed_form_is_the_certified_frozen_scale_fit(name):
     # weights sigma_hat = alpha_hat s(x) give the drift of fit_qmle with the
     # scales frozen at alpha_hat; the scales themselves read 1
     spec, g, _aug, path, _candidates = model_case(name)
-    alpha_hat = fit_diffusion_scale(path, spec)
+    alpha_hat = stage_one_scales(path, spec)
     closed = fit_linear_closed_form(path, g, sigma_path(path, spec, alpha_hat),
                                     intercepts=name == "intercepts")
     want = fit_qmle(path, spec, g, freeze_alpha=alpha_hat)

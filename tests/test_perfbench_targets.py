@@ -7,8 +7,9 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from netsde import experiments, lasso
+from netsde import estimate, experiments, lasso
 from netsde.graph import build_graph
 from netsde.model import LinearDrift, NsdeSpec, TanhClipped, parameter_layout
 from netsde.simulate import simulate_path
@@ -43,18 +44,21 @@ def test_every_trace_target_is_a_package_function(monkeypatch):
             assert name in params, f"{target.attr} lost its {name!r} argument"
 
 
-# the lasso names whose spans the traced run reads (lasso.psd_s,
-# lambda_max_s, path_s, solve_s and kkt_s)
+# the names whose spans the traced run reads: lasso.psd_s, lambda_max_s,
+# path_s, solve_s, kkt_s and validation_s, and estimate.scale_s and
+# loglik_s
 TRACED_LASSO = ("psd_project", "lambda_max", "lambda_path", "lsa_solve",
-                "kkt_residual")
+                "kkt_residual", "validation_loss")
+TRACED_ESTIMATE = ("fit_diffusion_scale", "quasi_loglik")
 
 
-def test_select_graph_reaches_every_traced_lasso_name(monkeypatch):
-    # the run wraps each module attribute holding one of these names; a
-    # call that routes around all of them would read 0 there, not fail
-    reached = dict.fromkeys(TRACED_LASSO, 0)
-    for module in (lasso, experiments):
-        for name in TRACED_LASSO:
+def _counted_calls(monkeypatch, names):
+    """Wrap each attribute of the pipeline's modules that holds one of the
+    names, as the traced run does, and count the calls through them: a
+    call that routes around all of them would read 0 there, not fail."""
+    reached = dict.fromkeys(names, 0)
+    for module in (estimate, lasso, experiments):
+        for name in names:
             fn = getattr(module, name, None)
             if fn is None:
                 continue
@@ -64,6 +68,10 @@ def test_select_graph_reaches_every_traced_lasso_name(monkeypatch):
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+    return reached
+
+
+def _selection():
     spec = NsdeSpec(d=3, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
     g = build_graph(3, [(0, 1), (2, 1)])
     theta = parameter_layout(spec, g).pack(alpha=np.full(3, 2.0),
@@ -72,4 +80,23 @@ def test_select_graph_reaches_every_traced_lasso_name(monkeypatch):
     path = simulate_path(spec, g, theta, np.zeros(3), 0.01, 2000, substeps=5,
                          seed=5)
     experiments.select_graph(path, spec, {"rule": "min", "n_points": 4})
+
+
+def _error_bound():
+    experiments.error_bound_study({
+        "graph": {"kind": "er_fixed_edges", "d": 4, "n_edges": 3, "seed": 1},
+        "horizons": [2.0], "n_reps": 2})
+
+
+def test_select_graph_reaches_every_traced_lasso_name(monkeypatch):
+    reached = _counted_calls(monkeypatch, TRACED_LASSO)
+    _selection()
+    assert all(reached.values()), reached
+
+
+@pytest.mark.parametrize("run", [_selection, _error_bound],
+                         ids=["select_graph", "error_bound_study"])
+def test_pipeline_reaches_every_traced_estimate_name(monkeypatch, run):
+    reached = _counted_calls(monkeypatch, TRACED_ESTIMATE)
+    run()
     assert all(reached.values()), reached
