@@ -235,6 +235,16 @@ _STUDY_DELTA = 0.01  # both studies' default observation step
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
 
 
+def _n_steps(horizon: float, delta: float, path: str) -> int:
+    """The observation steps of delta in horizon, rounded; ConfigFieldError
+    names path where that leaves none (horizon at most delta / 2)."""
+    n = int(round(horizon / delta))
+    if n < 1:
+        raise ConfigFieldError(path, f"must be more than half of delta = "
+                                     f"{delta!r}, got {horizon!r}")
+    return n
+
+
 def _simulation_settings(config: dict, d: int) -> dict:
     """x0, substeps, seed and burn_in of a config that simulates, as
     simulate_path's keywords."""
@@ -305,6 +315,7 @@ def error_bound_study(config: dict) -> StudyReport:
     horizons = setting(config, "horizons", [float], check=(
         lambda v: len(v) > 0 and all(_POSITIVE[0](t) for t in v),
         "be a non-empty list of positive finite numbers"))
+    steps = [_n_steps(horizon, delta, "horizons") for horizon in horizons]
     n_reps = setting(config, "n_reps", int, 100, (lambda v: v >= 1, "be positive"))
     ref_means = setting(config, "reference.mean_error", [float], None)
     ref_bounds = setting(config, "reference.bound", [float], None)
@@ -316,8 +327,7 @@ def error_bound_study(config: dict) -> StudyReport:
 
     all_seeds = derive_seeds(sim["seed"], n_reps * len(horizons))
     rows = []
-    for cell, horizon in enumerate(horizons):
-        n = int(round(horizon / delta))
+    for cell, (horizon, n) in enumerate(zip(horizons, steps)):
         fits = [_closed_form_fit(moments.chunk(r), layout, delta, intercepts=False)
                 for block, moments in _ensemble_moments(
                     spec, g, theta_true, sim, n, delta,
@@ -403,30 +413,31 @@ _PENALTY_SETTINGS = {
 }
 
 
-def _penalty(cfg: dict, at: str = "") -> dict:
-    """The rule and the settings it reads of the penalty block at `at` in
-    cfg ("penalty.", or ""), checked: ConfigFieldError names an unknown
-    key, or a setting the rule reads that is missing or not valid."""
-    block = setting(cfg, at[:-1], dict, {}) if at else cfg
-    unknown = [at + key for key in sorted(
-        set(block) - set(_PENALTY_SETTINGS) - {"rule", "penalize_momentum"})]
+def _penalty(cfg: dict) -> dict:
+    """The rule and the settings it reads of cfg's penalty block, checked:
+    ConfigFieldError names an unknown key, or a setting the rule reads
+    that is missing or not valid, by its path (penalty.holdout, say)."""
+    unknown = ["penalty." + key for key in sorted(
+        set(setting(cfg, "penalty", dict, {})) - set(_PENALTY_SETTINGS)
+        - {"rule", "penalize_momentum"})]
     if unknown:
         raise ConfigFieldError(unknown[0], "unknown setting" + "".join(
             f"; so is {path!r}" for path in unknown[1:]))
-    pen = {"rule": setting(cfg, at + "rule", str, "half_se",
+    pen = {"rule": setting(cfg, "penalty.rule", str, "half_se",
                            allowed=("min", "half_se", "fixed_fraction")),
-           "penalize_momentum": setting(cfg, at + "penalize_momentum", bool, False)}
+           "penalize_momentum": setting(cfg, "penalty.penalize_momentum", bool,
+                                        False)}
     reads = ["fraction"] if pen["rule"] == "fixed_fraction" else [
         "holdout", "n_points", "min_fraction"]
     for key in ["weight_exponent", *reads]:
-        pen[key] = setting(cfg, at + key, *_PENALTY_SETTINGS[key])
+        pen[key] = setting(cfg, "penalty." + key, *_PENALTY_SETTINGS[key])
     return pen
 
 
 def _selection_settings(config: dict):
     """The checked penalty block (_penalty) and the refit switch of a
     config that selects a graph: a recovery study's or `netsde lasso`'s."""
-    return _penalty(config, "penalty."), setting(config, "refit", bool, True)
+    return _penalty(config), setting(config, "refit", bool, True)
 
 
 def _chunk_sizes(pen: dict, n: int) -> list[int]:
@@ -451,14 +462,15 @@ def select_graph(path: SamplePath, spec: NsdeSpec, penalty_cfg: dict):
     share of the increments and score candidates on the trailing share; the
     fixed_fraction rule uses the whole path for the pilot and solves the
     one penalty fraction * lambda_max.  The penalty settings are checked
-    first (_penalty), then the path is folded once on the complete graph,
+    first (_penalty: ConfigFieldError names a bad one as penalty.<key>,
+    as in a config), then the path is folded once on the complete graph,
     cut as _chunk_sizes says, and _select reads the rest off its moments.
     The path's adjacency (K, d, d) holds the estimate at every grid point.
     Returns (a_hat, selected_lambda, lasso_path, pilot_fit, moments):
     moments are the path's NodeMoments on the pilot's layout, which
     two_step_refit reads the refit off.
     """
-    pen = _penalty(penalty_cfg)
+    pen = _penalty({"penalty": penalty_cfg})
     layout = parameter_layout(spec, complete_graph(spec.d), augmented=True)
     mom = _path_moments(spec, layout, path.data, _chunk_sizes(pen, path.n))
     return (*_select(mom, layout, path.delta, pen), mom)
@@ -551,7 +563,7 @@ def recovery_study(config: dict) -> StudyReport:
     sim = _simulation_settings(config, g_true.d)
     delta = setting(config, "delta", float, _STUDY_DELTA, _POSITIVE)
     horizon = setting(config, "horizon", float, 200.0, _POSITIVE)
-    n = int(round(horizon / delta))
+    n = _n_steps(horizon, delta, "horizon")
     n_seeds = setting(config, "n_seeds", int, 50, (lambda v: v >= 1, "be positive"))
     pen, do_refit = _selection_settings(config)
     sizes = _chunk_sizes(pen, n)

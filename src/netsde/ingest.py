@@ -7,22 +7,29 @@ missing entries and to_sample_path turns a clean, evenly spaced panel
 into a SamplePath, optionally in logs or log-differences.
 
 The CSV codec (parse_panel_csv, panel_to_csv, and the path CSVs of
-netsde.simulate through it) reads each cell with float() and writes it
-with repr(), which hold the GIL, so a second thread cannot share the
-work.  A table of SPLIT_MIN_CELLS cells or more is done in two
-processes instead: this one takes the first half of the rows and one
-os.fork()ed child the second, whose rows (parsed values or formatted
-lines) come back through an os.pipe as one pickle.  Both halves run the
-same row function, so the values, the text and the ParseError (message
-and line; of two bad lines the earlier one) are what one process gives.
-Smaller tables stay in one process, since a fork costs more than their
-halves save, and so does every table while a second Python thread is
-alive, or where os.fork is missing.  The child ends with os._exit; the
-parent always reaps it, kills it first if its own half raised, and does
-the child's half itself if the child's reply is missing or cut short.
+netsde.simulate through it) reads a table with one np.loadtxt call and
+writes each cell with repr().  Only the lines loadtxt cannot take are
+read row by row with float(): blank lines and lines with an empty cell
+(a gap), or every line if loadtxt refuses one (a marker such as NA, an
+underscore, a non-ASCII digit, a wrong field count) or a marker reads as
+a number, so the values and each ParseError (message and line) are what
+float() gives.  repr() and the row reader hold the GIL, and loadtxt
+gains nothing from a second thread, so a table of SPLIT_MIN_CELLS cells
+or more is done in two processes instead: this one takes the first half
+of the rows and one os.fork()ed child the second, whose half (a parsed
+array or formatted lines) comes back through an os.pipe as one pickle.
+Both halves run the same function, so the values, the text and the
+ParseError (of two bad lines the earlier one) are what one process
+gives.  Smaller tables stay in one process, since a fork costs more
+than their halves save, and so does every table while a second Python
+thread is alive, or where os.fork is missing.  The child ends with
+os._exit; the parent always reaps it, kills it first if its own half
+raised, and does the child's half itself if the child's reply is
+missing or cut short.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -162,10 +169,10 @@ def parse_panel_csv(text: str,
     body = lines[header_line:]
 
     def parse(part, offset):
-        return _parse_rows(part, header_line + 1 + offset, n_cols, names,
-                           markers, strip_all)
+        return _parse_table(part, header_line + 1 + offset, n_cols, names,
+                            markers, strip_all)
 
-    table = np.array(_halves(body, parse, len(body) * n_cols), dtype=float)
+    table = np.concatenate(_halves(body, parse, len(body) * n_cols))
     if table.shape[0] == 0:
         raise EmptyPanelError("panel has a header but no data rows")
     return PanelData(timestamps=table[:, 0].copy(), series_names=names,
@@ -173,11 +180,51 @@ def parse_panel_csv(text: str,
                      timestamp_label=header[0])
 
 
-def _parse_rows(lines, first, n_cols, names, markers, strip_all) -> list:
-    """[timestamp, values...] of each non-blank line; lines[0] is file line
-    `first`.  Raises ParseError for the first bad line."""
+def _parse_table(lines, first, n_cols, names, markers, strip_all) -> np.ndarray:
+    """(rows, n_cols) array of [timestamp, values...] of each non-blank
+    line; lines[0] is file line `first`.  np.loadtxt reads the lines with
+    no empty cell and _parse_rows the rest, or every line where strip_all
+    holds or loadtxt refuses one.  Raises ParseError for the first bad
+    line."""
+    clean, gaps = [], []
+    for i, ln in enumerate(lines):
+        if ln and not ln.isspace():
+            (gaps if ln[0] == "," or ln[-1] == "," or ",," in ln
+             else clean).append(i)
+    values = None if strip_all else _load_clean(
+        [lines[i] for i in clean], n_cols)
+    if values is None:
+        rows = _parse_rows(enumerate(lines, start=first), n_cols, names,
+                           markers, strip_all)
+        return np.array(rows, dtype=float).reshape(-1, n_cols)
+    table = np.empty((len(lines), n_cols))
+    table[clean] = values
+    if gaps:
+        table[gaps] = _parse_rows([(first + i, lines[i]) for i in gaps],
+                                  n_cols, names, markers, strip_all)
+    if len(clean) + len(gaps) < len(lines):
+        table = table[sorted(clean + gaps)]  # without the blank lines
+    return table
+
+
+def _load_clean(lines, n_cols):
+    """The (len(lines), n_cols) table np.loadtxt reads off lines, or None
+    where it refuses one or the shape differs."""
+    if not lines:
+        return np.empty((0, n_cols))
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape == (len(lines), n_cols) else None
+
+
+def _parse_rows(numbered, n_cols, names, markers, strip_all) -> list:
+    """[timestamp, values...] of each non-blank line of numbered, (file
+    line, line) pairs in file order.  Raises ParseError for the first bad
+    line."""
     rows = []
-    for lineno, ln in enumerate(lines, start=first):
+    for lineno, ln in numbered:
         if ln.strip() == "":
             continue
         cells = ln.split(",")
@@ -230,7 +277,8 @@ def panel_to_csv(panel: PanelData) -> str:
     def write(part, offset):
         return _format_rows(part, gaps[offset:offset + len(part)])
 
-    return "\n".join([header, *_halves(table, write, table.size), ""])
+    parts = _halves(table, write, table.size)
+    return "\n".join([header, *itertools.chain.from_iterable(parts), ""])
 
 
 def _format_rows(table: np.ndarray, gaps: np.ndarray) -> list[str]:
@@ -257,15 +305,15 @@ def _split(n_cells: int) -> bool:
 
 
 def _halves(rows, work, n_cells: int) -> list:
-    """The list work(rows, 0) gives, for a table of n_cells cells.  Where
-    _split allows, work(rows[:mid], 0) runs here and work(rows[mid:], mid)
-    in a forked child, which replies with one pickle: (True, its list),
-    or (False, (message, line)) of its ParseError.  The child always ends
-    with os._exit, so it runs no atexit hook and flushes no buffer of
-    this process.  The parent kills the child if its own half raises,
-    and always reaps it."""
+    """[work(rows, 0)], for a table of n_cells cells; where _split allows,
+    [work(rows[:mid], 0), work(rows[mid:], mid)], the first done here and
+    the second in a forked child, which replies with one pickle: (True,
+    its part), or (False, (message, line)) of its ParseError.  The child
+    always ends with os._exit, so it runs no atexit hook and flushes no
+    buffer of this process.  The parent kills the child if its own half
+    raises, and always reaps it."""
     if not _split(n_cells):
-        return work(rows, 0)
+        return [work(rows, 0)]
     mid = len(rows) // 2
     read_fd, write_fd = os.pipe()
     try:
@@ -301,7 +349,7 @@ def _halves(rows, work, n_cells: int) -> list:
         os.waitpid(pid, 0)
     if not ok:
         raise ParseError(*theirs)
-    return mine + theirs
+    return [mine, theirs]
 
 
 def complete_cases(panel: PanelData, axis: str = "series") -> PanelData:

@@ -35,12 +35,13 @@ the call.  Driven (dW) paths draw nothing and start no thread.
 
 CSV round trips (to_csv, from_csv, write_csv, read_csv) go through the
 panel codec of netsde.ingest: a path CSV is a panel with a 't' column
-and no missing values, written via repr so a round trip is bit exact.
-A path of ingest.SPLIT_MIN_CELLS cells or more is therefore formatted
-and parsed in two processes, one os.fork()ed child taking the second
-half of the rows, to the same text and values; while a second Python
-thread is alive (the noise worker lives only inside a simulation call)
-the codec stays in this process.
+and no missing values, written via repr so a round trip is bit exact,
+and read back with one np.loadtxt call, since it has no empty cell.  A
+path of ingest.SPLIT_MIN_CELLS cells or more is therefore formatted and
+parsed in two processes, one os.fork()ed child taking the second half
+of the rows, to the same text and values; while a second Python thread
+is alive (the noise worker lives only inside a simulation call) the
+codec stays in this process.
 """
 from __future__ import annotations
 

@@ -1,8 +1,8 @@
 """Reference evaluators the tests compare the package against.
 
 They compute the same quantities as netsde by the direct route: central
-differences, row-by-row contrasts, fits of stored paths and exhaustive
-enumeration.  They are
+differences, row-by-row contrasts, fits of stored paths, exhaustive
+enumeration and a CSV parse that reads every cell with float().  They are
 slow on purpose and live here, not in the package, beside the small
 helpers (single-state evaluators, config writers) that only tests use.
 """
@@ -15,6 +15,8 @@ from netsde.estimate import (CurvatureBlocks, _path_moments,
                              fit_adaptive_closed_form, fit_diffusion_scale)
 from netsde.experiments import _study_spec, _study_truth, study_graph
 from netsde.graph import DirectedGraph, build_graph, complete_graph
+from netsde.ingest import (DEFAULT_MISSING_MARKERS, EmptyPanelError,
+                           PanelData, ParseError)
 from netsde.lasso import (adaptive_weights, estimate_adjacency,
                           graph_from_adjacency, lambda_path, psd_project,
                           select_lambda, validation_loss)
@@ -435,3 +437,67 @@ def recovery_by_paths(config: dict) -> list[dict]:
                                                     graph_from_adjacency(a_hat))
         out.append(row)
     return out
+
+
+def parse_by_rows(text: str, missing_markers=DEFAULT_MISSING_MARKERS) -> PanelData:
+    """parse_panel_csv in one process, row by row: each row is read with
+    float() alone, and a row that fails (or every row, where a marker
+    reads as a number) is stripped and read cell by cell, a marker as
+    NaN.  Raises the same ParseError, message and line, for the first bad
+    line."""
+    markers = frozenset(missing_markers)
+
+    def reads_as_number(marker):
+        try:
+            return float(marker) == float(marker)
+        except ValueError:
+            return False
+
+    strip_all = any(reads_as_number(m) for m in markers)
+    lines = text.splitlines()
+    header_line = next((lineno for lineno, ln in enumerate(lines, start=1)
+                        if ln.strip() != ""), None)
+    if header_line is None:
+        raise EmptyPanelError("no content")
+    header = [cell.strip() for cell in lines[header_line - 1].split(",")]
+    if len(header) < 2:
+        raise ParseError("header needs a timestamp column and at least one series",
+                         line=header_line)
+    names, n_cols = tuple(header[1:]), len(header)
+
+    def stripped_row(cells, lineno):
+        cells = [cell.strip() for cell in cells]
+        try:
+            row = [float(cells[0])]
+        except ValueError:
+            raise ParseError(f"timestamp {cells[0]!r} is not numeric",
+                             line=lineno) from None
+        for name, cell in zip(names, cells[1:]):
+            try:
+                row.append(float("nan") if cell in markers else float(cell))
+            except ValueError:
+                raise ParseError(f"value {cell!r} in column {name!r} is not "
+                                 "numeric", line=lineno) from None
+        return row
+
+    rows = []
+    for lineno, ln in enumerate(lines[header_line:], start=header_line + 1):
+        if ln.strip() == "":
+            continue
+        cells = ln.split(",")
+        if len(cells) != n_cols:
+            raise ParseError(f"row has {len(cells)} fields, expected {n_cols} "
+                             "columns", line=lineno)
+        if strip_all:
+            rows.append(stripped_row(cells, lineno))
+            continue
+        try:
+            rows.append(list(map(float, cells)))
+        except ValueError:
+            rows.append(stripped_row(cells, lineno))
+    if not rows:
+        raise EmptyPanelError("panel has a header but no data rows")
+    table = np.array(rows, dtype=float)
+    return PanelData(timestamps=table[:, 0].copy(), series_names=names,
+                     values=np.ascontiguousarray(table[:, 1:]),
+                     timestamp_label=header[0])

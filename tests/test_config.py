@@ -323,6 +323,17 @@ RADIAL = {"family": "radial_dictionary", "offsets": [1.0, 2.0],
      "must be at least 1, got 0"),
     ("simulate", "simulate_er.json", {}, ["n=-200"], "n",
      "must be non-negative, got -200"),
+    # a horizon of no observation step once rounded; these once exited 1
+    # naming no setting
+    ("bench", "recovery_polymer.json", {"horizon": 0.004}, [], "horizon",
+     "must be more than half of delta = 0.01, got 0.004"),
+    ("bench", "recovery_polymer.json", {"horizon": 0.005}, [], "horizon",
+     "must be more than half of delta = 0.01, got 0.005"),
+    ("bench", "bench_error_bound_d8.json", {"horizons": [0.004]}, [],
+     "horizons", "must be more than half of delta = 0.01, got 0.004"),
+    ("bench", "bench_error_bound_d8.json", {"horizons": [10, 0.002]},
+     ["delta=0.005"], "horizons",
+     "must be more than half of delta = 0.005, got 0.002"),
 ])
 def test_a_bad_setting_exits_2_naming_its_path(
         tmp_path, monkeypatch, capsys, command, name, edits, overrides, path,

@@ -252,7 +252,7 @@ def test_select_graph_with_validation_curve():
     assert len(notes) == 1
     for value in (f"{loss[0]:.6g}", f"{loss[best]:.6g}", f"{se[best]:.3g}"):
         assert value in notes[0]
-    with pytest.raises(ConfigFieldError, match="'holdout': must lie in"):
+    with pytest.raises(ConfigFieldError, match="'penalty.holdout': must lie in"):
         select_graph(path, spec, {"rule": "half_se", "holdout": 1.0})
     # one adjacency estimate per penalty level, read off each solution
     # through the pilot's layout
@@ -298,9 +298,25 @@ def test_select_graph_rejects_an_unknown_rule_before_fitting(monkeypatch):
     no_fold(monkeypatch)
     spec = NsdeSpec(d=2, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
     path = SamplePath(delta=0.01, data=np.zeros((50, 2)))
-    with pytest.raises(ConfigFieldError, match="'rule': must be one of "
-                                              ".*, got 'bogus'"):
+    with pytest.raises(ConfigFieldError,
+                       match="'penalty.rule': must be one of .*, got 'bogus'"):
         select_graph(path, spec, {"rule": "bogus"})
+
+
+def test_select_graph_names_a_bad_penalty_key_by_its_path(monkeypatch):
+    no_fold(monkeypatch)
+    spec = NsdeSpec(d=2, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
+    path = SamplePath(delta=0.01, data=np.zeros((50, 2)))
+    with pytest.raises(ConfigFieldError) as exc:
+        select_graph(path, spec, {"fractoin": 0.1})
+    assert str(exc.value) == "config field 'penalty.fractoin': unknown setting"
+    with pytest.raises(ConfigFieldError) as exc:
+        select_graph(path, spec, {"rule": "fixed_fraction"})
+    assert str(exc.value) == "config field 'penalty.fraction': missing"
+    with pytest.raises(ConfigFieldError) as exc:
+        select_graph(path, spec, {"rule": "min", "n_points": 0})
+    assert str(exc.value) == ("config field 'penalty.n_points': must be at "
+                              "least 1, got 0")
 
 
 def test_switches_must_be_booleans(monkeypatch):
@@ -308,8 +324,9 @@ def test_switches_must_be_booleans(monkeypatch):
     no_fold(monkeypatch)
     spec = NsdeSpec(d=2, drift=LinearDrift(), diffusion=TanhClipped(clip=100.0))
     path = SamplePath(delta=0.01, data=np.zeros((50, 2)))
-    with pytest.raises(ConfigFieldError, match="'penalize_momentum': must be "
-                                              "true or false, got 'false'"):
+    with pytest.raises(ConfigFieldError,
+                       match="'penalty.penalize_momentum': must be true or "
+                             "false, got 'false'"):
         select_graph(path, spec, {"rule": "fixed_fraction", "fraction": 0.5,
                                   "penalize_momentum": "false"})
     with pytest.raises(ConfigFieldError,

@@ -1,6 +1,7 @@
 import os
 import pickle
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from netsde.ingest import (EmptyPanelError, IngestError,
                            PanelData, ParseError, complete_cases,
                            load_panel_csv, panel_to_csv, parse_panel_csv,
                            to_sample_path)
+from reference import parse_by_rows
 
 
 def awkward_panel():
@@ -254,13 +256,20 @@ def same_panel(a, b) -> bool:
 PADDING = st.sampled_from(["", " ", "\t", "  "])
 NUMBERS = st.floats(-1e6, 1e6, allow_nan=False).map(repr) | st.sampled_from(
     ["1e-17", "-0.0", "3", "2.5E+3"])
+# cells float() reads; np.loadtxt refuses the first three
+ODD_NUMBERS = ["1_000", "\uff11", "\u0663", "-nan", "-Infinity", "1e500"]
+# cells neither reads
+BAD_CELLS = ["oops", "0x1p3", "1.5#x", '"1"']
 
 
 @st.composite
 def panel_texts(draw):
-    """CSV text with padded cells, gaps spelled as markers, blank lines and
-    (when the markers hold -999, which reads as a number) strip_all rows;
-    sometimes with bad cells.  Returns (text, markers, bad file lines)."""
+    """CSV text with padded cells, gaps spelled as markers, blank and
+    whitespace-only lines, cells that float() reads and np.loadtxt does
+    not (or both read, to the same value) and (when the markers hold
+    -999, which reads as a number) strip_all rows; sometimes with bad
+    cells or a trailing delimiter.  Returns (text, markers, bad file
+    lines)."""
     markers = draw(st.sampled_from([ingest.DEFAULT_MISSING_MARKERS,
                                     ("", "NA", "-999")]))
     n_series = draw(st.integers(1, 4))
@@ -273,27 +282,35 @@ def panel_texts(draw):
         cells = [draw(PADDING) + repr(float(i)) + draw(PADDING)]
         for _ in range(n_series):
             cell = draw(st.sampled_from(markers) | NUMBERS)
+            if draw(st.integers(0, 19)) == 19:
+                cell = draw(st.sampled_from(ODD_NUMBERS))
             cells.append(draw(PADDING) + cell + draw(PADDING))
         if draw(st.integers(0, 9)) == 9:
-            cells[draw(st.integers(0, n_series))] = "oops"
+            at = draw(st.integers(0, n_series))
+            cells[at] = draw(st.sampled_from(BAD_CELLS))
+            bad.append(len(lines) + 1)
+        elif draw(st.integers(0, 14)) == 14:
+            cells.append("")
             bad.append(len(lines) + 1)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n", markers, bad
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(case=panel_texts())
 def test_split_parse_matches_one_process(case):
+    # both match the row-by-row oracle, bit for bit (NaN sign bits too)
     text, markers, bad = case
+    oracle = outcome(parse_by_rows, text, missing_markers=markers)
     one = outcome(in_one_process, parse_panel_csv, text, missing_markers=markers)
     two = outcome(in_two_processes, parse_panel_csv, text,
                   missing_markers=markers)
     if bad:
         # the first bad line in file order, whichever half holds it
-        assert one[0] is ParseError and one[2] == bad[0]
-        assert two == one
+        assert oracle[0] is ParseError and oracle[2] == bad[0]
+        assert one == oracle and two == oracle
     else:
-        assert same_panel(two, one)
+        assert same_panel(one, oracle) and same_panel(two, oracle)
         assert in_two_processes(panel_to_csv, one) \
             == in_one_process(panel_to_csv, one)
 
@@ -355,22 +372,29 @@ def test_split_parse_leaves_no_child(text):
 
 
 def test_split_redoes_what_the_child_did_not_deliver(monkeypatch):
+    # the child dies inside the function that does a half; the parent
+    # then does both halves, to the result of one process
     parent = os.getpid()
-    parse_rows, format_rows = ingest._parse_rows, ingest._format_rows
+    halves = []
 
     def dies_in_the_child(fn):
         def run(*args):
             if os.getpid() != parent:
                 os._exit(3)
+            halves.append(fn.__name__)
             return fn(*args)
         return run
 
-    monkeypatch.setattr(ingest, "_parse_rows", dies_in_the_child(parse_rows))
-    monkeypatch.setattr(ingest, "_format_rows", dies_in_the_child(format_rows))
+    want = in_one_process(parse_panel_csv, SPLIT_TEXT)
+    text = in_one_process(panel_to_csv, want)
+    monkeypatch.setattr(ingest, "_parse_table",
+                        dies_in_the_child(ingest._parse_table))
+    monkeypatch.setattr(ingest, "_format_rows",
+                        dies_in_the_child(ingest._format_rows))
     panel = in_two_processes(parse_panel_csv, SPLIT_TEXT)
-    assert same_panel(panel, in_one_process(parse_panel_csv, SPLIT_TEXT))
-    assert in_two_processes(panel_to_csv, panel) \
-        == in_one_process(panel_to_csv, panel)
+    assert same_panel(panel, want)
+    assert in_two_processes(panel_to_csv, panel) == text
+    assert halves == ["_parse_table"] * 2 + ["_format_rows"] * 2
     assert_no_child()
 
 
@@ -409,11 +433,21 @@ def test_split_redoes_a_reply_cut_short(monkeypatch, keep):
         file.flush()
         os._exit(3)
 
+    want = in_one_process(parse_panel_csv, SPLIT_TEXT)
+    text = in_one_process(panel_to_csv, want)
+    halves = []
+    parse_table = ingest._parse_table
+
+    def counted(*args):
+        halves.append(os.getpid())
+        return parse_table(*args)
+
+    monkeypatch.setattr(ingest, "_parse_table", counted)
     monkeypatch.setattr(pickle, "dump", dump_part)
     panel = in_two_processes(parse_panel_csv, SPLIT_TEXT)
-    assert same_panel(panel, in_one_process(parse_panel_csv, SPLIT_TEXT))
-    assert in_two_processes(panel_to_csv, panel) \
-        == in_one_process(panel_to_csv, panel)
+    assert same_panel(panel, want)
+    assert halves == [parent, parent]  # the child's half was done again
+    assert in_two_processes(panel_to_csv, panel) == text
     assert_no_child()
 
 
@@ -431,3 +465,68 @@ def test_split_parse_leaves_no_pipe_open(text):
     except ParseError:
         pass
     assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+# ---------------------------------------------------------------------------
+# the fast path: np.loadtxt takes every line with no empty cell
+
+
+class RowReads:
+    """Counts the lines that reach ingest._parse_rows.  A forked child that
+    is sent any ends at once, so that the parent does its half again and
+    counts them there: the count covers both halves."""
+
+    def __init__(self, monkeypatch):
+        self.lines = 0
+        parent, parse_rows = os.getpid(), ingest._parse_rows
+
+        def counted(numbered, *args):
+            numbered = list(numbered)
+            if numbered and os.getpid() != parent:
+                os._exit(3)
+            self.lines += len(numbered)
+            return parse_rows(numbered, *args)
+
+        monkeypatch.setattr(ingest, "_parse_rows", counted)
+
+
+def test_a_clean_split_table_reaches_no_row_parser(monkeypatch):
+    rng = np.random.default_rng(5)
+    panel = PanelData(timestamps=np.arange(200) * 0.01,
+                      series_names=tuple("abcde"),
+                      values=rng.standard_normal((200, 5)))
+    text = panel_to_csv(panel)
+    reads = RowReads(monkeypatch)
+    assert same_panel(in_two_processes(parse_panel_csv, text), panel)
+    assert reads.lines == 0
+
+
+def test_only_the_gap_lines_of_a_benchmark_panel_reach_the_row_parser(
+        monkeypatch):
+    from perfbench.panel import panel_csv
+
+    rng = np.random.default_rng(6)
+    text = panel_csv(rng.standard_normal((2001, 6)), 0.01, seed=7)
+    gap_lines = sum("" in ln.split(",") for ln in text.splitlines()[1:])
+    assert 10 <= gap_lines <= 40  # about 1% of the rows, in the decoy
+    reads = RowReads(monkeypatch)
+    panel = in_two_processes(parse_panel_csv, text)
+    assert reads.lines == gap_lines
+    assert same_panel(panel, parse_by_rows(text))
+    assert np.isnan(panel.values).sum() == gap_lines
+
+
+def test_a_half_of_gaps_and_blank_lines_calls_no_loadtxt(monkeypatch):
+    # np.loadtxt warns on an empty input; neither half has a clean line
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called with no clean line")
+
+    text = "t,a,b\n0,,1\n\n1,2,\n  \n2,,\n\t\n3,,\n"
+    want = parse_by_rows(text)
+    reads = RowReads(monkeypatch)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        panel = in_two_processes(parse_panel_csv, text)
+    assert same_panel(panel, want)
+    assert reads.lines == 4

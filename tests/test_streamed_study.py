@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsde import estimate, experiments, model, simulate
-from netsde.estimate import (InsufficientDataError, _derivatives, _MomentFold,
-                             _node_terms)
+from netsde.estimate import _derivatives, _MomentFold, _node_terms
 from netsde.experiments import (StudyError, _edge_scores, _refit_scores,
                                 _study_spec, _study_truth, error_bound_study,
                                 recovery_study, select_graph, study_graph)
@@ -231,8 +230,10 @@ def test_every_replication_fit_is_certified():
 def test_streamed_study_rejects_empty_cells():
     with pytest.raises(ConfigFieldError, match="'n_reps': must be positive"):
         error_bound_study(_load("bench_error_bound_d8.json", n_reps=0))
-    # a horizon under half an observation step records no increment
-    with pytest.raises(InsufficientDataError):
+    # a horizon under half an observation step records no increment: a
+    # config error naming the setting
+    with pytest.raises(ConfigFieldError,
+                       match="'horizons': must be more than half of delta"):
         error_bound_study(_load("bench_error_bound_d8.json", horizons=[0.004],
                                 n_reps=2))
 
