@@ -16,19 +16,21 @@ increments (NodeMoments):
     sum R_j R_j' / s_j^2,  sum R_j dX_j / s_j^2,  sum dX_j^2 / s_j^2,
     sum log s_j^2.
 
-One builder, _MomentFold, forms them: it takes rows chunk by chunk and
-adds every node's sums in batched products, per replication and per
-contiguous chunk of increments when asked.  The sums are additive, so
+They are held as one node stack, each design padded with zero columns,
+so every step works on all nodes at once.  One builder, _MomentFold,
+forms them: it takes rows chunk by chunk and adds every node's sums in
+batched products, per replication and per contiguous chunk of
+increments when asked.  The sums are additive, so
 the studies' ensembles fold into per-replication moments as the
 simulator hands them on, and a stored path is fed to the same fold as
 one replication (_path_moments); a sub-graph's moments are a column
 subset of the complete graph's (NodeMoments.restrict), so the refit on a
 selected graph reads the selection's moments.  Every fit, the
-observed information (one CurvatureBlocks block per node) and, in
-netsde.lasso, the held-out loss of every penalty candidate read the path
-through them alone: fit_diffusion_scale reads the stage-one scales off
-them, and quasi_loglik the contrast of each chunk at any number of
-parameter vectors.
+observed information (one CurvatureBlocks block per node, cut from the
+stack) and, in netsde.lasso, the held-out loss of every penalty
+candidate read the path through them alone: fit_diffusion_scale reads
+the stage-one scales off them, and quasi_loglik the contrast of each
+chunk at any number of parameter vectors.
 
 Node j's contrast is Q_j(c_j) / (2 delta alpha_j^2) + (n/2) log alpha_j^2
 plus a constant, with Q_j the weighted residual sum of squares, a
@@ -40,9 +42,9 @@ the refit and both studies: it solves each node's Gram system over the
 model box (with netsde.lasso's active-set solver wherever the solution
 leaves it), sets the scales by stage one, at alpha_j^2 = Q_j / (n delta) for
 the joint fit, or at given values, and certifies the result by its
-projected gradient.  The Gram systems are factored with numpy's
-Cholesky (np.linalg.cholesky) and solved through the triangular
-factors, so no fit needs scipy.
+projected gradient.  The stack of Gram systems is factored by one call
+of numpy's Cholesky (np.linalg.cholesky) and solved through the
+triangular factors, so no fit needs scipy.
 """
 from __future__ import annotations
 
@@ -88,26 +90,28 @@ _ALPHA_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class NodeMoments:
-    """Weighted moment sums of every node's regression, chunk by chunk.
+    """Weighted moment sums of every node's regression, chunk by chunk,
+    stacked over the nodes.
 
-    Node j's drift is R_j c_j with c_j = theta_flat[slots[j]].  Each
-    increment is weighted by 1 / s_j^2, where s_j is the diffusion shape
-    (sigma_j = alpha_j s_j) or any other scale the caller fixes.  Over the
-    count[c] increments of chunk c:
+    Node j's drift is R_j c_j with c_j = theta_flat[slots[j]], its design
+    R_j padded with zero columns, slot -1, to the m of the widest node.
+    Each increment is weighted by 1 / s_j^2, where s_j is the diffusion
+    shape (sigma_j = alpha_j s_j) or any other scale the caller fixes.
+    Over the count[c] increments of chunk c:
 
-        gram[j][c] = sum R_j R_j' / s_j^2    cross[j][c] = sum R_j dX_j / s_j^2
+        gram[c, j] = sum R_j R_j' / s_j^2    cross[c, j] = sum R_j dX_j / s_j^2
         sq[c, j]   = sum dX_j^2 / s_j^2      log_scale[c, j] = sum log s_j^2
 
     alpha_j and c_j enter node j's contrast only through these sums, so one
     set of moments serves every parameter value.
     """
 
-    count: np.ndarray
-    sq: np.ndarray
-    log_scale: np.ndarray
-    slots: tuple[np.ndarray, ...] = ()
-    gram: tuple[np.ndarray, ...] = ()
-    cross: tuple[np.ndarray, ...] = ()
+    count: np.ndarray  # (C,)
+    sq: np.ndarray  # (C, d)
+    log_scale: np.ndarray  # (C, d)
+    slots: np.ndarray  # (d, m)
+    gram: np.ndarray  # (C, d, m, m)
+    cross: np.ndarray  # (C, d, m)
 
     def chunk(self, pick: int | slice) -> "NodeMoments":
         """The moments of chunk pick alone, or of the chunks of a slice."""
@@ -116,26 +120,32 @@ class NodeMoments:
         return NodeMoments(
             count=self.count[pick], sq=self.sq[pick],
             log_scale=self.log_scale[pick], slots=self.slots,
-            gram=tuple(gram[pick] for gram in self.gram),
-            cross=tuple(cross[pick] for cross in self.cross))
+            gram=self.gram[pick], cross=self.cross[pick])
 
     def restrict(self, layout: ParamLayout, sub: ParamLayout) -> "NodeMoments":
         """The moments of sub, the layout of the same model on a sub-graph
-        of layout's graph: node j's design under sub is a subset of its
-        columns under layout, in the same order."""
+        of layout's graph: node j's columns under sub are a subset of its
+        columns under layout, in the same order, laid out as sub's fold."""
         kept = sub.coef_slots >= 0
         if np.any(layout.coef_slots[kept] < 0):
             raise LayoutMismatchError("the graph is not a sub-graph of the layout's")
-        # scales, momenta and intercepts lead both layouts in the same places
-        to_sub = np.arange(layout.pi_total)
+        # scales, momenta and intercepts lead both layouts in the same
+        # places, and the padding's slot -1 stays -1
+        to_sub = np.r_[np.arange(layout.pi_total), -1]
         to_sub[layout.coef_slots[layout.coef_slots >= 0]] = -1
         to_sub[layout.coef_slots[kept]] = sub.coef_slots[kept]
-        keep = [np.flatnonzero(to_sub[sl] >= 0) for sl in self.slots]
+        slots = to_sub[self.slots]
+        # each node's kept columns in order, then the rest
+        order = np.argsort(slots < 0, axis=1, kind="stable")
+        order = order[:, :(slots >= 0).sum(axis=1).max()]
+        slots = np.take_along_axis(slots, order, axis=1)
+        live = slots >= 0
+        node = np.arange(slots.shape[0])[:, None]
+        gram = self.gram[:, node[:, :, None], order[:, :, None], order[:, None, :]]
         return NodeMoments(
-            count=self.count, sq=self.sq, log_scale=self.log_scale,
-            slots=tuple(to_sub[sl[k]] for sl, k in zip(self.slots, keep)),
-            gram=tuple(gram[:, k[:, None], k] for gram, k in zip(self.gram, keep)),
-            cross=tuple(cross[:, k] for cross, k in zip(self.cross, keep)))
+            count=self.count, sq=self.sq, log_scale=self.log_scale, slots=slots,
+            gram=np.where(live[:, :, None] & live[:, None, :], gram, 0.0),
+            cross=np.where(live, self.cross[:, node, order], 0.0))
 
 
 class _MomentFold:
@@ -152,24 +162,25 @@ class _MomentFold:
 
     Node j's design rows are -x_j, a ones row with intercepts (column 1),
     then its partners level after level, each radial level scaled by
-    (offset + |x|)^-(q + 1), padded with copies of x_j to the m rows of the
-    widest node (their sums are dropped), and dX_j is row m.  Laid out
-    node-major as (reps, d, m + 1, k), each node's rows are divided by its
-    scale along contiguous memory, and one product of rows 0..m - 1 with
-    all m + 1 rows gives its Gram and cross sums (from _SYRK_ROWS rows on,
-    a symmetric product for the Gram and another for the cross sums, which
+    (offset + |x|)^-(q + 1), padded with zero rows (slot -1) to the m rows
+    of the widest node, and dX_j is row m.  Laid out node-major as
+    (reps, d, m + 1, k), each node's rows are divided by its scale along
+    contiguous memory, and one product of rows 0..m - 1 with all m + 1
+    rows gives its Gram and cross sums (from _SYRK_ROWS rows on, a
+    symmetric product for the Gram and another for the cross sums, which
     is faster for a wide design and slower for a narrow one).  A piece of
-    a call holds about _GROUP_BYTES of design but no fewer than _PIECE_ROWS
-    rows times replications, so that a wide design's products do not get
-    too small to run fast, and its nodes are taken in groups of about
-    _GROUP_BYTES so that each group stays in cache.
+    a call holds about _GROUP_BYTES of design but no fewer than
+    _PIECE_ROWS rows times replications, so that a wide design's products
+    do not get too small to run fast, and its nodes are taken in groups of
+    about _GROUP_BYTES so that each group stays in cache.
 
     sizes cuts each replication's increments into contiguous chunks (one
     open-ended chunk by default); pieces are cut at the chunk ends, evenly
     within each.  Each piece's sums are formed on their own and then added
-    to its chunk's running totals, so long paths keep their precision
-    (Chan, Golub & LeVeque 1983).  moments() slices the totals into
-    NodeMoments whose chunk r * len(sizes) + c is chunk c of replication r.
+    to its chunk's running totals, (reps, chunks, d, m, m + 1), so long
+    paths keep their precision (Chan, Golub & LeVeque 1983).  moments()
+    returns views of the totals as NodeMoments whose chunk
+    r * len(sizes) + c is chunk c of replication r.
     """
 
     _GROUP_BYTES = 1 << 20
@@ -189,15 +200,15 @@ class _MomentFold:
         # node j's partners in ascending order, and where each sits
         node, at = np.nonzero(np.arange(width) < count[:, None])
         partner = np.argsort(~linked, axis=1, kind="stable")[node, at]
-        # row j lists the rows of the gathered [x | dX | 1 | -x] block that
-        # make node j's design: -x_j, the ones row, its partners level after
-        # level, padding copies of x_j, then dX_j; slots[j] holds the flat
-        # slots of its columns
-        self._rows = np.repeat(np.arange(d)[:, None], m + 1, axis=1)
+        # row j lists the rows of the gathered [x | dX | 1 | -x | 0] block
+        # that make node j's design: -x_j, the ones row, its partners level
+        # after level, the zero row as padding, then dX_j; slots[j] holds
+        # the flat slots of its columns
+        self._rows = np.full((d, m + 1), 3 * d + 1)
         self._rows[:, 0] = 2 * d + 1 + np.arange(d)
         self._rows[:, 1:lead] = 2 * d
         self._rows[:, m] = d + np.arange(d)
-        slots = np.zeros((d, m), dtype=int)
+        self._slots = slots = np.full((d, m), -1)
         slots[:, 0] = layout.momentum_slot(np.arange(d))
         slots[:, 1:lead] = layout.intercept_indices.reshape(d, -1)
         # each radial level's offset, exponent and (d, m + 1) mask of rows
@@ -211,7 +222,6 @@ class _MomentFold:
                 mask[node, col] = True
                 self._radial.append((spec.drift.offsets[lev],
                                      spec.drift.exponents[lev], mask))
-        self._slots = tuple(row[:lead + levels * c] for row, c in zip(slots, count))
         self._ends = np.cumsum([sys.maxsize] if sizes is None else sizes)
         self._last = None
         self._count = 0
@@ -257,16 +267,17 @@ class _MomentFold:
         running totals)."""
         reps, k, d = block.shape
         m = self._m
-        # [x | dX | 1 | -x] node-major: x_t in column t of the first d
+        # [x | dX | 1 | -x | 0] node-major: x_t in column t of the first d
         # rows, dX_t = x_{t+1} - x_t in column t of the next d (their
-        # column k is never read), a row of ones, then -x
-        xdx = np.empty((reps, 3 * d + 1, k + 1))
+        # column k is never read), a row of ones, -x, then a row of zeros
+        xdx = np.empty((reps, 3 * d + 2, k + 1))
         x = xdx[:, :d]
         x[:, :, 0] = last
         x[:, :, 1:] = block.transpose(0, 2, 1)
         np.subtract(x[:, :, 1:], x[:, :, :-1], out=xdx[:, d:2 * d, :k])
         xdx[:, 2 * d] = 1.0
-        np.negative(x, out=xdx[:, 2 * d + 1:])
+        np.negative(x, out=xdx[:, 2 * d + 1:3 * d + 1])
+        xdx[:, 3 * d + 1] = 0.0
         radial = [(mask, (off + np.linalg.norm(x, axis=1)[:, None, :])
                    ** (-(q + 1.0))) for off, q, mask in self._radial]
         scale = None
@@ -316,10 +327,7 @@ class _MomentFold:
         return NodeMoments(
             count=np.tile(count, self._sq.shape[0]), sq=self._sq.reshape(-1, d),
             log_scale=self._log_scale.reshape(-1, d), slots=self._slots,
-            gram=tuple(sums[:, j, :len(sl), :len(sl)]
-                       for j, sl in enumerate(self._slots)),
-            cross=tuple(sums[:, j, :len(sl), m]
-                        for j, sl in enumerate(self._slots)))
+            gram=sums[..., :m], cross=sums[..., m])
 
 
 def _path_moments(spec: NsdeSpec, layout: ParamLayout, rows: np.ndarray,
@@ -360,29 +368,25 @@ def quasi_loglik(mom: NodeMoments, flats: np.ndarray, delta: float) -> np.ndarra
 
     flats (K, p) holds one vector of mom's layout per row, the alpha block
     first (LayoutMismatchError for another width; DegenerateDiffusionError
-    for a scale that is not positive).  With c = node j's coefficients,
-    its residual sum of squares over a chunk is the quadratic form
-    sq - 2 delta c'cross + delta^2 c'gram c, and its log term is
-    count log alpha_j^2 + log_scale.
+    for a scale that is not positive).  With c = node j's coefficients (0
+    on its padding), its residual sum of squares over a chunk is the
+    quadratic form sq - 2 delta c'cross + delta^2 c'gram c, and its log
+    term is count log alpha_j^2 + log_scale.
     """
     d = mom.sq.shape[1]
     flats = np.asarray(flats, dtype=float)
-    p = d + sum(sl.shape[0] for sl in mom.slots)
+    live = mom.slots >= 0
+    p = d + int(live.sum())
     if flats.ndim != 2 or flats.shape[1] != p:
         raise LayoutMismatchError(
             f"candidates of shape {flats.shape} for {p} slots")
     if np.any(flats[:, :d] <= 0):
         raise DegenerateDiffusionError("diffusion scales must be strictly positive")
-    k = flats.shape[0]
     a2 = flats[:, :d] ** 2
-    quad = np.repeat(mom.sq[None], k, axis=0)  # (K, C, d)
-    n_chunks = mom.count.shape[0]
-    for j, sl in enumerate(mom.slots):
-        c = flats[:, sl]
-        q = sl.shape[0]
-        gc = (mom.gram[j].reshape(n_chunks * q, q) @ c.T).reshape(n_chunks, q, k)
-        quad[:, :, j] -= delta * (2.0 * (c @ mom.cross[j].T)
-                                  - delta * np.einsum("cqk,kq->kc", gc, c))
+    c = np.where(live, flats[:, mom.slots], 0.0)  # (K, d, m)
+    gc = mom.gram @ c.transpose(1, 2, 0)  # (C, d, m, K)
+    quad = mom.sq - delta * (2.0 * np.einsum("kjq,cjq->kcj", c, mom.cross)
+                             - delta * np.einsum("cjqk,kjq->kcj", gc, c))
     out = quad / (2.0 * delta * a2[:, None, :])
     out += 0.5 * (mom.count[None, :, None] * np.log(a2)[:, None, :]
                   + mom.log_scale[None])
@@ -399,8 +403,9 @@ class CurvatureBlocks:
 
     Coordinates of different blocks share no curvature.  The information
     of a fit has one block per node (alpha_j, its momentum and its own
-    drift parameters); netsde.lasso.psd_project turns a dense matrix into
-    one block.  Blocks of equal size m form one group (index, blocks):
+    drift parameters), cut from the node stack by from_stack;
+    netsde.lasso.psd_project turns a dense matrix into one block.  Blocks
+    of equal size m form one group (index, blocks):
     blocks (nb, m, m) stacks their submatrices and index (nb, m) their
     flat coordinates in ascending order, so netsde.lasso solves a whole
     group in one batched step.
@@ -410,15 +415,20 @@ class CurvatureBlocks:
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @classmethod
-    def from_blocks(cls, p: int, members, blocks) -> "CurvatureBlocks":
-        """Group blocks[k], over the ascending coordinates members[k], by size."""
-        sizes = np.array([len(idx) for idx in members])
-        groups = []
-        for m in np.unique(sizes):
-            pick = np.flatnonzero(sizes == m)
-            groups.append((np.stack([members[k] for k in pick]),
-                           np.stack([blocks[k] for k in pick])))
-        return cls(p=p, groups=tuple(groups))
+    def from_stack(cls, p: int, index: np.ndarray,
+                   blocks: np.ndarray) -> "CurvatureBlocks":
+        """Group a stack of blocks (nb, w, w) by size: blocks[k] is the
+        submatrix over the coordinates index[k], -1 marking padding,
+        which no group keeps."""
+        live = index >= 0
+        order = np.argsort(np.where(live, index, p), axis=1, kind="stable")
+        index = np.take_along_axis(index, order, axis=1)
+        blocks = blocks[np.arange(order.shape[0])[:, None, None],
+                        order[:, :, None], order[:, None, :]]
+        size = live.sum(axis=1)
+        return cls(p=p, groups=tuple((index[size == m, :m],
+                                      blocks[size == m, :m, :m])
+                                     for m in np.unique(size)))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = np.empty(self.p)
@@ -433,19 +443,18 @@ class CurvatureBlocks:
         return out
 
 
-def _node_terms(mom: NodeMoments, flat: np.ndarray, delta: float) -> list:
-    """Per node j, at its coefficients c = flat[slots[j]]: its Gram and
-    cross sums over every chunk, G c and its residual sum of squares
-    Q = sq - 2 delta c'cross + delta^2 c'G c."""
-    terms = []
-    for j, sl in enumerate(mom.slots):
-        c = flat[sl]
-        gram = mom.gram[j].sum(axis=0)
-        cross = mom.cross[j].sum(axis=0)
-        gc = gram @ c
-        quad = mom.sq[:, j].sum() - delta * (2.0 * (c @ cross) - delta * (c @ gc))
-        terms.append((gram, cross, gc, quad))
-    return terms
+def _node_terms(mom: NodeMoments, flat: np.ndarray, delta: float):
+    """Every node's Gram and cross sums over every chunk, G c and its
+    residual sum of squares Q = sq - 2 delta c'cross + delta^2 c'G c at its
+    coefficients c = flat[slots[j]] (0 on its padding): arrays over the
+    node stack, (gram (d, m, m), cross (d, m), gc (d, m), quad (d,))."""
+    c = np.where(mom.slots >= 0, flat[mom.slots], 0.0)
+    gram = mom.gram.sum(axis=0)
+    cross = mom.cross.sum(axis=0)
+    gc = (gram @ c[:, :, None])[:, :, 0]
+    quad = mom.sq.sum(axis=0) - delta * (2.0 * np.einsum("jq,jq->j", c, cross)
+                                        - delta * np.einsum("jq,jq->j", c, gc))
+    return gram, cross, gc, quad
 
 
 def _derivatives(mom: NodeMoments, flat: np.ndarray, delta: float, terms):
@@ -459,23 +468,22 @@ def _derivatives(mom: NodeMoments, flat: np.ndarray, delta: float, terms):
     is 3 Q / (delta alpha^4) - n / alpha^2, the cross terms are
     2 (cross - delta G c) / alpha^3 and the drift part is delta G / alpha^2.
     """
+    gram, cross, gc, quad = terms
+    d, m = mom.slots.shape
     n = mom.count.sum()
+    alpha = flat[:d]
+    a2 = alpha * alpha
+    live = mom.slots >= 0
     grad = np.zeros(flat.shape[0])
-    members, blocks = [], []
-    for j, (sl, (gram, cross, gc, quad)) in enumerate(zip(mom.slots, terms)):
-        alpha = flat[j]
-        a2 = alpha * alpha
-        grad[j] = -quad / (delta * alpha ** 3) + n / alpha
-        grad[sl] = (delta * gc - cross) / a2
-        order = np.argsort(sl)
-        blk = np.empty((sl.shape[0] + 1,) * 2)
-        blk[0, 0] = 3.0 * quad / (delta * a2 * a2) - n / a2
-        blk[0, 1:] = (2.0 / (a2 * alpha)) * (cross - delta * gc)[order]
-        blk[1:, 0] = blk[0, 1:]
-        blk[1:, 1:] = (delta / a2) * gram[np.ix_(order, order)]
-        members.append(np.concatenate([[j], sl[order]]))
-        blocks.append(blk)
-    return grad, CurvatureBlocks.from_blocks(flat.shape[0], members, blocks)
+    grad[:d] = -quad / (delta * alpha ** 3) + n / alpha
+    grad[mom.slots[live]] = ((delta * gc - cross) / a2[:, None])[live]
+    blk = np.empty((d, m + 1, m + 1))
+    blk[:, 0, 0] = 3.0 * quad / (delta * a2 * a2) - n / a2
+    blk[:, 0, 1:] = (2.0 / (a2 * alpha))[:, None] * (cross - delta * gc)
+    blk[:, 1:, 0] = blk[:, 0, 1:]
+    blk[:, 1:, 1:] = (delta / a2)[:, None, None] * gram
+    return grad, CurvatureBlocks.from_stack(
+        flat.shape[0], np.c_[np.arange(d), mom.slots], blk)
 
 
 def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
@@ -498,41 +506,49 @@ def model_hessian(path: SamplePath, spec: NsdeSpec, g: DirectedGraph,
 # per-node generalized least squares
 
 
-def _solve_grams(grams, rhs):
-    """Cholesky solve of each node's Gram system; returns (coefs, conds,
-    jittered).
+def _solve_grams(gram, rhs, live):
+    """Cholesky solve of the Gram systems gram (d, m, m), rhs (d, m) over
+    each node's live columns; returns (coefs, conds, jittered).
 
-    Each Gram matrix G is factored as G = L L' by np.linalg.cholesky, and
-    the system is solved through its triangular factors, L y = b and then
-    L' c = y, with np.linalg.solve.  A Gram matrix with condition number
-    above 1e14 raises SingularGramError.  One whose factorization breaks
-    down from rounding (np.linalg.LinAlgError) is retried with a diagonal
-    jitter of 1e-10 times its mean diagonal; the jittered nodes are
-    flagged and named in one warning.
+    Off live[j], the rows, columns and right-hand side are zeroed and the
+    diagonal takes node j's first entry, inside its live block's
+    spectrum, so conds are the live blocks' condition numbers.  One
+    np.linalg.cholesky call factors the stack as G = L L', and
+    np.linalg.solve takes L y = b and then L' c = y.  A condition number
+    above 1e14 raises SingularGramError.  When the factorization breaks
+    down from rounding (np.linalg.LinAlgError), the nodes are factored one
+    by one, and each that breaks down is retried with a diagonal jitter of
+    1e-10 times its mean live diagonal, flagged and named in one warning.
     """
-    conds = np.empty(len(grams))
-    jittered = np.zeros(len(grams), dtype=bool)
-    coefs = []
-    for j, (gram, b) in enumerate(zip(grams, rhs)):
-        cond = float(np.linalg.cond(gram))
-        conds[j] = cond
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise SingularGramError(
-                f"weighted Gram matrix for node {j} is singular "
-                f"(condition number {cond:.3g})", node=j, cond=cond)
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            # near-PSD breakdown from rounding; stabilize and flag
-            gram = gram + np.eye(gram.shape[0]) * (1e-10 * np.trace(gram) / gram.shape[0])
-            jittered[j] = True
+    d, m = live.shape
+    gram = np.where(live[:, :, None] & live[:, None, :], gram, 0.0)
+    diag = np.arange(m)
+    gram[:, diag, diag] = np.where(live, gram[:, diag, diag], gram[:, :1, 0])
+    conds = np.linalg.cond(gram)
+    singular = ~(conds <= _COND_LIMIT)  # NaN too
+    if singular.any():
+        j = int(np.argmax(singular))
+        raise SingularGramError(
+            f"weighted Gram matrix for node {j} is singular "
+            f"(condition number {conds[j]:.3g})", node=j, cond=float(conds[j]))
+    jittered = np.zeros(d, dtype=bool)
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        chol = np.empty_like(gram)
+        for j in range(d):
             try:
-                chol = np.linalg.cholesky(gram)
+                chol[j] = np.linalg.cholesky(gram[j])
             except np.linalg.LinAlgError:
-                raise SingularGramError(
-                    f"weighted Gram matrix for node {j} is not positive definite",
-                    node=j, cond=cond) from None
-        coefs.append(np.linalg.solve(chol.T, np.linalg.solve(chol, b)))
+                # near-PSD breakdown from rounding; stabilize and flag
+                jittered[j] = True
+                jitter = 1e-10 * gram[j, diag, diag][live[j]].mean()
+                try:
+                    chol[j] = np.linalg.cholesky(gram[j] + jitter * np.eye(m))
+                except np.linalg.LinAlgError:
+                    raise SingularGramError(
+                        f"weighted Gram matrix for node {j} is not positive "
+                        f"definite", node=j, cond=float(conds[j])) from None
     if jittered.any():
         listed = ", ".join(f"{j} (condition number {conds[j]:.3g})"
                            for j in np.flatnonzero(jittered))
@@ -540,7 +556,9 @@ def _solve_grams(grams, rhs):
             f"Cholesky factorization of the weighted Gram matrix failed for "
             f"node(s) {listed}; solved with a diagonal jitter of 1e-10 times "
             f"the mean diagonal", stacklevel=3)
-    return coefs, conds, jittered
+    rhs = np.where(live, rhs, 0.0)[:, :, None]
+    coefs = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, rhs))
+    return coefs[:, :, 0], conds, jittered
 
 
 # ---------------------------------------------------------------------------
@@ -723,54 +741,51 @@ def _closed_form_fit(mom: NodeMoments, layout: ParamLayout, delta: float,
     lo, hi = default_bounds(layout)
     # keep the likelihood away from the degenerate sigma = 0 boundary
     lo[:layout.pi_alpha] = _ALPHA_FLOOR
-    # the intercept is column 1 of a design; an unfitted one stays at zero
-    keep = [np.arange(sl.shape[0]) for sl in mom.slots]
+    # the intercept is column 1 of a design; an unfitted one is marked as
+    # padding and stays at zero
+    fitted = mom.slots.copy()
     if layout.with_intercepts and not intercepts:
-        keep = [np.delete(k, 1) for k in keep]
-    if joint:
+        fitted[:, 1] = -1
+    live = fitted >= 0
+    width = live.sum(axis=1)
+    if joint and n <= width.max():
         # a node that interpolates its increments leaves Q_j at rounding
         # noise, and no scale can be read off it
-        for j, k in enumerate(keep):
-            if n <= k.shape[0]:
-                raise InsufficientDataError(
-                    f"joint fit of node {j} needs more increments than its "
-                    f"{k.shape[0]} drift coefficients, got {n}")
-    grams = [gram.sum(axis=0)[np.ix_(k, k)] for gram, k in zip(mom.gram, keep)]
-    coefs, conds, jittered = _solve_grams(
-        grams, [cross.sum(axis=0)[k] / delta for cross, k in zip(mom.cross, keep)])
+        j = int(np.argmax(n <= width))
+        raise InsufficientDataError(
+            f"joint fit of node {j} needs more increments than its "
+            f"{width[j]} drift coefficients, got {n}")
+    gram = mom.gram.sum(axis=0)
+    coefs, conds, jittered = _solve_grams(gram, mom.cross.sum(axis=0) / delta, live)
     flat = np.zeros(layout.pi_total)
-    members = [sl[k] for sl, k in zip(mom.slots, keep)]
-    for idx, coef in zip(members, coefs):
-        flat[idx] = coef
-    outside = [j for j, idx in enumerate(members)
-               if np.any((flat[idx] < lo[idx]) | (flat[idx] > hi[idx]))]
-    if outside:
+    flat[fitted[live]] = coefs[live]
+    outside = (live & ((flat < lo) | (flat > hi))[fitted]).any(axis=1)
+    if outside.any():
         # netsde.lasso imports this module, so its solver is imported here
         from .lasso import _active_set
 
-        order = [np.argsort(members[j]) for j in outside]
-        hb = CurvatureBlocks.from_blocks(
-            layout.pi_total, [members[j][o] for j, o in zip(outside, order)],
-            [grams[j][np.ix_(o, o)] for j, o in zip(outside, order)])
+        hb = CurvatureBlocks.from_stack(layout.pi_total, fitted[outside],
+                                        gram[outside])
         flat = _active_set(hb, flat, np.zeros_like(flat), lo, hi,
                            np.clip(flat, lo, hi))
     scales = slice(0, layout.pi_alpha)
     # the drift coefficients are final, so their terms serve the scales too
     terms = _node_terms(mom, flat, delta)
     if joint:
-        quad = np.array([t[3] for t in terms])
+        quad = terms[3]
         # a drift that fits node j's increments exactly leaves Q_j at
         # rounding noise, below zero even, and no scale can be read off it
-        for j in np.flatnonzero(quad <= 1e-10 * mom.sq.sum(axis=0)):
-            raise DegenerateDiffusionError(f"joint fit of node {j}: the drift "
-                                           "fits its increments exactly")
+        exact = quad <= 1e-10 * mom.sq.sum(axis=0)
+        if exact.any():
+            raise DegenerateDiffusionError(f"joint fit of node {np.argmax(exact)}: "
+                                           "the drift fits its increments exactly")
         alpha = np.clip(np.sqrt(quad / (n * delta)), lo[scales], hi[scales])
     elif alpha is None:
         alpha = fit_diffusion_scale(mom, delta, lo[scales], hi[scales])
     flat[scales] = alpha
     contrast = float(quasi_loglik(mom, flat[None], delta).sum())
     optimized = np.zeros(layout.pi_total, dtype=bool)
-    optimized[np.concatenate(members)] = True
+    optimized[fitted[live]] = True
     optimized[scales] = joint
     grad, info = _derivatives(mom, flat, delta, terms)
     pg = _projected_grad(grad, flat, lo, hi)

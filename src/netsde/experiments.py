@@ -237,8 +237,13 @@ _POSITIVE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
 
 def _n_steps(horizon: float, delta: float, path: str) -> int:
     """The observation steps of delta in horizon, rounded; ConfigFieldError
-    names path where that leaves none (horizon at most delta / 2)."""
-    n = int(round(horizon / delta))
+    names path where that leaves none (horizon at most delta / 2) or more
+    than a float can count (horizon / delta overflows)."""
+    steps = horizon / delta
+    if not math.isfinite(steps):
+        raise ConfigFieldError(path, f"must span a finite number of steps of "
+                                     f"delta = {delta!r}, got {horizon!r}")
+    n = int(round(steps))
     if n < 1:
         raise ConfigFieldError(path, f"must be more than half of delta = "
                                      f"{delta!r}, got {horizon!r}")

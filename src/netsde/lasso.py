@@ -283,7 +283,8 @@ def psd_project(h) -> CurvatureBlocks:
         h = np.asarray(h, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise LassoError(f"curvature matrix must be square, got shape {h.shape}")
-        h = CurvatureBlocks.from_blocks(h.shape[0], [np.arange(h.shape[0])], [h])
+        h = CurvatureBlocks(p=h.shape[0],
+                            groups=((np.arange(h.shape[0])[None], h[None]),))
     groups = [(idx, 0.5 * (blocks + blocks.transpose(0, 2, 1)))
               for idx, blocks in h.groups]
     vals = [np.linalg.eigvalsh(blocks) for _, blocks in groups]
@@ -407,7 +408,7 @@ def validation_loss(mom: NodeMoments, flats: np.ndarray, delta: float):
     """
     # the contrast splits by node, so the size that matters is one node's
     # parameter count (its scale and its drift slots)
-    per_node = 1 + max(sl.shape[0] for sl in mom.slots)
+    per_node = 1 + int((mom.slots >= 0).sum(axis=1).max())
     if mom.count.min() < 10 * per_node:
         warnings.warn(
             f"validation blocks hold as few as {mom.count.min()} increments "

@@ -26,11 +26,22 @@ from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
 from netsde.simulate import SamplePath, derive_seeds, simulate_ensemble
 
 
+def block_curvature(h, members) -> CurvatureBlocks:
+    """The blocks of a dense square matrix h over the coordinates of each
+    of members, as they are, grouped by size; h's entries outside them are
+    dropped."""
+    h = np.asarray(h, dtype=float)
+    groups = []
+    for m in sorted({len(idx) for idx in members}):
+        idx = np.stack([idx for idx in members if len(idx) == m])
+        groups.append((idx, h[idx[:, :, None], idx[:, None, :]]))
+    return CurvatureBlocks(p=h.shape[0], groups=tuple(groups))
+
+
 def one_block(h) -> CurvatureBlocks:
     """A dense square matrix as one curvature block, as it is: psd_project
     would symmetrize it and clip its eigenvalues."""
-    h = np.asarray(h, dtype=float)
-    return CurvatureBlocks.from_blocks(h.shape[0], [np.arange(h.shape[0])], [h])
+    return block_curvature(h, [np.arange(np.shape(h)[0])])
 
 
 def flat_weights(theta: ParamVector, n_free: int, exponent: float = 1.0) -> np.ndarray:

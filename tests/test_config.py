@@ -334,6 +334,14 @@ RADIAL = {"family": "radial_dictionary", "offsets": [1.0, 2.0],
     ("bench", "bench_error_bound_d8.json", {"horizons": [10, 0.002]},
      ["delta=0.005"], "horizons",
      "must be more than half of delta = 0.005, got 0.002"),
+    # a horizon of more steps than a float can count; these once ended in
+    # an OverflowError traceback
+    ("bench", "recovery_polymer.json", {"horizon": 1e300, "delta": 1e-10}, [],
+     "horizon", "must span a finite number of steps of delta = 1e-10, "
+                "got 1e+300"),
+    ("bench", "bench_error_bound_d8.json", {"horizons": [10, 1e300]},
+     ["delta=1e-10"], "horizons",
+     "must span a finite number of steps of delta = 1e-10, got 1e+300"),
 ])
 def test_a_bad_setting_exits_2_naming_its_path(
         tmp_path, monkeypatch, capsys, command, name, edits, overrides, path,

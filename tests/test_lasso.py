@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from netsde import lasso
-from netsde.estimate import (CurvatureBlocks, DegenerateDiffusionError,
-                             _path_moments, fit_adaptive_closed_form)
+from netsde.estimate import (DegenerateDiffusionError, _path_moments,
+                             fit_adaptive_closed_form)
 from netsde.graph import build_graph, complete_graph
 from netsde.lasso import (ConvergenceError, LassoError,
                           LassoPath, MissingValidationLossError, NonPSDError,
@@ -19,7 +19,8 @@ from netsde.model import (ConstantDiagonal, LayoutMismatchError, LinearDrift,
                           NsdeSpec, ParamVector, RadialDictionaryDrift,
                           TanhClipped, parameter_layout)
 from netsde.simulate import SamplePath, simulate_path
-from reference import exact_box_lasso, flat_weights, holdout_loss, one_block
+from reference import (block_curvature, exact_box_lasso, flat_weights,
+                       holdout_loss, one_block)
 
 
 def rand_instance(rng, n_alpha=2, n_beta=4, scale=1.0):
@@ -151,8 +152,7 @@ def test_block_diagonal_curvature_splits_into_separate_solves():
     rng = np.random.default_rng(8)
     h, pilot, gamma, members = random_block_problem(rng, [1, 3, 2, 4, 3, 1, 2])
     members = [np.sort(idx) for idx in members]
-    blocks = CurvatureBlocks.from_blocks(h.shape[0], members,
-                                         [h[np.ix_(idx, idx)] for idx in members])
+    blocks = block_curvature(h, members)
 
     # the repair equals the dense eigen-decomposition repair
     vals, vecs = np.linalg.eigh(h)

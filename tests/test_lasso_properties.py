@@ -13,10 +13,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsde.estimate import CurvatureBlocks
 from netsde.lasso import kkt_residual, lambda_max, lsa_solve, psd_project
 from netsde.model import ParamVector
-from reference import exact_box_lasso, one_block
+from reference import block_curvature, exact_box_lasso, one_block
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
 
@@ -77,16 +76,11 @@ def test_small_problems_match_the_enumeration_oracle(problem):
     assert np.allclose(got, want, atol=5e-5)
 
 
-def _blocks(h, members):
-    return CurvatureBlocks.from_blocks(h.shape[0], members,
-                                       [h[np.ix_(idx, idx)] for idx in members])
-
-
 @PROPERTY
 @given(block_problems(), st.floats(0.0, 1.0))
 def test_dense_and_block_forms_agree(problem, shift):
     h, pilot, gamma, box, lam, top, members = problem
-    blocks = _blocks(h, members)
+    blocks = block_curvature(h, members)
     assert abs(lambda_max(blocks, pilot, gamma, bounds=box) - top) \
         <= 1e-9 * (1.0 + top)
     want = lsa_solve(one_block(h), pilot, lam, gamma, bounds=box).flat()
@@ -98,5 +92,5 @@ def test_dense_and_block_forms_agree(problem, shift):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the repair warns; not the point here
         want = psd_project(bent).dense()
-        got = psd_project(_blocks(bent, members)).dense()
+        got = psd_project(block_curvature(bent, members)).dense()
     assert np.allclose(got, want, rtol=0.0, atol=1e-9)

@@ -20,8 +20,8 @@ from netsde.model import (LinearDrift, NsdeSpec, RadialDictionaryDrift,
                           parameter_layout, path_drift_fn)
 from netsde.simulate import simulate_path
 from reference import (contrast_by_rows, exact_inverse_diagonal, hessian_by_rows,
-                       holdout_loss, quasi_grad, sigma_path, stage_one_scales,
-                       validation_loss_by_rows)
+                       holdout_loss, node_designs, quasi_grad, sigma_path,
+                       stage_one_scales, validation_loss_by_rows)
 
 # node 0's parents are listed out of order, so its slots are not ascending
 EDGES = [(0, 2), (0, 1), (1, 2), (2, 0)]
@@ -253,9 +253,9 @@ def test_certificate_checks_only_the_optimized_coordinates(monkeypatch):
     # a solve that misses the Gram solution fails the certificate
     solve = estimate._solve_grams
 
-    def off_by_a_little(grams, rhs):
-        coefs, conds, jittered = solve(grams, rhs)
-        return [c + 1e-3 for c in coefs], conds, jittered
+    def off_by_a_little(gram, rhs, live):
+        coefs, conds, jittered = solve(gram, rhs, live)
+        return coefs + 1e-3, conds, jittered
 
     monkeypatch.setattr(estimate, "_solve_grams", off_by_a_little)
     assert not fit_adaptive_closed_form(path, spec, g).converged
@@ -273,20 +273,60 @@ def test_unfitted_intercepts_stay_at_zero():
     assert np.allclose(got, want.theta_hat.flat(), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("name,intercepts", [
+    ("linear", None), ("intercepts", None), ("intercepts", False)])
+def test_gram_cond_is_the_condition_number_of_the_live_gram(name, intercepts):
+    # node 0 has two partners and the others one, so nodes 1 and 2 are
+    # padded, and an unfitted intercept is left out of every node's Gram
+    # matrix.  (The radial case's condition number, 3.6e5, turns the
+    # rounding of the row-by-row Gram matrix into a 1.4e-12 relative
+    # change.)
+    spec, g, _aug, path, _candidates = model_case(name)
+    fit = fit_qmle(path, spec, g, intercepts=intercepts)
+    x0 = path.data[:-1]
+    scale = diffusion_shape(spec, x0)
+    for j, (reg, _slots) in enumerate(node_designs(spec, fit.layout, x0)):
+        if intercepts is False:
+            reg = np.delete(reg, 1, axis=1)
+        z = reg / scale[:, j, None]
+        assert fit.gram_cond[j] == pytest.approx(np.linalg.cond(z.T @ z),
+                                                 rel=1e-12, abs=0)
+
+
+def test_a_clean_fit_factors_every_gram_matrix_in_one_call(monkeypatch):
+    spec, g, _aug, path, _candidates = model_case("linear")
+    calls = []
+
+    def counted(gram, *args, **kwargs):
+        calls.append(gram.shape)
+        return cholesky(gram, *args, **kwargs)
+
+    monkeypatch.setattr(estimate.np.linalg, "cholesky", counted)
+    fit = fit_adaptive_closed_form(path, spec, g)
+    assert not fit.gram_jittered.any()
+    # node 0 has two partners and the others one, so the stack is padded
+    assert calls == [(3, 3, 3)]
+
+
 def test_jittered_gram_is_flagged_warned_and_exported(monkeypatch):
     spec, g, _aug, path, _candidates = model_case("linear")
     calls = []
 
-    def failing_once_for_node_1(gram, *args, **kwargs):
+    def failing_for_the_stack_and_node_1(gram, *args, **kwargs):
         calls.append(gram.shape)
-        if len(calls) == 2:  # node 1's first factorization
+        # the stack's factorization, then node 1's first one in the node by
+        # node retry
+        if gram.ndim == 3 or len(calls) == 3:
             raise np.linalg.LinAlgError("not positive definite")
         return cholesky(gram, *args, **kwargs)
 
-    monkeypatch.setattr(estimate.np.linalg, "cholesky", failing_once_for_node_1)
+    monkeypatch.setattr(estimate.np.linalg, "cholesky",
+                        failing_for_the_stack_and_node_1)
     with pytest.warns(UserWarning, match=r"node\(s\) 1 \(condition number") as rec:
         fit = fit_adaptive_closed_form(path, spec, g)
     assert len(rec) == 1
+    # nodes 0, 1 (failing), 1 jittered and 2, after the stack
+    assert calls == [(3, 3, 3)] + [(3, 3)] * 4
     assert f"{fit.gram_cond[1]:.3g}" in str(rec[0].message)
     assert fit.gram_jittered.tolist() == [False, True, False]
     out = fit_result_to_dict(fit)
